@@ -15,7 +15,6 @@ from .abelian import (
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
     d_p,
-    upper_bound_de,
 )
 from .fuchsian import (
     EllipticAction,
@@ -164,8 +163,8 @@ def _quotient_from_args(args, pres) -> FiniteQuotient:
 def cmd_def(args) -> int:
     pres = parse_presentation(args.presentation)
     de = p_deficiency(pres, args.prime)
-    upper = upper_bound_de(pres, args.prime)
     inv = abelian_invariants(pres)
+    upper = abelian_p_deficiency_group(inv, args.prime)
     lines = [
         f"presentation: {pres.to_text()}",
         f"de_{args.prime}(presentation) = {_rat(de)}",
@@ -219,8 +218,9 @@ def cmd_subgroup(args) -> int:
     q = _quotient_from_args(args, pres)
     index = kernel_index(q, pres)
     sd = schreier(coset_table(q, pres))
-    sub = subgroup_presentation(pres, q, refined=not args.naive)
-    report = supermultiplicity_check(pres, q, args.prime)
+    sub = subgroup_presentation(pres, q, refined=not args.naive, sd=sd)
+    refined = subgroup_presentation(pres, q, sd=sd) if args.naive else sub
+    report = supermultiplicity_check(pres, q, args.prime, refined)
     lines = [
         f"presentation: {pres.to_text()}",
         f"quotient: {', '.join(f'{n}:{format_perm(img)}' for n, img in zip(pres.generators, q.images))}",

@@ -107,12 +107,8 @@ def gradient_window(
     require_prime(p)
     if budget is None:
         budget = SearchBudget()
-    samples = [
-        GradientSample(
-            1, d_p(abelian_invariants(pres), p),
-            Fraction(d_p(abelian_invariants(pres), p)), "index 1",
-        )
-    ]
+    dp = d_p(abelian_invariants(pres), p)
+    samples = [GradientSample(1, dp, Fraction(dp), "index 1")]
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue

@@ -198,15 +198,18 @@ class _Parser:
 
     def parse_word(self, index):
         """Returns (word, saw_generator); a word with no generator occurrence
-        is the literal identity used as a chain terminator."""
+        is the literal identity used as a chain terminator.  The factors'
+        runs are reduced once, at the end, so the time is linear in the
+        number of factors."""
         word, saw = self.parse_factor(index)
+        runs = list(word.runs)
         while True:
             if self.at_sym("*"):
                 self.advance()
             elif not self._starts_factor():
-                return word, saw
+                return Word(runs, len(index)), saw
             nxt, s = self.parse_factor(index)
-            word = word * nxt
+            runs.extend(nxt.runs)
             saw = saw or s
 
 

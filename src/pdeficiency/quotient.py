@@ -5,9 +5,9 @@ Permutations are tuples of 0-based images; ``perm_mul(a, b)`` applies a
 first and then b, so evaluating a word left to right is a homomorphism.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .presentation import FinitePresentation
 from .words import Word
@@ -254,22 +254,51 @@ def kernel_index(q: FiniteQuotient, pres: FinitePresentation) -> int:
 
 @dataclass(frozen=True)
 class CatalogGroup:
+    """A permutation group given by generators; ``order`` is checked against
+    the closure, or taken from it when omitted."""
+
     name: str
     degree: int
     gens: tuple
-    order: int
+    order: int = None
 
     def __post_init__(self):
         for p in self.gens:
             _validate_perm(p, self.degree)
-        actual = FiniteQuotient(self.gens).order
-        if actual != self.order:
+        elements = FiniteQuotient(self.gens).elements
+        if self.order is None:
+            object.__setattr__(self, "order", len(elements))
+        elif len(elements) != self.order:
             raise ValueError(
-                f"catalog group {self.name}: closure order {actual} != declared {self.order}"
+                f"catalog group {self.name}: closure order {len(elements)} "
+                f"!= declared {self.order}"
             )
+        object.__setattr__(self, "_elements", elements)
 
     def elements(self) -> tuple:
-        return FiniteQuotient(self.gens).elements
+        """Group elements in breadth-first order from the identity."""
+        return self._elements
+
+    @cached_property
+    def search_tables(self) -> tuple:
+        """``(mul, powers)`` over the indices of ``elements()``: ``mul[a][b]``
+        is a then b, index 0 is the identity, and ``powers[a]`` lists a^0,
+        a^1, ... up to the order of a.  Built on the first search that
+        reaches the group."""
+        elements = self._elements
+        index = {h: i for i, h in enumerate(elements)}
+        mul = tuple(
+            tuple(index[perm_mul(a, b)] for b in elements) for a in elements
+        )
+        powers = []
+        for a in range(len(elements)):
+            pw = [0]
+            x = a
+            while x:
+                pw.append(x)
+                x = mul[x][a]
+            powers.append(tuple(pw))
+        return mul, tuple(powers)
 
 
 @dataclass(frozen=True)
@@ -341,8 +370,7 @@ def parse_catalog_manifest(text: str) -> GroupCatalog:
         if not gen_texts:
             raise ValueError(f"manifest line {lineno}: no generators")
         gens = tuple(parse_perm(t, degree) for t in gen_texts)
-        order = FiniteQuotient(gens).order
-        entries.append(CatalogGroup(name, degree, gens, order))
+        entries.append(CatalogGroup(name, degree, gens))
     return GroupCatalog(tuple(entries))
 
 
@@ -381,12 +409,45 @@ class SearchBudget:
     assignments_used: int = 0
     exhausted: bool = False
 
-    def spend(self) -> bool:
-        if self.assignments_used >= self.max_assignments:
+    def spend(self, assignments: int = 1) -> bool:
+        """Charge ``assignments`` full assignments.  When fewer are left,
+        charge what is left, mark the budget exhausted and return False."""
+        room = max(self.max_assignments - self.assignments_used, 0)
+        if assignments > room:
+            self.assignments_used += room
             self.exhausted = True
             return False
-        self.assignments_used += 1
+        self.assignments_used += assignments
         return True
+
+
+def _kills(relators, images, mul, powers) -> bool:
+    """True iff every relator (as runs) maps to the identity index."""
+    for runs in relators:
+        x = 0
+        for g, e in runs:
+            pw = powers[images[g]]
+            x = mul[x][pw[e % len(pw)]]
+        if x:
+            return False
+    return True
+
+
+def _closure(mul, images) -> tuple:
+    """Breadth-first closure of the images from the identity, numbered as
+    ``FiniteQuotient.elements`` numbers it, and the regular tables in that
+    numbering: the same ``(order, tables)`` as ``FiniteQuotient.kernel_key``."""
+    order = [0]
+    number = {0: 0}
+    for h in order:
+        row = mul[h]
+        for a in images:
+            x = row[a]
+            if x not in number:
+                number[x] = len(order)
+                order.append(x)
+    tables = tuple(tuple(number[mul[h][a]] for h in order) for a in images)
+    return order, tables
 
 
 def enumerate_quotients(
@@ -397,11 +458,20 @@ def enumerate_quotients(
 ):
     """Yield quotients of pres over the catalog, deduplicated by kernel.
 
-    Every assignment of catalog-group elements to the generators that kills
-    all relators is considered; two assignments are the same kernel exactly
+    For each catalog group, generator images are assigned depth-first in
+    generator order, each running over the group's element list, so full
+    assignments come in the order of ``itertools.product``.  Each relator
+    is evaluated through the group's multiplication table as soon as the
+    highest generator it uses has an image; one that does not vanish cuts
+    the whole subtree below.  Two assignments are the same kernel exactly
     when their regular coset tables agree after breadth-first relabeling,
     so the deduplication is exact.  Order of results is deterministic:
     catalog order, then assignment order over each group's element list.
+
+    ``budget.max_assignments`` counts full assignments: each one reached
+    costs 1 and a cut subtree costs the number of full assignments below
+    it, capped at what is left.  So ``assignments_used``, ``exhausted``
+    and the quotients yielded are those of trying every assignment in turn.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -411,19 +481,45 @@ def enumerate_quotients(
         max_order = budget.max_order
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
+    n = pres.n_gens
+    if n == 0:
+        raise ValueError("the quotient search needs at least one generator")
+    # each relator is checked at the depth of the highest generator it uses
+    checks = [[] for _ in range(n)]
+    for r in pres.relators:
+        checks[max(g for g, _ in r.runs)].append(r.runs)
     seen = set()
     for grp in catalog.groups:
         if grp.order > max_order:
             continue
         elements = grp.elements()
-        for assignment in itertools.product(elements, repeat=pres.n_gens):
-            if not budget.spend():
-                return
-            q = FiniteQuotient(assignment)
-            if not is_quotient_of(q, pres):
+        mul, powers = grp.search_tables
+        size = len(elements)
+        leaves = [size ** (n - 1 - k) for k in range(n)]
+        images = [0] * n
+        k = 0
+        while k >= 0:
+            if images[k] == size:  # every element tried at depth k: back up
+                k -= 1
+                if k >= 0:
+                    images[k] += 1
                 continue
-            key = q.kernel_key()
-            if key in seen:
+            if not _kills(checks[k], images, mul, powers):
+                if not budget.spend(leaves[k]):
+                    return
+            elif k < n - 1:
+                k += 1
+                images[k] = 0
                 continue
-            seen.add(key)
-            yield q
+            else:
+                if not budget.spend():
+                    return
+                order, tables = _closure(mul, images)
+                key = (len(order), tables)
+                if key not in seen:
+                    seen.add(key)
+                    q = FiniteQuotient(tuple(elements[a] for a in images))
+                    q._elements = tuple(elements[h] for h in order)
+                    q._tables = tables
+                    yield q
+            images[k] += 1

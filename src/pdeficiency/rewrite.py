@@ -64,6 +64,7 @@ class SchreierGenerator:
 @dataclass(frozen=True)
 class SchreierData:
     table: CosetTable
+    inv_tables: tuple        # inverse permutation per generator
     transversal: tuple       # shortlex-minimal representative per coset
     basis: tuple             # SchreierGenerator per non-tree positive edge
     edge_to_basis: dict      # (coset, gen) -> basis index, tree edges absent
@@ -116,7 +117,7 @@ def schreier(ct: CosetTable) -> SchreierData:
             )
             edge_to_basis[(c, g)] = len(basis)
             basis.append(SchreierGenerator(c, g, word))
-    return SchreierData(ct, tuple(transversal), tuple(basis), edge_to_basis)
+    return SchreierData(ct, inv_tables, tuple(transversal), tuple(basis), edge_to_basis)
 
 
 def rewrite_word(sd: SchreierData, w: Word) -> Word:
@@ -133,7 +134,7 @@ def rewrite_word(sd: SchreierData, w: Word) -> Word:
     runs = []
     c = 0
     tables = sd.table.tables
-    inv_tables = tuple(perm_inv(t) for t in tables)
+    inv_tables = sd.inv_tables
     for lt in w.letters():
         g = abs(lt) - 1
         if lt > 0:
@@ -220,16 +221,19 @@ def _subgroup_names(n: int) -> tuple:
 
 
 def subgroup_presentation(
-    pres: FinitePresentation, q: FiniteQuotient, refined: bool = True
+    pres: FinitePresentation, q: FiniteQuotient, refined: bool = True,
+    sd: SchreierData = None,
 ) -> FinitePresentation:
     """Presentation of the kernel-image subgroup on the Schreier basis.
 
     With ``refined`` (default) each relator contributes one rewritten word
     per kernel-conjugacy class of its transversal conjugates; the naive
     variant keeps all ``degree`` conjugates and is retained for
-    differential testing only.
+    differential testing only.  ``sd``, when given, must be
+    ``schreier(coset_table(q, pres))``; it saves building it again.
     """
-    sd = schreier(coset_table(q, pres))
+    if sd is None:
+        sd = schreier(coset_table(q, pres))
     relators = []
     for r in pres.relators:
         if refined:
@@ -295,12 +299,16 @@ class SupermultReport:
 
 
 def supermultiplicity_check(
-    pres: FinitePresentation, q: FiniteQuotient, p: int
+    pres: FinitePresentation, q: FiniteQuotient, p: int,
+    sub: FinitePresentation = None,
 ) -> SupermultReport:
     """Exact check that the subgroup presentation's p-deficiency is at least
-    index times the p-deficiency of the original presentation."""
+    index times the p-deficiency of the original presentation.  ``sub``,
+    when given, must be ``subgroup_presentation(pres, q)``; it saves
+    building it again."""
     require_prime(p)
-    sub = subgroup_presentation(pres, q)
+    if sub is None:
+        sub = subgroup_presentation(pres, q)
     index = kernel_index(q, pres)
     de_orig = p_deficiency(pres, p)
     de_sub = p_deficiency(sub, p)

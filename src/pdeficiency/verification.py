@@ -6,6 +6,7 @@ summary.  The CLI ``verify`` command and the acceptance tests both run
 these.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .quotient import (
     default_catalog,
     enumerate_quotients,
     evaluate,
+    is_quotient_of,
     kernel_index,
     perm_identity,
     perm_mul,
@@ -180,6 +182,50 @@ def _oracle_class_count(q: FiniteQuotient, conjugates) -> int:
         if not any(_oracle_kernel_conjugate(q, w, r) for r in reps):
             reps.append(w)
     return len(reps)
+
+
+def brute_force_quotients(pres, catalog, max_order, budget):
+    """The quotient search without tables or pruning: every assignment in
+    ``itertools.product`` order, each built as a ``FiniteQuotient``, tested
+    with ``is_quotient_of`` and deduplicated by ``kernel_key``.  The oracle
+    for ``enumerate_quotients``."""
+    seen = set()
+    for grp in catalog.groups:
+        if grp.order > max_order:
+            continue
+        elements = FiniteQuotient(grp.gens).elements
+        for assignment in itertools.product(elements, repeat=pres.n_gens):
+            if not budget.spend():
+                return
+            q = FiniteQuotient(assignment)
+            if not is_quotient_of(q, pres):
+                continue
+            key = q.kernel_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            yield q
+
+
+def search_agrees(pres, catalog, max_order, max_assignments) -> int:
+    """Run ``enumerate_quotients`` and the brute force with equal budgets;
+    raise ``CheckFailure`` unless they yield the same images, element
+    lists and regular tables and leave the budgets equal.  Returns the
+    assignments used."""
+    runs = []
+    for search in (enumerate_quotients, brute_force_quotients):
+        budget = SearchBudget(max_order, max_assignments)
+        found = [(q.images, q.elements, q.regular_tables())
+                 for q in search(pres, catalog, max_order, budget)]
+        runs.append((found, budget.assignments_used, budget.exhausted))
+    (fast, used, exhausted), (slow, used_bf, exhausted_bf) = runs
+    _ensure(fast == slow,
+            f"{pres.to_text()}, budget {max_assignments}: {len(fast)} quotients "
+            f"from the search, {len(slow)} from the brute force, or they differ")
+    _ensure((used, exhausted) == (used_bf, exhausted_bf),
+            f"{pres.to_text()}, budget {max_assignments}: search used {used} "
+            f"(exhausted {exhausted}), brute force {used_bf} (exhausted {exhausted_bf})")
+    return used
 
 
 def _gcd_of_minors(mat: IntMatrix, k: int) -> int:
@@ -537,6 +583,32 @@ def check_dp_drop():
     return (f"{trials} random instances: d_p drops by at most ell", {"trials": trials})
 
 
+def check_search():
+    """The table search yields the same quotients, in the same order, and
+    leaves the budget as the brute-force search does: on random
+    presentations with and without relators, at the full and at a random
+    budget, and at every budget of one small case."""
+    rng = random.Random(0x5EED0D)
+    catalog = default_catalog()
+    presentations = 30
+    for i in range(presentations):
+        pres = _random_presentation(rng, max_relators=3, max_len=8, min_relators=0)
+        if i % 3 == 0:
+            # a relator on the first generator alone prunes at the top level
+            power = Word.generator(0, pres.n_gens, rng.choice((-4, -2, 2, 3, 6)))
+            pres = pres.with_relators(pres.relators + (power,))
+        full = search_agrees(pres, catalog, 6, 10**6)
+        search_agrees(pres, catalog, 6, rng.randint(0, full))
+    small = parse_presentation("< x, y | x^2, y^3 >")
+    full = search_agrees(small, catalog, 4, 10**6)
+    for max_assignments in range(full + 1):
+        search_agrees(small, catalog, 4, max_assignments)
+    return (f"{presentations} random presentations at two budgets and "
+            f"{small.to_text()} at all {full + 1} budgets up to its {full} "
+            "assignments: same quotients and budget state as the brute force",
+            {"presentations": presentations, "small_budgets": full + 1})
+
+
 CHECKS = {
     "intro_examples": check_intro_examples,
     "free_products": check_free_products,
@@ -550,6 +622,7 @@ CHECKS = {
     "chi": check_chi,
     "power_witness": check_power_witness,
     "dp_drop": check_dp_drop,
+    "search": check_search,
 }
 
 

@@ -94,6 +94,14 @@ class TestParse:
             ((0, 2), (1, -3), (0, 1)), 2
         )
 
+    def test_factors_reduce_like_letters(self):
+        pres = parse_presentation("< x, y | " + "*".join(["x*y^-1"] * 4000) + " >")
+        assert pres.relators == (Word.from_letters([1, -2] * 4000, 2),)
+        assert parse_word("x*y*y^-1*x^-1", ("x", "y")) == Word.from_letters([], 2)
+        # y*(x*y^-1)^2*y^-1 is y x y^-1 x y^-1 y^-1; its inverse is written twice
+        nested = parse_word("x*(y*(x*y^-1)^2*y^-1)^-2*x^-1", ("x", "y"))
+        assert nested == Word.from_letters([1] + [2, 2, -1, 2, -1, -2] * 2 + [-1], 2)
+
 
 names_st = st.sampled_from([("x",), ("x", "y"), ("a", "b", "c")])
 

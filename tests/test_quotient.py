@@ -21,6 +21,7 @@ from pdeficiency.quotient import (
     perm_order,
     perm_pow,
 )
+from pdeficiency.verification import search_agrees
 from pdeficiency.words import Word
 
 
@@ -182,6 +183,32 @@ class TestEnumerate:
         list(enumerate_quotients(pres, default_catalog(), 6, budget))
         assert budget.exhausted
         assert budget.assignments_used == 10
+
+    # generators chosen so that no element list is the default catalog's
+    MANIFEST = """
+    T 1 ()
+    S3 3 (1 2 3) (1 2)
+    K4 4 (1 3)(2 4) (1 2)(3 4)
+    C4 4 (1 4 3 2)
+    A4 4 (1 2)(3 4) (1 2 3)
+    """
+
+    @pytest.mark.parametrize("text", [
+        "< x | x^4 >",
+        "< x, y | >",
+        "< x, y | x^2, y^3, (x*y)^3 >",
+        "< x, y | y^2, x*y*x^-1*y >",
+        "< x, y, z | x^2, y*z*y^-1*z^-1 >",
+    ])
+    def test_matches_brute_force(self, text):
+        catalog = parse_catalog_manifest(self.MANIFEST)
+        pres = parse_presentation(text)
+        full = search_agrees(pres, catalog, 12, 10**6)
+        for max_assignments in sorted({0, 1, full // 3, full // 2, full - 1, full}):
+            search_agrees(pres, catalog, 12, max_assignments)
+
+    def test_catalog_builds_no_search_tables(self):
+        assert all("search_tables" not in vars(g) for g in default_catalog().groups)
 
     def test_max_order_validation(self):
         with pytest.raises(ValueError):
