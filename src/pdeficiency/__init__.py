@@ -64,12 +64,10 @@ from .quotient import (
     parse_catalog_manifest,
 )
 from .rewrite import (
-    CosetTable,
     SchreierData,
     SizeBound,
     centralizer_index,
     conjugate_class_reps,
-    coset_table,
     p_size_bound,
     rewrite_word,
     schreier,

@@ -32,6 +32,7 @@ from .presentation import p_deficiency, parse_presentation, word_to_text
 from .quotient import (
     FiniteQuotient,
     SearchBudget,
+    check_degree,
     default_catalog,
     format_perm,
     kernel_index,
@@ -40,7 +41,6 @@ from .quotient import (
     parse_catalog_manifest,
 )
 from .rewrite import (
-    coset_table,
     p_size_bound,
     schreier,
     subgroup_presentation,
@@ -135,6 +135,7 @@ def _parse_quotient_spec(spec: str, generators) -> FiniteQuotient:
 def _hom_cyclic(modulus: int, exps_text: str, generators) -> FiniteQuotient:
     if modulus < 2:
         raise ValueError("cyclic image order must be at least 2")
+    check_degree(modulus)
     exps = [int(t) for t in exps_text.split(",")]
     if len(exps) != len(generators):
         raise ValueError(
@@ -217,7 +218,7 @@ def cmd_subgroup(args) -> int:
     pres = parse_presentation(args.presentation)
     q = _quotient_from_args(args, pres)
     index = kernel_index(q, pres)
-    sd = schreier(coset_table(q, pres))
+    sd = schreier(q)
     sub = subgroup_presentation(pres, q, refined=not args.naive, sd=sd)
     refined = subgroup_presentation(pres, q, sd=sd) if args.naive else sub
     report = supermultiplicity_check(pres, q, args.prime, refined)
@@ -339,6 +340,7 @@ def _parse_action_spec(spec: str, sig, degree_hint) -> EllipticAction:
     quotient = _parse_quotient_spec(spec, names)
     degree = quotient.degree
     if degree_hint and degree_hint > degree:
+        check_degree(degree_hint)
         padded = []
         for perm in quotient.images:
             padded.append(tuple(perm) + tuple(range(degree, degree_hint)))

@@ -113,7 +113,16 @@ def parse_cycles(text: str) -> list:
     return cycles
 
 
+def check_degree(degree: int) -> None:
+    """Reject a permutation degree above ``CLOSURE_LIMIT`` before anything
+    of that size is built: a degree is short to type, a permutation of it
+    is not."""
+    if degree > CLOSURE_LIMIT:
+        raise ValueError(f"permutation degree {degree} exceeds limit {CLOSURE_LIMIT}")
+
+
 def cycles_to_perm(cycles, degree: int) -> tuple:
+    check_degree(degree)
     out = list(range(degree))
     for cyc in cycles:
         if any(pt >= degree for pt in cyc):
@@ -166,48 +175,49 @@ class FiniteQuotient:
     def n_gens(self) -> int:
         return len(self.images)
 
+    def _close(self) -> None:
+        """One breadth-first pass from the identity numbers the image-group
+        elements and fills in the regular tables in that numbering."""
+        identity = perm_identity(self.degree)
+        order = [identity]
+        index = {identity: 0}
+        rows = [[] for _ in self.images]
+        for h in order:
+            for img, row in zip(self.images, rows):
+                nxt = perm_mul(h, img)
+                i = index.get(nxt)
+                if i is None:
+                    if len(order) >= CLOSURE_LIMIT:
+                        raise ValueError(f"group closure exceeds limit {CLOSURE_LIMIT}")
+                    i = index[nxt] = len(order)
+                    order.append(nxt)
+                row.append(i)
+        self._elements = tuple(order)
+        self._tables = tuple(tuple(row) for row in rows)
+
     @property
     def elements(self) -> tuple:
         """Image-group elements in breadth-first order from the identity."""
         if self._elements is None:
-            identity = perm_identity(self.degree)
-            order = [identity]
-            index = {identity: 0}
-            queue = [identity]
-            while queue:
-                h = queue.pop(0)
-                for img in self.images:
-                    nxt = perm_mul(h, img)
-                    if nxt not in index:
-                        if len(order) >= CLOSURE_LIMIT:
-                            raise ValueError(
-                                f"group closure exceeds limit {CLOSURE_LIMIT}"
-                            )
-                        index[nxt] = len(order)
-                        order.append(nxt)
-                        queue.append(nxt)
-            self._elements = tuple(order)
+            self._close()
         return self._elements
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def regular_tables(self) -> tuple:
+    @property
+    def tables(self) -> tuple:
         """Per-generator action on the image-group elements by right
-        multiplication, with the breadth-first numbering; this is the coset
-        table of the kernel and a canonical invariant of it."""
+        multiplication, with the breadth-first numbering: the coset table of
+        the kernel, with the identity as base coset 0, and a canonical
+        invariant of it."""
         if self._tables is None:
-            elements = self.elements
-            index = {h: i for i, h in enumerate(elements)}
-            self._tables = tuple(
-                tuple(index[perm_mul(h, img)] for h in elements)
-                for img in self.images
-            )
+            self._close()
         return self._tables
 
     def kernel_key(self) -> tuple:
-        return (self.order, self.regular_tables())
+        return (self.order, self.tables)
 
     def __repr__(self) -> str:
         imgs = ", ".join(format_perm(p) for p in self.images)

@@ -2,8 +2,12 @@
 centralizer indices, conjugate-class splitting and p-size transfer bounds.
 
 The finite-index subgroups handled here are kernels of maps onto finite
-permutation groups; cosets are the image-group elements under the regular
-action, so no coset enumeration is ever needed.
+permutation groups.  The coset table of a kernel is the quotient's regular
+tables (``FiniteQuotient.tables``): cosets are the image-group elements,
+numbered breadth-first with the identity as base coset 0, and a word acts
+on a coset by walking the table letter by letter (Sims, *Computation with
+Finitely Presented Groups*, ch. 5).  No coset enumeration and no
+permutation product is needed.
 """
 
 import string
@@ -11,45 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import FinitePresentation, p_deficiency
-from .quotient import (
-    FiniteQuotient,
-    evaluate,
-    is_quotient_of,
-    kernel_index,
-    order_of_image,
-    perm_identity,
-    perm_inv,
-    perm_mul,
-)
+from .quotient import FiniteQuotient, kernel_index, order_of_image, perm_inv
 from .words import Word, maximal_root, nu_p, nu_p_int, require_prime
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """Transitive action on cosets {0..degree-1} with base coset 0; one
-    permutation (as an image tuple) per generator."""
-
-    tables: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.tables[0])
-
-    @property
-    def n_gens(self) -> int:
-        return len(self.tables)
-
-
-def coset_table(q: FiniteQuotient, pres: FinitePresentation) -> CosetTable:
-    """Regular action of the image group on itself: cosets of the kernel
-    correspond to image elements, generators act by right multiplication."""
-    if not is_quotient_of(q, pres):
-        raise ValueError("relators are not killed by the quotient")
-    return CosetTable(q.regular_tables())
-
-
-def _regular_table(q: FiniteQuotient) -> CosetTable:
-    return CosetTable(q.regular_tables())
 
 
 @dataclass(frozen=True)
@@ -63,30 +30,33 @@ class SchreierGenerator:
 
 @dataclass(frozen=True)
 class SchreierData:
-    table: CosetTable
-    inv_tables: tuple        # inverse permutation per generator
+    table: FiniteQuotient    # its regular tables are the coset table
+    inv_tables: tuple        # inverse table per generator
     transversal: tuple       # shortlex-minimal representative per coset
     basis: tuple             # SchreierGenerator per non-tree positive edge
     edge_to_basis: dict      # (coset, gen) -> basis index, tree edges absent
 
     @property
     def degree(self) -> int:
-        return self.table.degree
+        return self.table.order
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
 
-def schreier(ct: CosetTable) -> SchreierData:
-    """Shortlex breadth-first spanning tree and the Schreier basis.
+def schreier(q: FiniteQuotient) -> SchreierData:
+    """Shortlex breadth-first spanning tree of the coset table of the kernel
+    of ``q`` and the Schreier basis.
 
     Letters are tried in the order g_1, g_1^-1, g_2, g_2^-1, ...; the basis
-    has 1 + degree*(n_gens - 1) elements (Nielsen-Schreier).
+    has 1 + index*(n_gens - 1) elements (Nielsen-Schreier).  The regular
+    tables are transitive, so every coset is reached.
     """
-    d = ct.degree
-    k = ct.n_gens
-    inv_tables = tuple(perm_inv(t) for t in ct.tables)
+    tables = q.tables
+    d = q.order
+    k = q.n_gens
+    inv_tables = tuple(perm_inv(t) for t in tables)
 
     transversal = [None] * d
     transversal[0] = Word.identity(k)
@@ -96,13 +66,11 @@ def schreier(ct: CosetTable) -> SchreierData:
         c = queue.pop(0)
         for g in range(k):
             for sign in (1, -1):
-                target = ct.tables[g][c] if sign == 1 else inv_tables[g][c]
+                target = tables[g][c] if sign == 1 else inv_tables[g][c]
                 if transversal[target] is None:
                     transversal[target] = transversal[c] * Word.generator(g, k, sign)
                     tree_edges.add((c, g) if sign == 1 else (target, g))
                     queue.append(target)
-    if any(t is None for t in transversal):
-        raise ValueError("coset table is not transitive")
 
     basis = []
     edge_to_basis = {}
@@ -113,11 +81,28 @@ def schreier(ct: CosetTable) -> SchreierData:
             word = (
                 transversal[c]
                 * Word.generator(g, k)
-                * transversal[ct.tables[g][c]].inverse()
+                * transversal[tables[g][c]].inverse()
             )
             edge_to_basis[(c, g)] = len(basis)
             basis.append(SchreierGenerator(c, g, word))
-    return SchreierData(ct, inv_tables, tuple(transversal), tuple(basis), edge_to_basis)
+    return SchreierData(q, inv_tables, tuple(transversal), tuple(basis), edge_to_basis)
+
+
+def _check_alphabet(sd: SchreierData, w: Word) -> None:
+    if w.n_gens != sd.table.n_gens:
+        raise ValueError(
+            f"alphabet mismatch: word has {w.n_gens} generators, "
+            f"table {sd.table.n_gens}"
+        )
+
+
+def _trace(sd: SchreierData, w: Word, c: int) -> int:
+    """The coset that w leads to from coset c."""
+    for g, e in w.runs:
+        table = sd.table.tables[g] if e > 0 else sd.inv_tables[g]
+        for _ in range(abs(e)):
+            c = table[c]
+    return c
 
 
 def rewrite_word(sd: SchreierData, w: Word) -> Word:
@@ -126,11 +111,7 @@ def rewrite_word(sd: SchreierData, w: Word) -> Word:
     Walks the coset graph from the base; tree edges contribute nothing,
     each non-tree edge contributes its basis letter.
     """
-    if w.n_gens != sd.table.n_gens:
-        raise ValueError(
-            f"alphabet mismatch: word has {w.n_gens} generators, "
-            f"table {sd.table.n_gens}"
-        )
+    _check_alphabet(sd, w)
     runs = []
     c = 0
     tables = sd.table.tables
@@ -179,38 +160,32 @@ def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) ->
 
     Two conjugates a g a^-1 and b g b^-1 are kernel-conjugate exactly when
     the images of a and b lie in the same left coset of the cyclic group
-    generated by the image of the maximal root of g; picking the
-    least-transversal element per coset yields exactly d/k representatives.
+    generated by the image of the maximal root u of g.  Walking u from a
+    coset runs through its left coset of that group, so picking the first
+    coset of each walk, in coset order, yields exactly d/k representatives.
+    ``sd``, when given, must be ``schreier(q)``.  Raises ``ValueError``
+    unless g lies in the kernel.
     """
     if g.is_identity:
         raise ValueError("no conjugate classes of the identity")
-    identity = perm_identity(q.degree)
-    if evaluate(q, g) != identity:
-        raise ValueError("word is not in the kernel")
     if sd is None:
-        sd = schreier(_regular_table(q))
+        sd = schreier(q)
+    _check_alphabet(sd, g)
+    if _trace(sd, g, 0) != 0:
+        raise ValueError("word is not in the kernel")
 
     rd = maximal_root(g)
-    root_elem = rd.conjugator * rd.root * rd.conjugator.inverse()
-    u = evaluate(q, root_elem)
-    cyclic = [identity]
-    power = u
-    while power != identity:
-        cyclic.append(power)
-        power = perm_mul(power, u)
-
-    elements = q.elements
-    index = {h: i for i, h in enumerate(elements)}
-    seen = [False] * len(elements)
+    root = rd.conjugator * rd.root * rd.conjugator.inverse()
+    seen = [False] * sd.degree
     reps = []
-    for i, h in enumerate(elements):
+    for i in range(sd.degree):
         if seen[i]:
             continue
-        for v in cyclic:
-            seen[index[perm_mul(h, v)]] = True
-        a = sd.transversal[i]
-        reps.append(g.conjugated_by(a))
-    assert len(reps) * len(cyclic) == len(elements)
+        c = i
+        while not seen[c]:
+            seen[c] = True
+            c = _trace(sd, root, c)
+        reps.append(g.conjugated_by(sd.transversal[i]))
     return reps
 
 
@@ -228,12 +203,16 @@ def subgroup_presentation(
 
     With ``refined`` (default) each relator contributes one rewritten word
     per kernel-conjugacy class of its transversal conjugates; the naive
-    variant keeps all ``degree`` conjugates and is retained for
+    variant keeps all ``index`` conjugates and is retained for
     differential testing only.  ``sd``, when given, must be
-    ``schreier(coset_table(q, pres))``; it saves building it again.
+    ``schreier(q)``; it saves building it again.
+
+    A relator that ``q`` does not kill raises ``ValueError``: "word is not
+    in the kernel" from ``conjugate_class_reps`` (refined) or "word does
+    not lie in the subgroup" from ``rewrite_word`` (naive).
     """
     if sd is None:
-        sd = schreier(coset_table(q, pres))
+        sd = schreier(q)
     relators = []
     for r in pres.relators:
         if refined:
@@ -268,8 +247,8 @@ class SizeBound:
 
 def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBound:
     require_prime(p)
-    sd = schreier(coset_table(q, pres))
-    d = sd.degree
+    d = kernel_index(q, pres)
+    sd = schreier(q)
     contributions = []
     bound = Fraction(0)
     exact = Fraction(0)
@@ -307,9 +286,9 @@ def supermultiplicity_check(
     when given, must be ``subgroup_presentation(pres, q)``; it saves
     building it again."""
     require_prime(p)
+    index = kernel_index(q, pres)
     if sub is None:
         sub = subgroup_presentation(pres, q)
-    index = kernel_index(q, pres)
     de_orig = p_deficiency(pres, p)
     de_sub = p_deficiency(sub, p)
     scaled = index * de_orig

@@ -48,7 +48,6 @@ from .quotient import (
 from .rewrite import (
     centralizer_index,
     conjugate_class_reps,
-    coset_table,
     p_size_bound,
     rewrite_word,
     schreier,
@@ -215,7 +214,7 @@ def search_agrees(pres, catalog, max_order, max_assignments) -> int:
     runs = []
     for search in (enumerate_quotients, brute_force_quotients):
         budget = SearchBudget(max_order, max_assignments)
-        found = [(q.images, q.elements, q.regular_tables())
+        found = [(q.images, q.elements, q.tables)
                  for q in search(pres, catalog, max_order, budget)]
         runs.append((found, budget.assignments_used, budget.exhausted))
     (fast, used, exhausted), (slow, used_bf, exhausted_bf) = runs
@@ -348,7 +347,7 @@ def check_conjugacy():
     instances = 0
     for q in quotients:
         identity = perm_identity(q.degree)
-        sd = schreier(coset_table(q, free2))
+        sd = schreier(q)
         d = q.order
         words = []
         attempts = 0

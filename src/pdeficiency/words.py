@@ -136,11 +136,10 @@ class Word:
         if len(self.runs) == 1:
             g, e = self.runs[0]
             return Word(((g, e * n),), self.n_gens)
-        # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1 and the
-        # n-fold run concatenation of u needs no cancellation.
+        # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1: no
+        # join of these runs cancels, and one reduction merges the joins.
         conj, core = self.cyclic_reduce()
-        powered = Word(core.runs * n, self.n_gens)
-        return conj * powered * conj.inverse()
+        return Word(conj.runs + core.runs * n + conj.inverse().runs, self.n_gens)
 
     def conjugated_by(self, a: "Word") -> "Word":
         """a * self * a^-1."""

@@ -193,6 +193,37 @@ class TestSearchCommands:
         assert "subgroups examined: 4" in out
 
 
+class TestDegreeBound:
+    """A degree is short to type; each of these would build a permutation of
+    10^9 points if it were not rejected first."""
+
+    BIG = str(10**9)
+
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: permutation degree 1000000000 exceeds limit")
+
+    def test_hom_cyclic(self, capsys):
+        self.assert_rejected(capsys, "subgroup", "-p", "2", "< x | x^2 >",
+                             "--hom-cyclic", self.BIG, "1")
+
+    def test_quotient_point(self, capsys):
+        self.assert_rejected(capsys, "psize", "-p", "2", "< x | x^2 >",
+                             "--quotient", f"x:(1 {self.BIG})")
+
+    def test_action_degree(self, capsys):
+        self.assert_rejected(capsys, "singerman", "(0; 4,4,4)",
+                             "--action", "x1:(1 2),x2:(1 2),x3:()", "--degree", self.BIG)
+
+    def test_catalog_degree(self, capsys, tmp_path):
+        manifest = tmp_path / "groups.txt"
+        manifest.write_text(f"C2 {self.BIG} (1 2)\n")
+        self.assert_rejected(capsys, "chi", "-p", "2", "< x, y | >",
+                             "--catalog", str(manifest), "--max-order", "2")
+
+
 class TestVerify:
     def test_subset(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "triangle")

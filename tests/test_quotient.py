@@ -215,6 +215,26 @@ class TestEnumerate:
             list(enumerate_quotients(parse_presentation("< x | >"), max_order=1))
 
 
+def direct_tables(q):
+    """The regular tables straight from their definition."""
+    index = {h: i for i, h in enumerate(q.elements)}
+    return tuple(tuple(index[perm_mul(h, img)] for h in q.elements) for img in q.images)
+
+
+class TestTables:
+    @pytest.mark.parametrize("grp", default_catalog().groups, ids=lambda g: g.name)
+    def test_default_catalog(self, grp):
+        q = FiniteQuotient(grp.gens)
+        assert q.tables == direct_tables(q)
+        assert q.kernel_key() == (grp.order, q.tables)
+
+    def test_manifest_group(self):
+        (grp,) = parse_catalog_manifest("A5 5 (1 2 3) (3 4 5)").groups
+        q = FiniteQuotient(grp.gens)
+        assert q.order == 60
+        assert q.tables == direct_tables(q)
+
+
 class TestCatalog:
     def test_default_orders(self):
         catalog = default_catalog()

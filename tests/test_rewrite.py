@@ -14,10 +14,8 @@ from pdeficiency.quotient import (
     perm_identity,
 )
 from pdeficiency.rewrite import (
-    CosetTable,
     centralizer_index,
     conjugate_class_reps,
-    coset_table,
     expand_basis_word,
     p_size_bound,
     rewrite_word,
@@ -48,63 +46,62 @@ def random_word(rng, n_gens, length):
 
 class TestCosetTable:
     def test_dihedral(self):
-        ct = coset_table(Q_DINF, DINF)
-        assert ct.degree == 2
-        assert ct.tables == ((1, 0), (1, 0))
+        assert Q_DINF.order == 2
+        assert Q_DINF.tables == ((1, 0), (1, 0))
 
     def test_order_four_cyclic(self):
-        pres = parse_presentation("< x | x^4 >")
-        ct = coset_table(FiniteQuotient([(1, 0)]), pres)
-        assert ct.degree == 2
+        q = FiniteQuotient([(1, 0)])
+        assert q.order == 2
+        assert q.tables == ((1, 0),)
 
     def test_prop_instance(self):
-        ct = coset_table(Q_PROP, PROP)
-        assert ct.degree == 5
-        assert ct.tables[1] == tuple((i + 1) % 5 for i in range(5))
+        assert Q_PROP.order == 5
+        assert Q_PROP.tables[1] == tuple((i + 1) % 5 for i in range(5))
 
     def test_relators_must_die(self):
-        with pytest.raises(ValueError):
-            coset_table(FiniteQuotient([parse_perm("(1 2 3)", 3), perm_identity(3)]), DINF)
+        q = FiniteQuotient([parse_perm("(1 2 3)", 3), perm_identity(3)])
+        with pytest.raises(ValueError, match="not in the kernel"):
+            subgroup_presentation(DINF, q)
+        with pytest.raises(ValueError, match="not lie in the subgroup"):
+            subgroup_presentation(DINF, q, refined=False)
+        with pytest.raises(ValueError, match="not killed"):
+            p_size_bound(DINF, q, 2)
+        with pytest.raises(ValueError, match="not killed"):
+            supermultiplicity_check(DINF, q, 2)
 
 
 class TestSchreier:
     def test_dihedral_transversal_and_basis(self):
-        sd = schreier(coset_table(Q_DINF, DINF))
+        sd = schreier(Q_DINF)
         x, y = Word(((0, 1),), 2), Word(((1, 1),), 2)
         assert sd.transversal == (Word.identity(2), x)
         assert [b.word for b in sd.basis] == [x**2, y * x.inverse(), x * y]
 
     def test_rank_f2_index2(self):
-        free2 = parse_presentation("< x, y | >")
-        sd = schreier(coset_table(FiniteQuotient([(1, 0), (0, 1)]), free2))
+        sd = schreier(FiniteQuotient([(1, 0), (0, 1)]))
         assert sd.rank == 3
 
     def test_rank_f1_index2(self):
-        free1 = parse_presentation("< x | >")
-        sd = schreier(coset_table(FiniteQuotient([(1, 0)]), free1))
+        sd = schreier(FiniteQuotient([(1, 0)]))
         assert sd.rank == 1
         assert sd.basis[0].word == Word(((0, 2),), 1)
 
     def test_nielsen_schreier_rank(self):
         free2 = parse_presentation("< x, y | >")
         for q in enumerate_quotients(free2, default_catalog().up_to(8), 8):
-            sd = schreier(coset_table(q, free2))
+            sd = schreier(q)
             assert sd.rank == 1 + q.order * (free2.n_gens - 1)
-
-    def test_non_transitive_rejected(self):
-        with pytest.raises(ValueError, match="transitive"):
-            schreier(CosetTable(((0, 1),)))
 
 
 class TestRewrite:
     def test_dihedral_examples(self):
-        sd = schreier(coset_table(Q_DINF, DINF))
+        sd = schreier(Q_DINF)
         assert rewrite_word(sd, DINF.word("x^2")) == Word(((0, 1),), 3)
         assert rewrite_word(sd, DINF.word("y^2")) == Word(((1, 1), (2, 1)), 3)
         assert rewrite_word(sd, Word.identity(2)).is_identity
 
     def test_not_in_subgroup(self):
-        sd = schreier(coset_table(Q_DINF, DINF))
+        sd = schreier(Q_DINF)
         with pytest.raises(ValueError, match="subgroup"):
             rewrite_word(sd, DINF.word("x"))
 
@@ -116,7 +113,7 @@ class TestRewrite:
             if q.order > 1
         ]
         for q in quotients[:8]:
-            sd = schreier(coset_table(q, free2))
+            sd = schreier(q)
             identity = perm_identity(q.degree)
             found = 0
             while found < 5:
@@ -172,7 +169,7 @@ class TestConjugateClassReps:
         ]
         for q in quotients[:10]:
             identity = perm_identity(q.degree)
-            sd = schreier(coset_table(q, free2))
+            sd = schreier(q)
             checked = 0
             attempts = 0
             while checked < 4 and attempts < 200:
@@ -296,7 +293,7 @@ class TestSupermultiplicity:
         ]
         for q in quotients[:6]:
             identity = perm_identity(q.degree)
-            sd = schreier(coset_table(q, free2))
+            sd = schreier(q)
             checked = 0
             attempts = 0
             while checked < 3 and attempts < 200:

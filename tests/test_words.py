@@ -67,6 +67,13 @@ class TestReduce:
             expected = expected * step
         assert word**n == expected
 
+    def test_pow_merges_the_joins(self):
+        # the core's first and last runs share a generator, and so do the
+        # conjugator's last run and the core's first
+        assert (w("xyx") ** 3).runs == ((0, 1), (1, 1), (0, 2), (1, 1), (0, 2), (1, 1), (0, 1))
+        assert w("yyxY") ** 3 == w("yyxyxyxY")
+        assert w("yyxY") ** -2 == w("yXYXYY")
+
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             w("x", 2) * w("x", 3)
