@@ -3,6 +3,11 @@
 Commands: def, abdef, subgroup, psize, fuchsian, singerman, chi, gradient,
 witness, verify.  All numeric output is exact rational text (num/den); every
 command takes --json and an optional -o FILE for machine-readable output.
+
+A command computes its report once and returns it as ``(payload, lines)``:
+the JSON payload and the text lines formatted from the payload's values.
+``main`` is the only renderer: it prints the JSON or the text, writes the
+JSON to -o FILE, and exits 1 when the payload says ``"all_passed": false``.
 """
 
 import argparse
@@ -34,7 +39,7 @@ from .quotient import (
     SearchBudget,
     check_degree,
     default_catalog,
-    format_perm,
+    describe_quotient,
     kernel_index,
     parse_cycles,
     cycles_to_perm,
@@ -52,18 +57,6 @@ from .verification import run_checks
 def _rat(q) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def _emit(args, lines, payload) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _add_common(sub) -> None:
@@ -161,88 +154,69 @@ def _quotient_from_args(args, pres) -> FiniteQuotient:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_def(args) -> int:
+def _head(args, pres) -> dict:
+    return {"command": args.command, "p": args.prime, "presentation": pres.to_text()}
+
+
+def cmd_def(args):
     pres = parse_presentation(args.presentation)
-    de = p_deficiency(pres, args.prime)
+    p = args.prime
+    de = _rat(p_deficiency(pres, p))
     inv = abelian_invariants(pres)
-    upper = abelian_p_deficiency_group(inv, args.prime)
-    lines = [
-        f"presentation: {pres.to_text()}",
-        f"de_{args.prime}(presentation) = {_rat(de)}",
-        f"group de_{args.prime} in [{_rat(de)}, {_rat(upper)}]"
-        "  (lower: this presentation; upper: abelianization)",
-    ]
+    upper = _rat(abelian_p_deficiency_group(inv, p))
     payload = {
-        "command": "def",
-        "p": args.prime,
-        "presentation": pres.to_text(),
-        "p_deficiency": _rat(de),
-        "group_lower": _rat(de),
-        "group_upper": _rat(upper),
+        **_head(args, pres),
+        "p_deficiency": de,
+        "group_lower": de,
+        "group_upper": upper,
         "abelian_invariants": {"rank": inv.rank, "divisors": list(inv.divisors)},
     }
-    _emit(args, lines, payload)
-    return 0
-
-
-def cmd_abdef(args) -> int:
-    pres = parse_presentation(args.presentation)
-    inv = abelian_invariants(pres)
-    ab_pres = abelian_p_deficiency_presentation(pres, args.prime)
-    ab_group = abelian_p_deficiency_group(inv, args.prime)
-    dim = d_p(inv, args.prime)
-    divisors = " + ".join(f"C{d}" for d in inv.divisors)
-    group_desc = " + ".join(x for x in (divisors, f"Z^{inv.rank}" if inv.rank else "") if x) or "trivial"
     lines = [
-        f"presentation: {pres.to_text()}",
-        f"abelianization: {group_desc}  (rank {inv.rank}, divisors {list(inv.divisors)})",
-        f"abelian de_{args.prime}(presentation) = {_rat(ab_pres)}",
-        f"abelian de_{args.prime}(group) = {_rat(ab_group)}",
-        f"d_{args.prime} = {dim}",
+        f"presentation: {payload['presentation']}",
+        f"de_{p}(presentation) = {de}",
+        f"group de_{p} in [{de}, {upper}]  (lower: this presentation; upper: abelianization)",
     ]
+    return payload, lines
+
+
+def cmd_abdef(args):
+    pres = parse_presentation(args.presentation)
+    p = args.prime
+    inv = abelian_invariants(pres)
     payload = {
-        "command": "abdef",
-        "p": args.prime,
-        "presentation": pres.to_text(),
+        **_head(args, pres),
         "rank": inv.rank,
         "divisors": list(inv.divisors),
-        "abelian_p_deficiency_presentation": _rat(ab_pres),
-        "abelian_p_deficiency_group": _rat(ab_group),
-        "d_p": dim,
+        "abelian_p_deficiency_presentation": _rat(abelian_p_deficiency_presentation(pres, p)),
+        "abelian_p_deficiency_group": _rat(abelian_p_deficiency_group(inv, p)),
+        "d_p": d_p(inv, p),
     }
-    _emit(args, lines, payload)
-    return 0
+    summands = [f"C{d}" for d in inv.divisors] + ([f"Z^{inv.rank}"] if inv.rank else [])
+    lines = [
+        f"presentation: {payload['presentation']}",
+        f"abelianization: {' + '.join(summands) or 'trivial'}"
+        f"  (rank {inv.rank}, divisors {payload['divisors']})",
+        f"abelian de_{p}(presentation) = {payload['abelian_p_deficiency_presentation']}",
+        f"abelian de_{p}(group) = {payload['abelian_p_deficiency_group']}",
+        f"d_{p} = {payload['d_p']}",
+    ]
+    return payload, lines
 
 
-def cmd_subgroup(args) -> int:
+def cmd_subgroup(args):
     pres = parse_presentation(args.presentation)
+    p = args.prime
     q = _quotient_from_args(args, pres)
     index = kernel_index(q, pres)
     sd = schreier(q)
     sub = subgroup_presentation(pres, q, refined=not args.naive, sd=sd)
     refined = subgroup_presentation(pres, q, sd=sd) if args.naive else sub
-    report = supermultiplicity_check(pres, q, args.prime, refined)
-    lines = [
-        f"presentation: {pres.to_text()}",
-        f"quotient: {', '.join(f'{n}:{format_perm(img)}' for n, img in zip(pres.generators, q.images))}",
-        f"index = {index}",
-        "schreier basis:",
-    ]
-    for name, gen in zip(sub.generators, sd.basis):
-        lines.append(f"  {name} = {_word_text(gen.word, pres)}")
-    lines += [
-        f"subgroup presentation: {sub.to_text()}",
-        f"de_{args.prime}(subgroup) = {_rat(report.de_sub)}",
-        f"index * de_{args.prime}(presentation) = {_rat(report.scaled)}",
-        f"supermultiplicity holds: {report.holds}",
-    ]
+    report = supermultiplicity_check(pres, q, p, refined)
     payload = {
-        "command": "subgroup",
-        "p": args.prime,
-        "presentation": pres.to_text(),
+        **_head(args, pres),
         "index": index,
         "basis": {
-            name: _word_text(gen.word, pres)
+            name: word_to_text(gen.word, pres.generators)
             for name, gen in zip(sub.generators, sd.basis)
         },
         "subgroup_presentation": sub.to_text(),
@@ -252,37 +226,26 @@ def cmd_subgroup(args) -> int:
         "holds": report.holds,
         "naive": bool(args.naive),
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [
+        f"presentation: {payload['presentation']}",
+        f"quotient: {describe_quotient(q, pres)}",
+        f"index = {index}",
+        "schreier basis:",
+        *(f"  {name} = {word}" for name, word in payload["basis"].items()),
+        f"subgroup presentation: {payload['subgroup_presentation']}",
+        f"de_{p}(subgroup) = {payload['de_subgroup']}",
+        f"index * de_{p}(presentation) = {payload['scaled']}",
+        f"supermultiplicity holds: {report.holds}",
+    ]
+    return payload, lines
 
 
-def _word_text(word, pres) -> str:
-    return word_to_text(word, pres.generators)
-
-
-def cmd_psize(args) -> int:
+def cmd_psize(args):
     pres = parse_presentation(args.presentation)
     q = _quotient_from_args(args, pres)
     bound = p_size_bound(pres, q, args.prime)
-    lines = [
-        f"presentation: {pres.to_text()}",
-        f"index = {bound.index}",
-        "per-relator transfer terms (k, classes, nu_F, nu_p(k), term):",
-    ]
-    for c in bound.contributions:
-        lines.append(
-            f"  relator {c.relator_index}: k={c.centralizer_idx} classes={c.class_count} "
-            f"nu_F={c.nu_free} nu_p(k)={c.nu_p_k} term={_rat(c.term)} "
-            f"rewritten valuations={list(c.rep_valuations)}"
-        )
-    lines += [
-        f"transfer bound = {_rat(bound.value)}",
-        f"exact rewritten p-size = {_rat(bound.exact_sum)}",
-    ]
     payload = {
-        "command": "psize",
-        "p": args.prime,
-        "presentation": pres.to_text(),
+        **_head(args, pres),
         "index": bound.index,
         "transfer_bound": _rat(bound.value),
         "exact_sum": _rat(bound.exact_sum),
@@ -299,40 +262,49 @@ def cmd_psize(args) -> int:
             for c in bound.contributions
         ],
     }
-    _emit(args, lines, payload)
-    return 0
-
-
-def cmd_fuchsian(args) -> int:
-    sig = parse_signature(args.signature)
-    result = de_exact(sig, args.prime)
     lines = [
-        f"signature: {format_signature(sig)}",
-        f"volume = {_rat(volume(sig))}",
-        f"de_{args.prime}(standard presentation) = {_rat(de_standard(sig, args.prime))}",
-        f"upper bound = {_rat(de_upper(sig, args.prime))}",
-        f"case: {result.case}",
+        f"presentation: {payload['presentation']}",
+        f"index = {bound.index}",
+        "per-relator transfer terms (k, classes, nu_F, nu_p(k), term):",
+        *(
+            f"  relator {c['relator']}: k={c['k']} classes={c['classes']} "
+            f"nu_F={c['nu_free']} nu_p(k)={c['nu_p_k']} term={c['term']} "
+            f"rewritten valuations={c['rep_valuations']}"
+            for c in payload["contributions"]
+        ),
+        f"transfer bound = {payload['transfer_bound']}",
+        f"exact rewritten p-size = {payload['exact_sum']}",
     ]
-    if result.negative:
-        lines.append(
-            f"de_{args.prime}(group): negative; value in [{_rat(result.lower)}, {_rat(result.upper)}]"
-        )
-    else:
-        lines.append(f"de_{args.prime}(group) = {_rat(result.value)} exactly")
+    return payload, lines
+
+
+def cmd_fuchsian(args):
+    sig = parse_signature(args.signature)
+    p = args.prime
+    result = de_exact(sig, p)
+    lower, upper = _rat(result.lower), _rat(result.upper)
     payload = {
         "command": "fuchsian",
-        "p": args.prime,
+        "p": p,
         "signature": format_signature(sig),
         "volume": _rat(volume(sig)),
-        "de_standard": _rat(de_standard(sig, args.prime)),
-        "de_upper": _rat(de_upper(sig, args.prime)),
+        "de_standard": _rat(de_standard(sig, p)),
+        "de_upper": _rat(de_upper(sig, p)),
         "case": result.case,
         "negative": result.negative,
         "de_exact": None if result.negative else _rat(result.value),
-        "interval": [_rat(result.lower), _rat(result.upper)],
+        "interval": [lower, upper],
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [
+        f"signature: {payload['signature']}",
+        f"volume = {payload['volume']}",
+        f"de_{p}(standard presentation) = {payload['de_standard']}",
+        f"upper bound = {payload['de_upper']}",
+        f"case: {result.case}",
+        f"de_{p}(group): negative; value in [{lower}, {upper}]" if result.negative
+        else f"de_{p}(group) = {payload['de_exact']} exactly",
+    ]
+    return payload, lines
 
 
 def _parse_action_spec(spec: str, sig, degree_hint) -> EllipticAction:
@@ -354,17 +326,10 @@ def _parse_action_spec(spec: str, sig, degree_hint) -> EllipticAction:
     )
 
 
-def cmd_singerman(args) -> int:
+def cmd_singerman(args):
     sig = parse_signature(args.signature)
     act = _parse_action_spec(args.action, sig, args.degree)
     transferred = singerman_transfer(sig, act)
-    lines = [
-        f"signature: {format_signature(sig)}",
-        f"action degree: {act.degree}",
-        f"transferred signature: {format_signature(transferred)}",
-        f"volume: {_rat(volume(sig))} -> {_rat(volume(transferred))} "
-        f"(x {act.degree} exactly)",
-    ]
     payload = {
         "command": "singerman",
         "signature": format_signature(sig),
@@ -373,26 +338,27 @@ def cmd_singerman(args) -> int:
         "volume": _rat(volume(sig)),
         "transferred_volume": _rat(volume(transferred)),
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [
+        f"signature: {payload['signature']}",
+        f"action degree: {act.degree}",
+        f"transferred signature: {payload['transferred']}",
+        f"volume: {payload['volume']} -> {payload['transferred_volume']} "
+        f"(x {act.degree} exactly)",
+    ]
+    return payload, lines
 
 
-def cmd_chi(args) -> int:
+def _budget_note(exhausted: bool) -> str:
+    return " (budget exhausted)" if exhausted else ""
+
+
+def cmd_chi(args):
     pres = parse_presentation(args.presentation)
     est = chi_p_estimate(pres, args.prime, _load_catalog(args), _budget(args))
-    lines = [
-        f"presentation: {pres.to_text()}",
-        f"subgroups examined: {est.subgroups_examined}"
-        + (" (budget exhausted)" if est.exhausted else ""),
-        f"best ratio de/index = {_rat(est.best_ratio)} at index {est.witness.index} "
-        f"({est.witness.description})",
-        f"-chi_{args.prime} >= {_rat(est.best_ratio)}",
-    ]
+    best = _rat(est.best_ratio)
     payload = {
-        "command": "chi",
-        "p": args.prime,
-        "presentation": pres.to_text(),
-        "best_ratio": _rat(est.best_ratio),
+        **_head(args, pres),
+        "best_ratio": best,
         "witness": {
             "index": est.witness.index,
             "deficiency": _rat(est.witness.deficiency),
@@ -406,24 +372,21 @@ def cmd_chi(args) -> int:
             for s in est.samples
         ],
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [
+        f"presentation: {payload['presentation']}",
+        f"subgroups examined: {est.subgroups_examined}{_budget_note(est.exhausted)}",
+        f"best ratio de/index = {best} at index {est.witness.index} "
+        f"({est.witness.description})",
+        f"-chi_{args.prime} >= {best}",
+    ]
+    return payload, lines
 
 
-def cmd_gradient(args) -> int:
+def cmd_gradient(args):
     pres = parse_presentation(args.presentation)
     window = gradient_window(pres, args.prime, _load_catalog(args), _budget(args))
-    lines = [f"presentation: {pres.to_text()}", "window (index, d_p, ratio):"]
-    for s in window.samples:
-        lines.append(f"  {s.index}  {s.d_p}  {_rat(s.ratio)}  ({s.description})")
-    lines.append(
-        f"window ratios in [{_rat(window.min_ratio)}, {_rat(window.max_ratio)}]"
-        + (" (budget exhausted)" if window.exhausted else "")
-    )
     payload = {
-        "command": "gradient",
-        "p": args.prime,
-        "presentation": pres.to_text(),
+        **_head(args, pres),
         "samples": [
             {"index": s.index, "d_p": s.d_p, "ratio": _rat(s.ratio),
              "description": s.description}
@@ -433,61 +396,50 @@ def cmd_gradient(args) -> int:
         "max_ratio": _rat(window.max_ratio),
         "exhausted": window.exhausted,
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [
+        f"presentation: {payload['presentation']}",
+        "window (index, d_p, ratio):",
+        *(
+            f"  {s['index']}  {s['d_p']}  {s['ratio']}  ({s['description']})"
+            for s in payload["samples"]
+        ),
+        f"window ratios in [{payload['min_ratio']}, {payload['max_ratio']}]"
+        + _budget_note(window.exhausted),
+    ]
+    return payload, lines
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args):
     pres = parse_presentation(args.presentation)
     budget = _budget(args)
     witness = find_power_witness(pres, args.prime, _load_catalog(args), budget)
     if witness is None:
-        lines = ["no witness found"
-                 + (" (budget exhausted)" if budget.exhausted else " (search exhausted)")]
-        payload = {
-            "command": "witness",
-            "p": args.prime,
-            "presentation": pres.to_text(),
-            "found": False,
-            "exhausted": budget.exhausted,
-        }
-        _emit(args, lines, payload)
-        return 0
-    desc = ", ".join(
-        f"{n}:{format_perm(img)}" for n, img in zip(pres.generators, witness.quotient.images)
-    )
-    lines = [
-        f"witness: relator {witness.relator_index} = "
-        f"{_word_text(witness.relator, pres)} is a p'-power "
-        f"({_word_text(witness.root, pres)})^{witness.exponent}",
-        f"quotient: {desc} (index {witness.index})",
-        f"kernel de_{args.prime} = {_rat(witness.subgroup_deficiency)} > 0",
-    ]
+        payload = {**_head(args, pres), "found": False, "exhausted": budget.exhausted}
+        note = "budget" if budget.exhausted else "search"
+        return payload, [f"no witness found ({note} exhausted)"]
     payload = {
-        "command": "witness",
-        "p": args.prime,
-        "presentation": pres.to_text(),
+        **_head(args, pres),
         "found": True,
         "relator_index": witness.relator_index,
-        "relator": _word_text(witness.relator, pres),
-        "root": _word_text(witness.root, pres),
+        "relator": word_to_text(witness.relator, pres.generators),
+        "root": word_to_text(witness.root, pres.generators),
         "exponent": witness.exponent,
-        "quotient": desc,
+        "quotient": describe_quotient(witness.quotient, pres),
         "index": witness.index,
         "kernel_deficiency": _rat(witness.subgroup_deficiency),
     }
-    _emit(args, lines, payload)
-    return 0
+    lines = [
+        f"witness: relator {witness.relator_index} = {payload['relator']} "
+        f"is a p'-power ({payload['root']})^{witness.exponent}",
+        f"quotient: {payload['quotient']} (index {witness.index})",
+        f"kernel de_{args.prime} = {payload['kernel_deficiency']} > 0",
+    ]
+    return payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     outcomes = run_checks(args.only)
-    lines = []
-    for outcome in outcomes:
-        tag = "PASS" if outcome.passed else "FAIL"
-        lines.append(f"[{tag}] {outcome.name}: {outcome.summary}")
     passed = sum(1 for o in outcomes if o.passed)
-    lines.append(f"verify: {passed}/{len(outcomes)} criteria passed")
     payload = {
         "command": "verify",
         "criteria": [
@@ -497,8 +449,12 @@ def cmd_verify(args) -> int:
         ],
         "all_passed": passed == len(outcomes),
     }
-    _emit(args, lines, payload)
-    return 0 if passed == len(outcomes) else 1
+    lines = [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['summary']}"
+        for c in payload["criteria"]
+    ]
+    lines.append(f"verify: {passed}/{len(outcomes)} criteria passed")
+    return payload, lines
 
 
 # -- argument wiring ----------------------------------------------------------
@@ -574,13 +530,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        payload, lines = _HANDLERS[args.command](args)
+        report = json.dumps(payload, indent=2, sort_keys=True)
+        print(report if args.json else "\n".join(lines))
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(report + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if payload.get("all_passed", True) else 1
 
 
 if __name__ == "__main__":

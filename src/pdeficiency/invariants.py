@@ -14,20 +14,13 @@ from .quotient import (
     FiniteQuotient,
     GroupCatalog,
     SearchBudget,
+    describe_quotient,
     enumerate_quotients,
     evaluate,
-    format_perm,
     perm_identity,
 )
 from .rewrite import subgroup_presentation
 from .words import Word, nu_p, p_prime_root, require_prime
-
-
-def _describe(q: FiniteQuotient, pres: FinitePresentation) -> str:
-    return ", ".join(
-        f"{name}:{format_perm(img)}"
-        for name, img in zip(pres.generators, q.images)
-    )
 
 
 @dataclass(frozen=True)
@@ -72,9 +65,8 @@ def chi_p_estimate(
             continue
         sub = subgroup_presentation(pres, q)
         de_sub = p_deficiency(sub, p)
-        samples.append(
-            ChiSample(q.order, de_sub, Fraction(de_sub, q.order), _describe(q, pres))
-        )
+        samples.append(ChiSample(q.order, de_sub, Fraction(de_sub, q.order),
+                                 describe_quotient(q, pres)))
     best = max(samples, key=lambda s: s.ratio)
     return ChiEstimate(best.ratio, best, len(samples), budget.exhausted, tuple(samples))
 
@@ -114,9 +106,8 @@ def gradient_window(
             continue
         sub = subgroup_presentation(pres, q)
         dp_sub = d_p(abelian_invariants(sub), p)
-        samples.append(
-            GradientSample(q.order, dp_sub, Fraction(dp_sub, q.order), _describe(q, pres))
-        )
+        samples.append(GradientSample(q.order, dp_sub, Fraction(dp_sub, q.order),
+                                      describe_quotient(q, pres)))
     ratios = [s.ratio for s in samples]
     return GradientWindow(tuple(samples), min(ratios), max(ratios), budget.exhausted)
 

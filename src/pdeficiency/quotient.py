@@ -7,7 +7,7 @@ first and then b, so evaluating a word left to right is a homomorphism.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .presentation import FinitePresentation
 from .words import Word
@@ -141,6 +141,13 @@ def format_perm(a: tuple) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
+
+
+def describe_quotient(q: "FiniteQuotient", pres: FinitePresentation) -> str:
+    """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``."""
+    return ", ".join(
+        f"{name}:{format_perm(img)}" for name, img in zip(pres.generators, q.images)
+    )
 
 
 def _validate_perm(p, degree):
@@ -326,9 +333,13 @@ def _cycle(n: int) -> tuple:
     return tuple((i + 1) % n for i in range(n))
 
 
+@cache
 def default_catalog() -> GroupCatalog:
     """Cyclic C_2..C_12, elementary abelian C_pxC_p for p in {2, 3, 5},
-    dihedral D_4 and D_5, symmetric S_3 and S_4, alternating A_4."""
+    dihedral D_4 and D_5, symmetric S_3 and S_4, alternating A_4.
+
+    Built once per process: the catalog is frozen, so every search shares
+    its groups and the search tables they cache."""
     entries = []
     for n in range(2, 13):
         entries.append(CatalogGroup(f"C{n}", n, (_cycle(n),), n))

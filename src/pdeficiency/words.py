@@ -11,14 +11,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin over the first thirteen primes as bases has no strong
+# pseudoprime below this bound (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", 2015).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p) -> bool:
+    """Deterministic Miller-Rabin, exact below ``PRIME_LIMIT``; at or above
+    the limit it raises ValueError rather than guess."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {p} is prime: the primality test is exact "
+            f"only below {PRIME_LIMIT}"
+        )
+    for a in PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from pdeficiency import cli
 from pdeficiency.cli import main
+from pdeficiency.verification import CheckOutcome
 
 
 def run(capsys, *argv):
@@ -241,3 +245,356 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "nonexistent")
         assert code == 1
         assert "no check matches" in err
+
+
+# Whole reports, one or more per command: the text is compared line for line
+# and the --json output byte for byte (two-space indent, sorted keys).
+FULL_OUTPUT = [
+    (
+        ["def", "-p", "2", "< x, y, z | x^2=y^4=z^4=x*y*z=1 >"],
+        """\
+presentation: < x, y, z | x^2, y^4, z^4, x*y*z >
+de_2(presentation) = 0/1
+group de_2 in [0/1, 1/4]  (lower: this presentation; upper: abelianization)
+""",
+        {
+            "abelian_invariants": {"divisors": [2, 4], "rank": 0},
+            "command": "def",
+            "group_lower": "0/1",
+            "group_upper": "1/4",
+            "p": 2,
+            "p_deficiency": "0/1",
+            "presentation": "< x, y, z | x^2, y^4, z^4, x*y*z >",
+        },
+    ),
+    (
+        ["abdef", "-p", "2", "< x, y | x^2*y^2, x^4 >"],
+        """\
+presentation: < x, y | x^2*y^2, x^4 >
+abelianization: C2 + C4  (rank 0, divisors [2, 4])
+abelian de_2(presentation) = 1/4
+abelian de_2(group) = 1/4
+d_2 = 2
+""",
+        {
+            "abelian_p_deficiency_group": "1/4",
+            "abelian_p_deficiency_presentation": "1/4",
+            "command": "abdef",
+            "d_p": 2,
+            "divisors": [2, 4],
+            "p": 2,
+            "presentation": "< x, y | x^2*y^2, x^4 >",
+            "rank": 0,
+        },
+    ),
+    (
+        ["abdef", "-p", "3", "< x, y | x*y*x^-1*y^-1 >"],
+        """\
+presentation: < x, y | x*y*x^-1*y^-1 >
+abelianization: Z^2  (rank 2, divisors [])
+abelian de_3(presentation) = 1/1
+abelian de_3(group) = 1/1
+d_3 = 2
+""",
+        {
+            "abelian_p_deficiency_group": "1/1",
+            "abelian_p_deficiency_presentation": "1/1",
+            "command": "abdef",
+            "d_p": 2,
+            "divisors": [],
+            "p": 3,
+            "presentation": "< x, y | x*y*x^-1*y^-1 >",
+            "rank": 2,
+        },
+    ),
+    (
+        ["subgroup", "-p", "2", "< x, y | x^2, y^2 >", "--quotient", "x:(1 2),y:(1 2)"],
+        """\
+presentation: < x, y | x^2, y^2 >
+quotient: x:(1 2), y:(1 2)
+index = 2
+schreier basis:
+  a = x^2
+  b = y*x^-1
+  c = x*y
+subgroup presentation: < a, b, c | a, b*c >
+de_2(subgroup) = 0/1
+index * de_2(presentation) = 0/1
+supermultiplicity holds: True
+""",
+        {
+            "basis": {"a": "x^2", "b": "y*x^-1", "c": "x*y"},
+            "command": "subgroup",
+            "de_presentation": "0/1",
+            "de_subgroup": "0/1",
+            "holds": True,
+            "index": 2,
+            "naive": False,
+            "p": 2,
+            "presentation": "< x, y | x^2, y^2 >",
+            "scaled": "0/1",
+            "subgroup_presentation": "< a, b, c | a, b*c >",
+        },
+    ),
+    (
+        ["psize", "-p", "2", "< x, y | x^2, y^5, (x*y)^5 >", "--hom-cyclic", "5", "0,1"],
+        """\
+presentation: < x, y | x^2, y^5, x*y*x*y*x*y*x*y*x*y >
+index = 5
+per-relator transfer terms (k, classes, nu_F, nu_p(k), term):
+  relator 0: k=1 classes=5 nu_F=1 nu_p(k)=0 term=5/2 rewritten valuations=[1, 1, 1, 1, 1]
+  relator 1: k=5 classes=1 nu_F=0 nu_p(k)=0 term=1/1 rewritten valuations=[0]
+  relator 2: k=5 classes=1 nu_F=0 nu_p(k)=0 term=1/1 rewritten valuations=[0]
+transfer bound = 9/2
+exact rewritten p-size = 9/2
+""",
+        {
+            "command": "psize",
+            "contributions": [
+                {"classes": 5, "k": 1, "nu_free": 1, "nu_p_k": 0, "relator": 0,
+                 "rep_valuations": [1, 1, 1, 1, 1], "term": "5/2"},
+                {"classes": 1, "k": 5, "nu_free": 0, "nu_p_k": 0, "relator": 1,
+                 "rep_valuations": [0], "term": "1/1"},
+                {"classes": 1, "k": 5, "nu_free": 0, "nu_p_k": 0, "relator": 2,
+                 "rep_valuations": [0], "term": "1/1"},
+            ],
+            "exact_sum": "9/2",
+            "index": 5,
+            "p": 2,
+            "presentation": "< x, y | x^2, y^5, x*y*x*y*x*y*x*y*x*y >",
+            "transfer_bound": "9/2",
+        },
+    ),
+    (
+        ["fuchsian", "-p", "2", "(0; 2,3,7)"],
+        """\
+signature: (0; 2,3,7)
+volume = 1/42
+de_2(standard presentation) = -3/2
+upper bound = -1/1
+case: none
+de_2(group): negative; value in [-3/2, -1/1]
+""",
+        {
+            "case": "none",
+            "command": "fuchsian",
+            "de_exact": None,
+            "de_standard": "-3/2",
+            "de_upper": "-1/1",
+            "interval": ["-3/2", "-1/1"],
+            "negative": True,
+            "p": 2,
+            "signature": "(0; 2,3,7)",
+            "volume": "1/42",
+        },
+    ),
+    (
+        ["fuchsian", "-p", "2", "(0; 6,12,12)"],
+        """\
+signature: (0; 6,12,12)
+volume = 2/3
+de_2(standard presentation) = 0/1
+upper bound = 1/4
+case: d
+de_2(group) = 0/1 exactly
+""",
+        {
+            "case": "d",
+            "command": "fuchsian",
+            "de_exact": "0/1",
+            "de_standard": "0/1",
+            "de_upper": "1/4",
+            "interval": ["0/1", "0/1"],
+            "negative": False,
+            "p": 2,
+            "signature": "(0; 6,12,12)",
+            "volume": "2/3",
+        },
+    ),
+    (
+        ["singerman", "(0; 4,4,4)", "--action", "x1:(1 2),x2:(1 2),x3:()"],
+        """\
+signature: (0; 4,4,4)
+action degree: 2
+transferred signature: (0; 2,2,4,4)
+volume: 1/4 -> 1/2 (x 2 exactly)
+""",
+        {
+            "command": "singerman",
+            "degree": 2,
+            "signature": "(0; 4,4,4)",
+            "transferred": "(0; 2,2,4,4)",
+            "transferred_volume": "1/2",
+            "volume": "1/4",
+        },
+    ),
+    (
+        ["chi", "-p", "2", "< x, y | >", "--max-order", "2"],
+        """\
+presentation: < x, y | >
+subgroups examined: 4
+best ratio de/index = 1/1 at index 1 (index 1)
+-chi_2 >= 1/1
+""",
+        {
+            "best_ratio": "1/1",
+            "command": "chi",
+            "exhausted": False,
+            "p": 2,
+            "presentation": "< x, y | >",
+            "samples": [
+                {"deficiency": "1/1", "description": "index 1", "index": 1, "ratio": "1/1"},
+                {"deficiency": "2/1", "description": "x:(), y:(1 2)", "index": 2,
+                 "ratio": "1/1"},
+                {"deficiency": "2/1", "description": "x:(1 2), y:()", "index": 2,
+                 "ratio": "1/1"},
+                {"deficiency": "2/1", "description": "x:(1 2), y:(1 2)", "index": 2,
+                 "ratio": "1/1"},
+            ],
+            "subgroups_examined": 4,
+            "witness": {"deficiency": "1/1", "description": "index 1", "index": 1},
+        },
+    ),
+    (
+        ["chi", "-p", "3", "< x, y | x^3 >", "--max-order", "3", "--max-assignments", "6"],
+        """\
+presentation: < x, y | x^3 >
+subgroups examined: 3 (budget exhausted)
+best ratio de/index = 2/3 at index 1 (index 1)
+-chi_3 >= 2/3
+""",
+        {
+            "best_ratio": "2/3",
+            "command": "chi",
+            "exhausted": True,
+            "p": 3,
+            "presentation": "< x, y | x^3 >",
+            "samples": [
+                {"deficiency": "2/3", "description": "index 1", "index": 1, "ratio": "2/3"},
+                {"deficiency": "4/3", "description": "x:(), y:(1 2)", "index": 2,
+                 "ratio": "2/3"},
+                {"deficiency": "2/1", "description": "x:(), y:(1 2 3)", "index": 3,
+                 "ratio": "2/3"},
+            ],
+            "subgroups_examined": 3,
+            "witness": {"deficiency": "2/3", "description": "index 1", "index": 1},
+        },
+    ),
+    (
+        ["gradient", "-p", "2", "< x, y | x^2, y^2 >", "--max-order", "2"],
+        """\
+presentation: < x, y | x^2, y^2 >
+window (index, d_p, ratio):
+  1  2  2/1  (index 1)
+  2  2  1/1  (x:(), y:(1 2))
+  2  2  1/1  (x:(1 2), y:())
+  2  1  1/2  (x:(1 2), y:(1 2))
+window ratios in [1/2, 2/1]
+""",
+        {
+            "command": "gradient",
+            "exhausted": False,
+            "max_ratio": "2/1",
+            "min_ratio": "1/2",
+            "p": 2,
+            "presentation": "< x, y | x^2, y^2 >",
+            "samples": [
+                {"d_p": 2, "description": "index 1", "index": 1, "ratio": "2/1"},
+                {"d_p": 2, "description": "x:(), y:(1 2)", "index": 2, "ratio": "1/1"},
+                {"d_p": 2, "description": "x:(1 2), y:()", "index": 2, "ratio": "1/1"},
+                {"d_p": 1, "description": "x:(1 2), y:(1 2)", "index": 2, "ratio": "1/2"},
+            ],
+        },
+    ),
+    (
+        ["witness", "-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "12"],
+        """\
+witness: relator 1 = y^12 is a p'-power (y^4)^3
+quotient: x:(), y:(1 2 3) (index 3)
+kernel de_2 = 1/1 > 0
+""",
+        {
+            "command": "witness",
+            "exponent": 3,
+            "found": True,
+            "index": 3,
+            "kernel_deficiency": "1/1",
+            "p": 2,
+            "presentation": "< x, y | x^6, y^12, "
+                            "x*y*x*y*x*y*x*y*x*y*x*y*x*y*x*y*x*y*x*y*x*y*x*y >",
+            "quotient": "x:(), y:(1 2 3)",
+            "relator": "y^12",
+            "relator_index": 1,
+            "root": "y^4",
+        },
+    ),
+    (
+        ["witness", "-p", "2", "< x, y, z | x^2, y^4, z^4, x*y*z >", "--max-order", "4"],
+        "no witness found (search exhausted)\n",
+        {
+            "command": "witness",
+            "exhausted": False,
+            "found": False,
+            "p": 2,
+            "presentation": "< x, y, z | x^2, y^4, z^4, x*y*z >",
+        },
+    ),
+    (
+        ["verify", "--only", "snf"],
+        """\
+[PASS] snf: 500 random matrices up to 4x4: minors, recomposition, unimodularity
+verify: 1/1 criteria passed
+""",
+        {
+            "all_passed": True,
+            "command": "verify",
+            "criteria": [
+                {
+                    "details": {"trials": 500},
+                    "name": "snf",
+                    "passed": True,
+                    "summary": "500 random matrices up to 4x4: minors, recomposition, "
+                               "unimodularity",
+                },
+            ],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, payload", FULL_OUTPUT,
+                         ids=[" ".join(case[0][:1] + case[0][-2:]) for case in FULL_OUTPUT])
+class TestFullOutput:
+    def test_text(self, capsys, argv, text, payload):
+        assert run(capsys, *argv) == (0, text, "")
+
+    def test_json(self, capsys, argv, text, payload):
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, *argv, "--json") == (0, expected, "")
+
+    def test_output_file(self, capsys, tmp_path, argv, text, payload):
+        target = tmp_path / "report.json"
+        assert run(capsys, *argv, "-o", str(target)) == (0, text, "")
+        assert target.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_failure(capsys, tmp_path, monkeypatch):
+    """A failing check: exit 1, [FAIL] in the text, all_passed false in the
+    file, and the JSON on stdout equal to the file."""
+    failing = CheckOutcome("snf", False, "minors disagree", {"trials": 1})
+    monkeypatch.setattr(cli, "run_checks", lambda only: [failing])
+    target = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "-o", str(target))
+    assert code == 1
+    assert out == "[FAIL] snf: minors disagree\nverify: 0/1 criteria passed\n"
+    written = json.loads(target.read_text())
+    assert written == {
+        "all_passed": False,
+        "command": "verify",
+        "criteria": [{"details": {"trials": 1}, "name": "snf", "passed": False,
+                      "summary": "minors disagree"}],
+    }
+    code, out, _ = run(capsys, "verify", "--json", "-o", str(target))
+    assert code == 1
+    assert out == target.read_text()
+    assert json.loads(out) == written

@@ -208,7 +208,13 @@ class TestEnumerate:
             search_agrees(pres, catalog, 12, max_assignments)
 
     def test_catalog_builds_no_search_tables(self):
+        # the catalog is cached per process, and earlier searches fill in
+        # the shared groups' tables: check a fresh build
+        default_catalog.cache_clear()
         assert all("search_tables" not in vars(g) for g in default_catalog().groups)
+
+    def test_catalog_built_once(self):
+        assert default_catalog() is default_catalog()
 
     def test_max_order_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pdeficiency.words import (
+    PRIME_LIMIT,
     RootDecomposition,
     Valuation,
     Word,
@@ -261,3 +264,32 @@ class TestNuPInt:
 
     def test_is_prime(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for n in range(10**5):
+            by_division = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert is_prime(n) == by_division, n
+
+    @pytest.mark.parametrize("n", [
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # to bases 2, 3, 5, 7
+        3825123056546413051,  # to bases 2, ..., 23
+        318665857834031151167461,  # to bases 2, ..., 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, 10**14 + 31])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_not_an_int(self):
+        assert not any(is_prime(x) for x in (True, 2.0, "2", None, -7))
+
+    def test_limit(self):
+        assert not is_prime(PRIME_LIMIT - 1)  # even
+        for n in (PRIME_LIMIT, PRIME_LIMIT + 1, 10**30):
+            with pytest.raises(ValueError, match="exact only below"):
+                is_prime(n)
