@@ -7,7 +7,6 @@ Euler-characteristic estimates.
 from .abelian import (
     AbelianInvariants,
     IntMatrix,
-    SnfResult,
     abelian_invariants,
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,

@@ -31,51 +31,8 @@ class IntMatrix:
         self.cols = cols
         self.data = data
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
     def at(self, i: int, j: int) -> int:
         return self.data[i][j]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix dimensions do not match")
-        out = [
-            [
-                sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return IntMatrix(out, cols=other.cols)
-
-    def diagonal(self) -> tuple:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,102 +48,68 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """S = U * A * V with U, V unimodular and S diagonal with a divisibility
-    chain d_1 | d_2 | ... of nonnegative entries."""
+def smith_normal_form(mat: IntMatrix) -> tuple:
+    """Diagonal of the Smith normal form: d_1 | d_2 | ... (nonnegative),
+    then zeros, one entry per min(rows, cols).
 
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple:
-        return self.s.diagonal()
-
-
-def smith_normal_form(mat: IntMatrix) -> SnfResult:
-    """Diagonalize by elementary row/column operations, smallest-pivot
-    strategy with a full divisibility cleanup pass per step."""
+    Elementary row and column operations with the smallest-pivot strategy
+    and a full divisibility cleanup pass per step.  Only the diagonal is
+    kept; the unimodular transforms are never formed.
+    """
     m, n = mat.rows, mat.cols
     s = [list(row) for row in mat.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_add(i, j, c):  # row i += c * row j, mirrored into U
-        si, sj = s[i], s[j]
-        for t in range(n):
-            si[t] += c * sj[t]
-        ui, uj = u[i], u[j]
-        for t in range(m):
-            ui[t] += c * uj[t]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_swap(i, j):
-        for r in range(m):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def col_add(i, j, c):  # col i += c * col j, mirrored into V
-        for r in range(m):
-            s[r][i] += c * s[r][j]
-        for r in range(n):
-            v[r][i] += c * v[r][j]
-
+    # Rows and columns before t are zero off the diagonal, so the column
+    # operations of step t skip the rows before t.
     t = 0
     while t < min(m, n):
         best = None
+        smallest = 0
         for i in range(t, m):
+            row = s[i]
             for j in range(t, n):
-                val = s[i][j]
-                if val and (best is None or abs(val) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+                val = abs(row[j])
+                if val and (best is None or val < smallest):
+                    best, smallest = (i, j), val
+            if smallest == 1:
+                break  # nothing is smaller: the first unit is the pivot
         if best is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        if s[t][t] < 0:
-            row_negate(t)
-        pivot = s[t][t]
+        i, j = best
+        s[t], s[i] = s[i], s[t]
+        if j != t:
+            for row in s[t:]:
+                row[t], row[j] = row[j], row[t]
+        top = s[t]
+        if top[t] < 0:
+            top = s[t] = [-x for x in top]
+        pivot = top[t]
 
         remainder = False
         for i in range(t + 1, m):
-            if s[i][t]:
-                row_add(i, t, -(s[i][t] // pivot))
-                remainder = remainder or bool(s[i][t])
+            row = s[i]
+            if row[t]:
+                c = row[t] // pivot
+                s[i] = row = [a - c * b for a, b in zip(row, top)]
+                remainder = remainder or bool(row[t])
         for j in range(t + 1, n):
-            if s[t][j]:
-                col_add(j, t, -(s[t][j] // pivot))
-                remainder = remainder or bool(s[t][j])
+            if top[j]:
+                c = top[j] // pivot
+                for row in s[t:]:
+                    row[j] -= c * row[t]
+                remainder = remainder or bool(top[j])
         if remainder:
             continue  # a strictly smaller pivot appeared; redo this step
 
         # pivot must divide everything that remains
-        offender = None
-        for i in range(t + 1, m):
-            if any(s[i][j] % pivot for j in range(t + 1, n)):
-                offender = i
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
+        if pivot != 1:
+            offender = next(
+                (row for row in s[t + 1:] if any(x % pivot for x in row[t + 1:])), None
+            )
+            if offender is not None:
+                s[t] = [a + b for a, b in zip(top, offender)]
+                continue
         t += 1
-
-    return SnfResult(
-        s=IntMatrix(s, cols=n),
-        u=IntMatrix(u, cols=m),
-        v=IntMatrix(v, cols=n),
-    )
+    return tuple(s[i][i] for i in range(min(m, n)))
 
 
 # -- abelian invariants ----------------------------------------------------
@@ -257,7 +180,7 @@ def exponent_matrix(pres: FinitePresentation) -> IntMatrix:
 
 
 def abelian_invariants(pres: FinitePresentation) -> AbelianInvariants:
-    diag = smith_normal_form(exponent_matrix(pres)).diagonal
+    diag = smith_normal_form(exponent_matrix(pres))
     nonzero = [d for d in diag if d]
     rank = pres.n_gens - len(nonzero)
     return AbelianInvariants(rank, tuple(d for d in nonzero if d > 1))

@@ -68,7 +68,7 @@ def schreier(q: FiniteQuotient) -> SchreierData:
             for sign in (1, -1):
                 target = tables[g][c] if sign == 1 else inv_tables[g][c]
                 if transversal[target] is None:
-                    transversal[target] = transversal[c] * Word.generator(g, k, sign)
+                    transversal[target] = Word(transversal[c].runs + ((g, sign),), k)
                     tree_edges.add((c, g) if sign == 1 else (target, g))
                     queue.append(target)
 
@@ -78,10 +78,9 @@ def schreier(q: FiniteQuotient) -> SchreierData:
         for c in range(d):
             if (c, g) in tree_edges:
                 continue
-            word = (
-                transversal[c]
-                * Word.generator(g, k)
-                * transversal[tables[g][c]].inverse()
+            back = transversal[tables[g][c]].runs
+            word = Word(
+                transversal[c].runs + ((g, 1),) + tuple((h, -e) for h, e in reversed(back)), k
             )
             edge_to_basis[(c, g)] = len(basis)
             basis.append(SchreierGenerator(c, g, word))
@@ -131,15 +130,6 @@ def rewrite_word(sd: SchreierData, w: Word) -> Word:
     if c != 0:
         raise ValueError("word does not lie in the subgroup")
     return Word(runs, len(sd.basis))
-
-
-def expand_basis_word(sd: SchreierData, w: Word) -> Word:
-    """Substitute each basis letter by its word over the original alphabet."""
-    n = sd.table.n_gens
-    out = Word.identity(n)
-    for g, e in w.runs:
-        out = out * sd.basis[g].word ** e
-    return out
 
 
 def centralizer_index(q: FiniteQuotient, g: Word) -> int:

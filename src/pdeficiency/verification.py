@@ -227,13 +227,66 @@ def search_agrees(pres, catalog, max_order, max_assignments) -> int:
     return used
 
 
+def det(mat: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = mat.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in mat.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def _gcd_of_minors(mat: IntMatrix, k: int) -> int:
     g = 0
     for rows in combinations(range(mat.rows), k):
         for cols in combinations(range(mat.cols), k):
             sub = IntMatrix([[mat.at(i, j) for j in cols] for i in rows])
-            g = math.gcd(g, abs(sub.det()))
+            g = math.gcd(g, abs(det(sub)))
     return g
+
+
+def _scramble_rows(rng, rows: list, ops: int) -> None:
+    """Random elementary row operations in place: add a multiple of another
+    row, swap two rows, negate a row."""
+    for _ in range(ops):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        kind = rng.random()
+        if kind < 0.8 and i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind < 0.9:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+
+
+def _scrambled_chain(rng, chain, m: int, n: int) -> IntMatrix:
+    """An m x n matrix whose Smith normal form is diag(chain), padded with
+    zeros: the diagonal matrix under 2(m + n) random row operations, then
+    as many column operations."""
+    rows = [[0] * n for _ in range(m)]
+    for i, d in enumerate(chain):
+        rows[i][i] = d
+    _scramble_rows(rng, rows, 2 * (m + n))
+    cols = [list(col) for col in zip(*rows)]
+    _scramble_rows(rng, cols, 2 * (m + n))
+    return IntMatrix(zip(*cols))
 
 
 # -- the criteria ------------------------------------------------------------
@@ -389,19 +442,17 @@ def check_conjugacy():
 
 
 def check_snf():
-    """Smith normal form against the gcd-of-minors characterization on 500
-    random matrices, plus exact recomposition and unimodularity."""
+    """Smith normal form diagonals against two independent oracles: the
+    gcd-of-minors characterization on 500 random matrices up to 4x4, and
+    known divisor chains scrambled into matrices up to 60x60, which
+    exercise pivot order and entry growth."""
     rng = random.Random(0x5EED05)
     trials = 500
     for _ in range(trials):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         mat = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        res = smith_normal_form(mat)
-        _ensure(res.u.mul(mat).mul(res.v) == res.s, f"recomposition failed for {mat!r}")
-        _ensure(abs(res.u.det()) == 1, f"U not unimodular for {mat!r}")
-        _ensure(abs(res.v.det()) == 1, f"V not unimodular for {mat!r}")
-        diag = res.diagonal
+        diag = smith_normal_form(mat)
         for i in range(len(diag) - 1):
             _ensure(diag[i] >= 0, "negative diagonal entry")
             if diag[i]:
@@ -415,8 +466,20 @@ def check_snf():
                 prod == _gcd_of_minors(mat, k),
                 f"d_1..d_{k} = {prod} != gcd of {k}x{k} minors for {mat!r}",
             )
-    return (f"{trials} random matrices up to 4x4: minors, recomposition, unimodularity",
-            {"trials": trials})
+    scrambled = 30
+    for i in range(scrambled):
+        m, n = (60, 60) if i == 0 else (rng.randint(1, 60), rng.randint(1, 60))
+        chain = []
+        d = 1
+        for _ in range(rng.randint(0, min(m, n))):
+            d *= rng.choice((1, 1, 1, 2, 3, 5))
+            chain.append(d)
+        want = tuple(chain) + (0,) * (min(m, n) - len(chain))
+        diag = smith_normal_form(_scrambled_chain(rng, chain, m, n))
+        _ensure(diag == want, f"{m}x{n} matrix scrambled from {want} gave {diag}")
+    return (f"{trials} random matrices up to 4x4 against the gcd of minors, "
+            f"{scrambled} scrambled divisor chains up to 60x60",
+            {"scrambled": scrambled, "trials": trials})
 
 
 def check_valuation():
@@ -472,8 +535,17 @@ def check_singerman():
     _ensure(volume(new_d) == 2 * volume(sig_d), "volume does not scale by 2")
     _ensure(de_standard(sig_d, 2) == Fraction(1, 4), "base value is not 1/4")
     _ensure(de_standard(new_d, 2) == Fraction(1, 2), "transferred value is not 1/2")
+
+    # the actions are regular, so each kernel is the transferred subgroup
+    for sig, act, new in ((sig_a, act_a, new_a), (sig_d, act_d, new_d)):
+        kernel = subgroup_presentation(standard_presentation(sig),
+                                       FiniteQuotient(act.all_perms()))
+        got = abelian_invariants(kernel)
+        want = abelian_invariants(standard_presentation(new))
+        _ensure(got == want, f"kernel of {sig} abelianizes to {got}, {new} to {want}")
     return ("case a on (1; 2,3) gives (1; 2^4,3^4) at index 4; "
-            "case d on (0; 4,4,4) gives (0; 2,2,4,4) at index 2",
+            "case d on (0; 4,4,4) gives (0; 2,2,4,4) at index 2; "
+            "both kernel presentations have the abelian invariants of the transferred signature",
             {"index_a": act_a.degree, "index_d": act_d.degree})
 
 

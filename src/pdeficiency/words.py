@@ -266,6 +266,10 @@ def maximal_root(w: Word) -> RootDecomposition:
     if w.is_identity:
         raise ValueError("no root of trivial word")
     conj, core = w.cyclic_reduce()
+    if len(core.runs) == 1:
+        # g^e has root g^(+-1) and exponent |e|; no letter list is built
+        g, e = core.runs[0]
+        return RootDecomposition(conj, Word.generator(g, w.n_gens, 1 if e > 0 else -1), abs(e))
     letters = core.letters()
     length = len(letters)
     for d in _divisors(length):

@@ -45,6 +45,12 @@ class TestDef:
         payload = json.loads(target.read_text())
         assert payload["p_deficiency"] == "-1/9"
 
+    def test_huge_power(self, capsys):
+        code, out, err = run(capsys, "def", "-p", "2", "< x | x^300000000 >")
+        assert (code, err) == (0, "")
+        assert "de_2(presentation) = -1/256" in out
+        assert "group de_2 in [-1/256, -1/256]" in out
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "def", "-p", "2", "< x | q >")
         assert code == 1
@@ -542,7 +548,8 @@ kernel de_2 = 1/1 > 0
     (
         ["verify", "--only", "snf"],
         """\
-[PASS] snf: 500 random matrices up to 4x4: minors, recomposition, unimodularity
+[PASS] snf: 500 random matrices up to 4x4 against the gcd of minors, 30 scrambled divisor \
+chains up to 60x60
 verify: 1/1 criteria passed
 """,
         {
@@ -550,11 +557,11 @@ verify: 1/1 criteria passed
             "command": "verify",
             "criteria": [
                 {
-                    "details": {"trials": 500},
+                    "details": {"scrambled": 30, "trials": 500},
                     "name": "snf",
                     "passed": True,
-                    "summary": "500 random matrices up to 4x4: minors, recomposition, "
-                               "unimodularity",
+                    "summary": "500 random matrices up to 4x4 against the gcd of minors, "
+                               "30 scrambled divisor chains up to 60x60",
                 },
             ],
         },

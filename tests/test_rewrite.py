@@ -16,7 +16,6 @@ from pdeficiency.quotient import (
 from pdeficiency.rewrite import (
     centralizer_index,
     conjugate_class_reps,
-    expand_basis_word,
     p_size_bound,
     rewrite_word,
     schreier,
@@ -30,6 +29,14 @@ Q_DINF = FiniteQuotient([(1, 0), (1, 0)])
 
 PROP = parse_presentation("< x, y | x^2, y^5, (x*y)^5 >")
 Q_PROP = FiniteQuotient([tuple(range(5)), tuple((i + 1) % 5 for i in range(5))])
+
+
+def expand_basis_word(sd, w):
+    """Substitute each basis letter by its word over the original alphabet."""
+    out = Word.identity(sd.table.n_gens)
+    for g, e in w.runs:
+        out = out * sd.basis[g].word ** e
+    return out
 
 
 def random_word(rng, n_gens, length):

@@ -111,6 +111,16 @@ class TestMaximalRoot:
         with pytest.raises(ValueError):
             maximal_root(Word.identity(2))
 
+    def test_huge_single_generator_power(self):
+        # one run: no letter list is built, whatever the exponent
+        n = 2**40 * 3
+        assert maximal_root(Word.generator(0, 2, -n)) == RootDecomposition(
+            Word.identity(2), w("X"), n
+        )
+        assert maximal_root(w("y") * Word.generator(0, 2, n) * w("Y")) == RootDecomposition(
+            w("y"), w("x"), n
+        )
+
     @given(nontrivial_st)
     def test_reassembles_and_root_primitive(self, word):
         rd = maximal_root(word)
@@ -136,6 +146,8 @@ class TestNuP:
         assert nu_p(w("x") ** 6, 2) == Valuation.finite(1)
         assert nu_p(w("xy") ** 4, 2) == Valuation.finite(2)
         assert nu_p(w("xyXY"), 3) == Valuation.finite(0)
+        assert nu_p(Word.generator(0, 1, 2**40 * 3), 2) == Valuation.finite(40)
+        assert nu_p(Word.generator(0, 1, 2**40 * 3), 3) == Valuation.finite(1)
 
     def test_identity_is_infinite(self):
         val = nu_p(Word.identity(2), 2)
