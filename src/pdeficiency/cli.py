@@ -11,6 +11,7 @@ JSON to -o FILE, and exits 1 when the payload says ``"all_passed": false``.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -460,7 +461,11 @@ def cmd_verify(args):
 # -- argument wiring ----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pdef`` argument parser, built once per process: parsing does
+    not change it, and every ``parse_args`` starts from a fresh namespace
+    filled with the defaults."""
     parser = argparse.ArgumentParser(
         prog="pdef",
         description="Exact p-deficiency toolkit for finitely presented groups.",

@@ -2,13 +2,17 @@
 searches, the finite d_p drop step, and the power-witness search.
 
 All searches run over kernels of maps onto catalog groups; every reported
-ratio is an exact rational.
+ratio is an exact rational.  A kernel's p-deficiency and d_p are read off
+its coset table, the quotient's regular tables, without rewriting: the
+transfer formula gives de_p from the order of each relator root's image,
+and d_p is the F_p corank of the Fox Jacobian walked on the table.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import abelian_invariants, d_p
+from .abelian import abelian_invariants, d_p, rank_mod_p
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import (
     FiniteQuotient,
@@ -16,11 +20,121 @@ from .quotient import (
     SearchBudget,
     describe_quotient,
     enumerate_quotients,
-    evaluate,
-    perm_identity,
+    perm_cycles,
+    table_order,
 )
-from .rewrite import subgroup_presentation
-from .words import Word, nu_p, p_prime_root, require_prime
+from .words import Word, maximal_root, nu_p, nu_p_int, p_prime_root, require_prime
+
+
+# -- kernel invariants from the coset table ------------------------------------
+
+
+@dataclass(frozen=True)
+class RelatorRoot:
+    """A relator r = c*u^m*c^-1 with u not a proper power, as the kernel
+    formulas read it: the runs of v = c*u*c^-1, the exponent m, its
+    p-valuation nu and scale = p^nu."""
+
+    runs: tuple
+    exponent: int
+    nu: int
+    scale: int
+
+
+def relator_roots(pres: FinitePresentation, p: int) -> tuple:
+    """One ``RelatorRoot`` per relator: the per-presentation part of the
+    kernel invariants, computed once before a search."""
+    roots = []
+    for r in pres.relators:
+        rd = maximal_root(r)
+        nu = nu_p_int(rd.exponent, p)
+        v = rd.conjugator * rd.root * rd.conjugator.inverse()
+        roots.append(RelatorRoot(v.runs, rd.exponent, nu, p**nu))
+    return tuple(roots)
+
+
+def transfer_terms(roots, q: FiniteQuotient) -> list:
+    """``(k, term)`` per relator for the kernel of ``q``, of index d.
+
+    k is the order of the image of v.  The refined rewriting of r has d/k
+    relators, one per kernel-conjugacy class, and each is (rewritten u^k)^(m/k)
+    with the rewritten u^k not a proper power, so each has valuation
+    nu_p(m) - nu_p(k).  Their weights sum to term = (d/k) * p^(nu_p(k) - nu_p(m)).
+    As k divides m, p^nu_p(k) is gcd(k, p^nu_p(m)).
+    """
+    d = q.order
+    terms = []
+    for root in roots:
+        k = table_order(q.tables, root.runs)
+        terms.append((k, Fraction(d // k * math.gcd(k, root.scale), root.scale)))
+    return terms
+
+
+def kernel_deficiency(q: FiniteQuotient, terms) -> Fraction:
+    """p-deficiency of the refined subgroup presentation of the kernel of
+    ``q``, from its ``transfer_terms``: the Schreier basis has
+    d*(|X| - 1) + 1 elements, so de_p = d*(|X| - 1) - sum of the terms."""
+    return Fraction(q.order * (q.n_gens - 1)) - sum(term for _, term in terms)
+
+
+def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
+    """d_p of the kernel of ``q``, of index d: d*|X| - d + 1 - rank_Fp(J).
+
+    J is the Fox Jacobian of the relators in the regular representation
+    (R. H. Fox, "Free differential calculus I", Ann. of Math. 57, 1953).
+    Its columns are the edges (coset, generator) of the coset table, and a
+    walk of a word contributes its signed edge crossings.  One row per
+    relator r and orbit of c -> c*v' on the cosets, v' the image of v: the
+    orbits are the kernel-conjugacy classes of refined rewriting, and the
+    row is the walk of r = v^m from the orbit's first coset, that is
+    (m/k) times the walks of v from each coset of the orbit; it vanishes
+    when p divides m/k.  Dropping the spanning-tree columns gives the
+    exponent matrix of the subgroup presentation, with the same rank.
+    A run g^e crosses each edge of its cycle in tables[g] e // L times and
+    the first e % L edges once more, L the cycle length.
+    """
+    tables = q.tables
+    d = q.order
+    # place[g][c]: the cycle of coset c in tables[g] and c's position in it
+    place = []
+    for table in tables:
+        at = [None] * d
+        for cyc in perm_cycles(table, include_fixed=True):
+            for i, c in enumerate(cyc):
+                at[c] = (cyc, i)
+        place.append(at)
+    rows = []
+    for root in roots:
+        k = table_order(tables, root.runs)
+        mult = root.exponent // k % p
+        if not mult:
+            continue
+        seen = [False] * d
+        for start in range(d):
+            if seen[start]:
+                continue
+            row = {}
+            c = start
+            while not seen[c]:
+                seen[c] = True
+                for g, e in root.runs:
+                    cyc, i = place[g][c]
+                    length = len(cyc)
+                    full, rest = divmod(abs(e), length)
+                    sign = 1 if e > 0 else -1
+                    if full:
+                        for x in cyc:
+                            row[g * d + x] = row.get(g * d + x, 0) + sign * full
+                    edges = range(i, i + rest) if e > 0 else range(i - rest, i)
+                    for t in edges:
+                        col = g * d + cyc[t % length]
+                        row[col] = row.get(col, 0) + sign
+                    c = cyc[(i + sign * rest) % length]
+            rows.append({col: mult * x for col, x in row.items()})
+    return d * q.n_gens - d + 1 - rank_mod_p(rows, p)
+
+
+# -- searches ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -58,13 +172,13 @@ def chi_p_estimate(
     require_prime(p)
     if budget is None:
         budget = SearchBudget()
-    base = ChiSample(1, p_deficiency(pres, p), p_deficiency(pres, p), "index 1")
-    samples = [base]
+    de = p_deficiency(pres, p)
+    samples = [ChiSample(1, de, de, "index 1")]
+    roots = relator_roots(pres, p)
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
-        sub = subgroup_presentation(pres, q)
-        de_sub = p_deficiency(sub, p)
+        de_sub = kernel_deficiency(q, transfer_terms(roots, q))
         samples.append(ChiSample(q.order, de_sub, Fraction(de_sub, q.order),
                                  describe_quotient(q, pres)))
     best = max(samples, key=lambda s: s.ratio)
@@ -101,11 +215,11 @@ def gradient_window(
         budget = SearchBudget()
     dp = d_p(abelian_invariants(pres), p)
     samples = [GradientSample(1, dp, Fraction(dp), "index 1")]
+    roots = relator_roots(pres, p)
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
-        sub = subgroup_presentation(pres, q)
-        dp_sub = d_p(abelian_invariants(sub), p)
+        dp_sub = kernel_d_p(roots, q, p)
         samples.append(GradientSample(q.order, dp_sub, Fraction(dp_sub, q.order),
                                       describe_quotient(q, pres)))
     ratios = [s.ratio for s in samples]
@@ -179,19 +293,19 @@ def find_power_witness(
         raise ValueError("witness search requires a presentation of zero p-deficiency")
     if budget is None:
         budget = SearchBudget()
-    roots = [p_prime_root(r, p) for r in pres.relators]
+    roots = relator_roots(pres, p)
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
-        identity = perm_identity(q.degree)
-        for i, (root, n) in enumerate(roots):
-            if evaluate(q, root) == identity:
-                continue
-            sub = subgroup_presentation(pres, q)
-            de_sub = p_deficiency(sub, p)
+        terms = transfer_terms(roots, q)
+        for i, (root, (k, _)) in enumerate(zip(roots, terms)):
+            if root.scale % k == 0:
+                continue  # the p'-root v^(p^nu) dies in q
+            de_sub = kernel_deficiency(q, terms)
             if de_sub <= 0:
                 raise AssertionError(
                     "internal error: witnessed kernel must have positive p-deficiency"
                 )
-            return PowerWitness(i, pres.relators[i], root, n, q, q.order, de_sub)
+            relator = pres.relators[i]
+            return PowerWitness(i, relator, *p_prime_root(relator, p), q, q.order, de_sub)
     return None

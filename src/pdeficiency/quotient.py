@@ -258,6 +258,29 @@ def order_of_image(q: FiniteQuotient, w: Word) -> int:
     return perm_order(evaluate(q, w))
 
 
+def table_order(tables, runs) -> int:
+    """Order of the image of the word with these runs, in the group whose
+    regular tables are ``tables``: how many walks of the word from coset 0
+    it takes to come back to 0.  A run g^e is walked as g^(e mod L), where
+    L, the order of g's image, is the length of the cycle of 0 in
+    ``tables[g]``; so a huge exponent costs no more than a small one."""
+    steps = []
+    for g, e in runs:
+        table = tables[g]
+        length, x = 1, table[0]
+        while x:
+            length, x = length + 1, table[x]
+        steps.append((table, e % length))
+    k, c = 1, 0
+    while True:
+        for table, e in steps:
+            for _ in range(e):
+                c = table[c]
+        if not c:
+            return k
+        k += 1
+
+
 def kernel_index(q: FiniteQuotient, pres: FinitePresentation) -> int:
     """Index of the kernel of free group -> image group; equals the image
     group order."""

@@ -14,6 +14,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .invariants import relator_roots, transfer_terms
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import FiniteQuotient, kernel_index, order_of_image, perm_inv
 from .words import Word, maximal_root, nu_p, nu_p_int, require_prime
@@ -136,7 +137,9 @@ def centralizer_index(q: FiniteQuotient, g: Word) -> int:
     """Index of the kernel-centralizer inside the full centralizer of g.
 
     In a free group the centralizer of g is generated by its maximal root
-    u, so the index equals the order of the image of u.
+    u, so the index equals the order of the image of u.  Computed with
+    permutation products, not the table walk of ``quotient.table_order``,
+    it is the oracle for the k of ``invariants.transfer_terms``.
     """
     if g.is_identity:
         raise ValueError("centralizer index of the identity is undefined")
@@ -236,24 +239,25 @@ class SizeBound:
 
 
 def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBound:
+    """The transfer terms of ``invariants.transfer_terms`` and, for
+    comparison, the exact valuations of the rewritten class
+    representatives."""
     require_prime(p)
     d = kernel_index(q, pres)
     sd = schreier(q)
+    roots = relator_roots(pres, p)
     contributions = []
-    bound = Fraction(0)
     exact = Fraction(0)
-    for i, r in enumerate(pres.relators):
-        k = centralizer_index(q, r)
-        nu_free = nu_p_int(maximal_root(r).exponent, p)
-        nu_k = nu_p_int(k, p)
-        term = (d // k) * Fraction(p**nu_k, p**nu_free)
+    for i, (r, root, (k, term)) in enumerate(
+        zip(pres.relators, roots, transfer_terms(roots, q))
+    ):
         reps = conjugate_class_reps(q, r, sd)
         valuations = tuple(nu_p(rewrite_word(sd, rep), p).k for rep in reps)
         exact += sum(Fraction(1, p**v) for v in valuations)
-        bound += term
         contributions.append(
-            RelatorContribution(i, k, d // k, nu_free, nu_k, term, valuations)
+            RelatorContribution(i, k, d // k, root.nu, nu_p_int(k, p), term, valuations)
         )
+    bound = sum((c.term for c in contributions), Fraction(0))
     return SizeBound(d, bound, exact, tuple(contributions))
 
 

@@ -19,6 +19,7 @@ from .abelian import (
     abelian_invariants,
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
+    d_p,
     smith_normal_form,
     upper_bound_de,
 )
@@ -31,7 +32,15 @@ from .fuchsian import (
     standard_presentation,
     volume,
 )
-from .invariants import chi_p_estimate, find_power_witness, quotient_dp_drop
+from .invariants import (
+    chi_p_estimate,
+    find_power_witness,
+    kernel_d_p,
+    kernel_deficiency,
+    quotient_dp_drop,
+    relator_roots,
+    transfer_terms,
+)
 from .presentation import FinitePresentation, p_deficiency, parse_presentation
 from .quotient import (
     FiniteQuotient,
@@ -680,6 +689,77 @@ def check_search():
             {"presentations": presentations, "small_budgets": full + 1})
 
 
+def _psl27() -> tuple:
+    """z -> z + 1 and z -> -1/z on the projective line over F_7, the point
+    at infinity numbered 7: a generating pair of PSL(2,7)."""
+    inf = 7
+    t = tuple(inf if z == inf else (z + 1) % 7 for z in range(8))
+    s = tuple(0 if z == inf else inf if z == 0 else -pow(z, -1, 7) % 7 for z in range(8))
+    return t, s
+
+
+def check_kernel_invariants():
+    """Kernel de_p by the transfer formula and d_p by the Fox Jacobian on
+    the coset table, against the rewritten subgroup presentation: random
+    presentations, half of them with a relator c*u^m*c^-1, and the first
+    15 catalog quotients of each up to order 12, at p in {2, 3, 5}.  The
+    table order k of each relator root matches ``centralizer_index``, and
+    ``psize``'s exact sum equals its transfer bound.  The genus-2 surface
+    group onto PSL(2,7) has a kernel of genus 169."""
+    rng = random.Random(0x5EED0E)
+    catalog = default_catalog().up_to(12)
+    presentations = 40
+    cases = divisible = 0
+    for i in range(presentations):
+        pres = _random_presentation(rng, max_relators=2, max_len=8, min_relators=0)
+        if i % 2 == 0:
+            u = _random_word(rng, pres.n_gens, rng.randint(1, 3))
+            c = _random_word(rng, pres.n_gens, rng.randint(0, 2))
+            power = (u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c)
+            pres = pres.with_relators(pres.relators + (power,))
+        quotients = enumerate_quotients(pres, catalog, 12, SearchBudget(12, 3000))
+        for q in itertools.islice(quotients, 15):
+            sub = subgroup_presentation(pres, q)
+            inv = abelian_invariants(sub)
+            for p in (2, 3, 5):
+                roots = relator_roots(pres, p)
+                terms = transfer_terms(roots, q)
+                ks = [k for k, _ in terms]
+                _ensure(ks == [centralizer_index(q, r) for r in pres.relators],
+                        f"{pres.to_text()} onto {q!r}: table orders {ks}")
+                de = kernel_deficiency(q, terms)
+                want = p_deficiency(sub, p)
+                _ensure(de == want, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"transfer formula {de}, rewritten {want}")
+                dp = kernel_d_p(roots, q, p)
+                _ensure(dp == d_p(inv, p), f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"Fox d_p {dp}, rewritten {d_p(inv, p)}")
+                bound = p_size_bound(pres, q, p)
+                _ensure(bound.exact_sum == bound.value,
+                        f"{pres.to_text()} onto {q!r}, p={p}: exact sum "
+                        f"{bound.exact_sum} != transfer bound {bound.value}")
+                cases += 1
+                divisible += sum(1 for root, k in zip(roots, ks)
+                                 if root.exponent // k % p == 0)
+    _ensure(divisible >= 30, f"only {divisible} relators with p dividing m/k")
+
+    surface = standard_presentation(FuchsianSignature(2))
+    t, s = _psl27()
+    q = FiniteQuotient((t, s, s, t))  # [t,s][s,t] = 1
+    _ensure(q.order == 168, f"the images generate a group of order {q.order}")
+    inv = abelian_invariants(subgroup_presentation(surface, q))
+    _ensure(inv == AbelianInvariants(338, ()), f"rewritten kernel abelianizes to {inv}")
+    for p in (2, 3, 7):
+        roots = relator_roots(surface, p)
+        dp = kernel_d_p(roots, q, p)
+        de = kernel_deficiency(q, transfer_terms(roots, q))
+        _ensure((dp, de) == (338, 336), f"genus 2 onto PSL(2,7), p={p}: d_p {dp}, de_p {de}")
+    return (f"{cases} (kernel, p) cases from {presentations} random presentations, "
+            f"{divisible} relators with p dividing m/k: formula de_p and Fox d_p "
+            "match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
+            {"cases": cases, "divisible": divisible, "presentations": presentations})
+
+
 CHECKS = {
     "intro_examples": check_intro_examples,
     "free_products": check_free_products,
@@ -694,6 +774,7 @@ CHECKS = {
     "power_witness": check_power_witness,
     "dp_drop": check_dp_drop,
     "search": check_search,
+    "kernel_invariants": check_kernel_invariants,
 }
 
 

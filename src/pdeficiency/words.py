@@ -7,6 +7,7 @@ constructor performs free reduction, so every Word is canonical, and all
 values here are immutable; every operation is a pure function.
 """
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -252,31 +253,56 @@ class RootDecomposition:
         return self.conjugator * self.root**self.exponent * self.conjugator.inverse()
 
 
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _smallest_period(seq) -> int:
+    """Smallest j dividing len(seq) with seq equal to its rotation by j:
+    the shortest linear period from the Knuth-Morris-Pratt failure function,
+    when it divides the length, and otherwise the length.  The failure
+    values are machine integers, not one int object each."""
+    n = len(seq)
+    fail = array("q", bytes(8 * n))
+    k = 0
+    for i in range(1, n):
+        while k and seq[i] != seq[k]:
+            k = fail[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        fail[i] = k
+    period = n - fail[-1]
+    return period if n % period == 0 else n
 
 
 def maximal_root(w: Word) -> RootDecomposition:
     """Maximal-exponent root of a non-identity word.
 
     After cyclic reduction the core is a literal power of its shortest
-    period, so the smallest period dividing the core length gives the
-    primitive root and the largest exponent.
+    period, and every rotation that maps the core to itself maps runs to
+    runs.  So the exponent is the number of runs of the core read as a
+    cyclic word (its first and last runs merged when they carry the same
+    letter) over their smallest period, and the root is the core's prefix
+    of the matching length.  Time and memory grow with the number of runs,
+    not with the exponents.
     """
     if w.is_identity:
         raise ValueError("no root of trivial word")
     conj, core = w.cyclic_reduce()
-    if len(core.runs) == 1:
-        # g^e has root g^(+-1) and exponent |e|; no letter list is built
-        g, e = core.runs[0]
+    runs = core.runs
+    if len(runs) == 1:
+        g, e = runs[0]
         return RootDecomposition(conj, Word.generator(g, w.n_gens, 1 if e > 0 else -1), abs(e))
-    letters = core.letters()
-    length = len(letters)
-    for d in _divisors(length):
-        if all(letters[i] == letters[i % d] for i in range(d, length)):
-            root = Word.from_letters(letters[:d], w.n_gens)
-            return RootDecomposition(conj, root, length // d)
-    raise AssertionError("unreachable: every word has period = its length")
+    (g1, e1), (gk, ek) = runs[0], runs[-1]
+    cyclic = runs
+    if g1 == gk and (e1 > 0) == (ek > 0):
+        cyclic = ((g1, e1 + ek),) + runs[1:-1]
+    exponent = len(cyclic) // _smallest_period(cyclic)
+    length = len(core) // exponent
+    prefix = []
+    for g, e in runs:
+        if length <= abs(e):
+            prefix.append((g, length if e > 0 else -length))
+            break
+        prefix.append((g, e))
+        length -= abs(e)
+    return RootDecomposition(conj, Word(prefix, w.n_gens), exponent)
 
 
 def nu_p(w: Word, p: int) -> Valuation:

@@ -14,6 +14,7 @@ from pdeficiency.abelian import (
     d_p,
     exponent_matrix,
     nu_p_vector,
+    rank_mod_p,
     smith_normal_form,
     upper_bound_de,
 )
@@ -204,6 +205,24 @@ class TestDp:
     def test_hom_counting_oracle(self, rank, orders, p):
         inv = AbelianInvariants.from_cyclic_factors(orders, rank)
         assert d_p(inv, p) == brute_force_d_p(inv, p)
+
+
+class TestRankModP:
+    def test_examples(self):
+        assert rank_mod_p([], 2) == 0
+        assert rank_mod_p([{0: 2, 3: 4}], 2) == 0
+        assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == 1
+        assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: -1}], 3) == 2
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 3, 5, 7]),
+           st.data())
+    def test_matches_snf(self, m, n, p, data):
+        # the rank mod p counts the invariant factors that p does not divide
+        rows = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        diag = smith_normal_form(IntMatrix(rows))
+        assert rank_mod_p(sparse, p) == sum(1 for d in diag if d % p)
 
 
 class TestIntMatrix:

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +206,45 @@ class TestSearchCommands:
         )
         assert code == 0
         assert "subgroups examined: 4" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["def"], ["chi", "--max-order", "6"], ["gradient", "--max-order", "6"],
+])
+def test_huge_power_in_bounded_memory(argv):
+    """A two-run relator with a huge exponent: its root comes from its runs
+    and the kernel invariants from the coset table, so each command reports
+    within a 1.5 GB address space, in a child process that cannot take more."""
+    limit = 1500 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdeficiency.cli", command, "-p", "2",
+         "< x, y | x^300000000*y >", *options],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("presentation: < x, y | x^300000000*y >\n")
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_values_do_not_leak_between_calls(self, capsys):
+        code, out, _ = run(capsys, "chi", "-p", "2", "< x | x^12 >", "--max-order", "6",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["subgroups_examined"] == 5
+        # the default --max-order 24 again, and text output: C12 is searched too
+        code, out, _ = run(capsys, "chi", "-p", "2", "< x | x^12 >")
+        assert code == 0
+        assert "subgroups examined: 6" in out
 
 
 class TestDegreeBound:

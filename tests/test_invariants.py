@@ -3,14 +3,20 @@ from fractions import Fraction
 import pytest
 
 from pdeficiency.fuchsian import FuchsianSignature, standard_presentation, volume
+from pdeficiency.abelian import abelian_invariants, d_p
 from pdeficiency.invariants import (
     chi_p_estimate,
     gradient_window,
     find_power_witness,
+    kernel_d_p,
+    kernel_deficiency,
     quotient_dp_drop,
+    relator_roots,
+    transfer_terms,
 )
-from pdeficiency.presentation import parse_presentation, power_up
-from pdeficiency.quotient import SearchBudget, default_catalog
+from pdeficiency.presentation import p_deficiency, parse_presentation, power_up
+from pdeficiency.quotient import SearchBudget, default_catalog, enumerate_quotients
+from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.words import Word
 
 FREE2 = parse_presentation("< x, y | >")
@@ -18,6 +24,40 @@ FREE2 = parse_presentation("< x, y | >")
 
 def budget(order, assignments=20_000):
     return SearchBudget(max_order=order, max_assignments=assignments)
+
+
+class TestKernelInvariants:
+    """The transfer formula and the Fox rank against the rewritten subgroup
+    presentation, which is their oracle."""
+
+    @pytest.mark.parametrize("text", [
+        "< x, y | x^6, y^12, (x*y)^12 >",
+        "< x, y | x^2, y^4, (x*y)^8 >",
+        "< x, y | x*y^2*x^-1*y^-1*(x*y)^6 >",
+        # runs far longer than any cycle of the tables
+        "< x, y | x^1001*y^-2002, y^1000 >",
+    ])
+    def test_match_rewriting(self, text):
+        pres = parse_presentation(text)
+        kernels = list(enumerate_quotients(pres, default_catalog().up_to(12), 12,
+                                           budget(12)))
+        assert len(kernels) > 3
+        for q in kernels:
+            sub = subgroup_presentation(pres, q)
+            for p in (2, 3, 5):
+                roots = relator_roots(pres, p)
+                assert kernel_deficiency(q, transfer_terms(roots, q)) == p_deficiency(sub, p)
+                assert kernel_d_p(roots, q, p) == d_p(abelian_invariants(sub), p)
+
+    def test_transfer_terms(self):
+        # x^6 onto C2: k = 2, one class of valuation nu_2(6) - nu_2(2) = 0 of valuation nu_2(6) - nu_2(2) = 0
+        pres = parse_presentation("< x | x^6 >")
+        q = next(q for q in enumerate_quotients(pres, default_catalog().up_to(4), 4)
+                 if q.order == 2)
+        roots = relator_roots(pres, 2)
+        assert roots[0].exponent == 6 and roots[0].nu == 1 and roots[0].scale == 2
+        assert transfer_terms(roots, q) == [(2, Fraction(1))]
+        assert kernel_deficiency(q, transfer_terms(roots, q)) == -1
 
 
 class TestChiEstimate:

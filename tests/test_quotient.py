@@ -20,6 +20,7 @@ from pdeficiency.quotient import (
     perm_mul,
     perm_order,
     perm_pow,
+    table_order,
 )
 from pdeficiency.verification import search_agrees
 from pdeficiency.words import Word
@@ -122,6 +123,18 @@ class TestQuotientPredicates:
         q = quotient("(1 2 3)", "(1 2)", degree=3)
         word = Word(runs, 2)
         assert q.order % order_of_image(q, word) == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-30, 30)), max_size=6))
+    def test_table_order_is_order_of_image(self, runs):
+        q = quotient("(1 2 3 4)", "(1 2)", degree=4)  # S4, order 24
+        word = Word(runs, 2)
+        assert table_order(q.tables, word.runs) == order_of_image(q, word)
+
+    def test_table_order_of_a_huge_power(self):
+        q = quotient("(1 2 3 4 5 6)", "(1 2)", degree=6)  # S6, order 720
+        e = 3 * 10**18 + 5  # 5 mod 6
+        assert table_order(q.tables, ((0, e), (1, -1))) == order_of_image(
+            q, Word(((0, 5), (1, -1)), 2))
 
 
 class TestEnumerate:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +140,41 @@ class TestMaximalRoot:
         word = (base**m).conjugated_by(g)
         rd = maximal_root(word)
         assert rd.exponent % m == 0
+
+
+def letter_root(word):
+    """Maximal root from the letter list: the smallest period that divides
+    the length of the cyclically reduced core."""
+    conj, core = word.cyclic_reduce()
+    letters = core.letters()
+    n = len(letters)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and letters == letters[:d] * (n // d))
+    return RootDecomposition(conj, Word.from_letters(letters[:d], word.n_gens), n // d)
+
+
+class TestRunLengthRoot:
+    def test_first_and_last_runs_merge(self):
+        # x y x^2 y x is (x y x)^2 read cyclically: its runs x^2, y repeat
+        assert maximal_root(w("xyxxyx")) == RootDecomposition(Word.identity(2), w("xyx"), 2)
+        assert maximal_root(w("xyx")) == RootDecomposition(Word.identity(2), w("xyx"), 1)
+
+    def test_huge_two_run_core(self):
+        n = 300_000_000
+        word = Word(((0, n), (1, 1), (0, n), (1, 1)), 2)
+        assert maximal_root(word) == RootDecomposition(
+            Word.identity(2), Word(((0, n), (1, 1)), 2), 2)
+
+    def test_matches_letters_on_random_words(self):
+        rng = random.Random(0x600D)
+        for _ in range(20_000):
+            n = rng.randint(1, 3)
+            base = Word([(rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in range(rng.randint(1, 5))], n)
+            conj = Word([(rng.randrange(n), rng.choice((-1, 1)))
+                         for _ in range(rng.randint(0, 2))], n)
+            word = (base ** rng.randint(1, 4)).conjugated_by(conj)
+            if not word.is_identity:
+                assert maximal_root(word) == letter_root(word), word
 
 
 class TestNuP:
