@@ -538,7 +538,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines = _HANDLERS[args.command](args)
-        report = json.dumps(payload, indent=2, sort_keys=True)
+        if args.json or args.output:
+            report = json.dumps(payload, indent=2, sort_keys=True)
         print(report if args.json else "\n".join(lines))
         if args.output:
             with open(args.output, "w") as fh:

@@ -5,6 +5,7 @@ Permutations are tuples of 0-based images; ``perm_mul(a, b)`` applies a
 first and then b, so evaluating a word left to right is a homomorphism.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -292,6 +293,18 @@ def kernel_index(q: FiniteQuotient, pres: FinitePresentation) -> int:
 # -- catalog of small groups -------------------------------------------------
 
 
+def _bfs_steps(tables) -> list:
+    """``(h, g)`` for each element i > 0 of a breadth-first numbering, in
+    turn: element i was first reached as element h times generator g, in
+    the group whose regular tables are ``tables``."""
+    steps = []
+    for h in range(len(tables[0])):
+        for g, table in enumerate(tables):
+            if table[h] == len(steps) + 1:
+                steps.append((h, g))
+    return steps
+
+
 @dataclass(frozen=True)
 class CatalogGroup:
     """A permutation group given by generators; ``order`` is checked against
@@ -305,7 +318,8 @@ class CatalogGroup:
     def __post_init__(self):
         for p in self.gens:
             _validate_perm(p, self.degree)
-        elements = FiniteQuotient(self.gens).elements
+        q = FiniteQuotient(self.gens)
+        elements = q.elements
         if self.order is None:
             object.__setattr__(self, "order", len(elements))
         elif len(elements) != self.order:
@@ -314,6 +328,7 @@ class CatalogGroup:
                 f"!= declared {self.order}"
             )
         object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_tables", q.tables)
 
     def elements(self) -> tuple:
         """Group elements in breadth-first order from the identity."""
@@ -325,13 +340,17 @@ class CatalogGroup:
         is a then b, index 0 is the identity, and ``powers[a]`` lists a^0,
         a^1, ... up to the order of a.  Built on the first search that
         reaches the group."""
-        elements = self._elements
-        index = {h: i for i, h in enumerate(elements)}
-        mul = tuple(
-            tuple(index[perm_mul(a, b)] for b in elements) for a in elements
-        )
+        tables = self._tables
+        steps = _bfs_steps(tables)
+        mul = []
+        for a in range(self.order):
+            row = [a]
+            for h, g in steps:  # a times element i is (a times element h) times g
+                row.append(tables[g][row[h]])
+            mul.append(tuple(row))
+        mul = tuple(mul)
         powers = []
-        for a in range(len(elements)):
+        for a in range(self.order):
             pw = [0]
             x = a
             while x:
@@ -339,6 +358,45 @@ class CatalogGroup:
                 x = mul[x][a]
             powers.append(tuple(pw))
         return mul, tuple(powers)
+
+    @cached_property
+    def automorphisms(self) -> tuple:
+        """Automorphisms other than the identity, each as the permutation of
+        the indices of ``elements()`` it induces, in the product order of
+        their generator images.  Built on the first search that reaches
+        the group.
+
+        Each candidate sends every generator to an element of the same
+        order and is extended along the breadth-first numbering; it is kept
+        when that extension is a bijection that respects ``mul``.  The
+        build tries at most |H|^2 candidates and keeps at most
+        max(|H|, CLOSURE_LIMIT / sqrt(|H|)) automorphisms: about as many
+        entries as ``mul`` for a large group, and whole Aut(H) for every
+        default catalog group.  A subset of Aut(H) prunes the search
+        soundly, just less."""
+        mul, powers = self.search_tables
+        tables = self._tables
+        size = self.order
+        steps = _bfs_steps(tables)
+        gens = [table[0] for table in tables]
+        choices = [[x for x in range(size) if len(powers[x]) == len(powers[a])]
+                   for a in gens]
+        keep = max(size, CLOSURE_LIMIT // math.isqrt(size))
+        found = []
+        for images in itertools.islice(itertools.product(*choices), size * size):
+            if list(images) == gens:
+                continue
+            img = [0]
+            for h, g in steps:
+                img.append(mul[img[h]][images[g]])
+            if len(set(img)) < size:
+                continue
+            if all([img[x] for x in table] == [mul[y][t] for y in img]
+                   for table, t in zip(tables, images)):
+                found.append(tuple(img))
+                if len(found) >= keep:
+                    break
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -507,15 +565,20 @@ def enumerate_quotients(
     assignments come in the order of ``itertools.product``.  Each relator
     is evaluated through the group's multiplication table as soon as the
     highest generator it uses has an image; one that does not vanish cuts
-    the whole subtree below.  Two assignments are the same kernel exactly
-    when their regular coset tables agree after breadth-first relabeling,
-    so the deduplication is exact.  Order of results is deterministic:
-    catalog order, then assignment order over each group's element list.
+    the whole subtree below.  So does a prefix of images that an
+    automorphism α of the group takes to an earlier prefix: for every
+    assignment φ below it, α∘φ has the same kernel and comes earlier, so
+    the first assignment of each kernel is never cut.  Two assignments are
+    the same kernel exactly when their regular coset tables agree after
+    breadth-first relabeling, so the deduplication is exact.  Order of
+    results is deterministic: catalog order, then assignment order over
+    each group's element list.
 
     ``budget.max_assignments`` counts full assignments: each one reached
-    costs 1 and a cut subtree costs the number of full assignments below
-    it, capped at what is left.  So ``assignments_used``, ``exhausted``
-    and the quotients yielded are those of trying every assignment in turn.
+    costs 1 and a cut subtree, by a relator or an automorphism, costs the
+    number of full assignments below it, capped at what is left.  So
+    ``assignments_used``, ``exhausted`` and the quotients yielded are those
+    of trying every assignment in turn.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -540,6 +603,8 @@ def enumerate_quotients(
         mul, powers = grp.search_tables
         size = len(elements)
         leaves = [size ** (n - 1 - k) for k in range(n)]
+        # fixing[k]: the automorphisms that fix images[:k]
+        fixing = [grp.automorphisms] * n
         images = [0] * n
         k = 0
         while k >= 0:
@@ -548,11 +613,21 @@ def enumerate_quotients(
                 if k >= 0:
                     images[k] += 1
                 continue
-            if not _kills(checks[k], images, mul, powers):
+            x = images[k]
+            fixed = []
+            for a in fixing[k]:
+                y = a[x]
+                if y == x:
+                    fixed.append(a)
+                elif y < x:  # a takes this prefix to an earlier one
+                    fixed = None
+                    break
+            if fixed is None or not _kills(checks[k], images, mul, powers):
                 if not budget.spend(leaves[k]):
                     return
             elif k < n - 1:
                 k += 1
+                fixing[k] = fixed
                 images[k] = 0
                 continue
             else:

@@ -208,6 +208,14 @@ class TestSearchCommands:
         assert "subgroups examined: 4" in out
 
 
+def run_child(*argv, **options):
+    """``pdef`` with these arguments in a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "pdeficiency.cli", *argv],
+                          capture_output=True, text=True, env=env, **options)
+
+
 @pytest.mark.parametrize("argv", [
     ["def"], ["chi", "--max-order", "6"], ["gradient", "--max-order", "6"],
 ])
@@ -220,16 +228,48 @@ def test_huge_power_in_bounded_memory(argv):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     command, *options = argv
-    proc = subprocess.run(
-        [sys.executable, "-m", "pdeficiency.cli", command, "-p", "2",
-         "< x, y | x^300000000*y >", *options],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
-    )
+    proc = run_child(command, "-p", "2", "< x, y | x^300000000*y >", *options,
+                     preexec_fn=cap, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("presentation: < x, y | x^300000000*y >\n")
+
+
+C31 = " ".join(map(str, range(1, 32)))
+C31_C31 = " ".join(map(str, range(32, 63)))
+
+
+@pytest.mark.parametrize("manifest, presentation, max_order, text", [
+    # E32: 31^5 candidate generator images, 9,999,360 automorphisms
+    ("E32 10 (1 2) (3 4) (5 6) (7 8) (9 10)", "< x, y | x^2, y^2 >", "32",
+     "presentation: < x, y | x^2, y^2 >\n"
+     "subgroups examined: 5\n"
+     "best ratio de/index = 0/1 at index 1 (index 1)\n"
+     "-chi_2 >= 0/1\n"),
+    # C31xC31: 892,800 automorphisms
+    (f"C31xC31 62 ({C31}) ({C31_C31})", "< x | x^31 >", "961",
+     "presentation: < x | x^31 >\n"
+     "subgroups examined: 2\n"
+     f"best ratio de/index = -1/31 at index 31 (x:({C31}))\n"
+     "-chi_2 >= -1/31\n"),
+], ids=["E32", "C31xC31"])
+def test_automorphism_guard(tmp_path, manifest, presentation, max_order, text):
+    """A manifest group with a huge Aut(H): the search builds a bounded part
+    of it and answers in seconds, not minutes, with the same report."""
+    catalog = tmp_path / "groups.txt"
+    catalog.write_text(manifest + "\n")
+    proc = run_child("chi", "-p", "2", presentation, "--max-order", max_order,
+                     "--catalog", str(catalog), timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
+
+
+def test_text_output_builds_no_json(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("JSON built for text output")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    code, out, _ = run(capsys, "def", "-p", "2", "< x | x^2 >")
+    assert code == 0 and out.startswith("presentation: < x | x^2 >\n")
 
 
 class TestParser:

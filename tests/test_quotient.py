@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -204,6 +206,7 @@ class TestEnumerate:
     K4 4 (1 3)(2 4) (1 2)(3 4)
     C4 4 (1 4 3 2)
     A4 4 (1 2)(3 4) (1 2 3)
+    C3xC3 6 (1 2 3)(4 5 6) (4 5 6)
     """
 
     @pytest.mark.parametrize("text", [
@@ -215,6 +218,7 @@ class TestEnumerate:
     ])
     def test_matches_brute_force(self, text):
         catalog = parse_catalog_manifest(self.MANIFEST)
+        assert len(catalog.groups[-1].automorphisms) + 1 == 48  # all of Aut(C3xC3)
         pres = parse_presentation(text)
         full = search_agrees(pres, catalog, 12, 10**6)
         for max_assignments in sorted({0, 1, full // 3, full // 2, full - 1, full}):
@@ -222,9 +226,11 @@ class TestEnumerate:
 
     def test_catalog_builds_no_search_tables(self):
         # the catalog is cached per process, and earlier searches fill in
-        # the shared groups' tables: check a fresh build
+        # the shared groups' tables and automorphisms: check a fresh build
         default_catalog.cache_clear()
-        assert all("search_tables" not in vars(g) for g in default_catalog().groups)
+        for g in default_catalog().groups:
+            assert "search_tables" not in vars(g)
+            assert "automorphisms" not in vars(g)
 
     def test_catalog_built_once(self):
         assert default_catalog() is default_catalog()
@@ -240,18 +246,49 @@ def direct_tables(q):
     return tuple(tuple(index[perm_mul(h, img)] for h in q.elements) for img in q.images)
 
 
+def direct_mul(elements):
+    """The multiplication table straight from its definition."""
+    index = {h: i for i, h in enumerate(elements)}
+    return tuple(tuple(index[perm_mul(a, b)] for b in elements) for a in elements)
+
+
 class TestTables:
     @pytest.mark.parametrize("grp", default_catalog().groups, ids=lambda g: g.name)
     def test_default_catalog(self, grp):
         q = FiniteQuotient(grp.gens)
         assert q.tables == direct_tables(q)
         assert q.kernel_key() == (grp.order, q.tables)
+        assert grp.search_tables[0] == direct_mul(grp.elements())
 
     def test_manifest_group(self):
         (grp,) = parse_catalog_manifest("A5 5 (1 2 3) (3 4 5)").groups
         q = FiniteQuotient(grp.gens)
         assert q.order == 60
         assert q.tables == direct_tables(q)
+        assert grp.search_tables[0] == direct_mul(grp.elements())
+
+
+AUT_ORDERS = {
+    **{f"C{n}": sum(math.gcd(k, n) == 1 for k in range(1, n + 1)) for n in range(2, 13)},
+    "C2xC2": 6, "C3xC3": 48, "C5xC5": 480, "D4": 8, "D5": 20, "S3": 6, "S4": 24, "A4": 24,
+}
+
+
+@pytest.mark.parametrize("grp", default_catalog().groups, ids=lambda g: g.name)
+class TestAutomorphisms:
+    def test_whole_group(self, grp):
+        # the identity is left out
+        assert len(grp.automorphisms) + 1 == AUT_ORDERS[grp.name]
+
+    def test_each_is_an_automorphism(self, grp):
+        mul, _ = grp.search_tables
+        size = grp.order
+        identity = tuple(range(size))
+        assert len(set(grp.automorphisms)) == len(grp.automorphisms)
+        for a in grp.automorphisms:
+            assert a[0] == 0 and sorted(a) == list(identity) and a != identity
+            assert all(mul[a[x]][a[y]] == a[mul[x][y]]
+                       for x in range(size) for y in range(size))
 
 
 class TestCatalog:
