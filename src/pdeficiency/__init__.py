@@ -11,7 +11,7 @@ from .abelian import (
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
     d_p,
-    exponent_matrix,
+    exponent_columns,
     nu_p_vector,
     smith_normal_form,
     upper_bound_de,
@@ -73,6 +73,7 @@ from .rewrite import (
     subgroup_presentation,
     supermultiplicity_check,
 )
+from .verification import exponent_matrix
 from .words import (
     RootDecomposition,
     Valuation,

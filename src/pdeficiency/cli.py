@@ -8,6 +8,8 @@ A command computes its report once and returns it as ``(payload, lines)``:
 the JSON payload and the text lines formatted from the payload's values.
 ``main`` is the only renderer: it prints the JSON or the text, writes the
 JSON to -o FILE, and exits 1 when the payload says ``"all_passed": false``.
+``chi`` leaves its per-kernel samples out of the payload when no JSON is
+rendered, since the text names only the witness.
 """
 
 import argparse
@@ -21,6 +23,7 @@ from .abelian import (
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
     d_p,
+    exponent_columns,
 )
 from .fuchsian import (
     EllipticAction,
@@ -183,12 +186,14 @@ def cmd_def(args):
 def cmd_abdef(args):
     pres = parse_presentation(args.presentation)
     p = args.prime
-    inv = abelian_invariants(pres)
+    cols = exponent_columns(pres)
+    inv = abelian_invariants(pres, cols)
     payload = {
         **_head(args, pres),
         "rank": inv.rank,
         "divisors": list(inv.divisors),
-        "abelian_p_deficiency_presentation": _rat(abelian_p_deficiency_presentation(pres, p)),
+        "abelian_p_deficiency_presentation": _rat(
+            abelian_p_deficiency_presentation(pres, p, cols)),
         "abelian_p_deficiency_group": _rat(abelian_p_deficiency_group(inv, p)),
         "d_p": d_p(inv, p),
     }
@@ -349,6 +354,11 @@ def cmd_singerman(args):
     return payload, lines
 
 
+def _json_wanted(args) -> bool:
+    """Whether ``main`` renders the payload: for --json or -o FILE."""
+    return bool(args.json or args.output)
+
+
 def _budget_note(exhausted: bool) -> str:
     return " (budget exhausted)" if exhausted else ""
 
@@ -357,27 +367,33 @@ def cmd_chi(args):
     pres = parse_presentation(args.presentation)
     est = chi_p_estimate(pres, args.prime, _load_catalog(args), _budget(args))
     best = _rat(est.best_ratio)
+
+    def describe(sample):
+        q = sample.quotient
+        return "index 1" if q is None else describe_quotient(q, pres)
+
+    witness = describe(est.witness)
     payload = {
         **_head(args, pres),
         "best_ratio": best,
         "witness": {
             "index": est.witness.index,
             "deficiency": _rat(est.witness.deficiency),
-            "description": est.witness.description,
+            "description": witness,
         },
         "subgroups_examined": est.subgroups_examined,
         "exhausted": est.exhausted,
-        "samples": [
-            {"index": s.index, "deficiency": _rat(s.deficiency),
-             "ratio": _rat(s.ratio), "description": s.description}
-            for s in est.samples
-        ],
     }
+    if _json_wanted(args):  # the text names only the witness
+        payload["samples"] = [
+            {"index": s.index, "deficiency": _rat(s.deficiency),
+             "ratio": _rat(s.ratio), "description": describe(s)}
+            for s in est.samples
+        ]
     lines = [
         f"presentation: {payload['presentation']}",
         f"subgroups examined: {est.subgroups_examined}{_budget_note(est.exhausted)}",
-        f"best ratio de/index = {best} at index {est.witness.index} "
-        f"({est.witness.description})",
+        f"best ratio de/index = {best} at index {est.witness.index} ({witness})",
         f"-chi_{args.prime} >= {best}",
     ]
     return payload, lines
@@ -538,7 +554,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines = _HANDLERS[args.command](args)
-        if args.json or args.output:
+        if _json_wanted(args):
             report = json.dumps(payload, indent=2, sort_keys=True)
         print(report if args.json else "\n".join(lines))
         if args.output:

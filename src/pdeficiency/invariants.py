@@ -23,7 +23,7 @@ from .quotient import (
     perm_cycles,
     table_order,
 )
-from .words import Word, maximal_root, nu_p, nu_p_int, p_prime_root, require_prime
+from .words import Word, maximal_root, nu_p_int, p_prime_root, require_prime
 
 
 # -- kernel invariants from the coset table ------------------------------------
@@ -139,10 +139,12 @@ def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
 
 @dataclass(frozen=True)
 class ChiSample:
+    """One examined kernel; ``quotient`` is None for the whole group."""
+
     index: int
     deficiency: Fraction
     ratio: Fraction
-    description: str
+    quotient: FiniteQuotient
 
 
 @dataclass(frozen=True)
@@ -173,14 +175,13 @@ def chi_p_estimate(
     if budget is None:
         budget = SearchBudget()
     de = p_deficiency(pres, p)
-    samples = [ChiSample(1, de, de, "index 1")]
+    samples = [ChiSample(1, de, de, None)]
     roots = relator_roots(pres, p)
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
         de_sub = kernel_deficiency(q, transfer_terms(roots, q))
-        samples.append(ChiSample(q.order, de_sub, Fraction(de_sub, q.order),
-                                 describe_quotient(q, pres)))
+        samples.append(ChiSample(q.order, de_sub, Fraction(de_sub, q.order), q))
     best = max(samples, key=lambda s: s.ratio)
     return ChiEstimate(best.ratio, best, len(samples), budget.exhausted, tuple(samples))
 
@@ -252,7 +253,8 @@ def quotient_dp_drop(
         if w.is_identity:
             continue
         extra.append(w)
-        if nu_p(w, p).k == 0:  # not a p-th power in the free group
+        # not a p-th power in the free group
+        if nu_p_int(maximal_root(w).exponent, p) == 0:
             ell += 1
     before = d_p(abelian_invariants(sub_pres), p)
     after_pres = FinitePresentation(

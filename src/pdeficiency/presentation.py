@@ -17,7 +17,7 @@ without it yields the pairwise relators w_i * w_{i+1}^-1.
 import re
 from fractions import Fraction
 
-from .words import Word, nu_p, p_prime_root, require_prime
+from .words import Word, maximal_root, nu_p_int, p_prime_root, require_prime
 
 
 class ParseError(ValueError):
@@ -281,8 +281,8 @@ def p_deficiency(pres: FinitePresentation, p: int) -> Fraction:
     """|X| - 1 - sum of p^-nu_p(r) over the relators, exactly."""
     require_prime(p)
     total = Fraction(pres.n_gens - 1)
-    for r in pres.relators:
-        total -= nu_p(r, p).weight(p)
+    for r in pres.relators:  # relators are never trivial
+        total -= Fraction(1, p ** nu_p_int(maximal_root(r).exponent, p))
     return total
 
 

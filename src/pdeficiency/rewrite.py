@@ -17,7 +17,7 @@ from fractions import Fraction
 from .invariants import relator_roots, transfer_terms
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import FiniteQuotient, kernel_index, order_of_image, perm_inv
-from .words import Word, maximal_root, nu_p, nu_p_int, require_prime
+from .words import Word, maximal_root, nu_p_int, require_prime
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,8 @@ def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBou
         zip(pres.relators, roots, transfer_terms(roots, q))
     ):
         reps = conjugate_class_reps(q, r, sd)
-        valuations = tuple(nu_p(rewrite_word(sd, rep), p).k for rep in reps)
+        valuations = tuple(nu_p_int(maximal_root(rewrite_word(sd, rep)).exponent, p)
+                           for rep in reps)
         exact += sum(Fraction(1, p**v) for v in valuations)
         contributions.append(
             RelatorContribution(i, k, d // k, root.nu, nu_p_int(k, p), term, valuations)

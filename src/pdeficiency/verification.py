@@ -261,6 +261,24 @@ def det(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def exponent_matrix(pres: FinitePresentation) -> IntMatrix:
+    """The |X| x |R| matrix whose column j is the exponent-sum vector of
+    relator j, summed straight from the runs."""
+    data = [[0] * len(pres.relators) for _ in range(pres.n_gens)]
+    for j, r in enumerate(pres.relators):
+        for g, e in r.runs:
+            data[g][j] += e
+    return IntMatrix(data, cols=len(pres.relators))
+
+
+def dense_abelian_invariants(pres: FinitePresentation) -> AbelianInvariants:
+    """Abelian invariants from the Smith normal form of the whole exponent
+    matrix, with no unit pivots first: the oracle for
+    ``abelian_invariants``."""
+    nonzero = [d for d in smith_normal_form(exponent_matrix(pres)) if d]
+    return AbelianInvariants(pres.n_gens - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
 def _gcd_of_minors(mat: IntMatrix, k: int) -> int:
     g = 0
     for rows in combinations(range(mat.rows), k):
@@ -296,6 +314,40 @@ def _scrambled_chain(rng, chain, m: int, n: int) -> IntMatrix:
     cols = [list(col) for col in zip(*rows)]
     _scramble_rows(rng, cols, 2 * (m + n))
     return IntMatrix(zip(*cols))
+
+
+def _matrix_presentation(mat: IntMatrix) -> FinitePresentation:
+    """One generator per row and one relator per nonzero column, the
+    product of g_i^a_ij over the rows: its exponent matrix is ``mat``
+    without the zero columns."""
+    relators = []
+    for j in range(mat.cols):
+        runs = [(i, mat.at(i, j)) for i in range(mat.rows) if mat.at(i, j)]
+        if runs:
+            relators.append(Word(runs, mat.rows))
+    return FinitePresentation([f"g{i}" for i in range(mat.rows)], relators)
+
+
+def _random_sparse_presentation(rng) -> FinitePresentation:
+    """Up to 20 generators and 20 short relators, mostly with +-1
+    exponents, so that eliminating one generator fills in others; some
+    relators repeat an earlier one or are commutators."""
+    n = rng.randint(1, 20)
+    relators = []
+    for _ in range(rng.randint(0, 20)):
+        kind = rng.random()
+        if relators and kind < 0.1:
+            relators.append(rng.choice(relators))
+        elif n > 1 and kind < 0.2:
+            a, b = rng.sample(range(n), 2)
+            relators.append(Word(((a, 1), (b, 1), (a, -1), (b, -1)), n))
+        else:
+            runs = [(rng.randrange(n), rng.choice((1, -1, 1, -1, 2, -3)))
+                    for _ in range(rng.randint(1, 4))]
+            word = Word(runs, n)
+            if not word.is_identity:
+                relators.append(word)
+    return FinitePresentation([f"g{i}" for i in range(n)], relators)
 
 
 # -- the criteria ------------------------------------------------------------
@@ -454,7 +506,10 @@ def check_snf():
     """Smith normal form diagonals against two independent oracles: the
     gcd-of-minors characterization on 500 random matrices up to 4x4, and
     known divisor chains scrambled into matrices up to 60x60, which
-    exercise pivot order and entry growth."""
+    exercise pivot order and entry growth.  Then the unit-pivot
+    ``abelian_invariants`` against the dense diagonal of the exponent
+    matrix: on those chains written as presentations, and on random sparse
+    presentations with many +-1 entries, where elimination fills in."""
     rng = random.Random(0x5EED05)
     trials = 500
     for _ in range(trials):
@@ -484,11 +539,22 @@ def check_snf():
             d *= rng.choice((1, 1, 1, 2, 3, 5))
             chain.append(d)
         want = tuple(chain) + (0,) * (min(m, n) - len(chain))
-        diag = smith_normal_form(_scrambled_chain(rng, chain, m, n))
+        mat = _scrambled_chain(rng, chain, m, n)
+        diag = smith_normal_form(mat)
         _ensure(diag == want, f"{m}x{n} matrix scrambled from {want} gave {diag}")
+        pres = _matrix_presentation(mat)
+        _ensure(abelian_invariants(pres) == dense_abelian_invariants(pres),
+                f"sparse invariants of {m}x{n} matrix scrambled from {want}")
+    sparse = 200
+    for _ in range(sparse):
+        pres = _random_sparse_presentation(rng)
+        got, want = abelian_invariants(pres), dense_abelian_invariants(pres)
+        _ensure(got == want, f"{pres.to_text()}: sparse {got}, dense {want}")
     return (f"{trials} random matrices up to 4x4 against the gcd of minors, "
-            f"{scrambled} scrambled divisor chains up to 60x60",
-            {"scrambled": scrambled, "trials": trials})
+            f"{scrambled} scrambled divisor chains up to 60x60; sparse abelian "
+            f"invariants equal the dense diagonal on those chains and on {sparse} "
+            f"random sparse presentations",
+            {"scrambled": scrambled, "sparse": sparse, "trials": trials})
 
 
 def check_valuation():

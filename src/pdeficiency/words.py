@@ -55,8 +55,14 @@ def require_prime(p) -> None:
 
 
 def nu_p_int(n: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer n."""
-    require_prime(p)
+    """Exponent of the prime p in the nonzero integer n.
+
+    p is not tested for primality here: the public entry points test it
+    once, and this runs once per relator or divisor.  A p below 2 is still
+    rejected, since the loop would not end.
+    """
+    if p < 2:
+        require_prime(p)
     if n == 0:
         raise ValueError("p-valuation of 0 is undefined")
     n = abs(n)
@@ -130,13 +136,6 @@ class Word:
             lt = g + 1 if e > 0 else -(g + 1)
             out.extend([lt] * abs(e))
         return out
-
-    def exponent_sums(self) -> tuple:
-        """Image under the abelianization map, one integer per generator."""
-        sums = [0] * self.n_gens
-        for g, e in self.runs:
-            sums[g] += e
-        return tuple(sums)
 
     # -- group operations --------------------------------------------------
 
@@ -234,7 +233,6 @@ class Valuation:
         return self.k is None
 
     def weight(self, p: int) -> Fraction:
-        require_prime(p)
         if self.k is None:
             return Fraction(0)
         return Fraction(1, p**self.k)

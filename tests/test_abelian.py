@@ -12,15 +12,16 @@ from pdeficiency.abelian import (
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
     d_p,
-    exponent_matrix,
+    eliminate_unit_pivots,
+    exponent_columns,
     nu_p_vector,
     rank_mod_p,
     smith_normal_form,
     upper_bound_de,
 )
-from pdeficiency.presentation import p_deficiency, parse_presentation
-from pdeficiency.verification import det
-from pdeficiency.words import Valuation
+from pdeficiency.presentation import FinitePresentation, p_deficiency, parse_presentation
+from pdeficiency.verification import dense_abelian_invariants, det, exponent_matrix
+from pdeficiency.words import Valuation, Word
 
 
 def gcd_of_minors(mat, k):
@@ -90,6 +91,101 @@ class TestExponentMatrix:
         assert exponent_matrix(pres) == IntMatrix([[1], [1], [1]])
 
 
+class TestExponentColumns:
+    def test_columns(self):
+        pres = parse_presentation("< x, y | x^2*y^2, x^4 >")
+        assert exponent_columns(pres) == [{0: 2, 1: 2}, {0: 4}]
+
+    def test_no_zero_entries(self):
+        pres = parse_presentation("< x, y, z | x*y*x^-1*y^-1, x^2*y*x*y^-1*z^-1 >")
+        assert exponent_columns(pres) == [{}, {0: 3, 2: -1}]
+
+    def test_long_relators(self):
+        # more runs than generators: summed into a list, not a dict
+        long = parse_presentation("< x, y | (x*y^-1)^50*x^3*y^2 >")
+        assert exponent_columns(long) == [{0: 53, 1: -48}]
+        balanced = parse_presentation("< x, y | (x*y*x^-1*y^-1)^40 >")
+        assert exponent_columns(balanced) == [{}]
+
+
+sparse_pres_st = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1, 1, -1, 2, -2, 3))),
+            min_size=1, max_size=5,
+        ),
+        max_size=7,
+    ).map(lambda rels: FinitePresentation(
+        [f"g{i}" for i in range(n)],
+        [w for w in (Word(runs, n) for runs in rels) if not w.is_identity],
+    ))
+)
+
+
+class TestSparseInvariants:
+    """Unit-pivot elimination then the Smith normal form of the remainder,
+    against the Smith normal form of the whole exponent matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_pres_st)
+    def test_matches_dense_snf(self, pres):
+        assert abelian_invariants(pres) == dense_abelian_invariants(pres)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_pres_st)
+    def test_remainder_has_no_units_or_zeros(self, pres):
+        cols = exponent_columns(pres)
+        left, rest = eliminate_unit_pivots(cols, pres.n_gens)
+        for col in rest:
+            assert col and all(e not in (0, 1, -1) for e in col.values())
+        assert left >= len({g for col in rest for g in col})
+        assert cols == exponent_columns(pres)  # the input is not changed
+
+    def test_relator_free(self):
+        pres = parse_presentation("< x, y, z | >")
+        assert abelian_invariants(pres) == AbelianInvariants(3, ())
+
+    def test_commutators(self):
+        pres = parse_presentation("< x, y, z | x*y*x^-1*y^-1, y*z*y^-1*z^-1 >")
+        assert eliminate_unit_pivots(exponent_columns(pres), 3) == (3, [])
+        assert abelian_invariants(pres) == AbelianInvariants(3, ())
+
+    def test_repeated_relators(self):
+        pres = parse_presentation("< x, y | x*y^2, x*y^2, x*y^2, y^6 >")
+        assert abelian_invariants(pres) == AbelianInvariants(0, (6,))
+        assert abelian_invariants(pres) == dense_abelian_invariants(pres)
+
+    def test_no_unit_entry(self):
+        pres = parse_presentation("< x, y | x^2*y^4, x^6*y^2 >")
+        assert eliminate_unit_pivots(exponent_columns(pres), 2) == (
+            2, [{0: 2, 1: 4}, {0: 6, 1: 2}])
+        assert abelian_invariants(pres) == AbelianInvariants(0, (2, 10))
+
+    def test_unused_generators(self):
+        pres = parse_presentation("< a, b, c, d | b^4, b*c^2 >")
+        assert abelian_invariants(pres) == AbelianInvariants(2, (8,))
+        pres = parse_presentation("< a, b, c | b^3 >")
+        assert abelian_invariants(pres) == AbelianInvariants(2, (3,))
+
+    def test_substitution_sign(self):
+        # x = y^-2 from the first relator turns x*y^-4 into y^-6
+        pres = parse_presentation("< x, y | x*y^2, x*y^-4 >")
+        assert eliminate_unit_pivots(exponent_columns(pres), 2) == (1, [{1: -6}])
+        assert abelian_invariants(pres) == AbelianInvariants(0, (6,))
+
+    def test_shortest_column_first(self):
+        # y*x^2 goes before x*y*z; x^2*z^3 is as short but has no unit
+        pres = parse_presentation("< x, y, z | x*y*z, x^2*z^3, y*x^2 >")
+        assert eliminate_unit_pivots(exponent_columns(pres), 3) == (1, [{2: 5}])
+
+    def test_rarest_generator_first(self):
+        # in x*y, y occurs in no other column, so eliminating it changes none
+        pres = parse_presentation("< x, y, z | x*y, x^2*z^2, x^4*z^2 >")
+        assert eliminate_unit_pivots(exponent_columns(pres), 3) == (
+            2, [{0: 2, 2: 2}, {0: 4, 2: 2}])
+        assert abelian_invariants(pres) == AbelianInvariants(0, (2, 2))
+
+
 class TestAbelianInvariants:
     def test_examples(self):
         assert abelian_invariants(
@@ -139,6 +235,17 @@ class TestAbelianDeficiency:
         assert abelian_p_deficiency_presentation(
             parse_presentation("< x, y | x^2, y^5, (x*y)^5 >"), 2
         ) == Fraction(-3, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_pres_st, st.sampled_from([2, 3, 5]))
+    def test_presentation_matches_dense_columns(self, pres, p):
+        mat = exponent_matrix(pres)
+        want = Fraction(pres.n_gens - 1) - sum(
+            nu_p_vector([mat.at(i, j) for i in range(mat.rows)], p).weight(p)
+            for j in range(mat.cols))
+        assert abelian_p_deficiency_presentation(pres, p) == want
+        cols = exponent_columns(pres)
+        assert abelian_p_deficiency_presentation(pres, p, cols) == want
 
     def test_group_examples(self):
         assert abelian_p_deficiency_group(AbelianInvariants(1, (6,)), 2) == Fraction(1, 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pdeficiency import cli
+from pdeficiency import cli, words
 from pdeficiency.cli import main
 from pdeficiency.verification import CheckOutcome
 
@@ -270,6 +270,57 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     monkeypatch.setattr(cli.json, "dumps", refuse)
     code, out, _ = run(capsys, "def", "-p", "2", "< x | x^2 >")
     assert code == 0 and out.startswith("presentation: < x | x^2 >\n")
+
+
+def test_chi_text_describes_only_the_witness(capsys, monkeypatch):
+    described = []
+    real = cli.describe_quotient
+
+    def counting(q, pres):
+        described.append(q)
+        return real(q, pres)
+
+    monkeypatch.setattr(cli, "describe_quotient", counting)
+    argv = ("chi", "-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "at index 3 (x:(1 2 3), y:(1 2 3))" in out
+    assert len(described) == 1
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and len(json.loads(out)["samples"]) == 28
+    assert len(described) == 1 + 1 + 27  # the witness, then every kernel
+
+
+PRIME_ARGV = [
+    ("def", "-p", "2", "< x, y | x^2, y^5, (x*y)^5 >"),
+    ("abdef", "-p", "2", "< x, y | x^2, y^5, (x*y)^5 >"),
+    ("subgroup", "-p", "2", "< x, y | x^2, y^5, (x*y)^5 >", "--hom-cyclic", "5", "0,1"),
+    ("psize", "-p", "2", "< x, y | x^2, y^5, (x*y)^5 >", "--hom-cyclic", "5", "0,1"),
+    ("fuchsian", "-p", "2", "(0; 6,12,12)"),
+    ("chi", "-p", "2", "< x, y | x^2, y^3, (x*y)^7 >", "--max-order", "8"),
+    ("gradient", "-p", "2", "< x, y | x^2, y^3, (x*y)^7 >", "--max-order", "8"),
+    ("witness", "-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "12"),
+]
+
+
+@pytest.mark.parametrize("argv", PRIME_ARGV, ids=[a[0] for a in PRIME_ARGV])
+def test_prime_tested_a_few_times(capsys, monkeypatch, argv):
+    """p is tested on entry, not again per relator, divisor or kernel."""
+    calls = []
+    real = words.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(words, "is_prime", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert 1 <= len(calls) <= 10
+
+
+@pytest.mark.parametrize("argv", PRIME_ARGV, ids=[a[0] for a in PRIME_ARGV])
+def test_bad_prime_message(capsys, argv):
+    argv = (argv[0], "-p", "4") + argv[3:]
+    assert run(capsys, *argv) == (1, "", "error: p must be a prime number, got 4\n")
 
 
 class TestParser:
@@ -633,7 +684,8 @@ kernel de_2 = 1/1 > 0
         ["verify", "--only", "snf"],
         """\
 [PASS] snf: 500 random matrices up to 4x4 against the gcd of minors, 30 scrambled divisor \
-chains up to 60x60
+chains up to 60x60; sparse abelian invariants equal the dense diagonal on those chains and \
+on 200 random sparse presentations
 verify: 1/1 criteria passed
 """,
         {
@@ -641,11 +693,13 @@ verify: 1/1 criteria passed
             "command": "verify",
             "criteria": [
                 {
-                    "details": {"scrambled": 30, "trials": 500},
+                    "details": {"scrambled": 30, "sparse": 200, "trials": 500},
                     "name": "snf",
                     "passed": True,
                     "summary": "500 random matrices up to 4x4 against the gcd of minors, "
-                               "30 scrambled divisor chains up to 60x60",
+                               "30 scrambled divisor chains up to 60x60; sparse abelian "
+                               "invariants equal the dense diagonal on those chains and "
+                               "on 200 random sparse presentations",
                 },
             ],
         },
