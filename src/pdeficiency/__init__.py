@@ -12,7 +12,6 @@ from .abelian import (
     abelian_p_deficiency_presentation,
     d_p,
     exponent_columns,
-    nu_p_vector,
     smith_normal_form,
     upper_bound_de,
 )
@@ -56,16 +55,12 @@ from .quotient import (
     SearchBudget,
     default_catalog,
     enumerate_quotients,
-    evaluate,
-    is_quotient_of,
     kernel_index,
-    order_of_image,
     parse_catalog_manifest,
 )
 from .rewrite import (
     SchreierData,
     SizeBound,
-    centralizer_index,
     conjugate_class_reps,
     p_size_bound,
     rewrite_word,
@@ -73,7 +68,13 @@ from .rewrite import (
     subgroup_presentation,
     supermultiplicity_check,
 )
-from .verification import exponent_matrix
+from .verification import (
+    centralizer_index,
+    evaluate,
+    exponent_matrix,
+    is_quotient_of,
+    order_of_image,
+)
 from .words import (
     RootDecomposition,
     Valuation,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import FinitePresentation
-from .words import Valuation, nu_p_int, require_prime
+from .words import nu_p_int, require_prime
 
 
 class IntMatrix:
@@ -269,18 +269,6 @@ def abelian_invariants(pres: FinitePresentation, cols=None) -> AbelianInvariants
     )
     nonzero = [d for d in diag if d]
     return AbelianInvariants(left - len(nonzero), tuple(d for d in nonzero if d > 1))
-
-
-def nu_p_vector(vec, p: int) -> Valuation:
-    """Largest k with p^k dividing every coordinate; infinite on the zero
-    vector."""
-    require_prime(p)
-    g = 0
-    for x in vec:
-        g = math.gcd(g, int(x))
-    if g == 0:
-        return Valuation.infinite()
-    return Valuation.finite(nu_p_int(g, p))
 
 
 def abelian_p_deficiency_presentation(pres: FinitePresentation, p: int,

@@ -20,7 +20,6 @@ from .quotient import (
     SearchBudget,
     describe_quotient,
     enumerate_quotients,
-    perm_cycles,
     table_order,
 )
 from .words import Word, maximal_root, nu_p_int, p_prime_root, require_prime
@@ -41,16 +40,40 @@ class RelatorRoot:
     scale: int
 
 
-def relator_roots(pres: FinitePresentation, p: int) -> tuple:
+def relator_root(r: Word, p: int = None) -> RelatorRoot:
+    """The ``RelatorRoot`` of a non-identity word.  Without p, nu is 0 and
+    scale 1: the class split reads only the runs and the exponent."""
+    rd = maximal_root(r)
+    nu = nu_p_int(rd.exponent, p) if p else 0
+    v = rd.conjugator * rd.root * rd.conjugator.inverse()
+    return RelatorRoot(v.runs, rd.exponent, nu, p**nu if p else 1)
+
+
+def relator_roots(pres: FinitePresentation, p: int = None) -> tuple:
     """One ``RelatorRoot`` per relator: the per-presentation part of the
-    kernel invariants, computed once before a search."""
-    roots = []
-    for r in pres.relators:
-        rd = maximal_root(r)
-        nu = nu_p_int(rd.exponent, p)
-        v = rd.conjugator * rd.root * rd.conjugator.inverse()
-        roots.append(RelatorRoot(v.runs, rd.exponent, nu, p**nu))
-    return tuple(roots)
+    kernel invariants, computed once before a search or a rewriting."""
+    return tuple(relator_root(r, p) for r in pres.relators)
+
+
+def class_cosets(q: FiniteQuotient, root: RelatorRoot) -> list:
+    """The first coset of each orbit of c -> c*v' on the cosets of the
+    kernel of ``q``, in coset order, v' the image of v.  Conjugates a*r*a^-1
+    and b*r*b^-1 are kernel-conjugate exactly when the cosets of a and b
+    lie in one orbit, so there are d/k orbits, one per kernel-conjugacy
+    class.  Raises ``ValueError`` unless r lies in the kernel: unless k
+    divides m."""
+    if root.exponent % table_order(q, root.runs):
+        raise ValueError("word is not in the kernel")
+    seen = bytearray(q.order)
+    firsts = []
+    for start in range(q.order):
+        if not seen[start]:
+            firsts.append(start)
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                c = q.walk(root.runs, c)
+    return firsts
 
 
 def transfer_terms(roots, q: FiniteQuotient) -> list:
@@ -65,7 +88,7 @@ def transfer_terms(roots, q: FiniteQuotient) -> list:
     d = q.order
     terms = []
     for root in roots:
-        k = table_order(q.tables, root.runs)
+        k = table_order(q, root.runs)
         terms.append((k, Fraction(d // k * math.gcd(k, root.scale), root.scale)))
     return terms
 
@@ -85,40 +108,32 @@ def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
     Its columns are the edges (coset, generator) of the coset table, and a
     walk of a word contributes its signed edge crossings.  One row per
     relator r and orbit of c -> c*v' on the cosets, v' the image of v: the
-    orbits are the kernel-conjugacy classes of refined rewriting, and the
-    row is the walk of r = v^m from the orbit's first coset, that is
-    (m/k) times the walks of v from each coset of the orbit; it vanishes
-    when p divides m/k.  Dropping the spanning-tree columns gives the
-    exponent matrix of the subgroup presentation, with the same rank.
-    A run g^e crosses each edge of its cycle in tables[g] e // L times and
-    the first e % L edges once more, L the cycle length.
+    orbits of ``class_cosets``, and the row is the walk of r = v^m from the
+    orbit's first coset, that is (m/k) times the walks of v from each coset
+    of the orbit; it vanishes when p divides m/k.  Dropping the
+    spanning-tree columns gives the exponent matrix of the subgroup
+    presentation, with the same rank.  A run g^e crosses each edge of its
+    cycle in tables[g] e // L times and the first e % L edges once more, L
+    the cycle length.
     """
-    tables = q.tables
+    positions = q.positions
     d = q.order
-    # place[g][c]: the cycle of coset c in tables[g] and c's position in it
-    place = []
-    for table in tables:
-        at = [None] * d
-        for cyc in perm_cycles(table, include_fixed=True):
-            for i, c in enumerate(cyc):
-                at[c] = (cyc, i)
-        place.append(at)
     rows = []
     for root in roots:
-        k = table_order(tables, root.runs)
+        k = table_order(q, root.runs)
         mult = root.exponent // k % p
         if not mult:
             continue
-        seen = [False] * d
+        seen = bytearray(d)
         for start in range(d):
             if seen[start]:
                 continue
             row = {}
             c = start
             while not seen[c]:
-                seen[c] = True
+                seen[c] = 1
                 for g, e in root.runs:
-                    cyc, i = place[g][c]
+                    cyc, i = positions[g][c]
                     length = len(cyc)
                     full, rest = divmod(abs(e), length)
                     sign = 1 if e > 0 else -1

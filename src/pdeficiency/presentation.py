@@ -17,7 +17,7 @@ without it yields the pairwise relators w_i * w_{i+1}^-1.
 import re
 from fractions import Fraction
 
-from .words import Word, maximal_root, nu_p_int, p_prime_root, require_prime
+from .words import RUN_LIMIT, Word, maximal_root, nu_p_int, p_prime_root, require_prime
 
 
 class ParseError(ValueError):
@@ -187,7 +187,10 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent after '^'", pos)
             self.advance()
-            base = base ** int(value)
+            try:
+                base = base ** int(value)
+            except ValueError as exc:  # more runs than RUN_LIMIT
+                raise ParseError(str(exc), pos) from None
         return base, saw
 
     def _starts_factor(self) -> bool:
@@ -208,8 +211,12 @@ class _Parser:
                 self.advance()
             elif not self._starts_factor():
                 return Word(runs, len(index)), saw
+            start = self.i
             nxt, s = self.parse_factor(index)
             runs.extend(nxt.runs)
+            if len(runs) > RUN_LIMIT:
+                raise ParseError(f"word would have more than {RUN_LIMIT} runs",
+                                 self.tokens[start][2])
             saw = saw or s
 
 

@@ -5,13 +5,11 @@ Permutations are tuples of 0-based images; ``perm_mul(a, b)`` applies a
 first and then b, so evaluating a word left to right is a homomorphism.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .presentation import FinitePresentation
-from .words import Word
 
 CLOSURE_LIMIT = 10_000
 
@@ -33,19 +31,6 @@ def perm_inv(a: tuple) -> tuple:
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
-
-
-def perm_pow(a: tuple, e: int) -> tuple:
-    if e < 0:
-        a, e = perm_inv(a), -e
-    result = perm_identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = perm_mul(result, base)
-        base = perm_mul(base, base)
-        e >>= 1
-    return result
 
 
 def perm_cycles(a: tuple, include_fixed: bool = False) -> list:
@@ -165,7 +150,7 @@ class FiniteQuotient:
     elements double as the cosets of the kernel under the regular action.
     """
 
-    __slots__ = ("degree", "images", "_elements", "_tables")
+    __slots__ = ("degree", "images", "_elements", "_tables", "_periods", "_positions")
 
     def __init__(self, images):
         images = tuple(tuple(p) for p in images)
@@ -178,6 +163,8 @@ class FiniteQuotient:
         self.images = images
         self._elements = None
         self._tables = None
+        self._periods = None
+        self._positions = None
 
     @property
     def n_gens(self) -> int:
@@ -202,6 +189,7 @@ class FiniteQuotient:
                 row.append(i)
         self._elements = tuple(order)
         self._tables = tuple(tuple(row) for row in rows)
+        self._periods = tuple(map(perm_order, self.images))
 
     @property
     def elements(self) -> tuple:
@@ -224,6 +212,37 @@ class FiniteQuotient:
             self._close()
         return self._tables
 
+    @property
+    def positions(self) -> tuple:
+        """Per generator and coset c, ``(cycle, i)``: the cycle of c in the
+        generator's table, from its least coset, and c's place in it.  Built
+        on first use; rewriting and the Fox rows read it, the walks do not."""
+        if self._positions is None:
+            positions = []
+            for table in self.tables:
+                at = [None] * len(table)
+                for cyc in perm_cycles(table, include_fixed=True):
+                    for i, c in enumerate(cyc):
+                        at[c] = (cyc, i)
+                positions.append(at)
+            self._positions = tuple(positions)
+        return self._positions
+
+    def walk(self, runs, c: int = 0) -> int:
+        """The coset that the word with these runs leads to from coset c.
+        A run g^e is walked as g^(e mod L), L the period of g: the order of
+        its image, cached with the tables.  The action is regular, so every
+        cycle of g's table has this length, and a huge or negative exponent
+        costs no more than a small positive one."""
+        if self._tables is None:
+            self._close()
+        tables, periods = self._tables, self._periods
+        for g, e in runs:
+            table = tables[g]
+            for _ in range(e % periods[g]):
+                c = table[c]
+        return c
+
     def kernel_key(self) -> tuple:
         return (self.order, self.tables)
 
@@ -232,77 +251,28 @@ class FiniteQuotient:
         return f"FiniteQuotient(degree={self.degree}, images=[{imgs}])"
 
 
-def evaluate(q: FiniteQuotient, w: Word) -> tuple:
-    """Image of a word under the quotient homomorphism."""
-    if w.n_gens != q.n_gens:
-        raise ValueError(
-            f"alphabet mismatch: word has {w.n_gens} generators, quotient {q.n_gens}"
-        )
-    result = perm_identity(q.degree)
-    for g, e in w.runs:
-        result = perm_mul(result, perm_pow(q.images[g], e))
-    return result
-
-
-def is_quotient_of(q: FiniteQuotient, pres: FinitePresentation) -> bool:
-    """True iff every relator evaluates to the identity permutation."""
-    if pres.n_gens != q.n_gens:
-        raise ValueError(
-            f"alphabet mismatch: presentation has {pres.n_gens} generators, "
-            f"quotient {q.n_gens}"
-        )
-    identity = perm_identity(q.degree)
-    return all(evaluate(q, r) == identity for r in pres.relators)
-
-
-def order_of_image(q: FiniteQuotient, w: Word) -> int:
-    return perm_order(evaluate(q, w))
-
-
-def table_order(tables, runs) -> int:
-    """Order of the image of the word with these runs, in the group whose
-    regular tables are ``tables``: how many walks of the word from coset 0
-    it takes to come back to 0.  A run g^e is walked as g^(e mod L), where
-    L, the order of g's image, is the length of the cycle of 0 in
-    ``tables[g]``; so a huge exponent costs no more than a small one."""
-    steps = []
-    for g, e in runs:
-        table = tables[g]
-        length, x = 1, table[0]
-        while x:
-            length, x = length + 1, table[x]
-        steps.append((table, e % length))
-    k, c = 1, 0
-    while True:
-        for table, e in steps:
-            for _ in range(e):
-                c = table[c]
-        if not c:
-            return k
-        k += 1
+def table_order(q: FiniteQuotient, runs) -> int:
+    """Order of the image of the word with these runs: how many walks of
+    the word from coset 0 it takes to come back to 0."""
+    k, c = 1, q.walk(runs)
+    while c:
+        k, c = k + 1, q.walk(runs, c)
+    return k
 
 
 def kernel_index(q: FiniteQuotient, pres: FinitePresentation) -> int:
     """Index of the kernel of free group -> image group; equals the image
-    group order."""
-    if not is_quotient_of(q, pres):
+    group order.  A relator is killed exactly when its walk from coset 0
+    comes back to 0, since the image group acts regularly."""
+    if pres.n_gens != q.n_gens:
+        raise ValueError(f"alphabet mismatch: presentation has {pres.n_gens} "
+                         f"generators, quotient {q.n_gens}")
+    if any(q.walk(r.runs) for r in pres.relators):
         raise ValueError("relators are not killed by the quotient")
     return q.order
 
 
 # -- catalog of small groups -------------------------------------------------
-
-
-def _bfs_steps(tables) -> list:
-    """``(h, g)`` for each element i > 0 of a breadth-first numbering, in
-    turn: element i was first reached as element h times generator g, in
-    the group whose regular tables are ``tables``."""
-    steps = []
-    for h in range(len(tables[0])):
-        for g, table in enumerate(tables):
-            if table[h] == len(steps) + 1:
-                steps.append((h, g))
-    return steps
 
 
 @dataclass(frozen=True)
@@ -341,7 +311,11 @@ class CatalogGroup:
         a^1, ... up to the order of a.  Built on the first search that
         reaches the group."""
         tables = self._tables
-        steps = _bfs_steps(tables)
+        steps = []  # (h, g) for each element i > 0: i was first reached as h times g
+        for h in range(self.order):
+            for g, table in enumerate(tables):
+                if table[h] == len(steps) + 1:
+                    steps.append((h, g))
         mul = []
         for a in range(self.order):
             row = [a]
@@ -366,37 +340,66 @@ class CatalogGroup:
         their generator images.  Built on the first search that reaches
         the group.
 
-        Each candidate sends every generator to an element of the same
-        order and is extended along the breadth-first numbering; it is kept
-        when that extension is a bijection that respects ``mul``.  The
-        build tries at most |H|^2 candidates and keeps at most
-        max(|H|, CLOSURE_LIMIT / sqrt(|H|)) automorphisms: about as many
-        entries as ``mul`` for a large group, and whole Aut(H) for every
-        default catalog group.  A subset of Aut(H) prunes the search
-        soundly, just less."""
+        Generator images of matching orders are chosen one at a time, and a
+        prefix is dropped once it fails to extend to an injective map of
+        the subgroup its generators generate that respects ``mul``; so a
+        generator in that subgroup has a forced image.  The build tries at
+        most |H|^2 images and keeps at most max(|H|, CLOSURE_LIMIT /
+        sqrt(|H|)) automorphisms: about as many entries as ``mul`` for a
+        large group, and whole Aut(H) for every default catalog group.  A
+        subset of Aut(H) prunes the search soundly, just less."""
         mul, powers = self.search_tables
-        tables = self._tables
         size = self.order
-        steps = _bfs_steps(tables)
-        gens = [table[0] for table in tables]
+        gens = tuple(table[0] for table in self._tables)
         choices = [[x for x in range(size) if len(powers[x]) == len(powers[a])]
                    for a in gens]
         keep = max(size, CLOSURE_LIMIT // math.isqrt(size))
+        tries = size * size
         found = []
-        for images in itertools.islice(itertools.product(*choices), size * size):
-            if list(images) == gens:
-                continue
-            img = [0]
-            for h, g in steps:
-                img.append(mul[img[h]][images[g]])
-            if len(set(img)) < size:
-                continue
-            if all([img[x] for x in table] == [mul[y][t] for y in img]
-                   for table, t in zip(tables, images)):
-                found.append(tuple(img))
-                if len(found) >= keep:
-                    break
+
+        def extend(img, images) -> bool:
+            """Add every automorphism that extends the map ``img`` of the
+            subgroup generated by the first len(images) generators; False
+            once the build must stop."""
+            nonlocal tries
+            k = len(images)
+            if k == len(gens):
+                if images != gens:
+                    found.append(tuple(img[x] for x in range(size)))
+                return len(found) < keep
+            if gens[k] in img:
+                candidates = [img[gens[k]]]
+            else:
+                used = set(img.values())
+                candidates = [t for t in choices[k] if t not in used]
+            for t in candidates:
+                if not tries:
+                    return False
+                tries -= 1
+                wider = _extend_map(mul, img, gens[:k + 1], images + (t,))
+                if wider is not None and not extend(wider, images + (t,)):
+                    return False
+            return True
+
+        extend({0: 0}, ())
         return tuple(found)
+
+
+def _extend_map(mul, img, gens, images):
+    """The map ``img`` extended to the subgroup generated by ``gens``, each
+    sent to its image, or None unless that is injective and respects
+    ``mul``: it is checked on every element times every generator."""
+    img = dict(img)
+    order = list(img)
+    for x in order:
+        for g, t in zip(gens, images):
+            y, z = mul[x][g], mul[img[x]][t]
+            if y not in img:
+                img[y] = z
+                order.append(y)
+            elif img[y] != z:
+                return None
+    return img if len(set(img.values())) == len(img) else None
 
 
 @dataclass(frozen=True)
@@ -640,5 +643,6 @@ def enumerate_quotients(
                     q = FiniteQuotient(tuple(elements[a] for a in images))
                     q._elements = tuple(elements[h] for h in order)
                     q._tables = tables
+                    q._periods = tuple([len(powers[a]) for a in images])
                     yield q
             images[k] += 1

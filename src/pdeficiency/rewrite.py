@@ -1,23 +1,25 @@
 """Schreier transversals, Reidemeister rewriting, subgroup presentations,
-centralizer indices, conjugate-class splitting and p-size transfer bounds.
+conjugate-class splitting and p-size transfer bounds.
 
 The finite-index subgroups handled here are kernels of maps onto finite
 permutation groups.  The coset table of a kernel is the quotient's regular
 tables (``FiniteQuotient.tables``): cosets are the image-group elements,
 numbered breadth-first with the identity as base coset 0, and a word acts
-on a coset by walking the table letter by letter (Sims, *Computation with
+on a coset by walking the table run by run (Sims, *Computation with
 Finitely Presented Groups*, ch. 5).  No coset enumeration and no
-permutation product is needed.
+permutation product is needed.  A transversal word t leads along the
+Schreier tree, so t*r*t^-1 rewritten from coset 0 is r rewritten from the
+coset of t: relators are rewritten from cosets, never conjugated.
 """
 
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import relator_roots, transfer_terms
+from .invariants import class_cosets, relator_root, relator_roots, transfer_terms
 from .presentation import FinitePresentation, p_deficiency
-from .quotient import FiniteQuotient, kernel_index, order_of_image, perm_inv
-from .words import Word, maximal_root, nu_p_int, require_prime
+from .quotient import FiniteQuotient, kernel_index
+from .words import RUN_LIMIT, Word, maximal_root, nu_p_int, require_prime
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class SchreierGenerator:
 @dataclass(frozen=True)
 class SchreierData:
     table: FiniteQuotient    # its regular tables are the coset table
-    inv_tables: tuple        # inverse table per generator
     transversal: tuple       # shortlex-minimal representative per coset
     basis: tuple             # SchreierGenerator per non-tree positive edge
     edge_to_basis: dict      # (coset, gen) -> basis index, tree edges absent
@@ -50,24 +51,24 @@ def schreier(q: FiniteQuotient) -> SchreierData:
     """Shortlex breadth-first spanning tree of the coset table of the kernel
     of ``q`` and the Schreier basis.
 
-    Letters are tried in the order g_1, g_1^-1, g_2, g_2^-1, ...; the basis
-    has 1 + index*(n_gens - 1) elements (Nielsen-Schreier).  The regular
-    tables are transitive, so every coset is reached.
+    Letters are tried in the order g_1, g_1^-1, g_2, g_2^-1, ...; g^-1
+    leads from a coset to its predecessor on its cycle in the table of g.
+    The basis has 1 + index*(n_gens - 1) elements (Nielsen-Schreier).  The
+    regular tables are transitive, so every coset is reached.
     """
     tables = q.tables
+    positions = q.positions
     d = q.order
     k = q.n_gens
-    inv_tables = tuple(perm_inv(t) for t in tables)
 
     transversal = [None] * d
     transversal[0] = Word.identity(k)
     tree_edges = set()
     queue = [0]
-    while queue:
-        c = queue.pop(0)
+    for c in queue:
         for g in range(k):
-            for sign in (1, -1):
-                target = tables[g][c] if sign == 1 else inv_tables[g][c]
+            cyc, i = positions[g][c]
+            for sign, target in ((1, tables[g][c]), (-1, cyc[i - 1])):
                 if transversal[target] is None:
                     transversal[target] = Word(transversal[c].runs + ((g, sign),), k)
                     tree_edges.add((c, g) if sign == 1 else (target, g))
@@ -85,101 +86,74 @@ def schreier(q: FiniteQuotient) -> SchreierData:
             )
             edge_to_basis[(c, g)] = len(basis)
             basis.append(SchreierGenerator(c, g, word))
-    return SchreierData(q, inv_tables, tuple(transversal), tuple(basis), edge_to_basis)
+    return SchreierData(q, tuple(transversal), tuple(basis), edge_to_basis)
 
 
-def _check_alphabet(sd: SchreierData, w: Word) -> None:
-    if w.n_gens != sd.table.n_gens:
+def _check_alphabet(sd: SchreierData, n_gens: int) -> None:
+    if n_gens != sd.table.n_gens:
         raise ValueError(
-            f"alphabet mismatch: word has {w.n_gens} generators, "
+            f"alphabet mismatch: word has {n_gens} generators, "
             f"table {sd.table.n_gens}"
         )
 
 
-def _trace(sd: SchreierData, w: Word, c: int) -> int:
-    """The coset that w leads to from coset c."""
-    for g, e in w.runs:
-        table = sd.table.tables[g] if e > 0 else sd.inv_tables[g]
-        for _ in range(abs(e)):
-            c = table[c]
-    return c
+def rewrite_word(sd: SchreierData, w: Word, start: int = 0) -> Word:
+    """Express t*w*t^-1 in the Schreier basis, t the transversal word of
+    coset ``start``: walk w from that coset, where tree edges contribute
+    nothing and each non-tree edge its basis letter.
 
-
-def rewrite_word(sd: SchreierData, w: Word) -> Word:
-    """Express a subgroup element in the Schreier basis.
-
-    Walks the coset graph from the base; tree edges contribute nothing,
-    each non-tree edge contributes its basis letter.
+    The walk goes run by run.  A run g^e crosses its cycle in the table of
+    g |e| // L whole times, L the cycle length, then its first |e| % L
+    edges; a whole turn that holds a single basis letter s becomes the one
+    run s^(|e| // L).  A negative run crosses backwards the edges that
+    g^|e| crosses from its endpoint.  A result of more than ``RUN_LIMIT``
+    runs from repeated turns is refused before it is built.
     """
-    _check_alphabet(sd, w)
+    _check_alphabet(sd, w.n_gens)
+    positions = sd.table.positions
+    edge_to_basis = sd.edge_to_basis
     runs = []
-    c = 0
-    tables = sd.table.tables
-    inv_tables = sd.inv_tables
-    for lt in w.letters():
-        g = abs(lt) - 1
-        if lt > 0:
-            idx = sd.edge_to_basis.get((c, g))
-            if idx is not None:
-                runs.append((idx, 1))
-            c = tables[g][c]
-        else:
-            c = inv_tables[g][c]
-            idx = sd.edge_to_basis.get((c, g))
-            if idx is not None:
-                runs.append((idx, -1))
-    if c != 0:
+    c = start
+    for g, e in w.runs:
+        cyc, i = positions[g][c]
+        length = len(cyc)
+        c = cyc[(i + e) % length]
+        if e < 0:
+            i = (i + e) % length
+        turns, rest = divmod(abs(e), length)
+        crossed = []
+        if turns:
+            turn = [edge_to_basis[cyc[j % length], g] for j in range(i, i + length)
+                    if (cyc[j % length], g) in edge_to_basis]
+            if len(turn) == 1:
+                crossed.append((turn[0], turns))
+            else:  # a turn is a closed walk, so the tree misses one of its edges
+                if len(runs) + turns * len(turn) > RUN_LIMIT:
+                    raise ValueError(
+                        f"the rewritten word would have more than {RUN_LIMIT} runs")
+                crossed.extend([(s, 1) for s in turn] * turns)
+        for j in range(i, i + rest):
+            s = edge_to_basis.get((cyc[j % length], g))
+            if s is not None:
+                crossed.append((s, 1))
+        runs.extend(crossed if e > 0 else [(s, -x) for s, x in reversed(crossed)])
+    if c != start:
         raise ValueError("word does not lie in the subgroup")
     return Word(runs, len(sd.basis))
 
 
-def centralizer_index(q: FiniteQuotient, g: Word) -> int:
-    """Index of the kernel-centralizer inside the full centralizer of g.
-
-    In a free group the centralizer of g is generated by its maximal root
-    u, so the index equals the order of the image of u.  Computed with
-    permutation products, not the table walk of ``quotient.table_order``,
-    it is the oracle for the k of ``invariants.transfer_terms``.
-    """
-    if g.is_identity:
-        raise ValueError("centralizer index of the identity is undefined")
-    rd = maximal_root(g)
-    root_elem = rd.conjugator * rd.root * rd.conjugator.inverse()
-    return order_of_image(q, root_elem)
-
-
 def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) -> list:
-    """Words a*g*a^-1, one per kernel-conjugacy class of the conjugates of g.
-
-    Two conjugates a g a^-1 and b g b^-1 are kernel-conjugate exactly when
-    the images of a and b lie in the same left coset of the cyclic group
-    generated by the image of the maximal root u of g.  Walking u from a
-    coset runs through its left coset of that group, so picking the first
-    coset of each walk, in coset order, yields exactly d/k representatives.
-    ``sd``, when given, must be ``schreier(q)``.  Raises ``ValueError``
-    unless g lies in the kernel.
+    """Words t*g*t^-1, one per kernel-conjugacy class of the conjugates of
+    g: t runs over the transversal words of ``class_cosets``.  ``sd``, when
+    given, must be ``schreier(q)``.  Raises ``ValueError`` unless g lies in
+    the kernel.
     """
     if g.is_identity:
         raise ValueError("no conjugate classes of the identity")
     if sd is None:
         sd = schreier(q)
-    _check_alphabet(sd, g)
-    if _trace(sd, g, 0) != 0:
-        raise ValueError("word is not in the kernel")
-
-    rd = maximal_root(g)
-    root = rd.conjugator * rd.root * rd.conjugator.inverse()
-    seen = [False] * sd.degree
-    reps = []
-    for i in range(sd.degree):
-        if seen[i]:
-            continue
-        c = i
-        while not seen[c]:
-            seen[c] = True
-            c = _trace(sd, root, c)
-        reps.append(g.conjugated_by(sd.transversal[i]))
-    return reps
+    _check_alphabet(sd, g.n_gens)
+    return [g.conjugated_by(sd.transversal[c]) for c in class_cosets(q, relator_root(g))]
 
 
 def _subgroup_names(n: int) -> tuple:
@@ -194,25 +168,27 @@ def subgroup_presentation(
 ) -> FinitePresentation:
     """Presentation of the kernel-image subgroup on the Schreier basis.
 
-    With ``refined`` (default) each relator contributes one rewritten word
-    per kernel-conjugacy class of its transversal conjugates; the naive
-    variant keeps all ``index`` conjugates and is retained for
-    differential testing only.  ``sd``, when given, must be
-    ``schreier(q)``; it saves building it again.
+    With ``refined`` (default) each relator is rewritten once per
+    kernel-conjugacy class of its transversal conjugates, from the first
+    coset of ``class_cosets``; the naive variant rewrites it from all
+    ``index`` cosets and is retained for differential testing only.
+    ``sd``, when given, must be ``schreier(q)``; it saves building it
+    again.
 
     A relator that ``q`` does not kill raises ``ValueError``: "word is not
-    in the kernel" from ``conjugate_class_reps`` (refined) or "word does
-    not lie in the subgroup" from ``rewrite_word`` (naive).
+    in the kernel" from ``class_cosets`` (refined) or "word does not lie
+    in the subgroup" from ``rewrite_word`` (naive).
     """
     if sd is None:
         sd = schreier(q)
+    _check_alphabet(sd, pres.n_gens)
     relators = []
-    for r in pres.relators:
-        if refined:
-            reps = conjugate_class_reps(q, r, sd)
-        else:
-            reps = [r.conjugated_by(t) for t in sd.transversal]
-        relators.extend(rewrite_word(sd, rep) for rep in reps)
+    if refined:
+        for r, root in zip(pres.relators, relator_roots(pres)):
+            relators.extend(rewrite_word(sd, r, c) for c in class_cosets(q, root))
+    else:
+        for r in pres.relators:
+            relators.extend(rewrite_word(sd, r, c) for c in range(sd.degree))
     return FinitePresentation(_subgroup_names(sd.rank), relators)
 
 
@@ -251,9 +227,8 @@ def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBou
     for i, (r, root, (k, term)) in enumerate(
         zip(pres.relators, roots, transfer_terms(roots, q))
     ):
-        reps = conjugate_class_reps(q, r, sd)
-        valuations = tuple(nu_p_int(maximal_root(rewrite_word(sd, rep)).exponent, p)
-                           for rep in reps)
+        valuations = tuple(nu_p_int(maximal_root(rewrite_word(sd, r, c)).exponent, p)
+                           for c in class_cosets(q, root))
         exact += sum(Fraction(1, p**v) for v in valuations)
         contributions.append(
             RelatorContribution(i, k, d // k, root.nu, nu_p_int(k, p), term, valuations)

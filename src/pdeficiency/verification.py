@@ -47,15 +47,13 @@ from .quotient import (
     SearchBudget,
     default_catalog,
     enumerate_quotients,
-    evaluate,
-    is_quotient_of,
     kernel_index,
     perm_identity,
+    perm_inv,
     perm_mul,
     perm_order,
 )
 from .rewrite import (
-    centralizer_index,
     conjugate_class_reps,
     p_size_bound,
     rewrite_word,
@@ -133,6 +131,63 @@ def _all_reduced_letter_words(n_gens: int, max_len: int) -> list:
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def perm_pow(a: tuple, e: int) -> tuple:
+    if e < 0:
+        a, e = perm_inv(a), -e
+    result = perm_identity(len(a))
+    base = a
+    while e:
+        if e & 1:
+            result = perm_mul(result, base)
+        base = perm_mul(base, base)
+        e >>= 1
+    return result
+
+
+def evaluate(q: FiniteQuotient, w: Word) -> tuple:
+    """Image of a word under the quotient homomorphism, by permutation
+    products: the oracle for ``FiniteQuotient.walk``."""
+    if w.n_gens != q.n_gens:
+        raise ValueError(
+            f"alphabet mismatch: word has {w.n_gens} generators, quotient {q.n_gens}"
+        )
+    result = perm_identity(q.degree)
+    for g, e in w.runs:
+        result = perm_mul(result, perm_pow(q.images[g], e))
+    return result
+
+
+def is_quotient_of(q: FiniteQuotient, pres: FinitePresentation) -> bool:
+    """True iff every relator evaluates to the identity permutation: the
+    oracle for ``quotient.kernel_index``."""
+    if pres.n_gens != q.n_gens:
+        raise ValueError(
+            f"alphabet mismatch: presentation has {pres.n_gens} generators, "
+            f"quotient {q.n_gens}"
+        )
+    identity = perm_identity(q.degree)
+    return all(evaluate(q, r) == identity for r in pres.relators)
+
+
+def order_of_image(q: FiniteQuotient, w: Word) -> int:
+    return perm_order(evaluate(q, w))
+
+
+def centralizer_index(q: FiniteQuotient, g: Word) -> int:
+    """Index of the kernel-centralizer inside the full centralizer of g.
+
+    In a free group the centralizer of g is generated by its maximal root
+    u, so the index equals the order of the image of u.  Computed with
+    permutation products, not the table walk of ``quotient.table_order``,
+    it is the oracle for the k of ``invariants.transfer_terms``.
+    """
+    if g.is_identity:
+        raise ValueError("centralizer index of the identity is undefined")
+    rd = maximal_root(g)
+    root_elem = rd.conjugator * rd.root * rd.conjugator.inverse()
+    return order_of_image(q, root_elem)
 
 
 def _oracle_nu(letters, p: int) -> int:

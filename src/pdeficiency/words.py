@@ -18,6 +18,13 @@ from fractions import Fraction
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# The most runs that a word built from exponents may have: a power such as
+# (x*y)^N, which has 2N runs, or a rewritten relator that turns N times
+# round a cycle of the coset table holding two or more basis letters.  Such
+# a word is short to type but not to store, so a longer one is refused with
+# a ValueError before it is built.
+RUN_LIMIT = 10**6
+
 
 def is_prime(p) -> bool:
     """Deterministic Miller-Rabin, exact below ``PRIME_LIMIT``; at or above
@@ -155,6 +162,8 @@ class Word:
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "Word":
+        """w^n; ValueError when its cyclic core has two or more runs and n
+        times as many runs exceed ``RUN_LIMIT``."""
         if n == 0 or self.is_identity:
             return Word.identity(self.n_gens)
         if n < 0:
@@ -165,7 +174,13 @@ class Word:
         # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1: no
         # join of these runs cancels, and one reduction merges the joins.
         conj, core = self.cyclic_reduce()
-        return Word(conj.runs + core.runs * n + conj.inverse().runs, self.n_gens)
+        runs = core.runs
+        if len(runs) == 1:  # (c g^e c^-1)^n is c g^(e*n) c^-1
+            (g, e), = runs
+            runs, n = ((g, e * n),), 1
+        elif n * len(runs) > RUN_LIMIT:
+            raise ValueError(f"power would have more than {RUN_LIMIT} runs")
+        return Word(conj.runs + runs * n + conj.inverse().runs, self.n_gens)
 
     def conjugated_by(self, a: "Word") -> "Word":
         """a * self * a^-1."""

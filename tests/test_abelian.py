@@ -14,14 +14,26 @@ from pdeficiency.abelian import (
     d_p,
     eliminate_unit_pivots,
     exponent_columns,
-    nu_p_vector,
     rank_mod_p,
     smith_normal_form,
     upper_bound_de,
 )
 from pdeficiency.presentation import FinitePresentation, p_deficiency, parse_presentation
 from pdeficiency.verification import dense_abelian_invariants, det, exponent_matrix
-from pdeficiency.words import Valuation, Word
+from pdeficiency.words import Valuation, Word, nu_p_int, require_prime
+
+
+def nu_p_vector(vec, p: int) -> Valuation:
+    """Largest k with p^k dividing every coordinate; infinite on the zero
+    vector.  The oracle for the column valuations of
+    ``abelian_p_deficiency_presentation``."""
+    require_prime(p)
+    g = 0
+    for x in vec:
+        g = math.gcd(g, int(x))
+    if g == 0:
+        return Valuation.infinite()
+    return Valuation.finite(nu_p_int(g, p))
 
 
 def gcd_of_minors(mat, k):

@@ -235,6 +235,41 @@ def test_huge_power_in_bounded_memory(argv):
     assert proc.stdout.startswith("presentation: < x, y | x^300000000*y >\n")
 
 
+def capped_child(*argv):
+    """``pdef`` in a child process with a 1.5 GB address space."""
+    limit = 1500 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return run_child(*argv, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("command, line", [
+    ("subgroup", "subgroup presentation: < a | a^150000000 >\n"),
+    ("psize", "  relator 0: k=2 classes=1 nu_F=8 nu_p(k)=1 term=1/128 "
+              "rewritten valuations=[7]\n"),
+], ids=["subgroup", "psize"])
+def test_huge_power_rewritten_by_runs(command, line):
+    """Rewriting walks runs, so x^300000000 becomes the one run a^150000000
+    without its letters being written out."""
+    proc = capped_child(command, "-p", "2", "< x | x^300000000 >", "--hom-cyclic", "2", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert line in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["def", "-p", "2", "< x, y | (x*y)^300000000 >"],
+     "error: power would have more than 1000000 runs (at position 15)\n"),
+    (["psize", "-p", "2", "< x, y | x^600000000, y^2, (x*y)^2 >",
+      "--quotient", "x:(1 2),y:(3 4)"],
+     "error: the rewritten word would have more than 1000000 runs\n"),
+], ids=["parse", "rewrite"])
+def test_run_limit_is_an_error(argv, message):
+    proc = capped_child(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 C31 = " ".join(map(str, range(1, 32)))
 C31_C31 = " ".join(map(str, range(32, 63)))
 

@@ -103,6 +103,30 @@ class TestParse:
         assert nested == Word.from_letters([1] + [2, 2, -1, 2, -1, -2] * 2 + [-1], 2)
 
 
+class TestRunLimit:
+    def test_power_of_many_runs_refused_at_its_exponent(self):
+        text = "< x, y | (x*y)^300000000 >"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert exc.value.position == text.index("300000000")
+        assert "more than 1000000 runs" in str(exc.value)
+
+    def test_bound_counts_the_cyclic_core(self):
+        # a single-run core stays one run, however large the exponent
+        assert len(parse_word("(y*x*y^-1)^300000000", ("x", "y")).runs) == 3
+        assert len(parse_word("(x*y)^500000", ("x", "y")).runs) == 1000000
+        with pytest.raises(ParseError, match="power would have"):
+            parse_word("(x*y)^-500001", ("x", "y"))
+        with pytest.raises(ParseError, match="power would have"):
+            parse_word("((x*y)^1000)^1000", ("x", "y"))
+
+    def test_long_product_refused(self):
+        text = "(x*y)^200000*" * 3
+        with pytest.raises(ParseError, match="word would have") as exc:
+            parse_word(text[:-1], ("x", "y"))
+        assert exc.value.position == 2 * len("(x*y)^200000*")
+
+
 names_st = st.sampled_from([("x",), ("x", "y"), ("a", "b", "c")])
 
 

@@ -10,21 +10,23 @@ from pdeficiency.quotient import (
     cycles_to_perm,
     default_catalog,
     enumerate_quotients,
-    evaluate,
     format_perm,
-    is_quotient_of,
     kernel_index,
-    order_of_image,
     parse_catalog_manifest,
     parse_cycles,
     parse_perm,
     perm_identity,
     perm_mul,
     perm_order,
-    perm_pow,
     table_order,
 )
-from pdeficiency.verification import search_agrees
+from pdeficiency.verification import (
+    evaluate,
+    is_quotient_of,
+    order_of_image,
+    perm_pow,
+    search_agrees,
+)
 from pdeficiency.words import Word
 
 
@@ -130,13 +132,56 @@ class TestQuotientPredicates:
     def test_table_order_is_order_of_image(self, runs):
         q = quotient("(1 2 3 4)", "(1 2)", degree=4)  # S4, order 24
         word = Word(runs, 2)
-        assert table_order(q.tables, word.runs) == order_of_image(q, word)
+        assert table_order(q, word.runs) == order_of_image(q, word)
 
     def test_table_order_of_a_huge_power(self):
         q = quotient("(1 2 3 4 5 6)", "(1 2)", degree=6)  # S6, order 720
         e = 3 * 10**18 + 5  # 5 mod 6
-        assert table_order(q.tables, ((0, e), (1, -1))) == order_of_image(
+        assert table_order(q, ((0, e), (1, -1))) == order_of_image(
             q, Word(((0, 5), (1, -1)), 2))
+
+
+PERMS4 = st.permutations(range(4)).map(tuple)
+WORDS = st.lists(st.tuples(st.integers(0, 1), st.integers(-10**6, 10**6)), max_size=4)
+
+
+class TestWalk:
+    @given(PERMS4, PERMS4, WORDS)
+    def test_walk_from_coset_0_is_evaluate(self, a, b, runs):
+        # coset c is the image-group element elements[c], 0 the identity
+        q = FiniteQuotient([a, b])
+        word = Word(runs, 2)
+        assert q.elements[q.walk(word.runs)] == evaluate(q, word)
+
+    @given(PERMS4, PERMS4, st.lists(st.tuples(WORDS, st.booleans()), max_size=3))
+    def test_kernel_index_is_quotient_of(self, a, b, relators):
+        # a relator flagged True is raised to the order of its image
+        q = FiniteQuotient([a, b])
+        words = [Word(runs, 2) for runs, _ in relators]
+        words = [w ** order_of_image(q, w) if killed else w
+                 for w, (_, killed) in zip(words, relators)]
+        pres = parse_presentation("< x, y | >").with_relators(
+            w for w in words if not w.is_identity)
+        if is_quotient_of(q, pres):
+            assert kernel_index(q, pres) == q.order
+        else:
+            with pytest.raises(ValueError, match="not killed"):
+                kernel_index(q, pres)
+
+    def test_positions(self):
+        # the action is regular: every cycle has the period of the generator
+        q = quotient("(1 2 3 4)", "(1 2)", degree=4)  # S4
+        for g, (table, at) in enumerate(zip(q.tables, q.positions)):
+            period = table_order(q, ((g, 1),))
+            assert period == (4, 2)[g]
+            for c in range(q.order):
+                cyc, i = at[c]
+                assert len(cyc) == period and cyc[i] == c
+                assert table[c] == cyc[(i + 1) % period]
+
+    def test_kernel_index_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            kernel_index(quotient("(1 2)", degree=2), parse_presentation("< x, y | x^2 >"))
 
 
 class TestEnumerate:
@@ -289,6 +334,23 @@ class TestAutomorphisms:
             assert a[0] == 0 and sorted(a) == list(identity) and a != identity
             assert all(mul[a[x]][a[y]] == a[mul[x][y]]
                        for x in range(size) for y in range(size))
+
+
+@pytest.mark.parametrize("line, least", [
+    ("E32 10 (1 2) (3 4) (5 6) (7 8) (9 10)", 500),  # 9,999,360 in all
+    ("K 4 (1 2)(3 4) (1 2)(3 4) (1 3)(2 4)", 5),     # a generator repeated
+])
+def test_manifest_automorphisms(line, least):
+    """Images are extended one generator at a time, so a group with many
+    generators, or with a repeated one, keeps automorphisms within the
+    |H|^2 tries."""
+    (grp,) = parse_catalog_manifest(line).groups
+    mul, _ = grp.search_tables
+    size = grp.order
+    assert len(set(grp.automorphisms)) == len(grp.automorphisms) >= least
+    for a in grp.automorphisms:
+        assert sorted(a) == list(range(size)) and a != tuple(range(size))
+        assert all(mul[a[x]][a[y]] == a[mul[x][y]] for x in range(size) for y in range(size))
 
 
 class TestCatalog:

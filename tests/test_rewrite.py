@@ -2,19 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdeficiency.abelian import abelian_invariants
-from pdeficiency.presentation import parse_presentation
+from pdeficiency.presentation import parse_presentation, parse_word
 from pdeficiency.quotient import (
     FiniteQuotient,
     default_catalog,
     enumerate_quotients,
-    evaluate,
     parse_perm,
     perm_identity,
+    perm_inv,
 )
 from pdeficiency.rewrite import (
-    centralizer_index,
     conjugate_class_reps,
     p_size_bound,
     rewrite_word,
@@ -22,6 +22,7 @@ from pdeficiency.rewrite import (
     subgroup_presentation,
     supermultiplicity_check,
 )
+from pdeficiency.verification import centralizer_index, evaluate
 from pdeficiency.words import Word, maximal_root, nu_p, nu_p_int
 
 DINF = parse_presentation("< x, y | x^2, y^2 >")
@@ -37,6 +38,30 @@ def expand_basis_word(sd, w):
     for g, e in w.runs:
         out = out * sd.basis[g].word ** e
     return out
+
+
+def reference_rewrite(sd, w):
+    """Reidemeister rewriting letter by letter from coset 0, with an inverse
+    table per generator: the reference for ``rewrite_word``."""
+    tables = sd.table.tables
+    inv_tables = [perm_inv(t) for t in tables]
+    runs = []
+    c = 0
+    for lt in w.letters():
+        g = abs(lt) - 1
+        if lt > 0:
+            idx = sd.edge_to_basis.get((c, g))
+            if idx is not None:
+                runs.append((idx, 1))
+            c = tables[g][c]
+        else:
+            c = inv_tables[g][c]
+            idx = sd.edge_to_basis.get((c, g))
+            if idx is not None:
+                runs.append((idx, -1))
+    if c != 0:
+        raise ValueError("word does not lie in the subgroup")
+    return Word(runs, len(sd.basis))
 
 
 def random_word(rng, n_gens, length):
@@ -129,6 +154,64 @@ class TestRewrite:
                     continue
                 found += 1
                 assert expand_basis_word(sd, rewrite_word(sd, w)) == w
+
+
+# Small periods, so that huge exponents turn many times round each cycle.
+# Under C2 every whole turn holds one basis letter; under C2xC2 the x-cycle
+# of coset y holds two; under S3 some runs cross only tree edges.
+WALK_QUOTIENTS = [
+    FiniteQuotient([parse_perm("(1 2)", 2), perm_identity(2)]),
+    FiniteQuotient([parse_perm("(1 2 3)", 3), parse_perm("(1 3 2)", 3)]),
+    FiniteQuotient([parse_perm("(1 2)", 4), parse_perm("(3 4)", 4)]),
+    FiniteQuotient([parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)]),
+]
+SCHREIER = [schreier(q) for q in WALK_QUOTIENTS]
+
+
+class TestRewriteByRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(range(len(SCHREIER))),
+           st.tuples(st.integers(0, 1), st.integers(-999_000, 999_000)),
+           st.lists(st.tuples(st.integers(0, 1), st.integers(-7, 7)), max_size=4),
+           st.integers(0, 4))
+    def test_matches_letter_by_letter(self, which, big, small, at):
+        """Rewriting r from coset c is rewriting t*r*t^-1 from coset 0, t
+        the transversal word of c; r, one huge run among small ones, is
+        closed into the kernel by the transversal word of its endpoint, and
+        its rewriting stays below RUN_LIMIT."""
+        sd = SCHREIER[which]
+        q = sd.table
+        w = Word(small[:at] + [big] + small[at:], 2)
+        w = w * sd.transversal[q.walk(w.runs)].inverse()
+        for c, t in enumerate(sd.transversal):
+            assert rewrite_word(sd, w, c) == reference_rewrite(sd, w.conjugated_by(t))
+
+    @pytest.mark.parametrize("which, text, want", [
+        (0, "x^1000001*x^-1", "a^500000"),    # one basis letter per turn
+        (0, "x^-1000000", "a^-500000"),
+        (2, "y*x^6*y^-1", "b*c*b*c*b*c"),    # two basis letters per turn
+        (2, "y*x^-6*y^-1", "c^-1*b^-1*c^-1*b^-1*c^-1*b^-1"),
+    ])
+    def test_whole_turns(self, which, text, want):
+        sd = SCHREIER[which]
+        names = tuple("abcdefgh"[:sd.rank])
+        got = rewrite_word(sd, parse_word(text, ("x", "y")))
+        assert got == parse_word(want, names)
+        assert got == reference_rewrite(sd, parse_word(text, ("x", "y")))
+
+    def test_start_coset_must_be_reached_again(self):
+        sd = SCHREIER[3]
+        with pytest.raises(ValueError, match="not lie in the subgroup"):
+            rewrite_word(sd, parse_word("x^3", ("x", "y")), 1)
+
+    def test_run_limit(self):
+        sd = SCHREIER[2]
+        # y*x^N*y^-1 from coset 0 turns N/2 times round a two-letter cycle
+        w = parse_word("y*x^1000002*y^-1", ("x", "y"))
+        with pytest.raises(ValueError, match="more than 1000000 runs"):
+            rewrite_word(sd, w)
+        w = parse_word("y*x^1000000*y^-1", ("x", "y"))
+        assert len(rewrite_word(sd, w).runs) == 1000000
 
 
 class TestCentralizerIndex:

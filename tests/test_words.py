@@ -78,6 +78,16 @@ class TestReduce:
         assert w("yyxY") ** 3 == w("yyxyxyxY")
         assert w("yyxY") ** -2 == w("yXYXYY")
 
+    def test_pow_of_one_run_core_stays_short(self):
+        assert (w("yxY") ** 300000000).runs == ((1, 1), (0, 300000000), (1, -1))
+
+    def test_pow_run_limit(self):
+        assert len((w("zxyZ", 3) ** 500000).runs) == 1000002  # the core x*y, conjugated
+        with pytest.raises(ValueError, match="more than 1000000 runs"):
+            w("zxyZ", 3) ** 500001
+        with pytest.raises(ValueError, match="more than 1000000 runs"):
+            w("xy") ** -500001
+
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             w("x", 2) * w("x", 3)
