@@ -68,13 +68,6 @@ from .rewrite import (
     subgroup_presentation,
     supermultiplicity_check,
 )
-from .verification import (
-    centralizer_index,
-    evaluate,
-    exponent_matrix,
-    is_quotient_of,
-    order_of_image,
-)
 from .words import (
     RootDecomposition,
     Valuation,
@@ -86,3 +79,13 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The oracles exported from ``verification``, which is imported on
+    first use: only ``pdef verify`` runs it."""
+    if name in ("centralizer_index", "evaluate", "exponent_matrix", "is_quotient_of",
+                "order_of_image"):
+        from . import verification
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,9 @@ without it yields the pairwise relators w_i * w_{i+1}^-1.
 import re
 from fractions import Fraction
 
-from .words import RUN_LIMIT, Word, maximal_root, nu_p_int, p_prime_root, require_prime
+from .words import (
+    RUN_LIMIT, Word, _seam, maximal_root, nu_p_int, p_prime_root, require_prime,
+)
 
 
 class ParseError(ValueError):
@@ -169,14 +171,14 @@ class _Parser:
             if value not in index:
                 raise ParseError(f"unknown generator {value!r}", pos)
             self.advance()
-            base, saw = Word.generator(index[value], len(index)), True
+            base, saw = Word._make(((index[value], 1),), len(index)), True
         elif kind == "sym" and value == "(":
             self.advance()
             base, saw = self.parse_word(index)
             self.expect_sym(")")
         elif kind == "int" and value == "1":
             self.advance()
-            base, saw = Word.identity(len(index)), False
+            base, saw = Word._make((), len(index)), False
         else:
             raise ParseError(
                 f"expected a generator, '(' or 1, found {value or 'end of input'!r}", pos
@@ -201,22 +203,29 @@ class _Parser:
 
     def parse_word(self, index):
         """Returns (word, saw_generator); a word with no generator occurrence
-        is the literal identity used as a chain terminator.  The factors'
-        runs are reduced once, at the end, so the time is linear in the
-        number of factors."""
+        is the literal identity used as a chain terminator.  Each factor's
+        runs are reduced, so they are joined to the runs so far only at the
+        seam: a run popped there was pushed once, and the time is linear in
+        the number of runs.  The run bound counts the factors' runs before
+        they are joined."""
         word, saw = self.parse_factor(index)
         runs = list(word.runs)
+        total = len(runs)
         while True:
             if self.at_sym("*"):
                 self.advance()
             elif not self._starts_factor():
-                return Word(runs, len(index)), saw
+                return Word._make(tuple(runs), len(index)), saw
             start = self.i
             nxt, s = self.parse_factor(index)
-            runs.extend(nxt.runs)
-            if len(runs) > RUN_LIMIT:
+            total += len(nxt.runs)
+            if total > RUN_LIMIT:
                 raise ParseError(f"word would have more than {RUN_LIMIT} runs",
                                  self.tokens[start][2])
+            i, j, merged = _seam(runs, nxt.runs)
+            del runs[i:]
+            runs += merged
+            runs += nxt.runs[j:]
             saw = saw or s
 
 

@@ -8,6 +8,7 @@ first and then b, so evaluating a word left to right is a homomorphism.
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 from .presentation import FinitePresentation
 
@@ -365,18 +366,18 @@ class CatalogGroup:
             k = len(images)
             if k == len(gens):
                 if images != gens:
-                    found.append(tuple(img[x] for x in range(size)))
+                    found.append(tuple(map(img.__getitem__, range(size))))
                 return len(found) < keep
+            used = set(img.values())
             if gens[k] in img:
                 candidates = [img[gens[k]]]
             else:
-                used = set(img.values())
                 candidates = [t for t in choices[k] if t not in used]
             for t in candidates:
                 if not tries:
                     return False
                 tries -= 1
-                wider = _extend_map(mul, img, gens[:k + 1], images + (t,))
+                wider = _extend_map(mul, img, used, gens[:k + 1], images + (t,))
                 if wider is not None and not extend(wider, images + (t,)):
                     return False
             return True
@@ -385,21 +386,33 @@ class CatalogGroup:
         return tuple(found)
 
 
-def _extend_map(mul, img, gens, images):
-    """The map ``img`` extended to the subgroup generated by ``gens``, each
-    sent to its image, or None unless that is injective and respects
-    ``mul``: it is checked on every element times every generator."""
-    img = dict(img)
-    order = list(img)
-    for x in order:
-        for g, t in zip(gens, images):
-            y, z = mul[x][g], mul[img[x]][t]
-            if y not in img:
-                img[y] = z
-                order.append(y)
-            elif img[y] != z:
+def _extend_map(mul, img, used, gens, images):
+    """The map ``img`` of the subgroup generated by all of ``gens`` but the
+    last, which respects ``mul`` and has the image set ``used``, extended
+    to the subgroup generated by ``gens``, each sent to its image; or None
+    unless that is injective and respects ``mul``.  Only what is new is
+    checked: the old elements times the new generator, then the new
+    elements times every generator.  ``img`` is not changed."""
+    new, order = {}, []
+    last, pairs = ((gens[-1], images[-1]),), tuple(zip(gens, images))
+    work = chain(((x, ix, last) for x, ix in img.items()),
+                 ((x, new[x], pairs) for x in order))
+    for x, ix, steps in work:
+        mx, mix = mul[x], mul[ix]
+        for g, t in steps:
+            y, z = mx[g], mix[t]
+            iy = img.get(y)
+            if iy is None:
+                iy = new.get(y)
+                if iy is None:
+                    new[y] = iy = z
+                    order.append(y)
+            if iy != z:
                 return None
-    return img if len(set(img.values())) == len(img) else None
+    values = set(new.values())
+    if len(values) < len(new) or not used.isdisjoint(values):
+        return None
+    return {**img, **new} if new else img
 
 
 @dataclass(frozen=True)

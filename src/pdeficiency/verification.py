@@ -613,17 +613,19 @@ def check_snf():
 
 
 def check_valuation():
-    """nu_p against exhaustive root extraction for every reduced word of
-    length at most 10 over two generators, p in {2, 3}."""
+    """The p-valuation of each word's maximal-root exponent, with the root
+    found once for both primes, against exhaustive root extraction for
+    every reduced word of length at most 10 over two generators, p in
+    {2, 3}."""
     words = _all_reduced_letter_words(2, 10)
     _ensure(nu_p(Word.identity(2), 2).is_infinite, "identity valuation not infinite")
     checked = 0
     for letters in words:
         if not letters:
             continue
-        w = Word.from_letters(letters, 2)
+        exponent = maximal_root(Word.from_letters(letters, 2)).exponent
         for p in (2, 3):
-            got = nu_p(w, p).k
+            got = nu_p_int(exponent, p)
             want = _oracle_nu(letters, p)
             _ensure(got == want, f"nu_{p} mismatch on {letters}: {got} != {want}")
         checked += 1

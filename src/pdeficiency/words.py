@@ -7,7 +7,6 @@ constructor performs free reduction, so every Word is canonical, and all
 values here are immutable; every operation is a pure function.
 """
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,7 +80,13 @@ def nu_p_int(n: int, p: int) -> int:
 
 
 class Word:
-    """Freely reduced word over a fixed alphabet of ``n_gens`` generators."""
+    """Freely reduced word over a fixed alphabet of ``n_gens`` generators.
+
+    The public constructor checks every generator index and reduces its
+    runs.  Results of the operations below are built by ``_make`` from runs
+    already reduced and in range: products and powers reduce only at the
+    seams where two reduced run sequences meet.
+    """
 
     __slots__ = ("runs", "n_gens")
 
@@ -105,6 +110,15 @@ class Word:
                 stack.append((g, e))
         self.runs = tuple(stack)
         self.n_gens = n_gens
+
+    @classmethod
+    def _make(cls, runs: tuple, n_gens: int) -> "Word":
+        """The word of a tuple of runs that is already reduced, over valid
+        generator indices; nothing is checked."""
+        word = object.__new__(cls)
+        word.runs = runs
+        word.n_gens = n_gens
+        return word
 
     @classmethod
     def identity(cls, n_gens: int) -> "Word":
@@ -154,10 +168,10 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         self._same_alphabet(other)
-        return Word(self.runs + other.runs, self.n_gens)
+        return Word._make(_join(self.runs, other.runs), self.n_gens)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.runs)), self.n_gens)
+        return Word._make(tuple([(g, -e) for g, e in reversed(self.runs)]), self.n_gens)
 
     __invert__ = inverse
 
@@ -165,22 +179,31 @@ class Word:
         """w^n; ValueError when its cyclic core has two or more runs and n
         times as many runs exceed ``RUN_LIMIT``."""
         if n == 0 or self.is_identity:
-            return Word.identity(self.n_gens)
+            return Word._make((), self.n_gens)
         if n < 0:
             return self.inverse() ** (-n)
         if len(self.runs) == 1:
             g, e = self.runs[0]
-            return Word(((g, e * n),), self.n_gens)
-        # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1: no
-        # join of these runs cancels, and one reduction merges the joins.
+            return Word._make(((g, e * n),), self.n_gens)
+        # w = c u c^-1 with u cyclically reduced, so w^n = c u^n c^-1: the
+        # copies of u meet at seams that only merge, and c and c^-1 meet
+        # u^n at seams that _join reduces.
         conj, core = self.cyclic_reduce()
         runs = core.runs
         if len(runs) == 1:  # (c g^e c^-1)^n is c g^(e*n) c^-1
             (g, e), = runs
-            runs, n = ((g, e * n),), 1
+            runs = ((g, e * n),)
         elif n * len(runs) > RUN_LIMIT:
             raise ValueError(f"power would have more than {RUN_LIMIT} runs")
-        return Word(conj.runs + runs * n + conj.inverse().runs, self.n_gens)
+        elif runs[0][0] == runs[-1][0]:
+            # the last run and the next copy's first carry one generator
+            # with one sign, since u is cyclically reduced: merge that seam
+            (g, e), (_, f) = runs[0], runs[-1]
+            runs = runs[:-1] + (((g, e + f),) + runs[1:-1]) * (n - 1) + runs[-1:]
+        else:
+            runs = runs * n
+        runs = _join(_join(conj.runs, runs), conj.inverse().runs)
+        return Word._make(runs, self.n_gens)
 
     def conjugated_by(self, a: "Word") -> "Word":
         """a * self * a^-1."""
@@ -204,7 +227,8 @@ class Word:
                 runs.pop()
             if runs[0][1] == 0:
                 runs.pop(0)
-        return Word(conj, self.n_gens), Word(runs, self.n_gens)
+        # the runs that remain, and the conjugator's, are reduced
+        return Word._make(tuple(conj), self.n_gens), Word._make(tuple(runs), self.n_gens)
 
     # -- value semantics ---------------------------------------------------
 
@@ -223,6 +247,30 @@ class Word:
             return f"Word(1, n_gens={self.n_gens})"
         body = "*".join(f"g{g}" if e == 1 else f"g{g}^{e}" for g, e in self.runs)
         return f"Word({body}, n_gens={self.n_gens})"
+
+
+def _seam(left, right) -> tuple:
+    """Where the product of two reduced run sequences reduces: it is
+    ``left[:i] + merged + right[j:]`` with ``(i, j, merged)`` returned and
+    at most one merged run.  Only runs at the seam are read, and a run
+    that cancels exposes the next pair."""
+    i, j, n = len(left), 0, len(right)
+    while i and j < n:
+        g, e = left[i - 1]
+        h, f = right[j]
+        if g != h:
+            break
+        i -= 1
+        j += 1
+        if e + f:
+            return i, j, ((g, e + f),)
+    return i, j, ()
+
+
+def _join(left: tuple, right: tuple) -> tuple:
+    """Runs of the product of two reduced run tuples."""
+    i, j, merged = _seam(left, right)
+    return left[:i] + merged + right[j:]
 
 
 @dataclass(frozen=True)
@@ -267,21 +315,25 @@ class RootDecomposition:
 
 
 def _smallest_period(seq) -> int:
-    """Smallest j dividing len(seq) with seq equal to its rotation by j:
-    the shortest linear period from the Knuth-Morris-Pratt failure function,
-    when it divides the length, and otherwise the length.  The failure
-    values are machine integers, not one int object each."""
+    """Smallest j dividing len(seq) with seq equal to its rotation by j.
+
+    The periods that divide n = len(seq) are the multiples of the smallest
+    one, so it is found from d = n by dividing out each prime q of n while
+    d/q is still a period.  Each test is one tuple comparison, so there are
+    O(log n) of them and no Python loop over the sequence."""
     n = len(seq)
-    fail = array("q", bytes(8 * n))
-    k = 0
-    for i in range(1, n):
-        while k and seq[i] != seq[k]:
-            k = fail[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        fail[i] = k
-    period = n - fail[-1]
-    return period if n % period == 0 else n
+    d = rest = n
+    q = 2
+    while rest > 1:
+        if q * q > rest:  # what is left is prime
+            q = rest
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while d % q == 0 and seq[d // q:] == seq[:n - d // q]:
+                d //= q
+        q += 1
+    return d
 
 
 def maximal_root(w: Word) -> RootDecomposition:
@@ -291,9 +343,10 @@ def maximal_root(w: Word) -> RootDecomposition:
     period, and every rotation that maps the core to itself maps runs to
     runs.  So the exponent is the number of runs of the core read as a
     cyclic word (its first and last runs merged when they carry the same
-    letter) over their smallest period, and the root is the core's prefix
-    of the matching length.  Time and memory grow with the number of runs,
-    not with the exponents.
+    letter) over their smallest period P, and the root is the core's first
+    P runs; when the ends merged, the root ends with the core's last run,
+    cut from the merged run that starts the next period.  Time and memory
+    grow with the number of runs, not with the exponents.
     """
     if w.is_identity:
         raise ValueError("no root of trivial word")
@@ -301,21 +354,17 @@ def maximal_root(w: Word) -> RootDecomposition:
     runs = core.runs
     if len(runs) == 1:
         g, e = runs[0]
-        return RootDecomposition(conj, Word.generator(g, w.n_gens, 1 if e > 0 else -1), abs(e))
+        return RootDecomposition(conj, Word._make(((g, 1 if e > 0 else -1),), w.n_gens), abs(e))
     (g1, e1), (gk, ek) = runs[0], runs[-1]
-    cyclic = runs
-    if g1 == gk and (e1 > 0) == (ek > 0):
+    if g1 == gk:  # one sign, since the core is cyclically reduced
         cyclic = ((g1, e1 + ek),) + runs[1:-1]
-    exponent = len(cyclic) // _smallest_period(cyclic)
-    length = len(core) // exponent
-    prefix = []
-    for g, e in runs:
-        if length <= abs(e):
-            prefix.append((g, length if e > 0 else -length))
-            break
-        prefix.append((g, e))
-        length -= abs(e)
-    return RootDecomposition(conj, Word(prefix, w.n_gens), exponent)
+        period = _smallest_period(cyclic)
+        root = runs[:period] + runs[-1:]
+    else:
+        cyclic = runs
+        period = _smallest_period(cyclic)
+        root = runs[:period]
+    return RootDecomposition(conj, Word._make(root, w.n_gens), len(cyclic) // period)
 
 
 def nu_p(w: Word, p: int) -> Valuation:

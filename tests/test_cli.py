@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pdeficiency import cli, words
+from pdeficiency import cli, verification, words
 from pdeficiency.cli import main
 from pdeficiency.verification import CheckOutcome
 
@@ -762,7 +762,7 @@ def test_verify_failure(capsys, tmp_path, monkeypatch):
     """A failing check: exit 1, [FAIL] in the text, all_passed false in the
     file, and the JSON on stdout equal to the file."""
     failing = CheckOutcome("snf", False, "minors disagree", {"trials": 1})
-    monkeypatch.setattr(cli, "run_checks", lambda only: [failing])
+    monkeypatch.setattr(verification, "run_checks", lambda only: [failing])
     target = tmp_path / "verify.json"
     code, out, _ = run(capsys, "verify", "-o", str(target))
     assert code == 1

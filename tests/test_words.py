@@ -2,13 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pdeficiency.presentation import parse_word
 from pdeficiency.words import (
     PRIME_LIMIT,
     RootDecomposition,
     Valuation,
     Word,
+    _smallest_period,
     is_prime,
     maximal_root,
     nu_p,
@@ -185,6 +187,180 @@ class TestRunLengthRoot:
             word = (base ** rng.randint(1, 4)).conjugated_by(conj)
             if not word.is_identity:
                 assert maximal_root(word) == letter_root(word), word
+
+
+def canonical(word):
+    """Assert the invariant every Word keeps: no zero exponent, adjacent
+    runs on distinct generators, every index in range."""
+    for g, e in word.runs:
+        assert isinstance(g, int) and 0 <= g < word.n_gens and e != 0, word
+    for (g, _), (h, _) in zip(word.runs, word.runs[1:]):
+        assert g != h, word
+    return word
+
+
+def inverse_runs(runs):
+    return tuple((g, -e) for g, e in reversed(runs))
+
+
+@st.composite
+def word_pairs_st(draw):
+    """Two reduced words over 1-3 generators; b often starts with the
+    inverse of a's tail, so that a*b cancels, then merges, at the seam."""
+    n = draw(st.integers(1, 3))
+    runs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-4, 4)), max_size=8)
+    a = Word(draw(runs), n)
+    keep = draw(st.integers(0, len(a.runs)))  # a's runs that b does not cancel
+    seam = inverse_runs(a.runs[keep:])
+    if keep and draw(st.booleans()):  # then merge with, or cancel, the exposed run
+        seam += ((a.runs[keep - 1][0], draw(st.sampled_from((-1, 1)))),)
+    b = Word(seam + tuple(draw(runs)), n)
+    return a, b
+
+
+def kmp_period(seq):
+    """Smallest j dividing len(seq) with seq equal to its rotation by j,
+    from the Knuth-Morris-Pratt failure function."""
+    n = len(seq)
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and seq[i] != seq[k]:
+            k = fail[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        fail[i] = k
+    period = n - fail[-1]
+    return period if n % period == 0 else n
+
+
+class TestTrustedRuns:
+    """Products, powers, inverses, cyclic reduction and roots build their
+    words from reduced runs without the constructor's checks; the public
+    constructor, which reduces everything, is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_pairs_st())
+    def test_product(self, pair):
+        a, b = pair
+        assert canonical(a * b) == Word(a.runs + b.runs, a.n_gens)
+        assert canonical(b * a) == Word(b.runs + a.runs, a.n_gens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_pairs_st(), st.integers(-6, 6))
+    def test_power(self, pair, k):
+        for a in pair:
+            runs = a.runs * k if k >= 0 else inverse_runs(a.runs) * -k
+            assert canonical(a**k) == Word(runs, a.n_gens)
+
+    @given(word_pairs_st())
+    def test_inverse(self, pair):
+        a, _ = pair
+        assert canonical(a.inverse()) == Word(inverse_runs(a.runs), a.n_gens)
+        assert (a * a.inverse()).is_identity
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_pairs_st())
+    def test_cyclic_reduce(self, pair):
+        for a in (pair[0], pair[0] * pair[1], pair[1] * pair[0].inverse()):
+            conj, core = a.cyclic_reduce()
+            canonical(conj)
+            canonical(core)
+            assert Word(conj.runs + core.runs + inverse_runs(conj.runs), a.n_gens) == a
+            if len(core.runs) >= 2:
+                (g, e), (h, f) = core.runs[0], core.runs[-1]
+                assert g != h or (e > 0) == (f > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_pairs_st(), st.integers(1, 5))
+    def test_maximal_root(self, pair, k):
+        for a in (pair[0], pair[0] ** k, (pair[1] ** k).conjugated_by(pair[0])):
+            if a.is_identity:
+                continue
+            rd = maximal_root(a)
+            canonical(rd.conjugator)
+            canonical(rd.root)
+            conj = rd.conjugator.runs
+            assert Word(conj + rd.root.runs * rd.exponent + inverse_runs(conj),
+                        a.n_gens) == a
+            assert rd.reassemble() == a
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 27, 32, 49, 64, 81, 125, 128, 243,
+                                   210, 360, 720, 2310, 30030])
+    def test_smallest_period_matches_kmp(self, n):
+        # prime powers and lengths with many prime factors, each with
+        # sequences periodic at every divisor and aperiodic ones
+        rng = random.Random(n)
+        for trial in range(30):
+            alphabet = rng.randint(1, 3)
+            d = rng.choice([j for j in range(1, n + 1) if n % j == 0])
+            block = tuple((rng.randrange(alphabet), rng.choice((-1, 1))) for _ in range(d))
+            seq = block * (n // d)
+            if trial % 3 == 0:  # break the period at one place
+                i = rng.randrange(n)
+                seq = seq[:i] + ((alphabet, 1),) + seq[i + 1:]
+            assert _smallest_period(seq) == kmp_period(seq), (n, seq)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)), min_size=1, max_size=40),
+           st.integers(1, 12))
+    def test_smallest_period_random(self, block, k):
+        seq = tuple(block) * k
+        for part in (seq, seq[1:]):  # periodic, then usually not
+            if part:
+                assert _smallest_period(part) == kmp_period(part)
+
+
+NAMES = ("x", "y", "z")
+
+
+@st.composite
+def factor_texts_st(draw, n, depth=2):
+    """A product of factors as text, with its letters written out: a factor
+    is a generator, a power of one, or a bracketed product raised to a
+    power; often a factor is the inverse of the ones before it, so the
+    factors cancel and merge at their seams (x*y*y^-1*x^-1*x^3)."""
+    texts, letters = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if texts and draw(st.booleans()):
+            back = draw(st.integers(1, len(texts)))
+            inv = [-lt for lt in reversed(sum(letters[-back:], []))]
+            texts.append("(" + "*".join(texts[-back:]) + ")^-1")
+            letters.append(inv)
+            continue
+        e = draw(st.integers(-3, 3))
+        if depth and draw(st.integers(0, 3)) == 0:
+            text, inner = draw(factor_texts_st(n, depth - 1))
+            texts.append(f"({text})^{e}")
+        else:
+            g = draw(st.integers(0, n - 1))
+            text, inner = NAMES[g], [g + 1]
+            texts.append(text if e == 1 and draw(st.booleans()) else f"{text}^{e}")
+        block = inner if e >= 0 else [-lt for lt in reversed(inner)]
+        letters.append(block * abs(e))
+    return "*".join(texts), sum(letters, [])
+
+
+@st.composite
+def parse_cases_st(draw):
+    n = draw(st.integers(1, 3))
+    text, letters = draw(factor_texts_st(n))
+    return n, text, letters
+
+
+class TestParseSeams:
+    @settings(max_examples=400, deadline=None)
+    @given(parse_cases_st())
+    def test_parse_matches_letters(self, case):
+        n, text, letters = case
+        word = parse_word(text, NAMES[:n])
+        assert canonical(word) == Word.from_letters(letters, n), text
+
+    def test_examples(self):
+        assert parse_word("x*y*y^-1*x^-1*x^3", NAMES[:2]) == Word(((0, 3),), 2)
+        # x^-1 cancels, then y^-1, and the two x merge
+        assert parse_word("x*y*x^-1*(x*y^-1)^2", NAMES[:2]).runs == ((0, 2), (1, -1))
+        assert parse_word("x*x*x^-2*y", NAMES[:2]).runs == ((1, 1),)
 
 
 class TestNuP:
