@@ -180,25 +180,27 @@ def exponent_columns(pres: FinitePresentation) -> list:
     """Each relator's image in the free abelian group on the generators: one
     ``{generator: exponent sum}`` dict per relator, without zero entries.
 
-    A relator with more runs than there are generators is summed into a
-    list, one step per run; a shorter one into a dict, so that a
-    presentation with many generators and short relators costs time in its
-    length only.
+    A relator with more runs than there are generators is read off its
+    maximal root: c*u^m*c^-1 has the exponent sums of u times m, and u's
+    are summed into a list, one step per run.  A shorter relator is summed
+    into a dict, so that a presentation with many generators and short
+    relators costs time in its length only.
     """
     n = pres.n_gens
     cols = []
-    for r in pres.relators:
+    for i, r in enumerate(pres.relators):
         if len(r.runs) > n:
+            rd = pres.root(i)
             sums = [0] * n
-            for g, e in r.runs:
+            for g, e in rd.root.runs:
                 sums[g] += e
-            items = enumerate(sums)
+            m = rd.exponent
+            cols.append({g: m * s for g, s in enumerate(sums) if s})
         else:
             sums = {}
             for g, e in r.runs:
                 sums[g] = sums.get(g, 0) + e
-            items = sums.items()
-        cols.append({g: s for g, s in items if s})
+            cols.append({g: s for g, s in sums.items() if s})
     return cols
 
 

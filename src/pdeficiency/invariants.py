@@ -22,7 +22,9 @@ from .quotient import (
     enumerate_quotients,
     table_order,
 )
-from .words import Word, maximal_root, nu_p_int, p_prime_root, require_prime
+from .words import (
+    RootDecomposition, Word, maximal_root, nu_p_int, p_prime_part, require_prime,
+)
 
 
 # -- kernel invariants from the coset table ------------------------------------
@@ -40,19 +42,18 @@ class RelatorRoot:
     scale: int
 
 
-def relator_root(r: Word, p: int = None) -> RelatorRoot:
-    """The ``RelatorRoot`` of a non-identity word.  Without p, nu is 0 and
-    scale 1: the class split reads only the runs and the exponent."""
-    rd = maximal_root(r)
+def relator_root(rd: RootDecomposition, p: int = None) -> RelatorRoot:
+    """The ``RelatorRoot`` of the word whose maximal root is ``rd``.
+    Without p, nu is 0 and scale 1: the class split reads only the runs and
+    the exponent."""
     nu = nu_p_int(rd.exponent, p) if p else 0
-    v = rd.conjugator * rd.root * rd.conjugator.inverse()
-    return RelatorRoot(v.runs, rd.exponent, nu, p**nu if p else 1)
+    return RelatorRoot(rd.power(1).runs, rd.exponent, nu, p**nu if p else 1)
 
 
 def relator_roots(pres: FinitePresentation, p: int = None) -> tuple:
     """One ``RelatorRoot`` per relator: the per-presentation part of the
     kernel invariants, computed once before a search or a rewriting."""
-    return tuple(relator_root(r, p) for r in pres.relators)
+    return tuple(relator_root(pres.root(i), p) for i in range(len(pres.relators)))
 
 
 def class_cosets(q: FiniteQuotient, root: RelatorRoot) -> list:
@@ -323,6 +324,6 @@ def find_power_witness(
                 raise AssertionError(
                     "internal error: witnessed kernel must have positive p-deficiency"
                 )
-            relator = pres.relators[i]
-            return PowerWitness(i, relator, *p_prime_root(relator, p), q, q.order, de_sub)
+            return PowerWitness(i, pres.relators[i], *p_prime_part(pres.root(i), p),
+                                q, q.order, de_sub)
     return None

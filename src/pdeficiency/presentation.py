@@ -14,11 +14,13 @@ containing a literal ``1`` makes every other member a relator; a chain
 without it yields the pairwise relators w_i * w_{i+1}^-1.
 """
 
+import itertools
 import re
 from fractions import Fraction
 
 from .words import (
-    RUN_LIMIT, Word, _seam, maximal_root, nu_p_int, p_prime_root, require_prime,
+    RUN_LIMIT, RootDecomposition, Word, _seam, maximal_root, nu_p_int, p_prime_part,
+    require_prime,
 )
 
 
@@ -33,9 +35,14 @@ class PresentationError(ValueError):
 
 
 class FinitePresentation:
-    """Generator names plus freely reduced, non-trivial relator words."""
+    """Generator names plus freely reduced, non-trivial relator words.
 
-    __slots__ = ("generators", "relators")
+    Each relator's maximal root is computed at most once, on first use by
+    ``root``: p-deficiency, kernel invariants, p'-roots, exponent sums and
+    the presentation text all read it from there.
+    """
+
+    __slots__ = ("generators", "relators", "_roots")
 
     def __init__(self, generators, relators):
         generators = tuple(generators)
@@ -58,10 +65,21 @@ class FinitePresentation:
                 )
         self.generators = generators
         self.relators = relators
+        self._roots = None
 
     @property
     def n_gens(self) -> int:
         return len(self.generators)
+
+    def root(self, i: int) -> RootDecomposition:
+        """The maximal root of relator i, computed on first use."""
+        roots = self._roots
+        if roots is None:
+            roots = self._roots = [None] * len(self.relators)
+        rd = roots[i]
+        if rd is None:
+            rd = roots[i] = maximal_root(self.relators[i])
+        return rd
 
     def word(self, text: str) -> Word:
         """Parse a word in this presentation's alphabet."""
@@ -71,8 +89,23 @@ class FinitePresentation:
         return FinitePresentation(self.generators, relators)
 
     def to_text(self) -> str:
-        gens = ", ".join(self.generators)
-        rels = ", ".join(word_to_text(r, self.generators) for r in self.relators)
+        """The presentation as text.  A relator whose root is already known,
+        with more runs than there are generators and a root exponent of 3
+        or more, is written from its root: its runs repeat one period many
+        times, so that period is formatted once."""
+        names = self.generators
+        roots = self._roots
+        if roots is None:
+            rels = ", ".join([word_to_text(r, names) for r in self.relators])
+        else:
+            n = len(names)
+            rels = ", ".join([
+                _root_text(r, rd, names)
+                if rd is not None and rd.exponent > 2 and len(r.runs) > n
+                else word_to_text(r, names)
+                for r, rd in zip(self.relators, roots)
+            ])
+        gens = ", ".join(names)
         return f"< {gens} | {rels} >" if rels else f"< {gens} | >"
 
     def __eq__(self, other) -> bool:
@@ -105,127 +138,187 @@ def word_to_text(w: Word, names) -> str:
     return "*".join(parts)
 
 
+def _root_text(w: Word, rd: RootDecomposition, names) -> str:
+    """The text of w = c*u^m*c^-1, given its maximal root ``rd`` with m at
+    least 3.
+
+    u^m is u's runs repeated m times, or, when u's first and last runs carry
+    one generator, u's head, then m - 1 copies of a block that starts with
+    their merged run, then u's last run.  c and c^-1 meet u^m at seams that
+    can only merge one run each, so every copy of the block but the first
+    and the last appears in w's runs unchanged.  The runs before and after
+    those copies and one copy of the block are formatted, and the block's
+    text is repeated in their place.
+    """
+    conj, root, m = rd.conjugator.runs, rd.root.runs, rd.exponent
+    if root[0][0] != root[-1][0]:
+        head, period, copies, block = 0, len(root), m, root
+    elif len(root) > 1 and m > 3:
+        head, period, copies = len(root) - 1, len(root) - 1, m - 1
+        block = ((root[0][0], root[0][1] + root[-1][1]),) + root[1:-1]
+    else:  # a power of one run, or too few copies of the block
+        return word_to_text(w, names)
+    # where the second copy of the block starts in w's runs: the last run
+    # of c merges with u's first run when they carry one generator
+    start = len(conj) - (bool(conj) and conj[-1][0] == root[0][0]) + head + period
+    runs = w.runs[:start] + block + w.runs[start + (copies - 2) * period:]
+    parts = [names[g] if e == 1 else f"{names[g]}^{e}" for g, e in runs]
+    parts[start:start + period] = ["*".join(parts[start:start + period])] * (copies - 2)
+    return "*".join(parts)
+
+
 # -- tokenizer / parser ----------------------------------------------------
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<int>-?\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[<>|,;=^*()])"
-)
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# A token is an integer, an identifier or a symbol; whitespace between
+# tokens is skipped.  Any other character matches the last alternative,
+# outside the group, and so is read as an empty token.
+_TOKEN = re.compile(r"(-?\d+|[A-Za-z][A-Za-z0-9]*|[<>|,;=^*()])|\S")
 
 
 class _Parser:
+    """Recursive descent over the token strings of a text, with "" for the
+    end of input.  A token's kind is read off its first character:
+    identifiers start with a letter, integers with a digit or '-'.
+    Positions are looked up only for an error message."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        tokens = _TOKEN.findall(text)
+        self.text = text
+        if "" in tokens:
+            m = next(itertools.islice(_TOKEN.finditer(text), tokens.index(""), None))
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append("")
+        self.tokens = tokens
         self.i = 0
 
-    def peek(self):
+    def pos(self, i: int) -> int:
+        """Where token i starts in the text."""
+        if i >= len(self.tokens) - 1:
+            return len(self.text)
+        return next(itertools.islice(_TOKEN.finditer(self.text), i, None)).start()
+
+    def error(self, message: str, i: int = None) -> ParseError:
+        return ParseError(message, self.pos(self.i if i is None else i))
+
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def advance(self):
+    def expect_sym(self, sym: str) -> None:
         tok = self.tokens[self.i]
+        if tok != sym:
+            raise self.error(f"expected {sym!r}, found {tok or 'end of input'!r}")
         self.i += 1
-        return tok
-
-    def expect_sym(self, sym: str):
-        kind, value, pos = self.peek()
-        if kind != "sym" or value != sym:
-            raise ParseError(f"expected {sym!r}, found {value or 'end of input'!r}", pos)
-        return self.advance()
 
     def at_sym(self, *syms) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "sym" and value in syms
+        return self.tokens[self.i] in syms
 
     def parse_names(self) -> tuple:
         names = []
         while True:
-            kind, value, pos = self.peek()
-            if kind != "ident":
-                raise ParseError("expected a generator name", pos)
-            if value in names:
-                raise ParseError(f"duplicate generator name {value!r}", pos)
-            names.append(value)
-            self.advance()
-            if self.at_sym(","):
-                self.advance()
+            tok = self.tokens[self.i]
+            if not tok[:1].isalpha():
+                raise self.error("expected a generator name")
+            if tok in names:
+                raise self.error(f"duplicate generator name {tok!r}")
+            names.append(tok)
+            self.i += 1
+            if self.tokens[self.i] == ",":
+                self.i += 1
             else:
                 return tuple(names)
 
+    def exponent(self, i: int) -> int:
+        """The integer exponent at token i, which follows a '^'."""
+        tok = self.tokens[i]
+        if not (tok[:1] == "-" or tok[:1].isdigit()):
+            raise self.error("expected an integer exponent after '^'", i)
+        try:
+            return int(tok)
+        except ValueError as exc:  # more digits than int() converts
+            raise self.error(str(exc), i) from None
+
     def parse_factor(self, index):
         """Returns (word, saw_generator)."""
-        kind, value, pos = self.peek()
-        if kind == "ident":
-            if value not in index:
-                raise ParseError(f"unknown generator {value!r}", pos)
-            self.advance()
-            base, saw = Word._make(((index[value], 1),), len(index)), True
-        elif kind == "sym" and value == "(":
-            self.advance()
+        tok = self.tokens[self.i]
+        if tok[:1].isalpha():
+            if tok not in index:
+                raise self.error(f"unknown generator {tok!r}")
+            self.i += 1
+            base, saw = Word._make(((index[tok], 1),), len(index)), True
+        elif tok == "(":
+            self.i += 1
             base, saw = self.parse_word(index)
             self.expect_sym(")")
-        elif kind == "int" and value == "1":
-            self.advance()
+        elif tok == "1":
+            self.i += 1
             base, saw = Word._make((), len(index)), False
         else:
-            raise ParseError(
-                f"expected a generator, '(' or 1, found {value or 'end of input'!r}", pos
+            raise self.error(
+                f"expected a generator, '(' or 1, found {tok or 'end of input'!r}"
             )
-        if self.at_sym("^"):
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected an integer exponent after '^'", pos)
-            self.advance()
+        if self.tokens[self.i] == "^":
+            i = self.i + 1
+            n = self.exponent(i)
+            self.i = i + 1
             try:
-                base = base ** int(value)
+                base = base ** n
             except ValueError as exc:  # more runs than RUN_LIMIT
-                raise ParseError(str(exc), pos) from None
+                raise self.error(str(exc), i) from None
         return base, saw
-
-    def _starts_factor(self) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "ident" or (kind == "sym" and value == "(") or (
-            kind == "int" and value == "1"
-        )
 
     def parse_word(self, index):
         """Returns (word, saw_generator); a word with no generator occurrence
-        is the literal identity used as a chain terminator.  Each factor's
-        runs are reduced, so they are joined to the runs so far only at the
-        seam: a run popped there was pushed once, and the time is linear in
-        the number of runs.  The run bound counts the factors' runs before
-        they are joined."""
+        is the literal identity used as a chain terminator.
+
+        A factor that is a generator, with or without an exponent, is one
+        run and is joined to the runs so far in this loop: it merges with,
+        or cancels, the last run only.  Any other factor is parsed by
+        ``parse_factor``, and its reduced runs are joined at the seam: a run
+        popped there was pushed once, so the time is linear in the number
+        of runs.  The run bound counts the factors' runs before they are
+        joined."""
+        tokens = self.tokens
         word, saw = self.parse_factor(index)
         runs = list(word.runs)
         total = len(runs)
+        i = self.i
         while True:
-            if self.at_sym("*"):
-                self.advance()
-            elif not self._starts_factor():
+            tok = tokens[i]
+            if tok == "*":
+                i += 1
+                tok = tokens[i]
+            elif not (tok in index or tok == "(" or tok == "1" or tok[:1].isalpha()):
+                self.i = i
                 return Word._make(tuple(runs), len(index)), saw
-            start = self.i
+            g = index.get(tok)
+            if g is not None:
+                start = i
+                if tokens[i + 1] == "^":
+                    e = self.exponent(i + 2)
+                    i += 3
+                else:
+                    e = 1
+                    i += 1
+                if e:
+                    total += 1
+                if total > RUN_LIMIT:
+                    raise self.error(f"word would have more than {RUN_LIMIT} runs", start)
+                if runs and runs[-1][0] == g:
+                    e += runs.pop()[1]
+                if e:
+                    runs.append((g, e))
+                saw = True
+                continue
+            start = self.i = i
             nxt, s = self.parse_factor(index)
+            i = self.i
             total += len(nxt.runs)
             if total > RUN_LIMIT:
-                raise ParseError(f"word would have more than {RUN_LIMIT} runs",
-                                 self.tokens[start][2])
-            i, j, merged = _seam(runs, nxt.runs)
-            del runs[i:]
+                raise self.error(f"word would have more than {RUN_LIMIT} runs", start)
+            j, k, merged = _seam(runs, nxt.runs)
+            del runs[j:]
             runs += merged
-            runs += nxt.runs[j:]
+            runs += nxt.runs[k:]
             saw = saw or s
 
 
@@ -239,29 +332,31 @@ def parse_presentation(text: str) -> FinitePresentation:
     relators = []
     while not parser.at_sym(">"):
         chain = []
-        chain_pos = parser.peek()[2]
+        chain_start = parser.i
         while True:
             chain.append(parser.parse_word(index))
             if parser.at_sym("="):
-                parser.advance()
+                parser.i += 1
             else:
                 break
-        relators.extend(_chain_relators(chain, chain_pos))
+        chain = _chain_relators(chain)
+        if any(r.is_identity for r in chain):
+            raise parser.error("trivial relator: reduces to the identity", chain_start)
+        relators += chain
         if parser.at_sym(",", ";"):
-            parser.advance()
+            parser.i += 1
         elif not parser.at_sym(">"):
-            kind, value, pos = parser.peek()
-            raise ParseError(
-                f"expected ',', ';', '=' or '>', found {value or 'end of input'!r}", pos
+            tok = parser.peek()
+            raise parser.error(
+                f"expected ',', ';', '=' or '>', found {tok or 'end of input'!r}"
             )
     parser.expect_sym(">")
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {value!r}", pos)
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}")
     return FinitePresentation(names, relators)
 
 
-def _chain_relators(chain, pos: int) -> list:
+def _chain_relators(chain) -> list:
     """Relators contributed by one equality chain.
 
     A literal 1 anywhere equates every member with the identity; otherwise
@@ -269,24 +364,18 @@ def _chain_relators(chain, pos: int) -> list:
     """
     words = [w for w, _ in chain]
     if len(chain) == 1:
-        relators = words
-    elif any(not saw for _, saw in chain):
-        relators = [w for w, saw in chain if saw]
-    else:
-        relators = [words[i] * words[i + 1].inverse() for i in range(len(words) - 1)]
-    for r in relators:
-        if r.is_identity:
-            raise ParseError("trivial relator: reduces to the identity", pos)
-    return relators
+        return words
+    if any(not saw for _, saw in chain):
+        return [w for w, saw in chain if saw]
+    return [words[i] * words[i + 1].inverse() for i in range(len(words) - 1)]
 
 
 def parse_word(text: str, generators) -> Word:
     parser = _Parser(text)
     index = {name: i for i, name in enumerate(generators)}
     word, _ = parser.parse_word(index)
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {value!r}", pos)
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}")
     return word
 
 
@@ -297,8 +386,8 @@ def p_deficiency(pres: FinitePresentation, p: int) -> Fraction:
     """|X| - 1 - sum of p^-nu_p(r) over the relators, exactly."""
     require_prime(p)
     total = Fraction(pres.n_gens - 1)
-    for r in pres.relators:  # relators are never trivial
-        total -= Fraction(1, p ** nu_p_int(maximal_root(r).exponent, p))
+    for i in range(len(pres.relators)):  # relators are never trivial
+        total -= Fraction(1, p ** nu_p_int(pres.root(i).exponent, p))
     return total
 
 
@@ -314,4 +403,5 @@ def power_up(pres: FinitePresentation, n: int) -> FinitePresentation:
 def p_prime_root_presentation(pres: FinitePresentation, p: int) -> FinitePresentation:
     """Replace every relator by its primitive p'-root."""
     require_prime(p)
-    return pres.with_relators(p_prime_root(r, p)[0] for r in pres.relators)
+    return pres.with_relators(p_prime_part(pres.root(i), p)[0]
+                              for i in range(len(pres.relators)))

@@ -153,7 +153,8 @@ def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) ->
     if sd is None:
         sd = schreier(q)
     _check_alphabet(sd, g.n_gens)
-    return [g.conjugated_by(sd.transversal[c]) for c in class_cosets(q, relator_root(g))]
+    firsts = class_cosets(q, relator_root(maximal_root(g)))
+    return [g.conjugated_by(sd.transversal[c]) for c in firsts]
 
 
 def _subgroup_names(n: int) -> tuple:

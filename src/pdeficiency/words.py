@@ -311,7 +311,11 @@ class RootDecomposition:
     exponent: int
 
     def reassemble(self) -> Word:
-        return self.conjugator * self.root**self.exponent * self.conjugator.inverse()
+        return self.power(self.exponent)
+
+    def power(self, k: int) -> Word:
+        """conjugator * root^k * conjugator^-1."""
+        return self.conjugator * self.root**k * self.conjugator.inverse()
 
 
 def _smallest_period(seq) -> int:
@@ -319,10 +323,12 @@ def _smallest_period(seq) -> int:
 
     The periods that divide n = len(seq) are the multiples of the smallest
     one, so it is found from d = n by dividing out each prime q of n while
-    d/q is still a period.  Each test is one tuple comparison, so there are
-    O(log n) of them and no Python loop over the sequence."""
-    n = len(seq)
-    d = rest = n
+    d/q is still a period.  Once d is a period, seq has a period s dividing
+    d exactly when its prefix of length d does, that is when
+    ``seq[s:d] == seq[:d - s]``; so each test reads only that prefix.  Each
+    test is one tuple comparison, so there are O(log n) of them and no
+    Python loop over the sequence."""
+    d = rest = len(seq)
     q = 2
     while rest > 1:
         if q * q > rest:  # what is left is prime
@@ -330,7 +336,7 @@ def _smallest_period(seq) -> int:
         if rest % q == 0:
             while rest % q == 0:
                 rest //= q
-            while d % q == 0 and seq[d // q:] == seq[:n - d // q]:
+            while d % q == 0 and seq[d // q:d] == seq[:d - d // q]:
                 d //= q
         q += 1
     return d
@@ -384,8 +390,11 @@ def p_prime_root(w: Word, p: int) -> tuple:
     require_prime(p)
     if w.is_identity:
         raise ValueError("no root of trivial word")
-    rd = maximal_root(w)
-    k = nu_p_int(rd.exponent, p)
-    n = rd.exponent // p**k
-    root = rd.conjugator * rd.root ** (p**k) * rd.conjugator.inverse()
-    return root, n
+    return p_prime_part(maximal_root(w), p)
+
+
+def p_prime_part(rd: RootDecomposition, p: int) -> tuple:
+    """``p_prime_root`` of the word whose maximal root is ``rd``; p is not
+    checked."""
+    scale = p ** nu_p_int(rd.exponent, p)
+    return rd.power(scale), rd.exponent // scale

@@ -103,6 +103,22 @@ class TestExponentMatrix:
         assert exponent_matrix(pres) == IntMatrix([[1], [1], [1]])
 
 
+@st.composite
+def conjugated_powers_st(draw):
+    """The runs of c*u^k*c^-1 before reduction: u's ends often share a
+    generator, c's last run often merges with or cancels u's first, u may
+    be one run or a long word, and k is 1, 2, 3 or large."""
+    run = st.tuples(st.integers(0, 2), st.sampled_from((1, -1, 2, -2, 3)))
+    u = draw(st.lists(run, min_size=1, max_size=draw(st.sampled_from((1, 5, 40)))))
+    if len(u) > 1 and draw(st.booleans()):
+        u[-1] = (u[0][0], draw(st.sampled_from((1, -1, 2))))
+    c = draw(st.lists(run, max_size=4))
+    g, e = u[0]
+    c += draw(st.sampled_from(([], [(g, e)], [(g, -e)], [(g, -2 * e)])))
+    k = draw(st.sampled_from((1, 2, 3, draw(st.integers(4, 80)))))
+    return c + u * k + [(h, -f) for h, f in reversed(c)]
+
+
 class TestExponentColumns:
     def test_columns(self):
         pres = parse_presentation("< x, y | x^2*y^2, x^4 >")
@@ -118,6 +134,25 @@ class TestExponentColumns:
         assert exponent_columns(long) == [{0: 53, 1: -48}]
         balanced = parse_presentation("< x, y | (x*y*x^-1*y^-1)^40 >")
         assert exponent_columns(balanced) == [{}]
+
+    def test_read_off_the_root(self):
+        # c*u^m*c^-1 has u's exponent sums times m; c cancels
+        pres = parse_presentation("< x, y | y^3*(x^2*y^-1*x)^30*y^-3, x*(y*x)^7*x^-1 >")
+        assert exponent_columns(pres) == [{0: 90, 1: -30}, {0: 7, 1: 7}]
+        assert pres.root(0).exponent == 30
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(conjugated_powers_st(), min_size=1, max_size=3), st.integers(1, 3))
+    def test_root_sums_match_the_runs(self, relators, n):
+        # the dense exponent matrix sums every run: it is the oracle
+        n = max([n] + [g + 1 for r in relators for g, _ in r])
+        pres = FinitePresentation([f"g{i}" for i in range(n)],
+                                  [w for w in (Word(r, n) for r in relators) if not w.is_identity])
+        dense = exponent_matrix(pres)
+        assert exponent_columns(pres) == [
+            {g: dense.at(g, j) for g in range(n) if dense.at(g, j)}
+            for j in range(len(pres.relators))
+        ]
 
 
 sparse_pres_st = st.integers(1, 6).flatmap(

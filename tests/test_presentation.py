@@ -1,19 +1,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from pdeficiency import presentation
+from pdeficiency.abelian import exponent_columns
+from pdeficiency.invariants import relator_roots
 from pdeficiency.presentation import (
     FinitePresentation,
     ParseError,
     PresentationError,
+    _root_text,
     p_deficiency,
     p_prime_root_presentation,
     parse_presentation,
     parse_word,
     power_up,
 )
-from pdeficiency.words import Word
+from pdeficiency.words import RUN_LIMIT, Word, maximal_root
 
 
 class TestParse:
@@ -127,6 +131,79 @@ class TestRunLimit:
         assert exc.value.position == 2 * len("(x*y)^200000*")
 
 
+class TestParseErrors:
+    """Every message and position of the parser, pinned: a product of
+    generators is joined in one loop, and these must not move."""
+
+    @staticmethod
+    def error(text):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        return str(exc.value), exc.value.position
+
+    def test_unknown_generator_inside_a_long_product(self):
+        text = "< x, y | " + "x*y^-1*" * 150 + "w*" + "x*y^-1*" * 150 + "x >"
+        assert len(text) > 2000
+        assert self.error(text) == ("unknown generator 'w' (at position 1059)", 1059)
+        assert text.index("w") == 1059
+
+    def test_exponent_without_integer(self):
+        assert self.error("< x, y | x^ >") == (
+            "expected an integer exponent after '^' (at position 12)", 12)
+        assert self.error("< x, y | x*y^*x >") == (
+            "expected an integer exponent after '^' (at position 13)", 13)
+        assert self.error("< x, y | x*y^") == (
+            "expected an integer exponent after '^' (at position 13)", 13)
+
+    def test_exponent_of_an_exponent(self):
+        assert self.error("< x, y | x^2^3 >") == (
+            "expected ',', ';', '=' or '>', found '^' (at position 12)", 12)
+        assert self.error("< x, y | x*y*x^2^3 >") == (
+            "expected ',', ';', '=' or '>', found '^' (at position 16)", 16)
+
+    def test_other_factor_errors(self):
+        assert self.error("< x, y | x*y* >") == (
+            "expected a generator, '(' or 1, found '>' (at position 14)", 14)
+        assert self.error("< x, y | x*y*x-y >") == (
+            "unexpected character '-' (at position 14)", 14)
+        assert self.error("< x, y | x**y >") == (
+            "expected a generator, '(' or 1, found '*' (at position 11)", 11)
+
+    def test_exponent_with_too_many_digits(self):
+        text = "< x, y | x*y^" + "9" * 5000 + " >"
+        try:
+            int("9" * 5000)
+        except ValueError as exc:  # Python's limit on int() of a string
+            assert self.error(text) == (f"{exc} (at position 13)", 13)
+        else:
+            assert parse_presentation(text).relators[0].runs == ((0, 1), (1, int("9" * 5000)))
+
+    def test_identifiers_with_digits(self):
+        assert self.error("< x1, y | x1y >") == ("unknown generator 'x1y' (at position 10)", 10)
+        assert parse_presentation("< x1, y | x1*y >").to_text() == "< x1, y | x1*y >"
+
+    def test_products_that_parse(self):
+        assert parse_presentation("< x, y | x*1*y >").to_text() == "< x, y | x*y >"
+        assert parse_presentation("< x, y | x y^-1 x >").to_text() == "< x, y | x*y^-1*x >"
+        assert parse_presentation("< x, y | x ^ 2 * y ^ -3 >").to_text() == "< x, y | x^2*y^-3 >"
+        assert parse_presentation("< x, y | x^ -1 * y ^3 >").to_text() == "< x, y | x^-1*y^3 >"
+        assert parse_word("x*x^2*x^-3*y*x^0*y^-1*x", ("x", "y")) == Word(((0, 1),), 2)
+
+    def test_run_limit_inside_a_flat_product(self):
+        # (x*y)^499990 has 999,980 runs: the 21st generator after it is
+        # the first factor past the bound
+        text = "< x, y | (x*y)^499990" + "*x*y" * 20 + " >"
+        assert self.error(text) == ("word would have more than 1000000 runs (at position 62)", 62)
+        at_bound = "< x, y | (x*y)^499990" + "*x*y" * 10 + " >"
+        assert len(parse_presentation(at_bound).relators[0].runs) == RUN_LIMIT
+        # a generator to the power 0 adds no run, but the bound is still
+        # checked at it: the first factor may bring the count past the bound
+        text = "< x, y, z | (z*x*y*z^-1)^500000*x^0 >"
+        assert self.error(text) == (
+            "word would have more than 1000000 runs (at position 32)", 32)
+        assert text.index("x^0") == 32
+
+
 names_st = st.sampled_from([("x",), ("x", "y"), ("a", "b", "c")])
 
 
@@ -154,6 +231,89 @@ class TestRoundTrip:
     def test_canonical_text(self):
         pres = parse_presentation("<x,y|x^2,(x*y)^3>")
         assert pres.to_text() == "< x, y | x^2, x*y*x*y*x*y >"
+
+
+def run_text(w, names) -> str:
+    """The oracle for presentation text: every run formatted on its own."""
+    return "*".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in w.runs)
+
+
+@st.composite
+def conjugated_powers_st(draw):
+    """c*u^k*c^-1 over 1-3 generators, reduced by the public constructor.
+    u's first and last runs often share a generator, c's last run often
+    merges with or cancels against u's first, u may be a single run or a
+    long word that is no power, and k is 1, 2, 3 or large."""
+    n = draw(st.integers(1, 3))
+    run = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1, 2, -2, 3)))
+    shape = draw(st.sampled_from(("free", "ends", "single", "long")))
+    u = draw(st.lists(run, min_size=10 if shape == "long" else 1,
+                      max_size=40 if shape == "long" else 5))
+    if shape == "single":
+        u = u[:1]
+    elif shape == "ends" and len(u) > 1:
+        u[-1] = (u[0][0], draw(st.sampled_from((1, -1, 2))))
+    c = draw(st.lists(run, max_size=4))
+    seam = draw(st.sampled_from(("free", "merge", "cancel", "cancel_all")))
+    g, e = u[0]
+    if seam == "merge":
+        c.append((g, e))
+    elif seam == "cancel":
+        c.append((g, -2 * e))
+    elif seam == "cancel_all":
+        c.append((g, -e))
+    k = draw(st.sampled_from((1, 2, 3, 4, draw(st.integers(5, 80)))))
+    if shape == "long":
+        k = min(k, 3)
+    w = Word(c + u * k + [(h, -f) for h, f in reversed(c)], n)
+    assume(not w.is_identity)
+    return w
+
+
+class TestRootText:
+    """A relator whose root is known is written from the root; writing
+    every run is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(conjugated_powers_st())
+    def test_matches_run_by_run(self, w):
+        names = ("x", "y", "z")[:w.n_gens]
+        rd = maximal_root(w)
+        if rd.exponent >= 3:
+            assert _root_text(w, rd, names) == run_text(w, names)
+        pres = FinitePresentation(names, [w, w.inverse(), w * w])
+        want = "< {} | {} >".format(", ".join(names), ", ".join(
+            run_text(r, names) for r in pres.relators))
+        assert pres.to_text() == want
+        p_deficiency(pres, 2)  # now every root is known
+        assert pres.to_text() == want
+
+    def test_examples(self):
+        for text in ("< x, y | (x*y)^40 >", "< x, y | y*(x*y^2*x)^9*y^-1 >",
+                     "< x, y | x^2*(x*y*x^3)^7*x^-2 >", "< x, y | y^-1*(y*x)^12*y >",
+                     "< x, y | (x*y^-1)^3, (x^2*y*x)^4, (y*x^5*y^-1)^100 >"):
+            pres = parse_presentation(text)
+            want = pres.to_text()
+            p_deficiency(pres, 3)
+            assert pres.to_text() == want
+            assert want == "< x, y | {} >".format(", ".join(
+                run_text(r, pres.generators) for r in pres.relators))
+
+    def test_each_root_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return maximal_root(w)
+
+        monkeypatch.setattr(presentation, "maximal_root", counted)
+        pres = parse_presentation("< x, y | (x*y)^40, y*(x^2*y^-1)^9*y^-1, x^3 >")
+        p_deficiency(pres, 3)
+        relator_roots(pres, 3)
+        exponent_columns(pres)
+        p_prime_root_presentation(pres, 3)
+        pres.to_text()
+        assert calls == list(pres.relators)
 
 
 class TestPDeficiency:

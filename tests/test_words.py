@@ -301,6 +301,27 @@ class TestTrustedRuns:
                 seq = seq[:i] + ((alphabet, 1),) + seq[i + 1:]
             assert _smallest_period(seq) == kmp_period(seq), (n, seq)
 
+    @pytest.mark.parametrize("n", [8, 27, 64, 81, 125, 243, 210, 360, 720, 2310, 30030])
+    def test_smallest_period_nested(self, n):
+        # once a period d is found, the tests read only seq[:d]: take seq
+        # periodic at d with seq[:d] periodic at a divisor s of d, up to
+        # one broken place inside seq[:d], in a later copy, or nowhere
+        rng = random.Random(n)
+        divisors = [j for j in range(1, n + 1) if n % j == 0]
+        for trial in range(60):
+            d = rng.choice(divisors)
+            s = rng.choice([j for j in divisors if d % j == 0])
+            small = tuple((rng.randrange(2), rng.choice((-1, 1))) for _ in range(s))
+            block = small * (d // s)
+            if trial % 3 == 1:  # break the prefix: its period is then d
+                i = rng.randrange(d)
+                block = block[:i] + ((2, 1),) + block[i + 1:]
+            seq = block * (n // d)
+            if trial % 3 == 2:  # break a later copy: only n is a period
+                i = rng.randrange(n)
+                seq = seq[:i] + ((3, 1),) + seq[i + 1:]
+            assert _smallest_period(seq) == kmp_period(seq), (n, d, s, seq)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)), min_size=1, max_size=40),
            st.integers(1, 12))
@@ -394,6 +415,8 @@ class TestNuP:
         # every word of length <= 5: compare against trying all candidate
         # roots v with |v| <= 5 and all exponents p^k
         small = _all_words(2, 5)
+        candidates = [Word.from_letters(v, 2) for v in small if v]
+        powers = {}  # (p, k) -> the set of v^(p^k), built on first use
         for letters in small:
             if not letters:
                 continue
@@ -402,11 +425,9 @@ class TestNuP:
                 best = 0
                 k = 1
                 while True:
-                    if any(
-                        Word.from_letters(v, 2) ** (p**k) == word
-                        for v in small
-                        if v
-                    ):
+                    if (p, k) not in powers:
+                        powers[p, k] = {v ** (p**k) for v in candidates}
+                    if word in powers[p, k]:
                         best = k
                         k += 1
                     else:
