@@ -61,7 +61,7 @@ from .quotient import (
 from .rewrite import (
     SchreierData,
     SizeBound,
-    conjugate_class_reps,
+    basis_words,
     p_size_bound,
     rewrite_word,
     schreier,
@@ -84,8 +84,8 @@ __version__ = "0.1.0"
 def __getattr__(name):
     """The oracles exported from ``verification``, which is imported on
     first use: only ``pdef verify`` runs it."""
-    if name in ("centralizer_index", "evaluate", "exponent_matrix", "is_quotient_of",
-                "order_of_image"):
+    if name in ("centralizer_index", "conjugate_class_reps", "evaluate", "exponent_matrix",
+                "is_quotient_of", "order_of_image"):
         from . import verification
         return getattr(verification, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -50,6 +50,7 @@ from .quotient import (
     parse_catalog_manifest,
 )
 from .rewrite import (
+    basis_words,
     p_size_bound,
     schreier,
     subgroup_presentation,
@@ -221,8 +222,8 @@ def cmd_subgroup(args):
         **_head(args, pres),
         "index": index,
         "basis": {
-            name: word_to_text(gen.word, pres.generators)
-            for name, gen in zip(sub.generators, sd.basis)
+            name: word_to_text(word, pres.generators)
+            for name, word in zip(sub.generators, basis_words(sd))
         },
         "subgroup_presentation": sub.to_text(),
         "de_subgroup": _rat(report.de_sub),

@@ -122,11 +122,11 @@ class FinitePresentation:
         return f"FinitePresentation({self.to_text()!r})"
 
 
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+
 def _is_identifier(name) -> bool:
-    return (
-        isinstance(name, str)
-        and bool(re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", name))
-    )
+    return isinstance(name, str) and _IDENTIFIER.fullmatch(name) is not None
 
 
 def word_to_text(w: Word, names) -> str:
@@ -214,12 +214,14 @@ class _Parser:
 
     def parse_names(self) -> tuple:
         names = []
+        seen = set()
         while True:
             tok = self.tokens[self.i]
             if not tok[:1].isalpha():
                 raise self.error("expected a generator name")
-            if tok in names:
+            if tok in seen:
                 raise self.error(f"duplicate generator name {tok!r}")
+            seen.add(tok)
             names.append(tok)
             self.i += 1
             if self.tokens[self.i] == ",":
@@ -385,10 +387,12 @@ def parse_word(text: str, generators) -> Word:
 def p_deficiency(pres: FinitePresentation, p: int) -> Fraction:
     """|X| - 1 - sum of p^-nu_p(r) over the relators, exactly."""
     require_prime(p)
-    total = Fraction(pres.n_gens - 1)
+    relators = {}  # valuation -> relators that have it
     for i in range(len(pres.relators)):  # relators are never trivial
-        total -= Fraction(1, p ** nu_p_int(pres.root(i).exponent, p))
-    return total
+        v = nu_p_int(pres.root(i).exponent, p)
+        relators[v] = relators.get(v, 0) + 1
+    return Fraction(pres.n_gens - 1) - sum(
+        (Fraction(n, p**v) for v, n in relators.items()), Fraction(0))
 
 
 def power_up(pres: FinitePresentation, n: int) -> FinitePresentation:

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
+from operator import itemgetter
 
 from .presentation import FinitePresentation
 
@@ -179,8 +180,12 @@ class FiniteQuotient:
         index = {identity: 0}
         rows = [[] for _ in self.images]
         for h in order:
+            # h then each image, read off the image at h's points in one
+            # C-level gather; on one point itemgetter would return the point
+            # itself, not a 1-tuple, and h then img is img
+            gather = itemgetter(*h) if self.degree > 1 else tuple
             for img, row in zip(self.images, rows):
-                nxt = perm_mul(h, img)
+                nxt = gather(img)
                 i = index.get(nxt)
                 if i is None:
                     if len(order) >= CLOSURE_LIMIT:
@@ -217,7 +222,7 @@ class FiniteQuotient:
     def positions(self) -> tuple:
         """Per generator and coset c, ``(cycle, i)``: the cycle of c in the
         generator's table, from its least coset, and c's place in it.  Built
-        on first use; rewriting and the Fox rows read it, the walks do not."""
+        on first use; the Fox rows read it, the walks and rewriting do not."""
         if self._positions is None:
             positions = []
             for table in self.tables:

@@ -15,78 +15,126 @@ coset of t: relators are rewritten from cosets, never conjugated.
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .invariants import class_cosets, relator_root, relator_roots, transfer_terms
+from .invariants import class_cosets, relator_roots, transfer_terms
 from .presentation import FinitePresentation, p_deficiency
-from .quotient import FiniteQuotient, kernel_index
-from .words import RUN_LIMIT, Word, maximal_root, nu_p_int, require_prime
-
-
-@dataclass(frozen=True)
-class SchreierGenerator:
-    """Basis element w_c * g * w_{c.g}^-1 attached to a non-tree edge."""
-
-    coset: int
-    gen: int
-    word: Word
+from .quotient import FiniteQuotient, kernel_index, perm_cycles
+from .words import RUN_LIMIT, Word, _join, _seam, maximal_root, nu_p_int, require_prime
 
 
 @dataclass(frozen=True)
 class SchreierData:
+    """The Schreier data of a kernel, as one numbering of the edges of its
+    coset table.  Edge (c, g) leads from coset c to ``tables[g][c]``; the
+    non-tree edges are the basis letters, numbered generator by generator
+    and coset by coset.
+
+    ``cycles[g]`` is ``(L, seq, place, plus, minus, count)`` for the table
+    of g, whose cycles all have length L, the period of g.  ``seq`` lists
+    its cycles one after another, each walked twice, and ``place[c]`` is
+    where c first stands in it.  ``plus`` and ``minus`` are the basis
+    letters of the edges along ``seq``, as runs ``(s, 1)`` and ``(s, -1)``,
+    and ``count[j]`` is the number of letters among its first j edges.  So
+    the letters of an arc of a cycle, or of a whole turn from any coset,
+    are one slice of ``plus`` or ``minus``."""
+
     table: FiniteQuotient    # its regular tables are the coset table
     transversal: tuple       # shortlex-minimal representative per coset
-    basis: tuple             # SchreierGenerator per non-tree positive edge
-    edge_to_basis: dict      # (coset, gen) -> basis index, tree edges absent
+    letter: tuple            # letter[g][c]: basis index of edge (c, g), -1 on the tree
+    cycles: tuple
+    rank: int
 
     @property
     def degree(self) -> int:
         return self.table.order
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+
+def _doubled_cycles(table) -> tuple:
+    """``(L, seq, place)`` of a regular table: its cycle length, its cycles
+    from their least cosets, each walked twice, and where each coset first
+    stands in them."""
+    seq, place = [], [0] * len(table)
+    for cyc in perm_cycles(table, include_fixed=True):
+        for i, c in enumerate(cyc):
+            place[c] = len(seq) + i
+        seq += cyc
+        seq += cyc
+    return len(cyc), seq, place
 
 
 def schreier(q: FiniteQuotient) -> SchreierData:
     """Shortlex breadth-first spanning tree of the coset table of the kernel
-    of ``q`` and the Schreier basis.
+    of ``q`` and the numbering of its Schreier basis.
 
     Letters are tried in the order g_1, g_1^-1, g_2, g_2^-1, ...; g^-1
     leads from a coset to its predecessor on its cycle in the table of g.
     The basis has 1 + index*(n_gens - 1) elements (Nielsen-Schreier).  The
-    regular tables are transitive, so every coset is reached.
+    regular tables are transitive, so every coset is reached.  A cycle of
+    a table is a closed walk, so the tree misses one of its edges at least:
+    every cycle holds a basis letter.
     """
     tables = q.tables
-    positions = q.positions
     d = q.order
     k = q.n_gens
+    walks = [_doubled_cycles(table) for table in tables]
 
-    transversal = [None] * d
-    transversal[0] = Word.identity(k)
-    tree_edges = set()
+    runs = [None] * d  # of the transversal words
+    runs[0] = ()
+    tree = [bytearray(d) for _ in range(k)]  # tree[g][c]: edge (c, g) is on the tree
+    steps = []
+    for g, (length, seq, place) in enumerate(walks):
+        steps.append((((g, 1),), ((g, -1),), tables[g], seq, place, length - 1, tree[g]))
     queue = [0]
     for c in queue:
-        for g in range(k):
-            cyc, i = positions[g][c]
-            for sign, target in ((1, tables[g][c]), (-1, cyc[i - 1])):
-                if transversal[target] is None:
-                    transversal[target] = Word(transversal[c].runs + ((g, sign),), k)
-                    tree_edges.add((c, g) if sign == 1 else (target, g))
-                    queue.append(target)
+        t = runs[c]
+        for forward, backward, table, seq, place, back, on_tree in steps:
+            target = table[c]
+            if runs[target] is None:
+                runs[target] = _join(t, forward)
+                on_tree[c] = 1
+                queue.append(target)
+            target = seq[place[c] + back]  # c's predecessor on its cycle
+            if runs[target] is None:
+                runs[target] = _join(t, backward)
+                on_tree[target] = 1
+                queue.append(target)
 
-    basis = []
-    edge_to_basis = {}
-    for g in range(k):
-        for c in range(d):
-            if (c, g) in tree_edges:
-                continue
-            back = transversal[tables[g][c]].runs
-            word = Word(
-                transversal[c].runs + ((g, 1),) + tuple((h, -e) for h, e in reversed(back)), k
-            )
-            edge_to_basis[(c, g)] = len(basis)
-            basis.append(SchreierGenerator(c, g, word))
-    return SchreierData(q, tuple(transversal), tuple(basis), edge_to_basis)
+    letter = []
+    rank = 0
+    for on_tree in tree:
+        row = []
+        for flag in on_tree:
+            row.append(-1 if flag else rank)
+            rank += not flag
+        letter.append(tuple(row))
+
+    cycles = []
+    for (length, seq, place), row in zip(walks, letter):
+        letters = [row[c] for c in seq]
+        plus = [(s, 1) for s in letters if s >= 0]
+        minus = [(s, -1) for s in letters if s >= 0]
+        count = list(accumulate(map((-1).__ne__, letters), initial=0))
+        cycles.append((length, seq, place, plus, minus, count))
+    return SchreierData(q, tuple(Word._make(r, k) for r in runs), tuple(letter),
+                        tuple(cycles), rank)
+
+
+def basis_words(sd: SchreierData) -> tuple:
+    """The basis words t_c * g * t_{c.g}^-1 over the original alphabet, in
+    basis order, one per non-tree edge (c, g).  They are only printed, so
+    they are built only when asked for."""
+    tables = sd.table.tables
+    k = sd.table.n_gens
+    runs = [t.runs for t in sd.transversal]
+    back = [t.inverse().runs for t in sd.transversal]
+    words = []
+    for g, (row, table) in enumerate(zip(sd.letter, tables)):
+        step = ((g, 1),)
+        for c, s in enumerate(row):
+            if s >= 0:
+                words.append(Word._make(_join(_join(runs[c], step), back[table[c]]), k))
+    return tuple(words)
 
 
 def _check_alphabet(sd: SchreierData, n_gens: int) -> None:
@@ -104,57 +152,63 @@ def rewrite_word(sd: SchreierData, w: Word, start: int = 0) -> Word:
 
     The walk goes run by run.  A run g^e crosses its cycle in the table of
     g |e| // L whole times, L the cycle length, then its first |e| % L
-    edges; a whole turn that holds a single basis letter s becomes the one
-    run s^(|e| // L).  A negative run crosses backwards the edges that
-    g^|e| crosses from its endpoint.  A result of more than ``RUN_LIMIT``
-    runs from repeated turns is refused before it is built.
+    edges: their letters are a slice of the cycle's letters, repeated for
+    the whole turns, and a cycle that holds a single basis letter s gives
+    the one run s^(turns + hits).  A negative run crosses backwards the
+    edges that g^|e| crosses from its endpoint, so it takes the reversed
+    slice from there.  The letters of one run are reduced, and they are
+    joined to the result at their seam only.  A run that crosses only tree
+    edges lets its neighbours' letters meet, and they can merge; they never
+    cancel, as the walk between two crossings of one edge in opposite
+    directions would be a closed walk on the tree that never turns back.
+    A result of more than ``RUN_LIMIT`` runs from repeated turns, counted
+    before they are joined, is refused before it is built.
     """
     _check_alphabet(sd, w.n_gens)
-    positions = sd.table.positions
-    edge_to_basis = sd.edge_to_basis
+    cycles = sd.cycles
     runs = []
+    total = 0  # runs before they are joined
     c = start
     for g, e in w.runs:
-        cyc, i = positions[g][c]
-        length = len(cyc)
-        c = cyc[(i + e) % length]
-        if e < 0:
-            i = (i + e) % length
+        length, seq, place, plus, minus, count = cycles[g]
+        x = place[c]
+        i = x % (2 * length)
+        end = x - i + (i + e) % length
+        c = seq[end]
+        if e < 0:  # the arc from the endpoint
+            x = end
         turns, rest = divmod(abs(e), length)
-        crossed = []
+        lo, hi = count[x], count[x + rest]
         if turns:
-            turn = [edge_to_basis[cyc[j % length], g] for j in range(i, i + length)
-                    if (cyc[j % length], g) in edge_to_basis]
-            if len(turn) == 1:
-                crossed.append((turn[0], turns))
-            else:  # a turn is a closed walk, so the tree misses one of its edges
-                if len(runs) + turns * len(turn) > RUN_LIMIT:
+            n = count[x + length] - lo
+            if n == 1:
+                total += 1 + hi - lo
+                s = plus[lo][0]
+                letters = [(s, turns + hi - lo if e > 0 else lo - hi - turns)]
+            else:
+                if total + turns * n > RUN_LIMIT:
                     raise ValueError(
                         f"the rewritten word would have more than {RUN_LIMIT} runs")
-                crossed.extend([(s, 1) for s in turn] * turns)
-        for j in range(i, i + rest):
-            s = edge_to_basis.get((cyc[j % length], g))
-            if s is not None:
-                crossed.append((s, 1))
-        runs.extend(crossed if e > 0 else [(s, -x) for s, x in reversed(crossed)])
+                total += turns * n + hi - lo
+                if e > 0:
+                    letters = plus[lo:lo + n] * turns + plus[lo:hi]
+                else:
+                    letters = (minus[lo:lo + n] * turns + minus[lo:hi])[::-1]
+        elif hi > lo:
+            total += hi - lo
+            letters = plus[lo:hi] if e > 0 else minus[lo:hi][::-1]
+        else:
+            continue
+        if runs and runs[-1][0] == letters[0][0]:
+            j, k, merged = _seam(runs, letters)
+            del runs[j:]
+            runs += merged
+            runs += letters[k:]
+        else:
+            runs += letters
     if c != start:
         raise ValueError("word does not lie in the subgroup")
-    return Word(runs, len(sd.basis))
-
-
-def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) -> list:
-    """Words t*g*t^-1, one per kernel-conjugacy class of the conjugates of
-    g: t runs over the transversal words of ``class_cosets``.  ``sd``, when
-    given, must be ``schreier(q)``.  Raises ``ValueError`` unless g lies in
-    the kernel.
-    """
-    if g.is_identity:
-        raise ValueError("no conjugate classes of the identity")
-    if sd is None:
-        sd = schreier(q)
-    _check_alphabet(sd, g.n_gens)
-    firsts = class_cosets(q, relator_root(maximal_root(g)))
-    return [g.conjugated_by(sd.transversal[c]) for c in firsts]
+    return Word._make(tuple(runs), sd.rank)
 
 
 def _subgroup_names(n: int) -> tuple:
@@ -224,17 +278,19 @@ def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBou
     sd = schreier(q)
     roots = relator_roots(pres, p)
     contributions = []
-    exact = Fraction(0)
+    reps = {}  # valuation -> rewritten class reps that have it
     for i, (r, root, (k, term)) in enumerate(
         zip(pres.relators, roots, transfer_terms(roots, q))
     ):
         valuations = tuple(nu_p_int(maximal_root(rewrite_word(sd, r, c)).exponent, p)
                            for c in class_cosets(q, root))
-        exact += sum(Fraction(1, p**v) for v in valuations)
+        for v in valuations:
+            reps[v] = reps.get(v, 0) + 1
         contributions.append(
             RelatorContribution(i, k, d // k, root.nu, nu_p_int(k, p), term, valuations)
         )
     bound = sum((c.term for c in contributions), Fraction(0))
+    exact = sum((Fraction(n, p**v) for v, n in reps.items()), Fraction(0))
     return SizeBound(d, bound, exact, tuple(contributions))
 
 

@@ -34,10 +34,12 @@ from .fuchsian import (
 )
 from .invariants import (
     chi_p_estimate,
+    class_cosets,
     find_power_witness,
     kernel_d_p,
     kernel_deficiency,
     quotient_dp_drop,
+    relator_root,
     relator_roots,
     transfer_terms,
 )
@@ -54,7 +56,7 @@ from .quotient import (
     perm_order,
 )
 from .rewrite import (
-    conjugate_class_reps,
+    SchreierData,
     p_size_bound,
     rewrite_word,
     schreier,
@@ -188,6 +190,23 @@ def centralizer_index(q: FiniteQuotient, g: Word) -> int:
     rd = maximal_root(g)
     root_elem = rd.conjugator * rd.root * rd.conjugator.inverse()
     return order_of_image(q, root_elem)
+
+
+def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) -> list:
+    """Words t*g*t^-1, one per kernel-conjugacy class of the conjugates of
+    g: t runs over the transversal words of ``class_cosets``.  ``sd``, when
+    given, must be ``schreier(q)``.  Raises ``ValueError`` unless g lies in
+    the kernel.
+    """
+    if g.is_identity:
+        raise ValueError("no conjugate classes of the identity")
+    if sd is None:
+        sd = schreier(q)
+    if g.n_gens != q.n_gens:
+        raise ValueError(
+            f"alphabet mismatch: word has {g.n_gens} generators, table {q.n_gens}")
+    firsts = class_cosets(q, relator_root(maximal_root(g)))
+    return [g.conjugated_by(sd.transversal[c]) for c in firsts]
 
 
 def _oracle_nu(letters, p: int) -> int:

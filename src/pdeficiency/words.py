@@ -210,25 +210,30 @@ class Word:
         return a * self * a.inverse()
 
     def cyclic_reduce(self) -> tuple:
-        """Split self = conj * core * conj^-1 with core cyclically reduced."""
-        runs = list(self.runs)
-        conj = []
-        while len(runs) >= 2:
-            g1, e1 = runs[0]
-            g2, e2 = runs[-1]
-            if g1 != g2 or (e1 > 0) == (e2 > 0):
+        """Split self = conj * core * conj^-1 with core cyclically reduced.
+
+        Two indices walk inward while the runs at both ends carry one
+        generator with opposite signs, and the conjugator is the runs
+        passed on the left.  When the two exponents differ in size, the
+        smaller end run goes to the conjugator and the larger keeps the
+        rest; the next pair of ends then carries two generators, so the
+        walk stops.  The runs are sliced once, so the time is linear."""
+        runs, n = self.runs, self.n_gens
+        i, j = 0, len(runs) - 1
+        while i < j:
+            (g, e), (h, f) = runs[i], runs[j]
+            if g != h or (e > 0) == (f > 0):
                 break
-            s = 1 if e1 > 0 else -1
-            t = min(abs(e1), abs(e2))
-            conj.append((g1, s * t))
-            runs[0] = (g1, e1 - s * t)
-            runs[-1] = (g2, e2 + s * t)
-            if runs[-1][1] == 0:
-                runs.pop()
-            if runs[0][1] == 0:
-                runs.pop(0)
+            if e + f:
+                if abs(e) < abs(f):
+                    conj, core = runs[:i + 1], runs[i + 1:j] + ((g, e + f),)
+                else:
+                    conj, core = runs[:i] + ((g, -f),), ((g, e + f),) + runs[i + 1:j]
+                return Word._make(conj, n), Word._make(core, n)
+            i += 1
+            j -= 1
         # the runs that remain, and the conjugator's, are reduced
-        return Word._make(tuple(conj), self.n_gens), Word._make(tuple(runs), self.n_gens)
+        return Word._make(runs[:i], n), Word._make(runs[i:j + 1], n)
 
     # -- value semantics ---------------------------------------------------
 

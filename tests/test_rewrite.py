@@ -13,16 +13,17 @@ from pdeficiency.quotient import (
     parse_perm,
     perm_identity,
     perm_inv,
+    perm_order,
 )
 from pdeficiency.rewrite import (
-    conjugate_class_reps,
+    basis_words,
     p_size_bound,
     rewrite_word,
     schreier,
     subgroup_presentation,
     supermultiplicity_check,
 )
-from pdeficiency.verification import centralizer_index, evaluate
+from pdeficiency.verification import centralizer_index, conjugate_class_reps, evaluate
 from pdeficiency.words import Word, maximal_root, nu_p, nu_p_int
 
 DINF = parse_presentation("< x, y | x^2, y^2 >")
@@ -34,9 +35,10 @@ Q_PROP = FiniteQuotient([tuple(range(5)), tuple((i + 1) % 5 for i in range(5))])
 
 def expand_basis_word(sd, w):
     """Substitute each basis letter by its word over the original alphabet."""
+    basis = basis_words(sd)
     out = Word.identity(sd.table.n_gens)
     for g, e in w.runs:
-        out = out * sd.basis[g].word ** e
+        out = out * basis[g] ** e
     return out
 
 
@@ -50,18 +52,44 @@ def reference_rewrite(sd, w):
     for lt in w.letters():
         g = abs(lt) - 1
         if lt > 0:
-            idx = sd.edge_to_basis.get((c, g))
-            if idx is not None:
-                runs.append((idx, 1))
+            if sd.letter[g][c] >= 0:
+                runs.append((sd.letter[g][c], 1))
             c = tables[g][c]
         else:
             c = inv_tables[g][c]
-            idx = sd.edge_to_basis.get((c, g))
-            if idx is not None:
-                runs.append((idx, -1))
+            if sd.letter[g][c] >= 0:
+                runs.append((sd.letter[g][c], -1))
     if c != 0:
         raise ValueError("word does not lie in the subgroup")
-    return Word(runs, len(sd.basis))
+    return Word(runs, sd.rank)
+
+
+def reference_schreier(q):
+    """Transversal and basis words built letter by letter through the
+    checking ``Word(...)`` constructor, from a breadth-first search over a
+    set of tree edges: the reference for ``schreier`` and ``basis_words``."""
+    tables, positions, k = q.tables, q.positions, q.n_gens
+    transversal = [None] * q.order
+    transversal[0] = Word.identity(k)
+    tree_edges = set()
+    queue = [0]
+    for c in queue:
+        for g in range(k):
+            cyc, i = positions[g][c]
+            for sign, target in ((1, tables[g][c]), (-1, cyc[i - 1])):
+                if transversal[target] is None:
+                    transversal[target] = Word(transversal[c].runs + ((g, sign),), k)
+                    tree_edges.add((c, g) if sign == 1 else (target, g))
+                    queue.append(target)
+    basis = []
+    for g in range(k):
+        for c in range(q.order):
+            if (c, g) not in tree_edges:
+                back = transversal[tables[g][c]].runs
+                basis.append(Word(
+                    transversal[c].runs + ((g, 1),) + tuple((h, -e) for h, e in reversed(back)),
+                    k))
+    return tuple(transversal), tuple(basis)
 
 
 def random_word(rng, n_gens, length):
@@ -107,7 +135,7 @@ class TestSchreier:
         sd = schreier(Q_DINF)
         x, y = Word(((0, 1),), 2), Word(((1, 1),), 2)
         assert sd.transversal == (Word.identity(2), x)
-        assert [b.word for b in sd.basis] == [x**2, y * x.inverse(), x * y]
+        assert basis_words(sd) == (x**2, y * x.inverse(), x * y)
 
     def test_rank_f2_index2(self):
         sd = schreier(FiniteQuotient([(1, 0), (0, 1)]))
@@ -116,13 +144,24 @@ class TestSchreier:
     def test_rank_f1_index2(self):
         sd = schreier(FiniteQuotient([(1, 0)]))
         assert sd.rank == 1
-        assert sd.basis[0].word == Word(((0, 2),), 1)
+        assert basis_words(sd) == (Word(((0, 2),), 1),)
 
     def test_nielsen_schreier_rank(self):
         free2 = parse_presentation("< x, y | >")
         for q in enumerate_quotients(free2, default_catalog().up_to(8), 8):
             sd = schreier(q)
             assert sd.rank == 1 + q.order * (free2.n_gens - 1)
+
+    def test_matches_word_by_word_build(self):
+        free2 = parse_presentation("< x, y | >")
+        quotients = [*enumerate_quotients(free2, default_catalog().up_to(8), 8),
+                     *WALK_QUOTIENTS, *KERNEL_QUOTIENTS]
+        for q in quotients:
+            sd = schreier(q)
+            transversal, basis = reference_schreier(q)
+            assert sd.transversal == transversal
+            assert basis_words(sd) == basis
+            assert sorted(s for row in sd.letter for s in row if s >= 0) == list(range(sd.rank))
 
 
 class TestRewrite:
@@ -167,6 +206,37 @@ WALK_QUOTIENTS = [
 ]
 SCHREIER = [schreier(q) for q in WALK_QUOTIENTS]
 
+# The quotients of the kernels benchmark: onto PSL(2,7) from the (2,3,7)
+# triangle group and from the genus-2 surface group, onto S5 from (2,4,5),
+# and onto A5 from (3,3,5) and (2,5,10).
+KERNEL_QUOTIENTS = [
+    FiniteQuotient([parse_perm(text, degree) for text in images])
+    for degree, images in [
+        (8, ["(1 6)(2 5)(3 4)(7 8)", "(2 3 6)(5 8 7)", "(1 6 4 3 5 8 2)"]),
+        (8, ["(1 4 3 6 7 2 8)", "(1 3 7 8 4 6 2)", "(1 5 4 7)(2 6 3 8)", "(1 5 4 7)(2 6 3 8)"]),
+        (5, ["(2 3)", "(1 5 3 4)", "(1 4 2 3 5)"]),
+        (5, ["(2 5 3)", "(1 5 4)", "(1 4 2 3 5)"]),
+        (5, ["(2 3)(4 5)", "(1 4 3 5 2)", "(1 3 5 2 4)"]),
+    ]
+]
+KERNEL_SCHREIER = [schreier(q) for q in KERNEL_QUOTIENTS]
+
+
+@st.composite
+def kernel_words(draw):
+    """A kernel quotient's Schreier data and a word in its kernel: up to six
+    runs g^e with |e| at most twice the period of g, closed by the inverse
+    transversal word of its endpoint."""
+    sd = draw(st.sampled_from(KERNEL_SCHREIER))
+    q = sd.table
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        g = draw(st.integers(0, q.n_gens - 1))
+        period = perm_order(q.images[g])
+        runs.append((g, draw(st.integers(-2 * period, 2 * period))))
+    w = Word(runs, q.n_gens)
+    return sd, w * sd.transversal[q.walk(w.runs)].inverse()
+
 
 class TestRewriteByRuns:
     @settings(max_examples=60, deadline=None)
@@ -185,6 +255,36 @@ class TestRewriteByRuns:
         w = w * sd.transversal[q.walk(w.runs)].inverse()
         for c, t in enumerate(sd.transversal):
             assert rewrite_word(sd, w, c) == reference_rewrite(sd, w.conjugated_by(t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_words())
+    def test_kernel_quotients_match_letter_by_letter(self, case):
+        """From every start coset, on the quotients of the kernels
+        benchmark, whose cycles hold one or several basis letters."""
+        sd, w = case
+        for c, t in enumerate(sd.transversal):
+            assert rewrite_word(sd, w, c) == reference_rewrite(sd, w.conjugated_by(t))
+
+    @pytest.mark.parametrize("text, want", [
+        ("z^-2*x*z^-1", "i^-1*h^-2"),
+        ("z*x^-1*z^2", "h^2*i"),
+    ])
+    def test_letters_meet_across_a_tree_run(self, text, want):
+        """Onto S3 with x and z both mapped to (1 2): x crosses a tree edge
+        only, so the letters of the z-runs on either side of it meet and
+        merge into one run.  They never cancel: the walk between two
+        crossings of one edge in opposite directions would be a closed walk
+        on the tree that never turns back, and a reduced word walks none."""
+        q = FiniteQuotient([parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3),
+                            parse_perm("(1 2)", 3)])
+        sd = schreier(q)
+        w = parse_word(text, ("x", "y", "z"))
+        c = q.walk(w.runs[:1])
+        x_edge = c if w.runs[1][1] > 0 else q.tables[0][c]  # x is an involution
+        assert sd.letter[0][x_edge] == -1
+        got = rewrite_word(sd, w)
+        assert got == reference_rewrite(sd, w)
+        assert got == parse_word(want, tuple("abcdefghijklm"[:sd.rank]))
 
     @pytest.mark.parametrize("which, text, want", [
         (0, "x^1000001*x^-1", "a^500000"),    # one basis letter per turn

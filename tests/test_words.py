@@ -95,6 +95,28 @@ class TestReduce:
             w("x", 2) * w("x", 3)
 
 
+def pop_cyclic_reduce(word):
+    """The conjugator and core of ``Word.cyclic_reduce``, peeled one pair of
+    end runs at a time from a list, the reference for the linear walk."""
+    runs = list(word.runs)
+    conj = []
+    while len(runs) >= 2:
+        g1, e1 = runs[0]
+        g2, e2 = runs[-1]
+        if g1 != g2 or (e1 > 0) == (e2 > 0):
+            break
+        s = 1 if e1 > 0 else -1
+        t = min(abs(e1), abs(e2))
+        conj.append((g1, s * t))
+        runs[0] = (g1, e1 - s * t)
+        runs[-1] = (g2, e2 + s * t)
+        if runs[-1][1] == 0:
+            runs.pop()
+        if runs[0][1] == 0:
+            runs.pop(0)
+    return tuple(conj), tuple(runs)
+
+
 class TestCyclicReduce:
     @given(words_st)
     def test_roundtrip(self, word):
@@ -103,6 +125,30 @@ class TestCyclicReduce:
         letters = core.letters()
         if len(letters) >= 2:
             assert letters[0] != -letters[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs_st, runs_st, st.integers(0, 3))
+    def test_matches_pop_loop(self, c, u, tail):
+        """Conjugates c*u*c^-1, whose ends cancel in whole runs and then in
+        part, and words with a few more runs after them."""
+        conj = Word(c, 3)
+        word = conj * Word(u, 3) * conj.inverse() * Word(c[:tail], 3)
+        got = word.cyclic_reduce()
+        assert (got[0].runs, got[1].runs) == pop_cyclic_reduce(word)
+        canonical(got[0])
+        canonical(got[1])
+
+    def test_long_conjugator(self):
+        # 800,005 runs, 400,000 of them in the conjugator: the pop loop took
+        # time quadratic in that
+        k = 200_000
+        word = parse_word(f"(x*y^-1)^{k}*(x^2*y)^3*(y*x^-1)^{k}", ("x", "y"))
+        assert len(word.runs) == 4 * k + 5
+        conj, core = word.cyclic_reduce()
+        assert conj == Word(((0, 1), (1, -1)), 2) ** k
+        assert core == Word(((0, 2), (1, 1)), 2) ** 3
+        rd = maximal_root(word)
+        assert (rd.conjugator, rd.root, rd.exponent) == (conj, Word(((0, 2), (1, 1)), 2), 3)
 
 
 class TestMaximalRoot:
