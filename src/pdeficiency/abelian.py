@@ -282,12 +282,14 @@ def abelian_p_deficiency_presentation(pres: FinitePresentation, p: int,
     require_prime(p)
     if cols is None:
         cols = exponent_columns(pres)
-    total = Fraction(pres.n_gens - 1)
+    columns = {}  # valuation -> columns that have it
     for col in cols:
         g = math.gcd(*col.values())
         if g:
-            total -= Fraction(1, p ** nu_p_int(g, p))
-    return total
+            v = nu_p_int(g, p)
+            columns[v] = columns.get(v, 0) + 1
+    return Fraction(pres.n_gens - 1) - sum(
+        (Fraction(n, p**v) for v, n in columns.items()), Fraction(0))
 
 
 def abelian_p_deficiency_group(inv: AbelianInvariants, p: int) -> Fraction:

@@ -11,6 +11,8 @@ and d_p is the F_p corank of the Fox Jacobian walked on the table.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import xor
 
 from .abelian import abelian_invariants, d_p, rank_mod_p
 from .presentation import FinitePresentation, p_deficiency
@@ -113,10 +115,26 @@ def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
     orbit's first coset, that is (m/k) times the walks of v from each coset
     of the orbit; it vanishes when p divides m/k.  Dropping the
     spanning-tree columns gives the exponent matrix of the subgroup
-    presentation, with the same rank.  A run g^e crosses each edge of its
-    cycle in tables[g] e // L times and the first e % L edges once more, L
-    the cycle length.
+    presentation, with the same rank.
+
+    At p = 2 each row is one int, a bit per column, from ``fox_masks``, and
+    its rank is XOR elimination.  At odd p the rows are the dicts of
+    ``fox_rows`` and the rank is ``rank_mod_p``; at p = 2 that path is the
+    oracle of the bit masks.
     """
+    d = q.order
+    if p == 2:
+        rank = _rank_f2(fox_masks(roots, q))
+    else:
+        rank = rank_mod_p(fox_rows(roots, q, p), p)
+    return d * q.n_gens - d + 1 - rank
+
+
+def fox_rows(roots, q: FiniteQuotient, p: int) -> list:
+    """The nonzero rows of the Fox Jacobian mod p that ``kernel_d_p``
+    describes, each a dict from column g*d + c to its entry.  A run g^e
+    crosses each edge of its cycle in tables[g] e // L times and the first
+    e % L edges once more, L the cycle length."""
     positions = q.positions
     d = q.order
     rows = []
@@ -147,7 +165,83 @@ def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
                         row[col] = row.get(col, 0) + sign
                     c = cyc[(i + sign * rest) % length]
             rows.append({col: mult * x for col, x in row.items()})
-    return d * q.n_gens - d + 1 - rank_mod_p(rows, p)
+    return rows
+
+
+def fox_masks(roots, q: FiniteQuotient) -> list:
+    """The rows of the Fox Jacobian mod 2, each an int with bit g*d + c set
+    for an odd entry in column g*d + c.
+
+    Every cycle of tables[g] has the period L of g, as the action is
+    regular.  Each cycle is walked twice, and ``prefix[j]`` is the XOR of
+    the bits of its first j edges, so the XOR of two prefixes is an arc of
+    fewer than L edges, also one that wraps; ``prefix[L]`` is the whole
+    cycle.  A run g^e from the coset at place i toggles the whole cycle
+    when |e| // L is odd, then the arc of |e| % L edges forward from i for
+    e > 0, backward for e < 0.  A row counts only when m/k is odd."""
+    d = q.order
+    tables, periods = q.tables, q.periods
+    runs = [root.runs for root in roots
+            if root.exponent // table_order(q, root.runs) % 2]
+    # at[g][c]: (prefix, doubled cycle, c's place) for each generator read
+    at = {}
+    for g in {g for rs in runs for g, _ in rs}:
+        table, length, base = tables[g], periods[g], g * d
+        places = [None] * d
+        for start in range(d):
+            if places[start] is not None:
+                continue
+            cyc = [start]
+            for _ in range(length - 1):
+                cyc.append(table[cyc[-1]])
+            cyc += cyc
+            prefix = list(accumulate([1 << (base + x) for x in cyc], xor, initial=0))
+            for i in range(length):
+                places[cyc[i]] = (prefix, cyc, i)
+        at[g] = places
+    rows = []
+    for rs in runs:
+        steps = []  # (places, L, odd, rest, forward) per run
+        for g, e in rs:
+            length = periods[g]
+            full, rest = divmod(abs(e), length)
+            steps.append((at[g], length, full & 1, rest, e > 0))
+        seen = bytearray(d)
+        for start in range(d):
+            if seen[start]:
+                continue
+            row = 0
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                for places, length, odd, rest, forward in steps:
+                    prefix, cyc, i = places[c]
+                    if odd:
+                        row ^= prefix[length]
+                    if forward:
+                        row ^= prefix[i + rest] ^ prefix[i]
+                        c = cyc[i + rest]
+                    else:
+                        i += length
+                        row ^= prefix[i] ^ prefix[i - rest]
+                        c = cyc[i - rest]
+            rows.append(row)
+    return rows
+
+
+def _rank_f2(rows) -> int:
+    """Rank over F_2 of rows given as ints: XOR elimination, each pivot
+    keyed by its top bit."""
+    pivots = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 # -- searches ----------------------------------------------------------------

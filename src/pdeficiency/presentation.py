@@ -272,17 +272,20 @@ class _Parser:
         """Returns (word, saw_generator); a word with no generator occurrence
         is the literal identity used as a chain terminator.
 
-        A factor that is a generator, with or without an exponent, is one
-        run and is joined to the runs so far in this loop: it merges with,
-        or cancels, the last run only.  Any other factor is parsed by
-        ``parse_factor``, and its reduced runs are joined at the seam: a run
-        popped there was pushed once, so the time is linear in the number
-        of runs.  The run bound counts the factors' runs before they are
+        A lone factor is returned as it was parsed.  Otherwise a factor that
+        is a generator, with or without an exponent, is one run and is
+        joined to the runs so far in this loop: it merges with, or cancels,
+        the last run only.  Any other factor is parsed by ``parse_factor``,
+        and its reduced runs are joined at the seam: a run popped there was
+        pushed once, so the time is linear in the number of runs.  The
+        factor's runs are copied whole into the list, with no slice, and
+        the runs that its seam merged or cancelled are then deleted from
+        the list.  The run bound counts the factors' runs before they are
         joined."""
         tokens = self.tokens
         word, saw = self.parse_factor(index)
-        runs = list(word.runs)
-        total = len(runs)
+        runs = []  # filled once a second factor follows
+        total = len(word.runs)
         i = self.i
         while True:
             tok = tokens[i]
@@ -291,7 +294,12 @@ class _Parser:
                 tok = tokens[i]
             elif not (tok in index or tok == "(" or tok == "1" or tok[:1].isalpha()):
                 self.i = i
-                return Word._make(tuple(runs), len(index)), saw
+                if word is None:
+                    word = Word._make(tuple(runs), len(index))
+                return word, saw
+            if word is not None:
+                runs += word.runs
+                word = None
             g = index.get(tok)
             if g is not None:
                 start = i
@@ -320,7 +328,9 @@ class _Parser:
             j, k, merged = _seam(runs, nxt.runs)
             del runs[j:]
             runs += merged
-            runs += nxt.runs[k:]
+            j = len(runs)
+            runs += nxt.runs
+            del runs[j:j + k]
             saw = saw or s
 
 

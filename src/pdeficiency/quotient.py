@@ -132,10 +132,11 @@ def format_perm(a: tuple) -> str:
 
 
 def describe_quotient(q: "FiniteQuotient", pres: FinitePresentation) -> str:
-    """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``."""
-    return ", ".join(
-        f"{name}:{format_perm(img)}" for name, img in zip(pres.generators, q.images)
-    )
+    """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``.
+    A quotient that the search yields carries its images' texts, formatted
+    once per catalog element; any other is formatted here."""
+    texts = q._texts or map(format_perm, q.images)
+    return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, texts))
 
 
 def _validate_perm(p, degree):
@@ -152,7 +153,8 @@ class FiniteQuotient:
     elements double as the cosets of the kernel under the regular action.
     """
 
-    __slots__ = ("degree", "images", "_elements", "_tables", "_periods", "_positions")
+    __slots__ = ("degree", "images", "_elements", "_tables", "_periods", "_positions",
+                 "_texts")
 
     def __init__(self, images):
         images = tuple(tuple(p) for p in images)
@@ -167,6 +169,22 @@ class FiniteQuotient:
         self._tables = None
         self._periods = None
         self._positions = None
+        self._texts = None
+
+    @classmethod
+    def _make(cls, images, elements, tables, periods, texts) -> "FiniteQuotient":
+        """The quotient of permutations already checked, with its closure,
+        regular tables, generator periods and the images' cycle texts
+        already built, as the search has them; nothing is checked."""
+        q = object.__new__(cls)
+        q.degree = len(images[0])
+        q.images = images
+        q._elements = elements
+        q._tables = tables
+        q._periods = periods
+        q._positions = None
+        q._texts = texts
+        return q
 
     @property
     def n_gens(self) -> int:
@@ -217,6 +235,14 @@ class FiniteQuotient:
         if self._tables is None:
             self._close()
         return self._tables
+
+    @property
+    def periods(self) -> tuple:
+        """The order of each generator's image: the length of every cycle
+        of its table, as the action is regular."""
+        if self._periods is None:
+            self._close()
+        return self._periods
 
     @property
     def positions(self) -> tuple:
@@ -338,6 +364,12 @@ class CatalogGroup:
                 x = mul[x][a]
             powers.append(tuple(pw))
         return mul, tuple(powers)
+
+    @cached_property
+    def cycle_texts(self) -> tuple:
+        """``format_perm`` of each of ``elements()``, for the quotients that
+        the search yields.  Built on the first search that yields one."""
+        return tuple(map(format_perm, self._elements))
 
     @cached_property
     def automorphisms(self) -> tuple:
@@ -658,9 +690,12 @@ def enumerate_quotients(
                 key = (len(order), tables)
                 if key not in seen:
                     seen.add(key)
-                    q = FiniteQuotient(tuple(elements[a] for a in images))
-                    q._elements = tuple(elements[h] for h in order)
-                    q._tables = tables
-                    q._periods = tuple([len(powers[a]) for a in images])
-                    yield q
+                    texts = grp.cycle_texts
+                    yield FiniteQuotient._make(
+                        tuple([elements[a] for a in images]),
+                        tuple([elements[h] for h in order]),
+                        tables,
+                        tuple([len(powers[a]) for a in images]),
+                        tuple([texts[a] for a in images]),
+                    )
             images[k] += 1

@@ -91,6 +91,28 @@ class CheckOutcome:
 # -- shared generators -------------------------------------------------------
 
 
+def word_from_letters(letters, n_gens: int) -> Word:
+    """Build (and freely reduce) a word from signed 1-based letters.
+
+    Letter +k is the k-th generator, -k its inverse.
+    """
+    runs = []
+    for lt in letters:
+        if lt == 0:
+            raise ValueError("letter 0 is not a generator")
+        runs.append((abs(lt) - 1, 1 if lt > 0 else -1))
+    return Word(runs, n_gens)
+
+
+def word_letters(w: Word) -> list:
+    """Signed 1-based letter sequence of the reduced word."""
+    out = []
+    for g, e in w.runs:
+        lt = g + 1 if e > 0 else -(g + 1)
+        out.extend([lt] * abs(e))
+    return out
+
+
 def _random_reduced_letters(rng, n_gens: int, length: int) -> list:
     letters = []
     for _ in range(length):
@@ -104,7 +126,7 @@ def _random_reduced_letters(rng, n_gens: int, length: int) -> list:
 
 
 def _random_word(rng, n_gens: int, length: int) -> Word:
-    return Word.from_letters(_random_reduced_letters(rng, n_gens, length), n_gens)
+    return word_from_letters(_random_reduced_letters(rng, n_gens, length), n_gens)
 
 
 def _random_presentation(rng, max_gens=3, max_relators=4, max_len=12,
@@ -234,7 +256,7 @@ def _oracle_kernel_conjugate(q: FiniteQuotient, a: Word, b: Word) -> bool:
     image of the centralizer generator."""
     ga, ca = a.cyclic_reduce()
     gb, cb = b.cyclic_reduce()
-    la, lb = ca.letters(), cb.letters()
+    la, lb = word_letters(ca), word_letters(cb)
     if len(la) != len(lb):
         return False
     length = len(la)
@@ -242,7 +264,7 @@ def _oracle_kernel_conjugate(q: FiniteQuotient, a: Word, b: Word) -> bool:
         d for d in range(1, length + 1)
         if length % d == 0 and la == la[:d] * (length // d)
     )
-    root = ga * Word.from_letters(la[:d0], a.n_gens) * ga.inverse()
+    root = ga * word_from_letters(la[:d0], a.n_gens) * ga.inverse()
     u = evaluate(q, root)
     identity = perm_identity(q.degree)
     cyclic = {identity}
@@ -252,7 +274,7 @@ def _oracle_kernel_conjugate(q: FiniteQuotient, a: Word, b: Word) -> bool:
         power = perm_mul(power, u)
     for j in range(length):
         if la[j:] + la[:j] == lb:
-            prefix = Word.from_letters(la[:j], a.n_gens)
+            prefix = word_from_letters(la[:j], a.n_gens)
             h0 = gb * prefix.inverse() * ga.inverse()
             return evaluate(q, h0) in cyclic
     return False
@@ -642,7 +664,7 @@ def check_valuation():
     for letters in words:
         if not letters:
             continue
-        exponent = maximal_root(Word.from_letters(letters, 2)).exponent
+        exponent = maximal_root(word_from_letters(letters, 2)).exponent
         for p in (2, 3):
             got = nu_p_int(exponent, p)
             want = _oracle_nu(letters, p)

@@ -128,19 +128,6 @@ class Word:
     def generator(cls, g: int, n_gens: int, power: int = 1) -> "Word":
         return cls(((g, power),), n_gens)
 
-    @classmethod
-    def from_letters(cls, letters, n_gens: int) -> "Word":
-        """Build (and freely reduce) a word from signed 1-based letters.
-
-        Letter +k is the k-th generator, -k its inverse.
-        """
-        runs = []
-        for lt in letters:
-            if lt == 0:
-                raise ValueError("letter 0 is not a generator")
-            runs.append((abs(lt) - 1, 1 if lt > 0 else -1))
-        return cls(runs, n_gens)
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -149,14 +136,6 @@ class Word:
 
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.runs)
-
-    def letters(self) -> list:
-        """Signed 1-based letter sequence of the reduced word."""
-        out = []
-        for g, e in self.runs:
-            lt = g + 1 if e > 0 else -(g + 1)
-            out.extend([lt] * abs(e))
-        return out
 
     # -- group operations --------------------------------------------------
 

@@ -1,21 +1,28 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdeficiency.fuchsian import FuchsianSignature, standard_presentation, volume
-from pdeficiency.abelian import abelian_invariants, d_p
+from pdeficiency.abelian import abelian_invariants, d_p, rank_mod_p
 from pdeficiency.invariants import (
     chi_p_estimate,
     gradient_window,
     find_power_witness,
+    fox_masks,
+    fox_rows,
     kernel_d_p,
     kernel_deficiency,
     quotient_dp_drop,
     relator_roots,
     transfer_terms,
 )
-from pdeficiency.presentation import p_deficiency, parse_presentation, power_up
-from pdeficiency.quotient import SearchBudget, default_catalog, enumerate_quotients
+from pdeficiency.presentation import (
+    FinitePresentation, p_deficiency, parse_presentation, power_up,
+)
+from pdeficiency.quotient import (
+    SearchBudget, default_catalog, enumerate_quotients, table_order,
+)
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.words import Word
 
@@ -58,6 +65,59 @@ class TestKernelInvariants:
         assert roots[0].exponent == 6 and roots[0].nu == 1 and roots[0].scale == 2
         assert transfer_terms(roots, q) == [(2, Fraction(1))]
         assert kernel_deficiency(q, transfer_terms(roots, q)) == -1
+
+
+def dict_d_2(roots, q):
+    """d_2 of the kernel from the dict rows and ``rank_mod_p``: the oracle
+    of the bit masks."""
+    d = q.order
+    return d * q.n_gens - d + 1 - rank_mod_p(fox_rows(roots, q, 2), 2)
+
+
+# runs longer than every cycle of a table of order at most 12, and short ones
+EXPONENTS = st.sampled_from([1, -1, 2, -2, 3, -5, 13, -13, 25, -37, 144])
+
+
+@st.composite
+def powered_presentations(draw):
+    """One to three relators u^m over two or three generators; m is often
+    even, so m/k is often even too."""
+    n = draw(st.integers(2, 3))
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        runs = draw(st.lists(st.tuples(st.integers(0, n - 1), EXPONENTS),
+                             min_size=1, max_size=5))
+        core = Word(runs, n)
+        if not core.is_identity:
+            relators.append(core ** draw(st.sampled_from([1, 2, 3, 4, 6])))
+    return FinitePresentation(("x", "y", "z")[:n], relators)
+
+
+class TestFoxMasks:
+    """The F_2 rows as bit masks against the dict rows at p = 2."""
+
+    def check(self, pres):
+        roots = relator_roots(pres, 2)
+        for q in enumerate_quotients(pres, default_catalog().up_to(12), 12, budget(12)):
+            # bit g*d + c of a mask is the parity of entry g*d + c of its row
+            assert fox_masks(roots, q) == [
+                sum(1 << col for col, x in row.items() if x % 2)
+                for row in fox_rows(roots, q, 2)]
+            assert kernel_d_p(roots, q, 2) == dict_d_2(roots, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(powered_presentations())
+    def test_matches_dict_rows(self, pres):
+        self.check(pres)
+
+    def test_long_negative_runs_and_even_quotients(self):
+        # x^-37 and y^25 wrap every cycle; onto C2, (x^-37*y^2)^4 has k = 2
+        # and m/k = 2, so its rows vanish
+        pres = parse_presentation("< x, y | (x^-37*y^2)^4, y^25*x^-13*y^-2 >")
+        root = relator_roots(pres, 2)[0]
+        assert any(root.exponent // table_order(q, root.runs) == 2
+                   for q in enumerate_quotients(pres, default_catalog().up_to(12), 12))
+        self.check(pres)
 
 
 class TestChiEstimate:

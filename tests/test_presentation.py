@@ -17,6 +17,7 @@ from pdeficiency.presentation import (
     parse_word,
     power_up,
 )
+from pdeficiency.verification import word_from_letters
 from pdeficiency.words import RUN_LIMIT, Word, maximal_root
 
 
@@ -100,11 +101,79 @@ class TestParse:
 
     def test_factors_reduce_like_letters(self):
         pres = parse_presentation("< x, y | " + "*".join(["x*y^-1"] * 4000) + " >")
-        assert pres.relators == (Word.from_letters([1, -2] * 4000, 2),)
-        assert parse_word("x*y*y^-1*x^-1", ("x", "y")) == Word.from_letters([], 2)
+        assert pres.relators == (word_from_letters([1, -2] * 4000, 2),)
+        assert parse_word("x*y*y^-1*x^-1", ("x", "y")) == word_from_letters([], 2)
         # y*(x*y^-1)^2*y^-1 is y x y^-1 x y^-1 y^-1; its inverse is written twice
         nested = parse_word("x*(y*(x*y^-1)^2*y^-1)^-2*x^-1", ("x", "y"))
-        assert nested == Word.from_letters([1] + [2, 2, -1, 2, -1, -2] * 2 + [-1], 2)
+        assert nested == word_from_letters([1] + [2, 2, -1, 2, -1, -2] * 2 + [-1], 2)
+
+
+def factors_st(depth):
+    """A product of factors as a nested list: generators to small powers,
+    literal 1s, and bracketed products to powers."""
+    gen = st.tuples(st.just("gen"), st.integers(0, 1), st.sampled_from([1, -1, 2, -3, 0]))
+    one = st.just(("one",))
+    if depth:
+        sub = st.tuples(st.just("paren"), factors_st(depth - 1),
+                        st.sampled_from([1, -1, 2, -2, 3]))
+        factor = st.one_of(gen, one, sub)
+    else:
+        factor = st.one_of(gen, one)
+    return st.lists(factor, min_size=1, max_size=5)
+
+
+def factors_text(factors) -> str:
+    out = []
+    for f in factors:
+        if f[0] == "gen":
+            out.append(f"{'xy'[f[1]]}^{f[2]}")
+        elif f[0] == "one":
+            out.append("1")
+        else:
+            out.append(f"({factors_text(f[1])})^{f[2]}")
+    return "*".join(out)
+
+
+def factors_word(factors) -> Word:
+    """The oracle: the product of the factors' words through ``Word``."""
+    word = Word.identity(2)
+    for f in factors:
+        if f[0] == "gen":
+            word = word * Word(((f[1], f[2]),), 2)
+        elif f[0] == "paren":
+            word = word * factors_word(f[1]) ** f[2]
+    return word
+
+
+class TestParseProducts:
+    """Factors joined at their seams, where runs merge or cancel, against
+    the products of their words."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(factors_st(3))
+    def test_matches_word_products(self, factors):
+        text = factors_text(factors)
+        word = factors_word(factors)
+        assert parse_word(text, ("x", "y")) == word
+        # seams that cancel whole factors, and factors after a cancellation
+        assert parse_word(f"({text})*({text})^-1", ("x", "y")).is_identity
+        assert parse_word(f"x*({text})^2*({text})^-1*y", ("x", "y")) == (
+            Word(((0, 1),), 2) * word * Word(((1, 1),), 2))
+        assert parse_word(f"({text})^-1*x^2*{text}", ("x", "y")) == (
+            word.inverse() * Word(((0, 2),), 2) * word)
+
+    def test_lone_factor_returned_as_parsed(self, monkeypatch):
+        parsed = []
+        real = presentation._Parser.parse_factor
+
+        def recording(parser, index):
+            parsed.append(real(parser, index))
+            return parsed[-1]
+
+        monkeypatch.setattr(presentation._Parser, "parse_factor", recording)
+        word = parse_word("((x*y^-1)^3)", ("x", "y"))
+        assert word is parsed[-1][0]  # the outermost factor returns last
+        assert word.runs == ((0, 1), (1, -1)) * 3
 
 
 class TestRunLimit:

@@ -9,6 +9,7 @@ from pdeficiency.quotient import (
     SearchBudget,
     cycles_to_perm,
     default_catalog,
+    describe_quotient,
     enumerate_quotients,
     format_perm,
     kernel_index,
@@ -269,6 +270,27 @@ class TestEnumerate:
         for max_assignments in sorted({0, 1, full // 3, full // 2, full - 1, full}):
             search_agrees(pres, catalog, 12, max_assignments)
 
+    @pytest.mark.parametrize("manifest", [False, True], ids=["default", "manifest"])
+    def test_yielded_quotients_match_checked_ones(self, manifest):
+        # the search builds its quotients unchecked, with closures, tables,
+        # periods and cycle texts it already has; the public constructor
+        # and format_perm are their oracle
+        catalog = parse_catalog_manifest(self.MANIFEST) if manifest else default_catalog()
+        for text in ("< x, y | >", "< x, y, z | x^2, (y*z)^3 >"):
+            pres = parse_presentation(text)
+            found = list(enumerate_quotients(pres, catalog, 12))
+            assert len(found) > 20
+            for q in found:
+                fresh = FiniteQuotient(q.images)
+                assert q.elements == fresh.elements
+                assert q.tables == fresh.tables
+                assert q.periods == fresh.periods
+                assert q.degree == fresh.degree
+                assert describe_quotient(q, pres) == ", ".join(
+                    f"{name}:{format_perm(img)}"
+                    for name, img in zip(pres.generators, q.images))
+                assert describe_quotient(q, pres) == describe_quotient(fresh, pres)
+
     def test_catalog_builds_no_search_tables(self):
         # the catalog is cached per process, and earlier searches fill in
         # the shared groups' tables and automorphisms: check a fresh build
@@ -276,6 +298,7 @@ class TestEnumerate:
         for g in default_catalog().groups:
             assert "search_tables" not in vars(g)
             assert "automorphisms" not in vars(g)
+            assert "cycle_texts" not in vars(g)
 
     def test_catalog_built_once(self):
         assert default_catalog() is default_catalog()

@@ -23,7 +23,9 @@ from pdeficiency.rewrite import (
     subgroup_presentation,
     supermultiplicity_check,
 )
-from pdeficiency.verification import centralizer_index, conjugate_class_reps, evaluate
+from pdeficiency.verification import (
+    centralizer_index, conjugate_class_reps, evaluate, word_from_letters, word_letters,
+)
 from pdeficiency.words import Word, maximal_root, nu_p, nu_p_int
 
 DINF = parse_presentation("< x, y | x^2, y^2 >")
@@ -49,7 +51,7 @@ def reference_rewrite(sd, w):
     inv_tables = [perm_inv(t) for t in tables]
     runs = []
     c = 0
-    for lt in w.letters():
+    for lt in word_letters(w):
         g = abs(lt) - 1
         if lt > 0:
             if sd.letter[g][c] >= 0:
@@ -101,7 +103,7 @@ def random_word(rng, n_gens, length):
             if not letters or letters[-1] != -lt:
                 letters.append(lt)
                 break
-    return Word.from_letters(letters, n_gens)
+    return word_from_letters(letters, n_gens)
 
 
 class TestCosetTable:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdeficiency.presentation import parse_word
+from pdeficiency.verification import word_from_letters, word_letters
 from pdeficiency.words import (
     PRIME_LIMIT,
     RootDecomposition,
@@ -25,7 +26,7 @@ def w(text, n=2):
     for ch in text:
         g = "xyz".find(ch.lower()) + 1
         letters.append(g if ch.islower() else -g)
-    return Word.from_letters(letters, n)
+    return word_from_letters(letters, n)
 
 
 runs_st = st.lists(
@@ -52,7 +53,7 @@ class TestReduce:
         with pytest.raises(ValueError):
             Word(((5, 1),), 2)
         with pytest.raises(ValueError):
-            Word.from_letters([0], 2)
+            word_from_letters([0], 2)
 
     @given(runs_st)
     def test_idempotent_and_shorter(self, rs):
@@ -122,7 +123,7 @@ class TestCyclicReduce:
     def test_roundtrip(self, word):
         conj, core = word.cyclic_reduce()
         assert conj * core * conj.inverse() == word
-        letters = core.letters()
+        letters = word_letters(core)
         if len(letters) >= 2:
             assert letters[0] != -letters[-1]
 
@@ -185,7 +186,7 @@ class TestMaximalRoot:
         rd = maximal_root(word)
         assert rd.reassemble() == word
         assert rd.exponent >= 1
-        letters = rd.root.letters()
+        letters = word_letters(rd.root)
         length = len(letters)
         for d in range(1, length):
             if length % d == 0:
@@ -204,10 +205,10 @@ def letter_root(word):
     """Maximal root from the letter list: the smallest period that divides
     the length of the cyclically reduced core."""
     conj, core = word.cyclic_reduce()
-    letters = core.letters()
+    letters = word_letters(core)
     n = len(letters)
     d = next(d for d in range(1, n + 1) if n % d == 0 and letters == letters[:d] * (n // d))
-    return RootDecomposition(conj, Word.from_letters(letters[:d], word.n_gens), n // d)
+    return RootDecomposition(conj, word_from_letters(letters[:d], word.n_gens), n // d)
 
 
 class TestRunLengthRoot:
@@ -421,7 +422,7 @@ class TestParseSeams:
     def test_parse_matches_letters(self, case):
         n, text, letters = case
         word = parse_word(text, NAMES[:n])
-        assert canonical(word) == Word.from_letters(letters, n), text
+        assert canonical(word) == word_from_letters(letters, n), text
 
     def test_examples(self):
         assert parse_word("x*y*y^-1*x^-1*x^3", NAMES[:2]) == Word(((0, 3),), 2)
@@ -461,12 +462,12 @@ class TestNuP:
         # every word of length <= 5: compare against trying all candidate
         # roots v with |v| <= 5 and all exponents p^k
         small = _all_words(2, 5)
-        candidates = [Word.from_letters(v, 2) for v in small if v]
+        candidates = [word_from_letters(v, 2) for v in small if v]
         powers = {}  # (p, k) -> the set of v^(p^k), built on first use
         for letters in small:
             if not letters:
                 continue
-            word = Word.from_letters(letters, 2)
+            word = word_from_letters(letters, 2)
             for p in (2, 3):
                 best = 0
                 k = 1
@@ -501,7 +502,7 @@ def _oracle_shortest_p_prime_root(word, p):
     """All n-th roots found by literal extraction on the cyclic core; keep
     the shortest with p not dividing n."""
     conj, core = word.cyclic_reduce()
-    letters = core.letters()
+    letters = word_letters(core)
     length = len(letters)
     best = None
     for n in range(1, length + 1):
@@ -509,7 +510,7 @@ def _oracle_shortest_p_prime_root(word, p):
             continue
         d = length // n
         if letters == letters[:d] * n:
-            v = conj * Word.from_letters(letters[:d], word.n_gens) * conj.inverse()
+            v = conj * word_from_letters(letters[:d], word.n_gens) * conj.inverse()
             if best is None or len(v) < len(best[0]):
                 best = (v, n)
     return best
@@ -538,7 +539,7 @@ class TestPPrimeRoot:
         rng = random.Random(7)
         pool = _all_words(2, 4)
         for _ in range(300):
-            base = Word.from_letters(rng.choice(pool[1:]), 2)
+            base = word_from_letters(rng.choice(pool[1:]), 2)
             word = base ** rng.randint(1, 5)
             if word.is_identity or len(word) > 10:
                 continue
