@@ -32,9 +32,11 @@ from .fuchsian import (
 from .invariants import (
     ChiEstimate,
     GradientWindow,
+    SizeBound,
     chi_p_estimate,
     gradient_window,
     find_power_witness,
+    p_size_bound,
     quotient_dp_drop,
 )
 from .presentation import (
@@ -60,9 +62,7 @@ from .quotient import (
 )
 from .rewrite import (
     SchreierData,
-    SizeBound,
     basis_words,
-    p_size_bound,
     rewrite_word,
     schreier,
     subgroup_presentation,

@@ -36,7 +36,7 @@ from .fuchsian import (
     standard_presentation,
     volume,
 )
-from .invariants import chi_p_estimate, gradient_window, find_power_witness
+from .invariants import chi_p_estimate, gradient_window, find_power_witness, p_size_bound
 from .presentation import p_deficiency, parse_presentation, word_to_text
 from .quotient import (
     FiniteQuotient,
@@ -51,7 +51,6 @@ from .quotient import (
 )
 from .rewrite import (
     basis_words,
-    p_size_bound,
     schreier,
     subgroup_presentation,
     supermultiplicity_check,

@@ -1,11 +1,13 @@
 """Euler-characteristic and homology-gradient estimates from finite-quotient
-searches, the finite d_p drop step, and the power-witness search.
+searches, the p-size transfer bound of one kernel, the finite d_p drop
+step, and the power-witness search.
 
 All searches run over kernels of maps onto catalog groups; every reported
-ratio is an exact rational.  A kernel's p-deficiency and d_p are read off
-its coset table, the quotient's regular tables, without rewriting: the
-transfer formula gives de_p from the order of each relator root's image,
-and d_p is the F_p corank of the Fox Jacobian walked on the table.
+ratio is an exact rational.  A kernel's p-deficiency, p-size and d_p are
+read off its coset table, the quotient's regular tables, without
+rewriting: the transfer formula gives de_p and the valuation of each
+rewritten relator from the order of each relator root's image, and d_p is
+the F_p corank of the Fox Jacobian walked on the table.
 """
 
 import math
@@ -22,6 +24,7 @@ from .quotient import (
     SearchBudget,
     describe_quotient,
     enumerate_quotients,
+    kernel_index,
     table_order,
 )
 from .words import (
@@ -101,6 +104,51 @@ def kernel_deficiency(q: FiniteQuotient, terms) -> Fraction:
     ``q``, from its ``transfer_terms``: the Schreier basis has
     d*(|X| - 1) + 1 elements, so de_p = d*(|X| - 1) - sum of the terms."""
     return Fraction(q.order * (q.n_gens - 1)) - sum(term for _, term in terms)
+
+
+@dataclass(frozen=True)
+class RelatorContribution:
+    relator_index: int
+    centralizer_idx: int     # k = (C_F(r) : C_K(r))
+    class_count: int         # d / k
+    nu_free: int             # valuation of the relator in the free group
+    nu_p_k: int              # p-valuation of k
+    term: Fraction           # (d/k) * p^(-nu_free + nu_p(k))
+    rep_valuations: tuple    # valuation of each rewritten class rep: nu_free - nu_p_k
+
+
+@dataclass(frozen=True)
+class SizeBound:
+    """Upper bounds for the p-size of the relator normal closure within the
+    kernel: the term-wise transfer bound and the sum over the rewritten
+    class representatives, which the transfer formula makes equal."""
+
+    index: int
+    value: Fraction            # sum of the per-relator transfer terms
+    exact_sum: Fraction        # sum of p^-nu over the rewritten class reps
+    contributions: tuple
+
+
+def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBound:
+    """The ``transfer_terms`` of the kernel of ``q`` and the valuations of
+    the rewritten class representatives, read off the same formula: each of
+    the d/k representatives of relator r has valuation nu_p(m) - nu_p(k).
+    Nothing is rewritten; ``pdef verify`` checks the valuations against
+    rewriting."""
+    require_prime(p)
+    d = kernel_index(q, pres)
+    roots = relator_roots(pres, p)
+    contributions = []
+    reps = {}  # valuation -> class reps that have it
+    for i, (root, (k, term)) in enumerate(zip(roots, transfer_terms(roots, q))):
+        nu_k = nu_p_int(k, p)
+        v, classes = root.nu - nu_k, d // k
+        reps[v] = reps.get(v, 0) + classes
+        contributions.append(
+            RelatorContribution(i, k, classes, root.nu, nu_k, term, (v,) * classes))
+    bound = sum((c.term for c in contributions), Fraction(0))
+    exact = sum((Fraction(n, p**v) for v, n in reps.items()), Fraction(0))
+    return SizeBound(d, bound, exact, tuple(contributions))
 
 
 def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:

@@ -343,11 +343,7 @@ class CatalogGroup:
         a^1, ... up to the order of a.  Built on the first search that
         reaches the group."""
         tables = self._tables
-        steps = []  # (h, g) for each element i > 0: i was first reached as h times g
-        for h in range(self.order):
-            for g, table in enumerate(tables):
-                if table[h] == len(steps) + 1:
-                    steps.append((h, g))
+        steps = _bfs_steps(tables)
         mul = []
         for a in range(self.order):
             row = [a]
@@ -381,7 +377,12 @@ class CatalogGroup:
         Generator images of matching orders are chosen one at a time, and a
         prefix is dropped once it fails to extend to an injective map of
         the subgroup its generators generate that respects ``mul``; so a
-        generator in that subgroup has a forced image.  The build tries at
+        generator in that subgroup has a forced image.  The last
+        generator's image completes a tuple that is checked whole: the map
+        is built along the breadth-first steps of ``elements()``, and it is
+        an automorphism when it is injective and sends a*x to t*phi(x) for
+        each generator a with image t and every x, which one gather of
+        ``mul[a]`` and one of ``mul[t]`` compare.  The build tries at
         most |H|^2 images and keeps at most max(|H|, CLOSURE_LIMIT /
         sqrt(|H|)) automorphisms: about as many entries as ``mul`` for a
         large group, and whole Aut(H) for every default catalog group.  A
@@ -394,6 +395,21 @@ class CatalogGroup:
         keep = max(size, CLOSURE_LIMIT // math.isqrt(size))
         tries = size * size
         found = []
+        last = len(gens) - 1
+        steps = _bfs_steps(self._tables)
+        lefts = [itemgetter(*mul[a]) for a in gens]  # x -> a*x, gathered from a map
+
+        def automorphism(images):
+            """The automorphism that sends ``gens`` to ``images``, as a tuple,
+            or None if there is none."""
+            phi = [0]
+            for h, g in steps:
+                phi.append(mul[phi[h]][images[g]])
+            gather = itemgetter(*phi)
+            for left, t in zip(lefts, images):
+                if left(phi) != gather(mul[t]):
+                    return None
+            return tuple(phi) if len(set(phi)) == size else None
 
         def extend(img, images) -> bool:
             """Add every automorphism that extends the map ``img`` of the
@@ -401,10 +417,6 @@ class CatalogGroup:
             once the build must stop."""
             nonlocal tries
             k = len(images)
-            if k == len(gens):
-                if images != gens:
-                    found.append(tuple(map(img.__getitem__, range(size))))
-                return len(found) < keep
             used = set(img.values())
             if gens[k] in img:
                 candidates = [img[gens[k]]]
@@ -414,6 +426,13 @@ class CatalogGroup:
                 if not tries:
                     return False
                 tries -= 1
+                if k == last:
+                    phi = automorphism(images + (t,))
+                    if phi is not None and images + (t,) != gens:
+                        found.append(phi)
+                        if len(found) == keep:
+                            return False
+                    continue
                 wider = _extend_map(mul, img, used, gens[:k + 1], images + (t,))
                 if wider is not None and not extend(wider, images + (t,)):
                     return False
@@ -421,6 +440,18 @@ class CatalogGroup:
 
         extend({0: 0}, ())
         return tuple(found)
+
+
+def _bfs_steps(tables) -> list:
+    """``(h, g)`` for each element i > 0 of the breadth-first numbering of
+    the regular ``tables``: i was first reached as element h times
+    generator g."""
+    steps = []
+    for h in range(len(tables[0])):
+        for g, table in enumerate(tables):
+            if table[h] == len(steps) + 1:
+                steps.append((h, g))
+    return steps
 
 
 def _extend_map(mul, img, used, gens, images):

@@ -1,5 +1,7 @@
-"""Schreier transversals, Reidemeister rewriting, subgroup presentations,
-conjugate-class splitting and p-size transfer bounds.
+"""Schreier transversals, Reidemeister rewriting, subgroup presentations
+and the supermultiplicity check: what ``pdef subgroup`` prints, and the
+rewriting against which ``verification`` checks the kernel formulas of
+``invariants``.
 
 The finite-index subgroups handled here are kernels of maps onto finite
 permutation groups.  The coset table of a kernel is the quotient's regular
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .invariants import class_cosets, relator_roots, transfer_terms
+from .invariants import class_cosets, relator_roots
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import FiniteQuotient, kernel_index, perm_cycles
-from .words import RUN_LIMIT, Word, _join, _seam, maximal_root, nu_p_int, require_prime
+from .words import RUN_LIMIT, Word, _join, _seam, require_prime
 
 
 @dataclass(frozen=True)
@@ -245,53 +247,6 @@ def subgroup_presentation(
         for r in pres.relators:
             relators.extend(rewrite_word(sd, r, c) for c in range(sd.degree))
     return FinitePresentation(_subgroup_names(sd.rank), relators)
-
-
-@dataclass(frozen=True)
-class RelatorContribution:
-    relator_index: int
-    centralizer_idx: int     # k = (C_F(r) : C_K(r))
-    class_count: int         # d / k
-    nu_free: int             # valuation of the relator in the free group
-    nu_p_k: int              # p-valuation of k
-    term: Fraction           # (d/k) * p^(-nu_free + nu_p(k))
-    rep_valuations: tuple    # exact valuations of the rewritten class reps
-
-
-@dataclass(frozen=True)
-class SizeBound:
-    """Upper bounds for the p-size of the relator normal closure within the
-    kernel: the term-wise transfer bound and the exact rewritten sum."""
-
-    index: int
-    value: Fraction            # sum of the per-relator transfer terms
-    exact_sum: Fraction        # sum of p^-nu over the rewritten class reps
-    contributions: tuple
-
-
-def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBound:
-    """The transfer terms of ``invariants.transfer_terms`` and, for
-    comparison, the exact valuations of the rewritten class
-    representatives."""
-    require_prime(p)
-    d = kernel_index(q, pres)
-    sd = schreier(q)
-    roots = relator_roots(pres, p)
-    contributions = []
-    reps = {}  # valuation -> rewritten class reps that have it
-    for i, (r, root, (k, term)) in enumerate(
-        zip(pres.relators, roots, transfer_terms(roots, q))
-    ):
-        valuations = tuple(nu_p_int(maximal_root(rewrite_word(sd, r, c)).exponent, p)
-                           for c in class_cosets(q, root))
-        for v in valuations:
-            reps[v] = reps.get(v, 0) + 1
-        contributions.append(
-            RelatorContribution(i, k, d // k, root.nu, nu_p_int(k, p), term, valuations)
-        )
-    bound = sum((c.term for c in contributions), Fraction(0))
-    exact = sum((Fraction(n, p**v) for v, n in reps.items()), Fraction(0))
-    return SizeBound(d, bound, exact, tuple(contributions))
 
 
 @dataclass(frozen=True)

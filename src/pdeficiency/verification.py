@@ -38,6 +38,7 @@ from .invariants import (
     find_power_witness,
     kernel_d_p,
     kernel_deficiency,
+    p_size_bound,
     quotient_dp_drop,
     relator_root,
     relator_roots,
@@ -57,7 +58,6 @@ from .quotient import (
 )
 from .rewrite import (
     SchreierData,
-    p_size_bound,
     rewrite_word,
     schreier,
     subgroup_presentation,
@@ -874,7 +874,8 @@ def check_kernel_invariants():
     presentations, half of them with a relator c*u^m*c^-1, and the first
     15 catalog quotients of each up to order 12, at p in {2, 3, 5}.  The
     table order k of each relator root matches ``centralizer_index``, and
-    ``psize``'s exact sum equals its transfer bound.  The genus-2 surface
+    the valuations that ``psize`` reads off the formula match the maximal
+    roots of the rewritten class representatives.  The genus-2 surface
     group onto PSL(2,7) has a kernel of genus 169."""
     rng = random.Random(0x5EED0E)
     catalog = default_catalog().up_to(12)
@@ -889,8 +890,12 @@ def check_kernel_invariants():
             pres = pres.with_relators(pres.relators + (power,))
         quotients = enumerate_quotients(pres, catalog, 12, SearchBudget(12, 3000))
         for q in itertools.islice(quotients, 15):
-            sub = subgroup_presentation(pres, q)
+            sd = schreier(q)
+            sub = subgroup_presentation(pres, q, sd=sd)
             inv = abelian_invariants(sub)
+            exponents = [[maximal_root(rewrite_word(sd, r, c)).exponent
+                          for c in class_cosets(q, root)]
+                         for r, root in zip(pres.relators, relator_roots(pres))]
             for p in (2, 3, 5):
                 roots = relator_roots(pres, p)
                 terms = transfer_terms(roots, q)
@@ -904,10 +909,10 @@ def check_kernel_invariants():
                 dp = kernel_d_p(roots, q, p)
                 _ensure(dp == d_p(inv, p), f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"Fox d_p {dp}, rewritten {d_p(inv, p)}")
-                bound = p_size_bound(pres, q, p)
-                _ensure(bound.exact_sum == bound.value,
-                        f"{pres.to_text()} onto {q!r}, p={p}: exact sum "
-                        f"{bound.exact_sum} != transfer bound {bound.value}")
+                got = [list(c.rep_valuations) for c in p_size_bound(pres, q, p).contributions]
+                want = [[nu_p_int(m, p) for m in ms] for ms in exponents]
+                _ensure(got == want, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"psize valuations {got}, rewritten {want}")
                 cases += 1
                 divisible += sum(1 for root, k in zip(roots, ks)
                                  if root.exponent // k % p == 0)
@@ -925,8 +930,8 @@ def check_kernel_invariants():
         de = kernel_deficiency(q, transfer_terms(roots, q))
         _ensure((dp, de) == (338, 336), f"genus 2 onto PSL(2,7), p={p}: d_p {dp}, de_p {de}")
     return (f"{cases} (kernel, p) cases from {presentations} random presentations, "
-            f"{divisible} relators with p dividing m/k: formula de_p and Fox d_p "
-            "match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
+            f"{divisible} relators with p dividing m/k: formula de_p, Fox d_p and "
+            "psize valuations match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
             {"cases": cases, "divisible": divisible, "presentations": presentations})
 
 

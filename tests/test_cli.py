@@ -251,8 +251,9 @@ def capped_child(*argv):
               "rewritten valuations=[7]\n"),
 ], ids=["subgroup", "psize"])
 def test_huge_power_rewritten_by_runs(command, line):
-    """Rewriting walks runs, so x^300000000 becomes the one run a^150000000
-    without its letters being written out."""
+    """Rewriting walks runs, so ``subgroup`` turns x^300000000 into the one
+    run a^150000000 without its letters being written out; ``psize`` reads
+    the valuation of that run off the transfer formula."""
     proc = capped_child(command, "-p", "2", "< x | x^300000000 >", "--hom-cyclic", "2", "1")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert line in proc.stdout
@@ -261,13 +262,23 @@ def test_huge_power_rewritten_by_runs(command, line):
 @pytest.mark.parametrize("argv, message", [
     (["def", "-p", "2", "< x, y | (x*y)^300000000 >"],
      "error: power would have more than 1000000 runs (at position 15)\n"),
-    (["psize", "-p", "2", "< x, y | x^600000000, y^2, (x*y)^2 >",
+    (["subgroup", "-p", "2", "< x, y | x^600000000, y^2, (x*y)^2 >",
       "--quotient", "x:(1 2),y:(3 4)"],
      "error: the rewritten word would have more than 1000000 runs\n"),
 ], ids=["parse", "rewrite"])
 def test_run_limit_is_an_error(argv, message):
     proc = capped_child(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+def test_psize_past_the_run_limit():
+    """``psize`` reads its valuations off the transfer formula and rewrites
+    nothing, so the input whose rewriting is refused above has a report."""
+    proc = capped_child("psize", "-p", "2", "< x, y | x^600000000, y^2, (x*y)^2 >",
+                        "--quotient", "x:(1 2),y:(3 4)")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "rewritten valuations=[8, 8]\n" in proc.stdout
+    assert proc.stdout.endswith("exact rewritten p-size = 513/128\n")
 
 
 C31 = " ".join(map(str, range(1, 32)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdeficiency.abelian import abelian_invariants
-from pdeficiency.presentation import parse_presentation, parse_word
+from pdeficiency.invariants import class_cosets, p_size_bound, relator_roots
+from pdeficiency.presentation import FinitePresentation, parse_presentation, parse_word
 from pdeficiency.quotient import (
     FiniteQuotient,
     default_catalog,
@@ -17,7 +19,6 @@ from pdeficiency.quotient import (
 )
 from pdeficiency.rewrite import (
     basis_words,
-    p_size_bound,
     rewrite_word,
     schreier,
     subgroup_presentation,
@@ -441,8 +442,6 @@ class TestPSizeBound:
             n = rng.randint(1, 3)
             names = ("x", "y", "z")[:n]
             relators = [random_word(rng, n, rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
-            from pdeficiency.presentation import FinitePresentation
-
             pres = FinitePresentation(names, relators)
             for q in enumerate_quotients(pres, catalog, 8):
                 if q.order == 1:
@@ -456,6 +455,32 @@ class TestPSizeBound:
                 assert bound.exact_sum <= bound.value <= naive
                 checked += 1
                 break
+
+    def test_valuations_match_rewriting(self):
+        # psize reads each class representative's valuation off the transfer
+        # formula; rewriting each one and taking its maximal root must agree
+        rng = random.Random(73)
+        catalog = default_catalog().up_to(12)
+        cases = nonzero = 0
+        for i in range(30):
+            n = rng.randint(1, 2)
+            relators = [random_word(rng, n, rng.randint(1, 6)) for _ in range(rng.randint(0, 2))]
+            if i % 2 == 0:
+                u = random_word(rng, n, rng.randint(1, 3))
+                c = random_word(rng, n, rng.randint(0, 2))
+                relators.append((u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c))
+            pres = FinitePresentation(("x", "y")[:n], relators)
+            for q in itertools.islice(enumerate_quotients(pres, catalog, 12), 10):
+                sd = schreier(q)
+                exponents = [[maximal_root(rewrite_word(sd, r, c)).exponent
+                              for c in class_cosets(q, root)]
+                             for r, root in zip(pres.relators, relator_roots(pres))]
+                for p in (2, 3, 5):
+                    got = [list(c.rep_valuations) for c in p_size_bound(pres, q, p).contributions]
+                    assert got == [[nu_p_int(m, p) for m in ms] for ms in exponents]
+                    cases += 1
+                    nonzero += sum(1 for vs in got if vs[0])
+        assert cases >= 300 and nonzero >= 50
 
 
 class TestSupermultiplicity:
