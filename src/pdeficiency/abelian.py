@@ -319,22 +319,23 @@ def rank_mod_p(rows, p: int) -> int:
     ``{column: entry}`` dict per row.
 
     Each row is reduced by the pivot rows at its leading (smallest) column
-    until it vanishes or leads at a new column, where it becomes a pivot row
-    scaled to lead with 1.  A pivot row has no entries left of its leading
-    column, so each reduction step only moves the lead to the right.
+    until it vanishes or leads at a new column, where it becomes a pivot
+    row, kept with the inverse of its leading entry rather than scaled by
+    it.  A pivot row has no entries left of its leading column, so each
+    reduction step only moves the lead to the right.
     """
-    pivots = {}
+    pivots = {}  # leading column -> (pivot row, inverse of its leading entry)
     for row in rows:
         row = {c: x % p for c, x in row.items() if x % p}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {c: x * inv % p for c, x in row.items()}
+                pivots[lead] = (row, pow(row[lead], -1, p))
                 break
-            f = row[lead]
-            for c, x in pivot.items():
+            pivot_row, inv = pivot
+            f = row[lead] * inv % p
+            for c, x in pivot_row.items():
                 y = (row.get(c, 0) - f * x) % p
                 if y:
                     row[c] = y

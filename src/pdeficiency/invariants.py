@@ -4,17 +4,19 @@ step, and the power-witness search.
 
 All searches run over kernels of maps onto catalog groups; every reported
 ratio is an exact rational.  A kernel's p-deficiency, p-size and d_p are
-read off its coset table, the quotient's regular tables, without
-rewriting: the transfer formula gives de_p and the valuation of each
-rewritten relator from the order of each relator root's image, and d_p is
-the F_p corank of the Fox Jacobian walked on the table.
+found without rewriting: the transfer formula gives de_p and the valuation
+of each rewritten relator from the order k of each relator root's image,
+and d_p is the F_p corank of the Fox Jacobian.  ``psize`` reads k off the
+coset table, the quotient's regular tables.  The searches read their
+kernels off the catalog group that the search holds them in: k is the
+length of a ``powers`` row, de_p one integer over the largest p-power
+scale, and the Fox rows come from the group's cycle layout of each
+generator's image; ``verification`` keeps the table walks as their oracle.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import xor
 
 from .abelian import abelian_invariants, d_p, rank_mod_p
 from .presentation import FinitePresentation, p_deficiency
@@ -151,133 +153,144 @@ def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBou
     return SizeBound(d, bound, exact, tuple(contributions))
 
 
-def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
-    """d_p of the kernel of ``q``, of index d: d*|X| - d + 1 - rank_Fp(J).
+# -- kernel invariants of a search leaf ----------------------------------------
+
+
+def leaf_orders(roots, q: FiniteQuotient) -> list:
+    """k per relator for a quotient that the search yields, as
+    ``transfer_terms`` has it: v is evaluated on the catalog group's
+    indices through ``mul`` and ``powers``, and k is the length of the
+    ``powers`` row of its image."""
+    grp, images, _ = q.leaf
+    mul, powers = grp.search_tables
+    ks = []
+    for root in roots:
+        x = 0
+        for g, e in root.runs:
+            pw = powers[images[g]]
+            x = mul[x][pw[e % len(pw)]]
+        ks.append(len(powers[x]))
+    return ks
+
+
+def deficiency_numerator(roots, ks, d: int, n_gens: int, top: int) -> int:
+    """``kernel_deficiency`` of a kernel of index d with the orders ``ks``,
+    times ``top``, a power of p that every root's scale divides:
+    d*(|X| - 1)*top - sum of (d/k)*gcd(k, scale)*(top/scale).  Over one
+    denominator, de_p and de_p/d are one Fraction each."""
+    return d * (n_gens - 1) * top - sum(
+        d // k * math.gcd(k, root.scale) * (top // root.scale)
+        for root, k in zip(roots, ks))
+
+
+def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
+    """d_p of the kernel of a quotient that the search yields, of index d:
+    d*|X| - d + 1 - rank_Fp(J).
 
     J is the Fox Jacobian of the relators in the regular representation
     (R. H. Fox, "Free differential calculus I", Ann. of Math. 57, 1953).
-    Its columns are the edges (coset, generator) of the coset table, and a
-    walk of a word contributes its signed edge crossings.  One row per
-    relator r and orbit of c -> c*v' on the cosets, v' the image of v: the
-    orbits of ``class_cosets``, and the row is the walk of r = v^m from the
-    orbit's first coset, that is (m/k) times the walks of v from each coset
-    of the orbit; it vanishes when p divides m/k.  Dropping the
-    spanning-tree columns gives the exponent matrix of the subgroup
-    presentation, with the same rank.
+    Its columns are the edges (h, g) from each element h of the image group
+    by each generator g, and a walk of a word contributes its signed edge
+    crossings.  One row per relator r and orbit of h -> h*v' on the image
+    group, v' the image of v: the walk of r = v^m from the orbit's first
+    element, that is (m/k) times the walks of v from each element of the
+    orbit.  It vanishes when p divides m/k, and otherwise m/k is a unit
+    mod p, which leaves the rank as it is, so the row is the walks of v.
+    Dropping the spanning-tree columns gives the exponent matrix of the
+    subgroup presentation, with the same rank.
 
-    At p = 2 each row is one int, a bit per column, from ``fox_masks``, and
-    its rank is XOR elimination.  At odd p the rows are the dicts of
-    ``fox_rows`` and the rank is ``rank_mod_p``; at p = 2 that path is the
-    oracle of the bit masks.
-    """
-    d = q.order
-    if p == 2:
-        rank = _rank_f2(fox_masks(roots, q))
-    else:
-        rank = rank_mod_p(fox_rows(roots, q, p), p)
-    return d * q.n_gens - d + 1 - rank
-
-
-def fox_rows(roots, q: FiniteQuotient, p: int) -> list:
-    """The nonzero rows of the Fox Jacobian mod p that ``kernel_d_p``
-    describes, each a dict from column g*d + c to its entry.  A run g^e
-    crosses each edge of its cycle in tables[g] e // L times and the first
-    e % L edges once more, L the cycle length."""
-    positions = q.positions
-    d = q.order
+    Edge (h, g) is column g*|H| + place[h] of the ``cycle_layout`` of g's
+    image a, so the edges of one cycle of right multiplication by a are a
+    range of L columns, L the order of a.  A run g^e from the element at
+    offset i of its cycle crosses the whole range |e| // L times, then the
+    arc of |e| % L edges forward from i for e > 0, backward for e < 0; it
+    ends at offset (i + e) % L.  At p = 2 each row is one int, a bit per
+    column: a run toggles the range when |e| // L is odd, then its arc,
+    shifted and rotated within the range, and the rank is XOR elimination.
+    At odd p the rows are dicts of signed counts and the rank is
+    ``rank_mod_p``.  ``verification.kernel_d_p`` walks the coset table for
+    the same value."""
+    grp, images, order = q.leaf
+    powers = grp.search_tables[1]
+    size, d = grp.order, len(order)
     rows = []
-    for root in roots:
-        k = table_order(q, root.runs)
-        mult = root.exponent // k % p
-        if not mult:
+    for root, k in zip(roots, leaf_orders(roots, q)):
+        if not root.exponent // k % p:
             continue
-        seen = bytearray(d)
-        for start in range(d):
-            if seen[start]:
-                continue
-            row = {}
-            c = start
-            while not seen[c]:
-                seen[c] = 1
-                for g, e in root.runs:
-                    cyc, i = positions[g][c]
-                    length = len(cyc)
-                    full, rest = divmod(abs(e), length)
-                    sign = 1 if e > 0 else -1
-                    if full:
-                        for x in cyc:
-                            row[g * d + x] = row.get(g * d + x, 0) + sign * full
-                    edges = range(i, i + rest) if e > 0 else range(i - rest, i)
-                    for t in edges:
-                        col = g * d + cyc[t % length]
-                        row[col] = row.get(col, 0) + sign
-                    c = cyc[(i + sign * rest) % length]
-            rows.append({col: mult * x for col, x in row.items()})
-    return rows
+        # per run g^e: the layout of g's image, its order L, g's first column, e
+        steps = [(*grp.cycle_layout(images[g]), len(powers[images[g]]), g * size, e)
+                 for g, e in root.runs]
+        rows += _f2_rows(steps, order, size) if p == 2 else _dict_rows(steps, order, size)
+    rank = rank_f2(rows) if p == 2 else rank_mod_p(rows, p)
+    return d * len(images) - d + 1 - rank
 
 
-def fox_masks(roots, q: FiniteQuotient) -> list:
-    """The rows of the Fox Jacobian mod 2, each an int with bit g*d + c set
-    for an odd entry in column g*d + c.
-
-    Every cycle of tables[g] has the period L of g, as the action is
-    regular.  Each cycle is walked twice, and ``prefix[j]`` is the XOR of
-    the bits of its first j edges, so the XOR of two prefixes is an arc of
-    fewer than L edges, also one that wraps; ``prefix[L]`` is the whole
-    cycle.  A run g^e from the coset at place i toggles the whole cycle
-    when |e| // L is odd, then the arc of |e| % L edges forward from i for
-    e > 0, backward for e < 0.  A row counts only when m/k is odd."""
-    d = q.order
-    tables, periods = q.tables, q.periods
-    runs = [root.runs for root in roots
-            if root.exponent // table_order(q, root.runs) % 2]
-    # at[g][c]: (prefix, doubled cycle, c's place) for each generator read
-    at = {}
-    for g in {g for rs in runs for g, _ in rs}:
-        table, length, base = tables[g], periods[g], g * d
-        places = [None] * d
-        for start in range(d):
-            if places[start] is not None:
-                continue
-            cyc = [start]
-            for _ in range(length - 1):
-                cyc.append(table[cyc[-1]])
-            cyc += cyc
-            prefix = list(accumulate([1 << (base + x) for x in cyc], xor, initial=0))
-            for i in range(length):
-                places[cyc[i]] = (prefix, cyc, i)
-        at[g] = places
+def _f2_rows(steps, order, size) -> list:
+    """The rows of ``leaf_d_p`` mod 2 from the runs' ``steps``, one per orbit
+    of the walk on ``order``."""
+    runs = []
+    for cols, place, length, base, e in steps:
+        full, rest = divmod(abs(e), length)
+        whole = (1 << length) - 1
+        runs.append((cols, place, length, base, whole, whole if full & 1 else 0,
+                     (1 << rest) - 1, e % length, e > 0))
     rows = []
-    for rs in runs:
-        steps = []  # (places, L, odd, rest, forward) per run
-        for g, e in rs:
-            length = periods[g]
-            full, rest = divmod(abs(e), length)
-            steps.append((at[g], length, full & 1, rest, e > 0))
-        seen = bytearray(d)
-        for start in range(d):
-            if seen[start]:
-                continue
-            row = 0
-            c = start
-            while not seen[c]:
-                seen[c] = 1
-                for places, length, odd, rest, forward in steps:
-                    prefix, cyc, i = places[c]
-                    if odd:
-                        row ^= prefix[length]
-                    if forward:
-                        row ^= prefix[i + rest] ^ prefix[i]
-                        c = cyc[i + rest]
-                    else:
-                        i += length
-                        row ^= prefix[i] ^ prefix[i - rest]
-                        c = cyc[i - rest]
-            rows.append(row)
+    seen = bytearray(size)
+    for start in order:
+        if seen[start]:
+            continue
+        row = 0
+        c = start
+        while not seen[c]:
+            seen[c] = 1
+            for cols, place, length, base, whole, turn, arc, shift, forward in runs:
+                i = place[c]
+                off = i % length
+                i -= off
+                end = (off + shift) % length
+                bits = arc << (off if forward else end)  # wraps past bit L - 1
+                row ^= ((bits & whole) ^ (bits >> length) ^ turn) << (base + i)
+                c = cols[i + end]
+        rows.append(row)
     return rows
 
 
-def _rank_f2(rows) -> int:
+def _dict_rows(steps, order, size) -> list:
+    """The rows of ``leaf_d_p`` as ``{column: signed count}`` from the runs'
+    ``steps``, one per orbit of the walk on ``order``."""
+    runs = []
+    for cols, place, length, base, e in steps:
+        full, rest = divmod(abs(e), length)
+        sign = 1 if e > 0 else -1
+        runs.append((cols, place, length, base, sign * full, rest, e % length, sign))
+    rows = []
+    seen = bytearray(size)
+    for start in order:
+        if seen[start]:
+            continue
+        row = {}
+        c = start
+        while not seen[c]:
+            seen[c] = 1
+            for cols, place, length, base, turns, rest, shift, sign in runs:
+                i = place[c]
+                off = i % length
+                i -= off
+                end = (off + shift) % length
+                col = base + i
+                if turns:
+                    for x in range(col, col + length):
+                        row[x] = row.get(x, 0) + turns
+                first = off if sign > 0 else end
+                for t in range(first, first + rest):
+                    x = col + t % length
+                    row[x] = row.get(x, 0) + sign
+                c = cols[i + end]
+        rows.append(row)
+    return rows
+
+
+def rank_f2(rows) -> int:
     """Rank over F_2 of rows given as ints: XOR elimination, each pivot
     keyed by its top bit."""
     pivots = {}
@@ -335,11 +348,13 @@ def chi_p_estimate(
     de = p_deficiency(pres, p)
     samples = [ChiSample(1, de, de, None)]
     roots = relator_roots(pres, p)
+    top = max((root.scale for root in roots), default=1)
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
-        if q.order == 1:
+        d = q.order
+        if d == 1:
             continue
-        de_sub = kernel_deficiency(q, transfer_terms(roots, q))
-        samples.append(ChiSample(q.order, de_sub, Fraction(de_sub, q.order), q))
+        de_sub = deficiency_numerator(roots, leaf_orders(roots, q), d, pres.n_gens, top)
+        samples.append(ChiSample(d, Fraction(de_sub, top), Fraction(de_sub, top * d), q))
     best = max(samples, key=lambda s: s.ratio)
     return ChiEstimate(best.ratio, best, len(samples), budget.exhausted, tuple(samples))
 
@@ -378,7 +393,7 @@ def gradient_window(
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
-        dp_sub = kernel_d_p(roots, q, p)
+        dp_sub = leaf_d_p(roots, q, p)
         samples.append(GradientSample(q.order, dp_sub, Fraction(dp_sub, q.order),
                                       describe_quotient(q, pres)))
     ratios = [s.ratio for s in samples]
@@ -454,14 +469,15 @@ def find_power_witness(
     if budget is None:
         budget = SearchBudget()
     roots = relator_roots(pres, p)
+    top = max((root.scale for root in roots), default=1)
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
-        terms = transfer_terms(roots, q)
-        for i, (root, (k, _)) in enumerate(zip(roots, terms)):
+        ks = leaf_orders(roots, q)
+        for i, (root, k) in enumerate(zip(roots, ks)):
             if root.scale % k == 0:
                 continue  # the p'-root v^(p^nu) dies in q
-            de_sub = kernel_deficiency(q, terms)
+            de_sub = Fraction(deficiency_numerator(roots, ks, q.order, pres.n_gens, top), top)
             if de_sub <= 0:
                 raise AssertionError(
                     "internal error: witnessed kernel must have positive p-deficiency"

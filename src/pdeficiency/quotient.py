@@ -3,6 +3,13 @@ catalog of small permutation groups and the homomorphism search over it.
 
 Permutations are tuples of 0-based images; ``perm_mul(a, b)`` applies a
 first and then b, so evaluating a word left to right is a homomorphism.
+
+The search works on the indices of a catalog group's elements: each group
+caches its multiplication table and powers, its automorphisms, the cycle
+text of each element and, per element, the cycles of right multiplication
+by it laid end to end.  A quotient that the search yields keeps its group,
+image indices and closure as its ``leaf``, so that the kernel invariants
+and the description of each one read those caches, not a new coset table.
 """
 
 import math
@@ -133,9 +140,14 @@ def format_perm(a: tuple) -> str:
 
 def describe_quotient(q: "FiniteQuotient", pres: FinitePresentation) -> str:
     """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``.
-    A quotient that the search yields carries its images' texts, formatted
-    once per catalog element; any other is formatted here."""
-    texts = q._texts or map(format_perm, q.images)
+    A quotient that the search yields reads its images' texts off its
+    catalog group, formatted once per element; any other is formatted
+    here."""
+    if q.leaf is None:
+        texts = map(format_perm, q.images)
+    else:
+        grp, images, _ = q.leaf
+        texts = map(grp.cycle_texts.__getitem__, images)
     return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, texts))
 
 
@@ -151,10 +163,11 @@ class FiniteQuotient:
     """Homomorphism from the free group into Sym(degree), one permutation
     image per generator.  The image group is the closure of the images; its
     elements double as the cosets of the kernel under the regular action.
+    ``leaf`` is None, except on a quotient that the search yields (see
+    ``_make``).
     """
 
-    __slots__ = ("degree", "images", "_elements", "_tables", "_periods", "_positions",
-                 "_texts")
+    __slots__ = ("degree", "images", "leaf", "_elements", "_tables", "_periods")
 
     def __init__(self, images):
         images = tuple(tuple(p) for p in images)
@@ -168,22 +181,24 @@ class FiniteQuotient:
         self._elements = None
         self._tables = None
         self._periods = None
-        self._positions = None
-        self._texts = None
+        self.leaf = None
 
     @classmethod
-    def _make(cls, images, elements, tables, periods, texts) -> "FiniteQuotient":
+    def _make(cls, images, elements, tables, periods, leaf) -> "FiniteQuotient":
         """The quotient of permutations already checked, with its closure,
-        regular tables, generator periods and the images' cycle texts
-        already built, as the search has them; nothing is checked."""
+        regular tables and generator periods already built, as the search
+        has them; nothing is checked.  ``leaf`` is the search's own view of
+        it: ``(group, image indices, closure)``, the catalog group, the
+        index in ``group.elements()`` of each generator's image, and the
+        indices of the image group's elements in breadth-first order, as
+        ``elements`` lists them."""
         q = object.__new__(cls)
         q.degree = len(images[0])
         q.images = images
+        q.leaf = leaf
         q._elements = elements
         q._tables = tables
         q._periods = periods
-        q._positions = None
-        q._texts = texts
         return q
 
     @property
@@ -243,22 +258,6 @@ class FiniteQuotient:
         if self._periods is None:
             self._close()
         return self._periods
-
-    @property
-    def positions(self) -> tuple:
-        """Per generator and coset c, ``(cycle, i)``: the cycle of c in the
-        generator's table, from its least coset, and c's place in it.  Built
-        on first use; the Fox rows read it, the walks and rewriting do not."""
-        if self._positions is None:
-            positions = []
-            for table in self.tables:
-                at = [None] * len(table)
-                for cyc in perm_cycles(table, include_fixed=True):
-                    for i, c in enumerate(cyc):
-                        at[c] = (cyc, i)
-                positions.append(at)
-            self._positions = tuple(positions)
-        return self._positions
 
     def walk(self, runs, c: int = 0) -> int:
         """The coset that the word with these runs leads to from coset c.
@@ -366,6 +365,33 @@ class CatalogGroup:
         """``format_perm`` of each of ``elements()``, for the quotients that
         the search yields.  Built on the first search that yields one."""
         return tuple(map(format_perm, self._elements))
+
+    @cached_property
+    def _layouts(self) -> list:
+        """``cycle_layout`` of each element index, None until first asked."""
+        return [None] * self.order
+
+    def cycle_layout(self, a: int) -> tuple:
+        """``(cols, place)`` for element index a: the cycles of right
+        multiplication by a on all element indices, each from its least
+        index and in the order of it, laid end to end in ``cols``, and
+        ``place[x]``, the position of x in ``cols``.  The action is regular,
+        so every cycle has the length L of ``powers[a]``, and the cycle at
+        position i is ``cols[i - i % L:i - i % L + L]``.  Built on first use
+        for each element: two tuples of ``order`` small ints, as a row of
+        ``mul`` is one."""
+        layout = self._layouts[a]
+        if layout is None:
+            mul = self.search_tables[0]
+            cols, place = [], [None] * self.order
+            for start in range(self.order):
+                x = start
+                while place[x] is None:
+                    place[x] = len(cols)
+                    cols.append(x)
+                    x = mul[x][a]
+            layout = self._layouts[a] = (tuple(cols), tuple(place))
+        return layout
 
     @cached_property
     def automorphisms(self) -> tuple:
@@ -721,12 +747,12 @@ def enumerate_quotients(
                 key = (len(order), tables)
                 if key not in seen:
                     seen.add(key)
-                    texts = grp.cycle_texts
+                    indices = tuple(images)
                     yield FiniteQuotient._make(
-                        tuple([elements[a] for a in images]),
+                        tuple([elements[a] for a in indices]),
                         tuple([elements[h] for h in order]),
                         tables,
-                        tuple([len(powers[a]) for a in images]),
-                        tuple([texts[a] for a in images]),
+                        tuple([len(powers[a]) for a in indices]),
+                        (grp, indices, order),
                     )
             images[k] += 1

@@ -11,7 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import xor
 
 from .abelian import (
     AbelianInvariants,
@@ -20,6 +21,7 @@ from .abelian import (
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
     d_p,
+    rank_mod_p,
     smith_normal_form,
     upper_bound_de,
 )
@@ -35,11 +37,14 @@ from .fuchsian import (
 from .invariants import (
     chi_p_estimate,
     class_cosets,
+    deficiency_numerator,
     find_power_witness,
-    kernel_d_p,
     kernel_deficiency,
+    leaf_d_p,
+    leaf_orders,
     p_size_bound,
     quotient_dp_drop,
+    rank_f2,
     relator_root,
     relator_roots,
     transfer_terms,
@@ -51,10 +56,12 @@ from .quotient import (
     default_catalog,
     enumerate_quotients,
     kernel_index,
+    perm_cycles,
     perm_identity,
     perm_inv,
     perm_mul,
     perm_order,
+    table_order,
 )
 from .rewrite import (
     SchreierData,
@@ -212,6 +219,134 @@ def centralizer_index(q: FiniteQuotient, g: Word) -> int:
     rd = maximal_root(g)
     root_elem = rd.conjugator * rd.root * rd.conjugator.inverse()
     return order_of_image(q, root_elem)
+
+
+def positions(q: FiniteQuotient) -> tuple:
+    """Per generator and coset c, ``(cycle, i)``: the cycle of c in the
+    generator's table, from its least coset, and c's place in it."""
+    out = []
+    for table in q.tables:
+        at = [None] * len(table)
+        for cyc in perm_cycles(table, include_fixed=True):
+            for i, c in enumerate(cyc):
+                at[c] = (cyc, i)
+        out.append(at)
+    return tuple(out)
+
+
+def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
+    """d_p of the kernel of ``q``, of index d, from the Fox Jacobian walked
+    on the coset table: d*|X| - d + 1 - rank_Fp(J), with J as
+    ``invariants.leaf_d_p`` describes it, its columns the edges
+    (coset, generator) numbered g*d + c.  At p = 2 the rows are
+    ``fox_masks``, at odd p ``fox_rows``: the oracle of ``leaf_d_p``, for
+    any quotient, also one that the search did not yield."""
+    d = q.order
+    if p == 2:
+        rank = rank_f2(fox_masks(roots, q))
+    else:
+        rank = rank_mod_p(fox_rows(roots, q, p), p)
+    return d * q.n_gens - d + 1 - rank
+
+
+def fox_rows(roots, q: FiniteQuotient, p: int) -> list:
+    """The nonzero rows of the Fox Jacobian mod p that ``kernel_d_p``
+    describes, each a dict from column g*d + c to its entry: one per
+    relator r, with m/k prime to p, and orbit of c -> c*v' from its first
+    coset.  A run g^e crosses each edge of its cycle in tables[g] e // L
+    times and the first e % L edges once more, L the cycle length."""
+    at = positions(q)
+    d = q.order
+    rows = []
+    for root in roots:
+        k = table_order(q, root.runs)
+        mult = root.exponent // k % p
+        if not mult:
+            continue
+        seen = bytearray(d)
+        for start in range(d):
+            if seen[start]:
+                continue
+            row = {}
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                for g, e in root.runs:
+                    cyc, i = at[g][c]
+                    length = len(cyc)
+                    full, rest = divmod(abs(e), length)
+                    sign = 1 if e > 0 else -1
+                    if full:
+                        for x in cyc:
+                            row[g * d + x] = row.get(g * d + x, 0) + sign * full
+                    edges = range(i, i + rest) if e > 0 else range(i - rest, i)
+                    for t in edges:
+                        col = g * d + cyc[t % length]
+                        row[col] = row.get(col, 0) + sign
+                    c = cyc[(i + sign * rest) % length]
+            rows.append({col: mult * x for col, x in row.items()})
+    return rows
+
+
+def fox_masks(roots, q: FiniteQuotient) -> list:
+    """The rows of the Fox Jacobian mod 2, each an int with bit g*d + c set
+    for an odd entry in column g*d + c.
+
+    Every cycle of tables[g] has the period L of g, as the action is
+    regular.  Each cycle is walked twice, and ``prefix[j]`` is the XOR of
+    the bits of its first j edges, so the XOR of two prefixes is an arc of
+    fewer than L edges, also one that wraps; ``prefix[L]`` is the whole
+    cycle.  A run g^e from the coset at place i toggles the whole cycle
+    when |e| // L is odd, then the arc of |e| % L edges forward from i for
+    e > 0, backward for e < 0.  A row counts only when m/k is odd."""
+    d = q.order
+    tables, periods = q.tables, q.periods
+    runs = [root.runs for root in roots
+            if root.exponent // table_order(q, root.runs) % 2]
+    # at[g][c]: (prefix, doubled cycle, c's place) for each generator read
+    at = {}
+    for g in {g for rs in runs for g, _ in rs}:
+        table, length, base = tables[g], periods[g], g * d
+        places = [None] * d
+        for start in range(d):
+            if places[start] is not None:
+                continue
+            cyc = [start]
+            for _ in range(length - 1):
+                cyc.append(table[cyc[-1]])
+            cyc += cyc
+            prefix = list(accumulate([1 << (base + x) for x in cyc], xor, initial=0))
+            for i in range(length):
+                places[cyc[i]] = (prefix, cyc, i)
+        at[g] = places
+    rows = []
+    for rs in runs:
+        steps = []  # (places, L, odd, rest, forward) per run
+        for g, e in rs:
+            length = periods[g]
+            full, rest = divmod(abs(e), length)
+            steps.append((at[g], length, full & 1, rest, e > 0))
+        seen = bytearray(d)
+        for start in range(d):
+            if seen[start]:
+                continue
+            row = 0
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                for places, length, odd, rest, forward in steps:
+                    prefix, cyc, i = places[c]
+                    if odd:
+                        row ^= prefix[length]
+                    if forward:
+                        row ^= prefix[i + rest] ^ prefix[i]
+                        c = cyc[i + rest]
+                    else:
+                        i += length
+                        row ^= prefix[i] ^ prefix[i - rest]
+                        c = cyc[i - rest]
+            rows.append(row)
+    return rows
 
 
 def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) -> list:
@@ -869,14 +1004,16 @@ def _psl27() -> tuple:
 
 
 def check_kernel_invariants():
-    """Kernel de_p by the transfer formula and d_p by the Fox Jacobian on
-    the coset table, against the rewritten subgroup presentation: random
-    presentations, half of them with a relator c*u^m*c^-1, and the first
-    15 catalog quotients of each up to order 12, at p in {2, 3, 5}.  The
-    table order k of each relator root matches ``centralizer_index``, and
-    the valuations that ``psize`` reads off the formula match the maximal
-    roots of the rewritten class representatives.  The genus-2 surface
-    group onto PSL(2,7) has a kernel of genus 169."""
+    """Kernel de_p by the transfer formula and d_p by the Fox Jacobian,
+    against the rewritten subgroup presentation: random presentations,
+    half of them with a relator c*u^m*c^-1, and the first 15 catalog
+    quotients of each up to order 12, at p in {2, 3, 5}.  The searches'
+    values, read off the catalog group, match the walks of the coset table:
+    k of each relator root, which also matches ``centralizer_index``, de_p
+    over one denominator, and d_p from the cycle layouts.  The valuations
+    that ``psize`` reads off the formula match the maximal roots of the
+    rewritten class representatives.  The genus-2 surface group onto
+    PSL(2,7) has a kernel of genus 169."""
     rng = random.Random(0x5EED0E)
     catalog = default_catalog().up_to(12)
     presentations = 40
@@ -902,13 +1039,24 @@ def check_kernel_invariants():
                 ks = [k for k, _ in terms]
                 _ensure(ks == [centralizer_index(q, r) for r in pres.relators],
                         f"{pres.to_text()} onto {q!r}: table orders {ks}")
+                leaf_ks = leaf_orders(roots, q)
+                _ensure(leaf_ks == ks,
+                        f"{pres.to_text()} onto {q!r}: leaf orders {leaf_ks}, table {ks}")
                 de = kernel_deficiency(q, terms)
                 want = p_deficiency(sub, p)
                 _ensure(de == want, f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"transfer formula {de}, rewritten {want}")
+                top = max((root.scale for root in roots), default=1)
+                leaf_de = Fraction(
+                    deficiency_numerator(roots, leaf_ks, q.order, pres.n_gens, top), top)
+                _ensure(leaf_de == de, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"leaf de_p {leaf_de}, table {de}")
                 dp = kernel_d_p(roots, q, p)
                 _ensure(dp == d_p(inv, p), f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"Fox d_p {dp}, rewritten {d_p(inv, p)}")
+                leaf_dp = leaf_d_p(roots, q, p)
+                _ensure(leaf_dp == dp, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"leaf d_p {leaf_dp}, table {dp}")
                 got = [list(c.rep_valuations) for c in p_size_bound(pres, q, p).contributions]
                 want = [[nu_p_int(m, p) for m in ms] for ms in exponents]
                 _ensure(got == want, f"{pres.to_text()} onto {q!r}, p={p}: "
@@ -930,8 +1078,9 @@ def check_kernel_invariants():
         de = kernel_deficiency(q, transfer_terms(roots, q))
         _ensure((dp, de) == (338, 336), f"genus 2 onto PSL(2,7), p={p}: d_p {dp}, de_p {de}")
     return (f"{cases} (kernel, p) cases from {presentations} random presentations, "
-            f"{divisible} relators with p dividing m/k: formula de_p, Fox d_p and "
-            "psize valuations match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
+            f"{divisible} relators with p dividing m/k: the searches' k, de_p and d_p "
+            "match the table walks, and formula de_p, Fox d_p and psize valuations "
+            "match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
             {"cases": cases, "divisible": divisible, "presentations": presentations})
 
 

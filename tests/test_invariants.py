@@ -9,10 +9,8 @@ from pdeficiency.invariants import (
     chi_p_estimate,
     gradient_window,
     find_power_witness,
-    fox_masks,
-    fox_rows,
-    kernel_d_p,
     kernel_deficiency,
+    leaf_d_p,
     quotient_dp_drop,
     relator_roots,
     transfer_terms,
@@ -24,6 +22,7 @@ from pdeficiency.quotient import (
     SearchBudget, default_catalog, enumerate_quotients, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
+from pdeficiency.verification import fox_masks, fox_rows, kernel_d_p
 from pdeficiency.words import Word
 
 FREE2 = parse_presentation("< x, y | >")
@@ -55,6 +54,7 @@ class TestKernelInvariants:
                 roots = relator_roots(pres, p)
                 assert kernel_deficiency(q, transfer_terms(roots, q)) == p_deficiency(sub, p)
                 assert kernel_d_p(roots, q, p) == d_p(abelian_invariants(sub), p)
+                assert leaf_d_p(roots, q, p) == d_p(abelian_invariants(sub), p)
 
     def test_transfer_terms(self):
         # x^6 onto C2: k = 2, one class of valuation nu_2(6) - nu_2(2) = 0 of valuation nu_2(6) - nu_2(2) = 0
@@ -94,21 +94,36 @@ def powered_presentations(draw):
 
 
 class TestFoxMasks:
-    """The F_2 rows as bit masks against the dict rows at p = 2."""
+    """The table walk's F_2 rows as bit masks against its dict rows at
+    p = 2; and on every search leaf at every p, the d_p that ``gradient``
+    reads off the catalog group's cycle layouts and the de_p that ``chi``
+    reads off its ``powers`` against the table walks."""
 
-    def check(self, pres):
-        roots = relator_roots(pres, 2)
-        for q in enumerate_quotients(pres, default_catalog().up_to(12), 12, budget(12)):
-            # bit g*d + c of a mask is the parity of entry g*d + c of its row
-            assert fox_masks(roots, q) == [
-                sum(1 << col for col, x in row.items() if x % 2)
-                for row in fox_rows(roots, q, 2)]
-            assert kernel_d_p(roots, q, 2) == dict_d_2(roots, q)
+    def check(self, pres, primes):
+        catalog = default_catalog().up_to(12)
+        for p in primes:
+            roots = relator_roots(pres, p)
+            for s in chi_p_estimate(pres, p, catalog, budget(12)).samples[1:]:
+                q = s.quotient
+                de = kernel_deficiency(q, transfer_terms(roots, q))
+                assert s.deficiency == de and s.ratio == Fraction(de, s.index)
+                assert leaf_d_p(roots, q, p) == kernel_d_p(roots, q, p)
+                if p == 2:
+                    # bit g*d + c of a mask is the parity of entry g*d + c of its row
+                    assert fox_masks(roots, q) == [
+                        sum(1 << col for col, x in row.items() if x % 2)
+                        for row in fox_rows(roots, q, 2)]
+                    assert kernel_d_p(roots, q, 2) == dict_d_2(roots, q)
 
     @settings(max_examples=60, deadline=None)
     @given(powered_presentations())
     def test_matches_dict_rows(self, pres):
-        self.check(pres)
+        self.check(pres, (2,))
+
+    @settings(max_examples=20, deadline=None)
+    @given(powered_presentations())
+    def test_odd_primes(self, pres):
+        self.check(pres, (3, 5, 7, 13))
 
     def test_long_negative_runs_and_even_quotients(self):
         # x^-37 and y^25 wrap every cycle; onto C2, (x^-37*y^2)^4 has k = 2
@@ -117,7 +132,7 @@ class TestFoxMasks:
         root = relator_roots(pres, 2)[0]
         assert any(root.exponent // table_order(q, root.runs) == 2
                    for q in enumerate_quotients(pres, default_catalog().up_to(12), 12))
-        self.check(pres)
+        self.check(pres, (2, 3, 5, 7, 13))
 
 
 class TestChiEstimate:

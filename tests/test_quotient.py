@@ -26,6 +26,7 @@ from pdeficiency.verification import (
     is_quotient_of,
     order_of_image,
     perm_pow,
+    positions,
     search_agrees,
 )
 from pdeficiency.words import Word
@@ -172,7 +173,7 @@ class TestWalk:
     def test_positions(self):
         # the action is regular: every cycle has the period of the generator
         q = quotient("(1 2 3 4)", "(1 2)", degree=4)  # S4
-        for g, (table, at) in enumerate(zip(q.tables, q.positions)):
+        for g, (table, at) in enumerate(zip(q.tables, positions(q))):
             period = table_order(q, ((g, 1),))
             assert period == (4, 2)[g]
             for c in range(q.order):
@@ -290,6 +291,10 @@ class TestEnumerate:
                     f"{name}:{format_perm(img)}"
                     for name, img in zip(pres.generators, q.images))
                 assert describe_quotient(q, pres) == describe_quotient(fresh, pres)
+                grp, indices, order = q.leaf
+                assert tuple(grp.elements()[a] for a in indices) == q.images
+                assert tuple(grp.elements()[h] for h in order) == q.elements
+                assert fresh.leaf is None
 
     def test_catalog_builds_no_search_tables(self):
         # the catalog is cached per process, and earlier searches fill in
@@ -299,6 +304,7 @@ class TestEnumerate:
             assert "search_tables" not in vars(g)
             assert "automorphisms" not in vars(g)
             assert "cycle_texts" not in vars(g)
+            assert "_layouts" not in vars(g)
 
     def test_catalog_built_once(self):
         assert default_catalog() is default_catalog()
@@ -334,6 +340,27 @@ class TestTables:
         assert q.order == 60
         assert q.tables == direct_tables(q)
         assert grp.search_tables[0] == direct_mul(grp.elements())
+
+    @pytest.mark.parametrize("manifest", ["C2 2 (1 2)", "A5 5 (1 2 3) (3 4 5)"])
+    def test_cycle_layout(self, manifest):
+        # each element's entry is built on first use and holds two tuples
+        # of |H| indices, no more than a row of mul: its cycles end to end
+        # and the place of each index in them
+        (grp,) = parse_catalog_manifest(manifest).groups
+        mul, powers = grp.search_tables
+        size = grp.order
+        for a in range(size):
+            cols, place = grp.cycle_layout(a)
+            assert grp.cycle_layout(a) is grp._layouts[a]
+            assert grp._layouts[a + 1:] == [None] * (size - a - 1)
+            assert sorted(cols) == list(range(size)) and len(place) == size
+            assert all(place[x] == i for i, x in enumerate(cols))
+            length = len(powers[a])
+            assert list(cols[::length]) == sorted(cols[::length])
+            for i in range(0, size, length):
+                cycle = cols[i:i + length]
+                assert cycle[0] == min(cycle)
+                assert [mul[x][a] for x in cycle] == [*cycle[1:], cycle[0]]
 
 
 AUT_ORDERS = {

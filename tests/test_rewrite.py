@@ -25,7 +25,8 @@ from pdeficiency.rewrite import (
     supermultiplicity_check,
 )
 from pdeficiency.verification import (
-    centralizer_index, conjugate_class_reps, evaluate, word_from_letters, word_letters,
+    centralizer_index, conjugate_class_reps, evaluate, positions, word_from_letters,
+    word_letters,
 )
 from pdeficiency.words import Word, maximal_root, nu_p, nu_p_int
 
@@ -71,14 +72,14 @@ def reference_schreier(q):
     """Transversal and basis words built letter by letter through the
     checking ``Word(...)`` constructor, from a breadth-first search over a
     set of tree edges: the reference for ``schreier`` and ``basis_words``."""
-    tables, positions, k = q.tables, q.positions, q.n_gens
+    tables, at, k = q.tables, positions(q), q.n_gens
     transversal = [None] * q.order
     transversal[0] = Word.identity(k)
     tree_edges = set()
     queue = [0]
     for c in queue:
         for g in range(k):
-            cyc, i = positions[g][c]
+            cyc, i = at[g][c]
             for sign, target in ((1, tables[g][c]), (-1, cyc[i - 1])):
                 if transversal[target] is None:
                     transversal[target] = Word(transversal[c].runs + ((g, sign),), k)
