@@ -57,8 +57,7 @@ from .rewrite import (
 )
 
 
-def _rat(q) -> str:
-    q = Fraction(q)
+def _rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 

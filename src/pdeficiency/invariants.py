@@ -101,13 +101,6 @@ def transfer_terms(roots, q: FiniteQuotient) -> list:
     return terms
 
 
-def kernel_deficiency(q: FiniteQuotient, terms) -> Fraction:
-    """p-deficiency of the refined subgroup presentation of the kernel of
-    ``q``, from its ``transfer_terms``: the Schreier basis has
-    d*(|X| - 1) + 1 elements, so de_p = d*(|X| - 1) - sum of the terms."""
-    return Fraction(q.order * (q.n_gens - 1)) - sum(term for _, term in terms)
-
-
 @dataclass(frozen=True)
 class RelatorContribution:
     relator_index: int
@@ -174,7 +167,8 @@ def leaf_orders(roots, q: FiniteQuotient) -> list:
 
 
 def deficiency_numerator(roots, ks, d: int, n_gens: int, top: int) -> int:
-    """``kernel_deficiency`` of a kernel of index d with the orders ``ks``,
+    """de_p of a kernel of index d with the orders ``ks``, d*(|X| - 1) less
+    its ``transfer_terms`` (``verification.kernel_deficiency`` sums them),
     times ``top``, a power of p that every root's scale divides:
     d*(|X| - 1)*top - sum of (d/k)*gcd(k, scale)*(top/scale).  Over one
     denominator, de_p and de_p/d are one Fraction each."""
@@ -211,15 +205,13 @@ def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
     ``rank_mod_p``.  ``verification.kernel_d_p`` walks the coset table for
     the same value."""
     grp, images, order = q.leaf
-    powers = grp.search_tables[1]
     size, d = grp.order, len(order)
     rows = []
     for root, k in zip(roots, leaf_orders(roots, q)):
         if not root.exponent // k % p:
             continue
-        # per run g^e: the layout of g's image, its order L, g's first column, e
-        steps = [(*grp.cycle_layout(images[g]), len(powers[images[g]]), g * size, e)
-                 for g, e in root.runs]
+        # per run g^e: the layout of g's image, g's first column, e
+        steps = [(*grp.cycle_layout(images[g]), g * size, e) for g, e in root.runs]
         rows += _f2_rows(steps, order, size) if p == 2 else _dict_rows(steps, order, size)
     rank = rank_f2(rows) if p == 2 else rank_mod_p(rows, p)
     return d * len(images) - d + 1 - rank
@@ -229,7 +221,7 @@ def _f2_rows(steps, order, size) -> list:
     """The rows of ``leaf_d_p`` mod 2 from the runs' ``steps``, one per orbit
     of the walk on ``order``."""
     runs = []
-    for cols, place, length, base, e in steps:
+    for length, cols, place, base, e in steps:
         full, rest = divmod(abs(e), length)
         whole = (1 << length) - 1
         runs.append((cols, place, length, base, whole, whole if full & 1 else 0,
@@ -259,7 +251,7 @@ def _dict_rows(steps, order, size) -> list:
     """The rows of ``leaf_d_p`` as ``{column: signed count}`` from the runs'
     ``steps``, one per orbit of the walk on ``order``."""
     runs = []
-    for cols, place, length, base, e in steps:
+    for length, cols, place, base, e in steps:
         full, rest = divmod(abs(e), length)
         sign = 1 if e > 0 else -1
         runs.append((cols, place, length, base, sign * full, rest, e % length, sign))

@@ -4,12 +4,15 @@ catalog of small permutation groups and the homomorphism search over it.
 Permutations are tuples of 0-based images; ``perm_mul(a, b)`` applies a
 first and then b, so evaluating a word left to right is a homomorphism.
 
-The search works on the indices of a catalog group's elements: each group
-caches its multiplication table and powers, its automorphisms, the cycle
-text of each element and, per element, the cycles of right multiplication
-by it laid end to end.  A quotient that the search yields keeps its group,
-image indices and closure as its ``leaf``, so that the kernel invariants
-and the description of each one read those caches, not a new coset table.
+A quotient's coset table is its regular tables, and ``_cycle_layout``
+lays out the cycles of each table that is walked, all of one length, the
+order of the generator's image.  A catalog group is the quotient onto
+itself by its generators; it also caches its multiplication table and
+powers, its automorphisms, the cycle text of each element and the cycle
+layout of right multiplication by each.  A quotient that the search
+yields keeps its group, image indices and closure as its ``leaf``, so
+that the kernel invariants and the description of each one read those
+caches, not a new coset table.
 """
 
 import math
@@ -159,6 +162,23 @@ def _validate_perm(p, degree):
 # -- finite quotients --------------------------------------------------------
 
 
+def _cycle_layout(perm) -> tuple:
+    """``(L, cols, place)`` for a permutation of range(n) whose cycles all
+    have one length L, as every table of a regular action has: its cycles,
+    each from its least point and in the order of it, laid end to end in
+    ``cols``, and ``place[x]``, the position of x in ``cols``.  So the cycle
+    at position i is ``cols[i - i % L:i - i % L + L]``."""
+    cols, place = [], [None] * len(perm)
+    for start in range(len(perm)):
+        x = start
+        while place[x] is None:
+            place[x] = len(cols)
+            cols.append(x)
+            x = perm[x]
+    # the last cycle ends at cols[-1] and starts where perm takes that
+    return len(cols) - place[perm[cols[-1]]], tuple(cols), tuple(place)
+
+
 class FiniteQuotient:
     """Homomorphism from the free group into Sym(degree), one permutation
     image per generator.  The image group is the closure of the images; its
@@ -167,7 +187,7 @@ class FiniteQuotient:
     ``_make``).
     """
 
-    __slots__ = ("degree", "images", "leaf", "_elements", "_tables", "_periods")
+    __slots__ = ("degree", "images", "leaf", "_elements", "_tables", "_layouts")
 
     def __init__(self, images):
         images = tuple(tuple(p) for p in images)
@@ -180,25 +200,25 @@ class FiniteQuotient:
         self.images = images
         self._elements = None
         self._tables = None
-        self._periods = None
+        self._layouts = None
         self.leaf = None
 
     @classmethod
-    def _make(cls, images, elements, tables, periods, leaf) -> "FiniteQuotient":
-        """The quotient of permutations already checked, with its closure,
-        regular tables and generator periods already built, as the search
-        has them; nothing is checked.  ``leaf`` is the search's own view of
-        it: ``(group, image indices, closure)``, the catalog group, the
-        index in ``group.elements()`` of each generator's image, and the
-        indices of the image group's elements in breadth-first order, as
-        ``elements`` lists them."""
+    def _make(cls, images, tables, leaf) -> "FiniteQuotient":
+        """The quotient of permutations already checked, with the regular
+        tables already built, as the search has them; nothing is checked,
+        and the elements are closed from the images only when asked for.
+        ``leaf`` is the search's own view of it: ``(group, image indices,
+        closure)``, the catalog group, the index in ``group.elements`` of
+        each generator's image, and the indices of the image group's
+        elements in breadth-first order, as ``elements`` lists them."""
         q = object.__new__(cls)
         q.degree = len(images[0])
         q.images = images
         q.leaf = leaf
-        q._elements = elements
+        q._elements = None
         q._tables = tables
-        q._periods = periods
+        q._layouts = None
         return q
 
     @property
@@ -228,7 +248,6 @@ class FiniteQuotient:
                 row.append(i)
         self._elements = tuple(order)
         self._tables = tuple(tuple(row) for row in rows)
-        self._periods = tuple(map(perm_order, self.images))
 
     @property
     def elements(self) -> tuple:
@@ -239,7 +258,7 @@ class FiniteQuotient:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.tables[0])
 
     @property
     def tables(self) -> tuple:
@@ -252,26 +271,30 @@ class FiniteQuotient:
         return self._tables
 
     @property
+    def layouts(self) -> tuple:
+        """``_cycle_layout`` of each generator's table, built on first use.
+        The action is regular, so L is the order of the generator's image."""
+        if self._layouts is None:
+            self._layouts = tuple(map(_cycle_layout, self.tables))
+        return self._layouts
+
+    @property
     def periods(self) -> tuple:
         """The order of each generator's image: the length of every cycle
-        of its table, as the action is regular."""
-        if self._periods is None:
-            self._close()
-        return self._periods
+        of its table."""
+        return tuple(length for length, _, _ in self.layouts)
 
     def walk(self, runs, c: int = 0) -> int:
         """The coset that the word with these runs leads to from coset c.
-        A run g^e is walked as g^(e mod L), L the period of g: the order of
-        its image, cached with the tables.  The action is regular, so every
-        cycle of g's table has this length, and a huge or negative exponent
-        costs no more than a small positive one."""
-        if self._tables is None:
-            self._close()
-        tables, periods = self._tables, self._periods
+        A run g^e moves e places along the cycle of c in g's table, modulo
+        its length L, in one step through the ``layouts``; so a huge or
+        negative exponent costs no more than a small positive one."""
+        layouts = self.layouts
         for g, e in runs:
-            table = tables[g]
-            for _ in range(e % periods[g]):
-                c = table[c]
+            length, cols, place = layouts[g]
+            i = place[c]
+            off = i % length
+            c = cols[i - off + (off + e) % length]
         return c
 
     def kernel_key(self) -> tuple:
@@ -279,7 +302,7 @@ class FiniteQuotient:
 
     def __repr__(self) -> str:
         imgs = ", ".join(format_perm(p) for p in self.images)
-        return f"FiniteQuotient(degree={self.degree}, images=[{imgs}])"
+        return f"{type(self).__name__}(degree={self.degree}, images=[{imgs}])"
 
 
 def table_order(q: FiniteQuotient, runs) -> int:
@@ -306,42 +329,28 @@ def kernel_index(q: FiniteQuotient, pres: FinitePresentation) -> int:
 # -- catalog of small groups -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogGroup:
-    """A permutation group given by generators; ``order`` is checked against
-    the closure, or taken from it when omitted."""
+class CatalogGroup(FiniteQuotient):
+    """A permutation group given by generators, as the quotient of the free
+    group onto it that sends generator i to ``images[i]``; ``order`` is
+    checked against the closure, or taken from it when omitted."""
 
-    name: str
-    degree: int
-    gens: tuple
-    order: int = None
-
-    def __post_init__(self):
-        for p in self.gens:
-            _validate_perm(p, self.degree)
-        q = FiniteQuotient(self.gens)
-        elements = q.elements
-        if self.order is None:
-            object.__setattr__(self, "order", len(elements))
-        elif len(elements) != self.order:
+    def __init__(self, name: str, degree: int, gens, order: int = None):
+        for p in gens:
+            _validate_perm(p, degree)
+        super().__init__(gens)
+        self.name = name
+        if order is not None and self.order != order:
             raise ValueError(
-                f"catalog group {self.name}: closure order {len(elements)} "
-                f"!= declared {self.order}"
+                f"catalog group {name}: closure order {self.order} != declared {order}"
             )
-        object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_tables", q.tables)
-
-    def elements(self) -> tuple:
-        """Group elements in breadth-first order from the identity."""
-        return self._elements
 
     @cached_property
     def search_tables(self) -> tuple:
-        """``(mul, powers)`` over the indices of ``elements()``: ``mul[a][b]``
+        """``(mul, powers)`` over the indices of ``elements``: ``mul[a][b]``
         is a then b, index 0 is the identity, and ``powers[a]`` lists a^0,
         a^1, ... up to the order of a.  Built on the first search that
         reaches the group."""
-        tables = self._tables
+        tables = self.tables
         steps = _bfs_steps(tables)
         mul = []
         for a in range(self.order):
@@ -362,41 +371,30 @@ class CatalogGroup:
 
     @cached_property
     def cycle_texts(self) -> tuple:
-        """``format_perm`` of each of ``elements()``, for the quotients that
+        """``format_perm`` of each of ``elements``, for the quotients that
         the search yields.  Built on the first search that yields one."""
-        return tuple(map(format_perm, self._elements))
+        return tuple(map(format_perm, self.elements))
 
     @cached_property
-    def _layouts(self) -> list:
+    def _element_layouts(self) -> list:
         """``cycle_layout`` of each element index, None until first asked."""
         return [None] * self.order
 
     def cycle_layout(self, a: int) -> tuple:
-        """``(cols, place)`` for element index a: the cycles of right
-        multiplication by a on all element indices, each from its least
-        index and in the order of it, laid end to end in ``cols``, and
-        ``place[x]``, the position of x in ``cols``.  The action is regular,
-        so every cycle has the length L of ``powers[a]``, and the cycle at
-        position i is ``cols[i - i % L:i - i % L + L]``.  Built on first use
-        for each element: two tuples of ``order`` small ints, as a row of
-        ``mul`` is one."""
-        layout = self._layouts[a]
+        """``_cycle_layout`` of right multiplication by element index a on
+        all element indices, built on first use for each element: L is the
+        order of a, and ``cols`` and ``place`` hold ``order`` small ints
+        each, as a row of ``mul`` does."""
+        layout = self._element_layouts[a]
         if layout is None:
-            mul = self.search_tables[0]
-            cols, place = [], [None] * self.order
-            for start in range(self.order):
-                x = start
-                while place[x] is None:
-                    place[x] = len(cols)
-                    cols.append(x)
-                    x = mul[x][a]
-            layout = self._layouts[a] = (tuple(cols), tuple(place))
+            column = [row[a] for row in self.search_tables[0]]
+            layout = self._element_layouts[a] = _cycle_layout(column)
         return layout
 
     @cached_property
     def automorphisms(self) -> tuple:
         """Automorphisms other than the identity, each as the permutation of
-        the indices of ``elements()`` it induces, in the product order of
+        the indices of ``elements`` it induces, in the product order of
         their generator images.  Built on the first search that reaches
         the group.
 
@@ -405,7 +403,7 @@ class CatalogGroup:
         the subgroup its generators generate that respects ``mul``; so a
         generator in that subgroup has a forced image.  The last
         generator's image completes a tuple that is checked whole: the map
-        is built along the breadth-first steps of ``elements()``, and it is
+        is built along the breadth-first steps of ``elements``, and it is
         an automorphism when it is injective and sends a*x to t*phi(x) for
         each generator a with image t and every x, which one gather of
         ``mul[a]`` and one of ``mul[t]`` compare.  The build tries at
@@ -415,14 +413,14 @@ class CatalogGroup:
         subset of Aut(H) prunes the search soundly, just less."""
         mul, powers = self.search_tables
         size = self.order
-        gens = tuple(table[0] for table in self._tables)
+        gens = tuple(table[0] for table in self.tables)
         choices = [[x for x in range(size) if len(powers[x]) == len(powers[a])]
                    for a in gens]
         keep = max(size, CLOSURE_LIMIT // math.isqrt(size))
         tries = size * size
         found = []
         last = len(gens) - 1
-        steps = _bfs_steps(self._tables)
+        steps = _bfs_steps(self.tables)
         lefts = [itemgetter(*mul[a]) for a in gens]  # x -> a*x, gathered from a map
 
         def automorphism(images):
@@ -709,9 +707,9 @@ def enumerate_quotients(
     for grp in catalog.groups:
         if grp.order > max_order:
             continue
-        elements = grp.elements()
+        elements = grp.elements
         mul, powers = grp.search_tables
-        size = len(elements)
+        size = grp.order
         leaves = [size ** (n - 1 - k) for k in range(n)]
         # fixing[k]: the automorphisms that fix images[:k]
         fixing = [grp.automorphisms] * n
@@ -748,11 +746,6 @@ def enumerate_quotients(
                 if key not in seen:
                     seen.add(key)
                     indices = tuple(images)
-                    yield FiniteQuotient._make(
-                        tuple([elements[a] for a in indices]),
-                        tuple([elements[h] for h in order]),
-                        tables,
-                        tuple([len(powers[a]) for a in indices]),
-                        (grp, indices, order),
-                    )
+                    yield FiniteQuotient._make(tuple([elements[a] for a in indices]),
+                                               tables, (grp, indices, order))
             images[k] += 1

@@ -6,9 +6,10 @@ rewriting against which ``verification`` checks the kernel formulas of
 The finite-index subgroups handled here are kernels of maps onto finite
 permutation groups.  The coset table of a kernel is the quotient's regular
 tables (``FiniteQuotient.tables``): cosets are the image-group elements,
-numbered breadth-first with the identity as base coset 0, and a word acts
-on a coset by walking the table run by run (Sims, *Computation with
-Finitely Presented Groups*, ch. 5).  No coset enumeration and no
+numbered breadth-first with the identity as base coset 0 (Sims,
+*Computation with Finitely Presented Groups*, ch. 5).  The cycles of each
+table are laid out once, as ``FiniteQuotient.layouts`` has them, and a
+word moves along them run by run.  No coset enumeration and no
 permutation product is needed.  A transversal word t leads along the
 Schreier tree, so t*r*t^-1 rewritten from coset 0 is r rewritten from the
 coset of t: relators are rewritten from cosets, never conjugated.
@@ -21,7 +22,7 @@ from itertools import accumulate
 
 from .invariants import class_cosets, relator_roots
 from .presentation import FinitePresentation, p_deficiency
-from .quotient import FiniteQuotient, kernel_index, perm_cycles
+from .quotient import FiniteQuotient, kernel_index
 from .words import RUN_LIMIT, Word, _join, _seam, require_prime
 
 
@@ -34,12 +35,12 @@ class SchreierData:
 
     ``cycles[g]`` is ``(L, seq, place, plus, minus, count)`` for the table
     of g, whose cycles all have length L, the period of g.  ``seq`` lists
-    its cycles one after another, each walked twice, and ``place[c]`` is
-    where c first stands in it.  ``plus`` and ``minus`` are the basis
-    letters of the edges along ``seq``, as runs ``(s, 1)`` and ``(s, -1)``,
-    and ``count[j]`` is the number of letters among its first j edges.  So
-    the letters of an arc of a cycle, or of a whole turn from any coset,
-    are one slice of ``plus`` or ``minus``."""
+    its cycles in the order of ``FiniteQuotient.layouts``, each walked
+    twice, and ``place[c]`` is where c first stands in it.  ``plus`` and
+    ``minus`` are the basis letters of the edges along ``seq``, as runs
+    ``(s, 1)`` and ``(s, -1)``, and ``count[j]`` is the number of letters
+    among its first j edges.  So the letters of an arc of a cycle, or of a
+    whole turn from any coset, are one slice of ``plus`` or ``minus``."""
 
     table: FiniteQuotient    # its regular tables are the coset table
     transversal: tuple       # shortlex-minimal representative per coset
@@ -50,19 +51,6 @@ class SchreierData:
     @property
     def degree(self) -> int:
         return self.table.order
-
-
-def _doubled_cycles(table) -> tuple:
-    """``(L, seq, place)`` of a regular table: its cycle length, its cycles
-    from their least cosets, each walked twice, and where each coset first
-    stands in them."""
-    seq, place = [], [0] * len(table)
-    for cyc in perm_cycles(table, include_fixed=True):
-        for i, c in enumerate(cyc):
-            place[c] = len(seq) + i
-        seq += cyc
-        seq += cyc
-    return len(cyc), seq, place
 
 
 def schreier(q: FiniteQuotient) -> SchreierData:
@@ -79,7 +67,12 @@ def schreier(q: FiniteQuotient) -> SchreierData:
     tables = q.tables
     d = q.order
     k = q.n_gens
-    walks = [_doubled_cycles(table) for table in tables]
+    walks = []  # (L, seq, place) of each table, its cycles walked twice
+    for length, cols, place in q.layouts:
+        seq = []
+        for i in range(0, d, length):
+            seq += cols[i:i + length] * 2
+        walks.append((length, seq, [2 * x - x % length for x in place]))
 
     runs = [None] * d  # of the transversal words
     runs[0] = ()

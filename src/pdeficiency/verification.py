@@ -39,7 +39,6 @@ from .invariants import (
     class_cosets,
     deficiency_numerator,
     find_power_witness,
-    kernel_deficiency,
     leaf_d_p,
     leaf_orders,
     p_size_bound,
@@ -232,6 +231,14 @@ def positions(q: FiniteQuotient) -> tuple:
                 at[c] = (cyc, i)
         out.append(at)
     return tuple(out)
+
+
+def kernel_deficiency(q: FiniteQuotient, terms) -> Fraction:
+    """p-deficiency of the refined subgroup presentation of the kernel of
+    ``q``, from its ``transfer_terms``: the Schreier basis has
+    d*(|X| - 1) + 1 elements, so de_p = d*(|X| - 1) - sum of the terms.
+    The oracle of ``invariants.deficiency_numerator``."""
+    return Fraction(q.order * (q.n_gens - 1)) - sum(term for _, term in terms)
 
 
 def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
@@ -432,7 +439,7 @@ def brute_force_quotients(pres, catalog, max_order, budget):
     for grp in catalog.groups:
         if grp.order > max_order:
             continue
-        elements = FiniteQuotient(grp.gens).elements
+        elements = FiniteQuotient(grp.images).elements
         for assignment in itertools.product(elements, repeat=pres.n_gens):
             if not budget.spend():
                 return

@@ -9,7 +9,6 @@ from pdeficiency.invariants import (
     chi_p_estimate,
     gradient_window,
     find_power_witness,
-    kernel_deficiency,
     leaf_d_p,
     quotient_dp_drop,
     relator_roots,
@@ -22,7 +21,7 @@ from pdeficiency.quotient import (
     SearchBudget, default_catalog, enumerate_quotients, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
-from pdeficiency.verification import fox_masks, fox_rows, kernel_d_p
+from pdeficiency.verification import fox_masks, fox_rows, kernel_d_p, kernel_deficiency
 from pdeficiency.words import Word
 
 FREE2 = parse_presentation("< x, y | >")

@@ -22,6 +22,7 @@ from pdeficiency.quotient import (
     table_order,
 )
 from pdeficiency.verification import (
+    _psl27,
     evaluate,
     is_quotient_of,
     order_of_image,
@@ -273,18 +274,21 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("manifest", [False, True], ids=["default", "manifest"])
     def test_yielded_quotients_match_checked_ones(self, manifest):
-        # the search builds its quotients unchecked, with closures, tables,
-        # periods and cycle texts it already has; the public constructor
-        # and format_perm are their oracle
+        # the search builds its quotients unchecked, with the tables and
+        # cycle texts it already has, and closes no element list until one
+        # is asked for; the public constructor and format_perm are their
+        # oracle
         catalog = parse_catalog_manifest(self.MANIFEST) if manifest else default_catalog()
         for text in ("< x, y | >", "< x, y, z | x^2, (y*z)^3 >"):
             pres = parse_presentation(text)
             found = list(enumerate_quotients(pres, catalog, 12))
             assert len(found) > 20
             for q in found:
+                assert q._elements is None
                 fresh = FiniteQuotient(q.images)
-                assert q.elements == fresh.elements
                 assert q.tables == fresh.tables
+                assert q._elements is None
+                assert q.elements == fresh.elements
                 assert q.periods == fresh.periods
                 assert q.degree == fresh.degree
                 assert describe_quotient(q, pres) == ", ".join(
@@ -292,8 +296,8 @@ class TestEnumerate:
                     for name, img in zip(pres.generators, q.images))
                 assert describe_quotient(q, pres) == describe_quotient(fresh, pres)
                 grp, indices, order = q.leaf
-                assert tuple(grp.elements()[a] for a in indices) == q.images
-                assert tuple(grp.elements()[h] for h in order) == q.elements
+                assert tuple(grp.elements[a] for a in indices) == q.images
+                assert tuple(grp.elements[h] for h in order) == q.elements
                 assert fresh.leaf is None
 
     def test_catalog_builds_no_search_tables(self):
@@ -304,7 +308,8 @@ class TestEnumerate:
             assert "search_tables" not in vars(g)
             assert "automorphisms" not in vars(g)
             assert "cycle_texts" not in vars(g)
-            assert "_layouts" not in vars(g)
+            assert "_element_layouts" not in vars(g)
+            assert g._layouts is None
 
     def test_catalog_built_once(self):
         assert default_catalog() is default_catalog()
@@ -329,19 +334,22 @@ def direct_mul(elements):
 class TestTables:
     @pytest.mark.parametrize("grp", default_catalog().groups, ids=lambda g: g.name)
     def test_default_catalog(self, grp):
-        q = FiniteQuotient(grp.gens)
+        q = FiniteQuotient(grp.images)
         assert q.tables == direct_tables(q)
         assert q.kernel_key() == (grp.order, q.tables)
-        assert grp.search_tables[0] == direct_mul(grp.elements())
+        assert grp.search_tables[0] == direct_mul(grp.elements)
 
     def test_manifest_group(self):
         (grp,) = parse_catalog_manifest("A5 5 (1 2 3) (3 4 5)").groups
-        q = FiniteQuotient(grp.gens)
+        q = FiniteQuotient(grp.images)
         assert q.order == 60
         assert q.tables == direct_tables(q)
-        assert grp.search_tables[0] == direct_mul(grp.elements())
+        assert grp.search_tables[0] == direct_mul(grp.elements)
 
-    @pytest.mark.parametrize("manifest", ["C2 2 (1 2)", "A5 5 (1 2 3) (3 4 5)"])
+    @pytest.mark.parametrize("manifest", [
+        "C2 2 (1 2)", "A5 5 (1 2 3) (3 4 5)",
+        "PSL(2,7) 8 " + " ".join(map(format_perm, _psl27())),
+    ])
     def test_cycle_layout(self, manifest):
         # each element's entry is built on first use and holds two tuples
         # of |H| indices, no more than a row of mul: its cycles end to end
@@ -350,17 +358,34 @@ class TestTables:
         mul, powers = grp.search_tables
         size = grp.order
         for a in range(size):
-            cols, place = grp.cycle_layout(a)
-            assert grp.cycle_layout(a) is grp._layouts[a]
-            assert grp._layouts[a + 1:] == [None] * (size - a - 1)
-            assert sorted(cols) == list(range(size)) and len(place) == size
-            assert all(place[x] == i for i, x in enumerate(cols))
-            length = len(powers[a])
-            assert list(cols[::length]) == sorted(cols[::length])
-            for i in range(0, size, length):
-                cycle = cols[i:i + length]
-                assert cycle[0] == min(cycle)
-                assert [mul[x][a] for x in cycle] == [*cycle[1:], cycle[0]]
+            length, cols, place = grp.cycle_layout(a)
+            assert grp.cycle_layout(a) is grp._element_layouts[a]
+            assert grp._element_layouts[a + 1:] == [None] * (size - a - 1)
+            assert length == len(powers[a])
+            assert_layout(length, cols, place, [row[a] for row in mul])
+        # the group is the quotient onto itself by its generators: one
+        # layout per generator's table, built on first use, its cycle
+        # length the order of the generator's image
+        assert grp._layouts is None
+        assert grp.layouts is grp.layouts and len(grp.layouts) == grp.n_gens
+        for (length, cols, place), img, table in zip(grp.layouts, grp.images, grp.tables):
+            assert length == perm_order(img)
+            assert_layout(length, cols, place, table)
+            assert (length, cols, place) == grp.cycle_layout(table[0])
+        assert grp.periods == tuple(map(perm_order, grp.images))
+
+
+def assert_layout(length, cols, place, perm):
+    """``cols`` holds the cycles of perm, each of ``length`` points, from
+    its least point and in the order of it; ``place`` inverts ``cols``."""
+    size = len(perm)
+    assert sorted(cols) == list(range(size)) and len(place) == size
+    assert all(place[x] == i for i, x in enumerate(cols))
+    assert list(cols[::length]) == sorted(cols[::length])
+    for i in range(0, size, length):
+        cycle = cols[i:i + length]
+        assert cycle[0] == min(cycle)
+        assert [perm[x] for x in cycle] == [*cycle[1:], cycle[0]]
 
 
 AUT_ORDERS = {
