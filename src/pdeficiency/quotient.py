@@ -206,12 +206,12 @@ class FiniteQuotient:
     @classmethod
     def _make(cls, images, tables, leaf) -> "FiniteQuotient":
         """The quotient of permutations already checked, with the regular
-        tables already built, as the search has them; nothing is checked,
-        and the elements are closed from the images only when asked for.
+        tables already built, as the search has them; nothing is checked.
         ``leaf`` is the search's own view of it: ``(group, image indices,
         closure)``, the catalog group, the index in ``group.elements`` of
         each generator's image, and the indices of the image group's
-        elements in breadth-first order, as ``elements`` lists them."""
+        elements in breadth-first order, from which ``elements`` is read
+        when asked for."""
         q = object.__new__(cls)
         q.degree = len(images[0])
         q.images = images
@@ -247,13 +247,20 @@ class FiniteQuotient:
                     order.append(nxt)
                 row.append(i)
         self._elements = tuple(order)
-        self._tables = tuple(tuple(row) for row in rows)
+        if self._tables is None:
+            self._tables = tuple(tuple(row) for row in rows)
 
     @property
     def elements(self) -> tuple:
-        """Image-group elements in breadth-first order from the identity."""
+        """Image-group elements in breadth-first order from the identity;
+        on a quotient that the search yields, the catalog group's elements
+        in the order of its closure."""
         if self._elements is None:
-            self._close()
+            if self.leaf is None:
+                self._close()
+            else:
+                grp, _, order = self.leaf
+                self._elements = tuple([grp.elements[h] for h in order])
         return self._elements
 
     @property
@@ -277,12 +284,6 @@ class FiniteQuotient:
         if self._layouts is None:
             self._layouts = tuple(map(_cycle_layout, self.tables))
         return self._layouts
-
-    @property
-    def periods(self) -> tuple:
-        """The order of each generator's image: the length of every cycle
-        of its table."""
-        return tuple(length for length, _, _ in self.layouts)
 
     def walk(self, runs, c: int = 0) -> int:
         """The coset that the word with these runs leads to from coset c.

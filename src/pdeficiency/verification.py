@@ -307,7 +307,7 @@ def fox_masks(roots, q: FiniteQuotient) -> list:
     when |e| // L is odd, then the arc of |e| % L edges forward from i for
     e > 0, backward for e < 0.  A row counts only when m/k is odd."""
     d = q.order
-    tables, periods = q.tables, q.periods
+    tables, periods = q.tables, [perm_order(img) for img in q.images]
     runs = [root.runs for root in roots
             if root.exponent // table_order(q, root.runs) % 2]
     # at[g][c]: (prefix, doubled cycle, c's place) for each generator read
@@ -439,8 +439,7 @@ def brute_force_quotients(pres, catalog, max_order, budget):
     for grp in catalog.groups:
         if grp.order > max_order:
             continue
-        elements = FiniteQuotient(grp.images).elements
-        for assignment in itertools.product(elements, repeat=pres.n_gens):
+        for assignment in itertools.product(grp.elements, repeat=pres.n_gens):
             if not budget.spend():
                 return
             q = FiniteQuotient(assignment)

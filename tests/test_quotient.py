@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from pdeficiency import verification
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
     FiniteQuotient,
@@ -22,6 +23,7 @@ from pdeficiency.quotient import (
     table_order,
 )
 from pdeficiency.verification import (
+    CheckFailure,
     _psl27,
     evaluate,
     is_quotient_of,
@@ -272,6 +274,30 @@ class TestEnumerate:
         for max_assignments in sorted({0, 1, full // 3, full // 2, full - 1, full}):
             search_agrees(pres, catalog, 12, max_assignments)
 
+    @pytest.mark.parametrize("part", ["table", "order"])
+    def test_brute_force_sees_a_corrupted_quotient(self, part, monkeypatch):
+        # the comparison reads the tables that the search yields and the
+        # element order of its closure, not a closure of the images redone
+        # on the yielded quotient: a wrong table or order fails it
+        def corrupted(pres, catalog, max_order, budget):
+            for q in enumerate_quotients(pres, catalog, max_order, budget):
+                if q.order == 6:
+                    grp, indices, order = q.leaf
+                    if part == "table":
+                        table = list(q.tables[0])
+                        table[1], table[2] = table[2], table[1]
+                        q = FiniteQuotient._make(q.images, (tuple(table),) + q.tables[1:],
+                                                 q.leaf)
+                    else:
+                        order = [order[0], order[2], order[1], *order[3:]]
+                        q = FiniteQuotient._make(q.images, q.tables, (grp, indices, order))
+                yield q
+
+        monkeypatch.setattr(verification, "enumerate_quotients", corrupted)
+        catalog = parse_catalog_manifest(self.MANIFEST)
+        with pytest.raises(CheckFailure, match="differ"):
+            search_agrees(parse_presentation("< x, y | >"), catalog, 6, 10**6)
+
     @pytest.mark.parametrize("manifest", [False, True], ids=["default", "manifest"])
     def test_yielded_quotients_match_checked_ones(self, manifest):
         # the search builds its quotients unchecked, with the tables and
@@ -289,7 +315,7 @@ class TestEnumerate:
                 assert q.tables == fresh.tables
                 assert q._elements is None
                 assert q.elements == fresh.elements
-                assert q.periods == fresh.periods
+                assert q.layouts == fresh.layouts
                 assert q.degree == fresh.degree
                 assert describe_quotient(q, pres) == ", ".join(
                     f"{name}:{format_perm(img)}"
@@ -372,7 +398,6 @@ class TestTables:
             assert length == perm_order(img)
             assert_layout(length, cols, place, table)
             assert (length, cols, place) == grp.cycle_layout(table[0])
-        assert grp.periods == tuple(map(perm_order, grp.images))
 
 
 def assert_layout(length, cols, place, perm):
