@@ -66,7 +66,6 @@ from .rewrite import (
     rewrite_word,
     schreier,
     subgroup_presentation,
-    supermultiplicity_check,
 )
 from .words import (
     RootDecomposition,
@@ -85,7 +84,7 @@ def __getattr__(name):
     """The oracles exported from ``verification``, which is imported on
     first use: only ``pdef verify`` runs it."""
     if name in ("centralizer_index", "conjugate_class_reps", "evaluate", "exponent_matrix",
-                "is_quotient_of", "order_of_image"):
+                "is_quotient_of", "order_of_image", "supermultiplicity_check"):
         from . import verification
         return getattr(verification, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

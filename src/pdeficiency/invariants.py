@@ -6,8 +6,9 @@ All searches run over kernels of maps onto catalog groups; every reported
 ratio is an exact rational.  A kernel's p-deficiency, p-size and d_p are
 found without rewriting: the transfer formula gives de_p and the valuation
 of each rewritten relator from the order k of each relator root's image,
-and d_p is the F_p corank of the Fox Jacobian.  ``psize`` reads k off the
-coset table, the quotient's regular tables.  The searches read their
+and d_p is the F_p corank of the Fox Jacobian.  ``p_size_bound`` reads k
+off the coset table, the quotient's regular tables, for ``psize`` and for
+the de_p that ``subgroup`` prints.  The searches read their
 kernels off the catalog group that the search holds them in: k is the
 length of a ``powers`` row, de_p one integer over the largest p-power
 scale, and the Fox rows come from the group's cycle layout of each
@@ -84,23 +85,6 @@ def class_cosets(q: FiniteQuotient, root: RelatorRoot) -> list:
     return firsts
 
 
-def transfer_terms(roots, q: FiniteQuotient) -> list:
-    """``(k, term)`` per relator for the kernel of ``q``, of index d.
-
-    k is the order of the image of v.  The refined rewriting of r has d/k
-    relators, one per kernel-conjugacy class, and each is (rewritten u^k)^(m/k)
-    with the rewritten u^k not a proper power, so each has valuation
-    nu_p(m) - nu_p(k).  Their weights sum to term = (d/k) * p^(nu_p(k) - nu_p(m)).
-    As k divides m, p^nu_p(k) is gcd(k, p^nu_p(m)).
-    """
-    d = q.order
-    terms = []
-    for root in roots:
-        k = table_order(q, root.runs)
-        terms.append((k, Fraction(d // k * math.gcd(k, root.scale), root.scale)))
-    return terms
-
-
 @dataclass(frozen=True)
 class RelatorContribution:
     relator_index: int
@@ -114,36 +98,44 @@ class RelatorContribution:
 
 @dataclass(frozen=True)
 class SizeBound:
-    """Upper bounds for the p-size of the relator normal closure within the
-    kernel: the term-wise transfer bound and the sum over the rewritten
-    class representatives, which the transfer formula makes equal."""
+    """Upper bound for the p-size of the relator normal closure within the
+    kernel: the sum of the per-relator transfer terms.  It is also the sum
+    of p^-nu over the rewritten class representatives, as relator r's term
+    is the weight of its d/k representatives of valuation nu."""
 
     index: int
     value: Fraction            # sum of the per-relator transfer terms
-    exact_sum: Fraction        # sum of p^-nu over the rewritten class reps
     contributions: tuple
+
+    @property
+    def exact_sum(self) -> Fraction:
+        """Sum of p^-nu over the rewritten class reps, which is ``value``."""
+        return self.value
 
 
 def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBound:
-    """The ``transfer_terms`` of the kernel of ``q`` and the valuations of
-    the rewritten class representatives, read off the same formula: each of
-    the d/k representatives of relator r has valuation nu_p(m) - nu_p(k).
-    Nothing is rewritten; ``pdef verify`` checks the valuations against
-    rewriting."""
+    """The transfer terms of the kernel of ``q``, of index d, and the
+    valuations of the rewritten class representatives, read off the same
+    formula.
+
+    k is the order of the image of v.  The refined rewriting of r has d/k
+    relators, one per kernel-conjugacy class, and each is (rewritten
+    u^k)^(m/k) with the rewritten u^k not a proper power, so each has
+    valuation nu = nu_p(m) - nu_p(k).  Their weights sum to the term
+    (d/k) * p^-nu.  Nothing is rewritten; ``pdef verify`` checks the
+    valuations against rewriting, and the de_p that ``subgroup`` reads off
+    the terms against the rewritten presentation."""
     require_prime(p)
     d = kernel_index(q, pres)
-    roots = relator_roots(pres, p)
     contributions = []
-    reps = {}  # valuation -> class reps that have it
-    for i, (root, (k, term)) in enumerate(zip(roots, transfer_terms(roots, q))):
+    for i, root in enumerate(relator_roots(pres, p)):
+        k = table_order(q, root.runs)
         nu_k = nu_p_int(k, p)
         v, classes = root.nu - nu_k, d // k
-        reps[v] = reps.get(v, 0) + classes
-        contributions.append(
-            RelatorContribution(i, k, classes, root.nu, nu_k, term, (v,) * classes))
+        contributions.append(RelatorContribution(
+            i, k, classes, root.nu, nu_k, Fraction(classes, p**v), (v,) * classes))
     bound = sum((c.term for c in contributions), Fraction(0))
-    exact = sum((Fraction(n, p**v) for v, n in reps.items()), Fraction(0))
-    return SizeBound(d, bound, exact, tuple(contributions))
+    return SizeBound(d, bound, tuple(contributions))
 
 
 # -- kernel invariants of a search leaf ----------------------------------------
@@ -151,8 +143,8 @@ def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBou
 
 def leaf_orders(roots, q: FiniteQuotient) -> list:
     """k per relator for a quotient that the search yields, as
-    ``transfer_terms`` has it: v is evaluated on the catalog group's
-    indices through ``mul`` and ``powers``, and k is the length of the
+    ``verification.transfer_terms`` has it: v is evaluated on the catalog
+    group's indices through ``mul`` and ``powers``, and k is the length of the
     ``powers`` row of its image."""
     grp, images, _ = q.leaf
     mul, powers = grp.search_tables
@@ -168,7 +160,7 @@ def leaf_orders(roots, q: FiniteQuotient) -> list:
 
 def deficiency_numerator(roots, ks, d: int, n_gens: int, top: int) -> int:
     """de_p of a kernel of index d with the orders ``ks``, d*(|X| - 1) less
-    its ``transfer_terms`` (``verification.kernel_deficiency`` sums them),
+    its transfer terms (``verification.kernel_deficiency`` sums them),
     times ``top``, a power of p that every root's scale divides:
     d*(|X| - 1)*top - sum of (d/k)*gcd(k, scale)*(top/scale).  Over one
     denominator, de_p and de_p/d are one Fraction each."""

@@ -1,7 +1,9 @@
-"""Schreier transversals, Reidemeister rewriting, subgroup presentations
-and the supermultiplicity check: what ``pdef subgroup`` prints, and the
-rewriting against which ``verification`` checks the kernel formulas of
-``invariants``.
+"""Schreier transversals, Reidemeister rewriting and subgroup presentations:
+the basis and the kernel presentation that ``pdef subgroup`` prints, and
+the rewriting against which ``verification`` checks the kernel formulas of
+``invariants``.  No command takes a p-deficiency off the rewritten
+relators: ``subgroup`` reads de_p of the kernel off the transfer formula,
+and ``verification.supermultiplicity_check`` is the rewriting oracle.
 
 The finite-index subgroups handled here are kernels of maps onto finite
 permutation groups.  The coset table of a kernel is the quotient's regular
@@ -17,13 +19,12 @@ coset of t: relators are rewritten from cosets, never conjugated.
 
 import string
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .invariants import class_cosets, relator_roots
-from .presentation import FinitePresentation, p_deficiency
-from .quotient import FiniteQuotient, kernel_index
-from .words import RUN_LIMIT, Word, _join, _seam, require_prime
+from .presentation import FinitePresentation
+from .quotient import FiniteQuotient
+from .words import RUN_LIMIT, Word, _join, _seam
 
 
 @dataclass(frozen=True)
@@ -241,30 +242,3 @@ def subgroup_presentation(
             relators.extend(rewrite_word(sd, r, c) for c in range(sd.degree))
     return FinitePresentation(_subgroup_names(sd.rank), relators)
 
-
-@dataclass(frozen=True)
-class SupermultReport:
-    index: int
-    de_orig: Fraction
-    de_sub: Fraction
-    scaled: Fraction          # index * de_orig
-    holds: bool
-    subgroup: FinitePresentation
-
-
-def supermultiplicity_check(
-    pres: FinitePresentation, q: FiniteQuotient, p: int,
-    sub: FinitePresentation = None,
-) -> SupermultReport:
-    """Exact check that the subgroup presentation's p-deficiency is at least
-    index times the p-deficiency of the original presentation.  ``sub``,
-    when given, must be ``subgroup_presentation(pres, q)``; it saves
-    building it again."""
-    require_prime(p)
-    index = kernel_index(q, pres)
-    if sub is None:
-        sub = subgroup_presentation(pres, q)
-    de_orig = p_deficiency(pres, p)
-    de_sub = p_deficiency(sub, p)
-    scaled = index * de_orig
-    return SupermultReport(index, de_orig, de_sub, scaled, de_sub >= scaled, sub)

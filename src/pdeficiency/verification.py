@@ -46,7 +46,6 @@ from .invariants import (
     rank_f2,
     relator_root,
     relator_roots,
-    transfer_terms,
 )
 from .presentation import FinitePresentation, p_deficiency, parse_presentation
 from .quotient import (
@@ -62,14 +61,8 @@ from .quotient import (
     perm_order,
     table_order,
 )
-from .rewrite import (
-    SchreierData,
-    rewrite_word,
-    schreier,
-    subgroup_presentation,
-    supermultiplicity_check,
-)
-from .words import Word, maximal_root, nu_p, nu_p_int, p_prime_root
+from .rewrite import SchreierData, rewrite_word, schreier, subgroup_presentation
+from .words import Word, maximal_root, nu_p, nu_p_int, p_prime_root, require_prime
 
 
 class CheckFailure(AssertionError):
@@ -211,7 +204,7 @@ def centralizer_index(q: FiniteQuotient, g: Word) -> int:
     In a free group the centralizer of g is generated by its maximal root
     u, so the index equals the order of the image of u.  Computed with
     permutation products, not the table walk of ``quotient.table_order``,
-    it is the oracle for the k of ``invariants.transfer_terms``.
+    it is the oracle for the k of ``transfer_terms``.
     """
     if g.is_identity:
         raise ValueError("centralizer index of the identity is undefined")
@@ -233,12 +226,54 @@ def positions(q: FiniteQuotient) -> tuple:
     return tuple(out)
 
 
+def transfer_terms(roots, q: FiniteQuotient) -> list:
+    """``(k, term)`` per relator for the kernel of ``q``, of index d, by the
+    table walk of ``quotient.table_order``: k is the order of the image of
+    v and term = (d/k) * p^(nu_p(k) - nu_p(m)), the terms that
+    ``invariants.p_size_bound`` reads off the same walk.  As k divides m,
+    p^nu_p(k) is gcd(k, p^nu_p(m)).  The oracle of ``leaf_orders`` and,
+    through ``kernel_deficiency``, of ``deficiency_numerator``."""
+    d = q.order
+    terms = []
+    for root in roots:
+        k = table_order(q, root.runs)
+        terms.append((k, Fraction(d // k * math.gcd(k, root.scale), root.scale)))
+    return terms
+
+
 def kernel_deficiency(q: FiniteQuotient, terms) -> Fraction:
     """p-deficiency of the refined subgroup presentation of the kernel of
     ``q``, from its ``transfer_terms``: the Schreier basis has
     d*(|X| - 1) + 1 elements, so de_p = d*(|X| - 1) - sum of the terms.
     The oracle of ``invariants.deficiency_numerator``."""
     return Fraction(q.order * (q.n_gens - 1)) - sum(term for _, term in terms)
+
+
+@dataclass(frozen=True)
+class SupermultReport:
+    index: int
+    de_orig: Fraction
+    de_sub: Fraction
+    scaled: Fraction          # index * de_orig
+    holds: bool
+    subgroup: FinitePresentation
+
+
+def supermultiplicity_check(
+    pres: FinitePresentation, q: FiniteQuotient, p: int,
+) -> SupermultReport:
+    """Exact check that the refined subgroup presentation's p-deficiency is
+    at least index times the p-deficiency of the original presentation,
+    with de_p of the kernel taken off the maximal roots of the rewritten
+    relators: the rewriting oracle of the transfer formula that ``pdef
+    subgroup`` reports."""
+    require_prime(p)
+    index = kernel_index(q, pres)
+    sub = subgroup_presentation(pres, q)
+    de_orig = p_deficiency(pres, p)
+    de_sub = p_deficiency(sub, p)
+    scaled = index * de_orig
+    return SupermultReport(index, de_orig, de_sub, scaled, de_sub >= scaled, sub)
 
 
 def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
@@ -1016,9 +1051,10 @@ def check_kernel_invariants():
     quotients of each up to order 12, at p in {2, 3, 5}.  The searches'
     values, read off the catalog group, match the walks of the coset table:
     k of each relator root, which also matches ``centralizer_index``, de_p
-    over one denominator, and d_p from the cycle layouts.  The valuations
-    that ``psize`` reads off the formula match the maximal roots of the
-    rewritten class representatives.  The genus-2 surface group onto
+    over one denominator, and d_p from the cycle layouts.  The terms that
+    ``psize`` prints match ``transfer_terms``, and the valuations it reads
+    off the formula match the maximal roots of the rewritten class
+    representatives.  The genus-2 surface group onto
     PSL(2,7) has a kernel of genus 169."""
     rng = random.Random(0x5EED0E)
     catalog = default_catalog().up_to(12)
@@ -1063,7 +1099,11 @@ def check_kernel_invariants():
                 leaf_dp = leaf_d_p(roots, q, p)
                 _ensure(leaf_dp == dp, f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"leaf d_p {leaf_dp}, table {dp}")
-                got = [list(c.rep_valuations) for c in p_size_bound(pres, q, p).contributions]
+                bound = p_size_bound(pres, q, p)
+                got = [(c.centralizer_idx, c.term) for c in bound.contributions]
+                _ensure(got == terms, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"psize terms {got}, table {terms}")
+                got = [list(c.rep_valuations) for c in bound.contributions]
                 want = [[nu_p_int(m, p) for m in ms] for ms in exponents]
                 _ensure(got == want, f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"psize valuations {got}, rewritten {want}")
@@ -1085,8 +1125,8 @@ def check_kernel_invariants():
         _ensure((dp, de) == (338, 336), f"genus 2 onto PSL(2,7), p={p}: d_p {dp}, de_p {de}")
     return (f"{cases} (kernel, p) cases from {presentations} random presentations, "
             f"{divisible} relators with p dividing m/k: the searches' k, de_p and d_p "
-            "match the table walks, and formula de_p, Fox d_p and psize valuations "
-            "match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
+            "and the psize terms match the table walks, and formula de_p, Fox d_p "
+            "and psize valuations match rewriting; genus 2 onto PSL(2,7): Z^338, d_p = 338, de_p = 336",
             {"cases": cases, "divisible": divisible, "presentations": presentations})
 
 

@@ -1,15 +1,25 @@
+import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pdeficiency import cli, verification, words
 from pdeficiency.cli import main
-from pdeficiency.verification import CheckOutcome
+from pdeficiency.quotient import (
+    SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
+)
+from pdeficiency.verification import (
+    CheckOutcome, _random_presentation, _random_word, centralizer_index,
+    supermultiplicity_check,
+)
+from pdeficiency.words import nu_p_int
 
 
 def run(capsys, *argv):
@@ -114,6 +124,45 @@ class TestSubgroup:
         )
         payload = json.loads(out)
         assert payload["naive"] is True
+
+    def test_unkilled_relator_before_bad_prime(self, capsys):
+        # the quotient is checked before p, which is checked after rewriting
+        assert run(capsys, "subgroup", "-p", "4", "< x | x^2 >", "--quotient", "x:(1 2 3)") \
+            == (1, "", "error: relators are not killed by the quotient\n")
+
+    def test_report_matches_rewriting(self, capsys):
+        """``subgroup`` reads de_p of the kernel off the transfer formula; the
+        refined presentation's p-deficiency, taken off the maximal roots of
+        its rewritten relators, gives the same report, with and without
+        ``--naive``.  Half the presentations have a relator c*u^m*c^-1, so
+        that p divides many of the orders k of the relator roots' images."""
+        rng = random.Random(0x5EED13)
+        catalog = default_catalog().up_to(12)
+        cases = divisible = 0
+        for i in range(40):
+            pres = _random_presentation(rng, max_relators=2, max_len=8, min_relators=0)
+            if i % 2 == 0:
+                u = _random_word(rng, pres.n_gens, rng.randint(1, 3))
+                c = _random_word(rng, pres.n_gens, rng.randint(0, 2))
+                power = (u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c)
+                pres = pres.with_relators(pres.relators + (power,))
+            quotients = enumerate_quotients(pres, catalog, 12, SearchBudget(12, 3000))
+            for q in itertools.islice((q for q in quotients if q.order > 1), 15):
+                spec = describe_quotient(q, pres)
+                ks = [centralizer_index(q, r) for r in pres.relators]
+                for p in (2, 3, 5):
+                    report = supermultiplicity_check(pres, q, p)
+                    want = (report.de_sub, report.scaled, report.holds)
+                    for naive in ((), ("--naive",)):
+                        code, out, err = run(capsys, "subgroup", "-p", str(p), pres.to_text(),
+                                             "--quotient", spec, *naive, "--json")
+                        assert (code, err) == (0, "")
+                        got = json.loads(out)
+                        assert (Fraction(got["de_subgroup"]), Fraction(got["scaled"]),
+                                got["holds"]) == want, (pres.to_text(), spec, p, naive)
+                    cases += 1
+                    divisible += sum(1 for k in ks if nu_p_int(k, p))
+        assert cases >= 500 and divisible >= 40
 
 
 class TestPsize:

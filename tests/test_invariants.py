@@ -12,7 +12,6 @@ from pdeficiency.invariants import (
     leaf_d_p,
     quotient_dp_drop,
     relator_roots,
-    transfer_terms,
 )
 from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
@@ -21,7 +20,9 @@ from pdeficiency.quotient import (
     SearchBudget, default_catalog, enumerate_quotients, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
-from pdeficiency.verification import fox_masks, fox_rows, kernel_d_p, kernel_deficiency
+from pdeficiency.verification import (
+    fox_masks, fox_rows, kernel_d_p, kernel_deficiency, transfer_terms,
+)
 from pdeficiency.words import Word
 
 FREE2 = parse_presentation("< x, y | >")

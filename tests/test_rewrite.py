@@ -22,11 +22,10 @@ from pdeficiency.rewrite import (
     rewrite_word,
     schreier,
     subgroup_presentation,
-    supermultiplicity_check,
 )
 from pdeficiency.verification import (
-    centralizer_index, conjugate_class_reps, evaluate, positions, word_from_letters,
-    word_letters,
+    centralizer_index, conjugate_class_reps, evaluate, positions, supermultiplicity_check,
+    word_from_letters, word_letters,
 )
 from pdeficiency.words import Word, maximal_root, nu_p, nu_p_int
 
