@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import FinitePresentation
-from .words import nu_p_int, require_prime
+from .words import _p_weight, nu_p_int, require_prime
 
 
 class IntMatrix:
@@ -282,24 +282,16 @@ def abelian_p_deficiency_presentation(pres: FinitePresentation, p: int,
     require_prime(p)
     if cols is None:
         cols = exponent_columns(pres)
-    columns = {}  # valuation -> columns that have it
-    for col in cols:
-        g = math.gcd(*col.values())
-        if g:
-            v = nu_p_int(g, p)
-            columns[v] = columns.get(v, 0) + 1
-    return Fraction(pres.n_gens - 1) - sum(
-        (Fraction(n, p**v) for v, n in columns.items()), Fraction(0))
+    gcds = (math.gcd(*col.values()) for col in cols)
+    return pres.n_gens - 1 - _p_weight((nu_p_int(g, p) for g in gcds if g), p)
 
 
 def abelian_p_deficiency_group(inv: AbelianInvariants, p: int) -> Fraction:
     """r - 1 + sum over divisors of (1 - p^-nu_p(e_i)); the supremum over
     all abelian presentations of the group."""
     require_prime(p)
-    total = Fraction(inv.rank - 1)
-    for e in inv.divisors:
-        total += 1 - Fraction(1, p ** nu_p_int(e, p))
-    return total
+    n = inv.rank + len(inv.divisors)
+    return n - 1 - _p_weight((nu_p_int(e, p) for e in inv.divisors), p)
 
 
 def upper_bound_de(pres: FinitePresentation, p: int) -> Fraction:

@@ -310,21 +310,15 @@ def cmd_fuchsian(args):
 
 def _parse_action_spec(spec: str, sig, degree_hint) -> EllipticAction:
     names = standard_presentation(sig).generators
-    quotient = _parse_quotient_spec(spec, names)
-    degree = quotient.degree
+    images = _parse_quotient_spec(spec, names).images
+    degree = len(images[0])
     if degree_hint and degree_hint > degree:
         check_degree(degree_hint)
-        padded = []
-        for perm in quotient.images:
-            padded.append(tuple(perm) + tuple(range(degree, degree_hint)))
-        quotient = FiniteQuotient(padded)
+        fixed = tuple(range(degree, degree_hint))
+        images = tuple(perm + fixed for perm in images)
         degree = degree_hint
     r = len(sig.periods)
-    return EllipticAction(
-        degree,
-        quotient.images[:r],
-        quotient.images[r:],
-    )
+    return EllipticAction(degree, images[:r], images[r:])
 
 
 def cmd_singerman(args):

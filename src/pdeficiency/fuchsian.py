@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .presentation import FinitePresentation
 from .quotient import perm_cycles, perm_identity, perm_inv, perm_mul, perm_order
-from .words import Word, nu_p_int, require_prime
+from .words import Word, _p_weight, nu_p_int, require_prime
 
 
 class FuchsianSignature:
@@ -98,12 +98,10 @@ def standard_presentation(sig: FuchsianSignature) -> FinitePresentation:
 
 def de_standard(sig: FuchsianSignature, p: int) -> Fraction:
     """p-deficiency of the standard presentation:
-    2s - 2 + sum(1 - p^-nu_p(e_i))."""
+    2s - 2 + sum(1 - p^-nu_p(e_i)), the long relator weighing 1."""
     require_prime(p)
-    total = Fraction(2 * sig.genus - 2)
-    for e in sig.periods:
-        total += 1 - Fraction(1, p ** nu_p_int(e, p))
-    return total
+    nus = [nu_p_int(e, p) for e in sig.periods]
+    return 2 * sig.genus + len(nus) - 1 - _p_weight(nus + [0], p)
 
 
 def de_upper(sig: FuchsianSignature, p: int) -> Fraction:
@@ -111,10 +109,9 @@ def de_upper(sig: FuchsianSignature, p: int) -> Fraction:
     nu_p(e_1) >= ... >= nu_p(e_r), this is 2s - 1 + sum_{i>=2}(1 - p^-nu_p(e_i))."""
     require_prime(p)
     nus = sorted((nu_p_int(e, p) for e in sig.periods), reverse=True)
-    total = Fraction(2 * sig.genus - 1)
-    for nu in nus[1:]:
-        total += 1 - Fraction(1, p**nu)
-    return total
+    # with r >= 1 the long relator, of weight 1, stands in for x_1^(e_1)
+    weights = [0] + nus[1:] if nus else []
+    return 2 * sig.genus + len(nus) - 1 - _p_weight(weights, p)
 
 
 CASES = ("a", "b", "c", "d")

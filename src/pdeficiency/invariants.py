@@ -9,10 +9,11 @@ of each rewritten relator from the order k of each relator root's image,
 and d_p is the F_p corank of the Fox Jacobian.  ``p_size_bound`` reads k
 off the coset table, the quotient's regular tables, for ``psize`` and for
 the de_p that ``subgroup`` prints.  The searches read their
-kernels off the catalog group that the search holds them in: k is the
-length of a ``powers`` row, de_p one integer over the largest p-power
-scale, and the Fox rows come from the group's cycle layout of each
-generator's image; ``verification`` keeps the table walks as their oracle.
+kernels off the catalog group that the search holds them in: k comes
+with each kernel from the search's relator check, de_p is one integer
+over the largest p-power scale, and the Fox rows come from the group's
+cycle layout of each generator's image; ``verification`` keeps the
+table walks as their oracle.
 """
 
 import math
@@ -141,23 +142,6 @@ def p_size_bound(pres: FinitePresentation, q: FiniteQuotient, p: int) -> SizeBou
 # -- kernel invariants of a search leaf ----------------------------------------
 
 
-def leaf_orders(roots, q: FiniteQuotient) -> list:
-    """k per relator for a quotient that the search yields, as
-    ``verification.transfer_terms`` has it: v is evaluated on the catalog
-    group's indices through ``mul`` and ``powers``, and k is the length of the
-    ``powers`` row of its image."""
-    grp, images, _ = q.leaf
-    mul, powers = grp.search_tables
-    ks = []
-    for root in roots:
-        x = 0
-        for g, e in root.runs:
-            pw = powers[images[g]]
-            x = mul[x][pw[e % len(pw)]]
-        ks.append(len(powers[x]))
-    return ks
-
-
 def deficiency_numerator(roots, ks, d: int, n_gens: int, top: int) -> int:
     """de_p of a kernel of index d with the orders ``ks``, d*(|X| - 1) less
     its transfer terms (``verification.kernel_deficiency`` sums them),
@@ -196,10 +180,10 @@ def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
     At odd p the rows are dicts of signed counts and the rank is
     ``rank_mod_p``.  ``verification.kernel_d_p`` walks the coset table for
     the same value."""
-    grp, images, order = q.leaf
+    grp, images, order, ks = q.leaf
     size, d = grp.order, len(order)
     rows = []
-    for root, k in zip(roots, leaf_orders(roots, q)):
+    for root, k in zip(roots, ks):
         if not root.exponent // k % p:
             continue
         # per run g^e: the layout of g's image, g's first column, e
@@ -337,7 +321,7 @@ def chi_p_estimate(
         d = q.order
         if d == 1:
             continue
-        de_sub = deficiency_numerator(roots, leaf_orders(roots, q), d, pres.n_gens, top)
+        de_sub = deficiency_numerator(roots, q.leaf[3], d, pres.n_gens, top)
         samples.append(ChiSample(d, Fraction(de_sub, top), Fraction(de_sub, top * d), q))
     best = max(samples, key=lambda s: s.ratio)
     return ChiEstimate(best.ratio, best, len(samples), budget.exhausted, tuple(samples))
@@ -457,7 +441,7 @@ def find_power_witness(
     for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
         if q.order == 1:
             continue
-        ks = leaf_orders(roots, q)
+        ks = q.leaf[3]
         for i, (root, k) in enumerate(zip(roots, ks)):
             if root.scale % k == 0:
                 continue  # the p'-root v^(p^nu) dies in q

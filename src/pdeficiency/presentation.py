@@ -19,8 +19,8 @@ import re
 from fractions import Fraction
 
 from .words import (
-    RUN_LIMIT, RootDecomposition, Word, _seam, maximal_root, nu_p_int, p_prime_part,
-    require_prime,
+    RUN_LIMIT, RootDecomposition, Word, _p_weight, _seam, maximal_root, nu_p_int,
+    p_prime_part, require_prime,
 )
 
 
@@ -397,12 +397,8 @@ def parse_word(text: str, generators) -> Word:
 def p_deficiency(pres: FinitePresentation, p: int) -> Fraction:
     """|X| - 1 - sum of p^-nu_p(r) over the relators, exactly."""
     require_prime(p)
-    relators = {}  # valuation -> relators that have it
-    for i in range(len(pres.relators)):  # relators are never trivial
-        v = nu_p_int(pres.root(i).exponent, p)
-        relators[v] = relators.get(v, 0) + 1
-    return Fraction(pres.n_gens - 1) - sum(
-        (Fraction(n, p**v) for v, n in relators.items()), Fraction(0))
+    return pres.n_gens - 1 - _p_weight(  # relators are never trivial
+        (nu_p_int(pres.root(i).exponent, p) for i in range(len(pres.relators))), p)
 
 
 def power_up(pres: FinitePresentation, n: int) -> FinitePresentation:

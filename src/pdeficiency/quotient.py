@@ -9,10 +9,12 @@ lays out the cycles of each table that is walked, all of one length, the
 order of the generator's image.  A catalog group is the quotient onto
 itself by its generators; it also caches its multiplication table and
 powers, its automorphisms, the cycle text of each element and the cycle
-layout of right multiplication by each.  A quotient that the search
-yields keeps its group, image indices and closure as its ``leaf``, so
-that the kernel invariants and the description of each one read those
-caches, not a new coset table.
+layout of right multiplication by each.  The search checks each relator
+r = c*u^m*c^-1 by the order k of the image of v = c*u*c^-1, which
+divides m exactly when r is killed.  A quotient that the search yields
+keeps its group, image indices, closure and those orders as its
+``leaf``, so that the kernel invariants and the description of each one
+read those caches, not a new coset table.
 """
 
 import math
@@ -149,7 +151,7 @@ def describe_quotient(q: "FiniteQuotient", pres: FinitePresentation) -> str:
     if q.leaf is None:
         texts = map(format_perm, q.images)
     else:
-        grp, images, _ = q.leaf
+        grp, images = q.leaf[:2]
         texts = map(grp.cycle_texts.__getitem__, images)
     return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, texts))
 
@@ -208,10 +210,11 @@ class FiniteQuotient:
         """The quotient of permutations already checked, with the regular
         tables already built, as the search has them; nothing is checked.
         ``leaf`` is the search's own view of it: ``(group, image indices,
-        closure)``, the catalog group, the index in ``group.elements`` of
-        each generator's image, and the indices of the image group's
+        closure, ks)``, the catalog group, the index in ``group.elements``
+        of each generator's image, the indices of the image group's
         elements in breadth-first order, from which ``elements`` is read
-        when asked for."""
+        when asked for, and per relator the order k of its root's image
+        (see ``_kills``)."""
         q = object.__new__(cls)
         q.degree = len(images[0])
         q.images = images
@@ -259,7 +262,7 @@ class FiniteQuotient:
             if self.leaf is None:
                 self._close()
             else:
-                grp, _, order = self.leaf
+                grp, _, order, _ = self.leaf
                 self._elements = tuple([grp.elements[h] for h in order])
         return self._elements
 
@@ -632,14 +635,17 @@ class SearchBudget:
         return True
 
 
-def _kills(relators, images, mul, powers) -> bool:
-    """True iff every relator (as runs) maps to the identity index."""
-    for runs in relators:
+def _kills(checks, images, mul, powers, ks) -> bool:
+    """True iff each relator r = c*u^m*c^-1 of ``checks``, filed as
+    ``(i, runs of v, m)`` with v = c*u*c^-1, maps to the identity index:
+    iff the order k of v's image divides m.  Stores k as ``ks[i]``."""
+    for i, runs, m in checks:
         x = 0
         for g, e in runs:
             pw = powers[images[g]]
             x = mul[x][pw[e % len(pw)]]
-        if x:
+        k = ks[i] = len(powers[x])
+        if m % k:
             return False
     return True
 
@@ -672,16 +678,19 @@ def enumerate_quotients(
     For each catalog group, generator images are assigned depth-first in
     generator order, each running over the group's element list, so full
     assignments come in the order of ``itertools.product``.  Each relator
-    is evaluated through the group's multiplication table as soon as the
-    highest generator it uses has an image; one that does not vanish cuts
-    the whole subtree below.  So does a prefix of images that an
-    automorphism α of the group takes to an earlier prefix: for every
-    assignment φ below it, α∘φ has the same kernel and comes earlier, so
-    the first assignment of each kernel is never cut.  Two assignments are
-    the same kernel exactly when their regular coset tables agree after
-    breadth-first relabeling, so the deduplication is exact.  Order of
-    results is deterministic: catalog order, then assignment order over
-    each group's element list.
+    r = c*u^m*c^-1 is checked as soon as the highest generator it uses has
+    an image: v = c*u*c^-1 is evaluated through the group's multiplication
+    table, and r vanishes exactly when the order k of v's image divides m.
+    One that does not vanish cuts the whole subtree below.  So does a
+    prefix of images that an automorphism α of the group takes to an
+    earlier prefix: for every assignment φ below it, α∘φ has the same
+    kernel and comes earlier, so the first assignment of each kernel is
+    never cut.  Two assignments are the same kernel exactly when their
+    regular coset tables agree after breadth-first relabeling, so the
+    deduplication is exact.  Each quotient's ``leaf`` carries the k of
+    every relator, all taken at its assignment.  Order of results is
+    deterministic: catalog order, then assignment order over each group's
+    element list.
 
     ``budget.max_assignments`` counts full assignments: each one reached
     costs 1 and a cut subtree, by a relator or an automorphism, costs the
@@ -702,8 +711,11 @@ def enumerate_quotients(
         raise ValueError("the quotient search needs at least one generator")
     # each relator is checked at the depth of the highest generator it uses
     checks = [[] for _ in range(n)]
-    for r in pres.relators:
-        checks[max(g for g, _ in r.runs)].append(r.runs)
+    for i in range(len(pres.relators)):
+        rd = pres.root(i)
+        runs = rd.power(1).runs
+        checks[max(g for g, _ in runs)].append((i, runs, rd.exponent))
+    ks = [0] * len(pres.relators)
     seen = set()
     for grp in catalog.groups:
         if grp.order > max_order:
@@ -731,7 +743,7 @@ def enumerate_quotients(
                 elif y < x:  # a takes this prefix to an earlier one
                     fixed = None
                     break
-            if fixed is None or not _kills(checks[k], images, mul, powers):
+            if fixed is None or not _kills(checks[k], images, mul, powers, ks):
                 if not budget.spend(leaves[k]):
                     return
             elif k < n - 1:
@@ -748,5 +760,5 @@ def enumerate_quotients(
                     seen.add(key)
                     indices = tuple(images)
                     yield FiniteQuotient._make(tuple([elements[a] for a in indices]),
-                                               tables, (grp, indices, order))
+                                               tables, (grp, indices, order, ks[:]))
             images[k] += 1

@@ -40,7 +40,6 @@ from .invariants import (
     deficiency_numerator,
     find_power_witness,
     leaf_d_p,
-    leaf_orders,
     p_size_bound,
     quotient_dp_drop,
     rank_f2,
@@ -231,8 +230,9 @@ def transfer_terms(roots, q: FiniteQuotient) -> list:
     table walk of ``quotient.table_order``: k is the order of the image of
     v and term = (d/k) * p^(nu_p(k) - nu_p(m)), the terms that
     ``invariants.p_size_bound`` reads off the same walk.  As k divides m,
-    p^nu_p(k) is gcd(k, p^nu_p(m)).  The oracle of ``leaf_orders`` and,
-    through ``kernel_deficiency``, of ``deficiency_numerator``."""
+    p^nu_p(k) is gcd(k, p^nu_p(m)).  The oracle of the k that the search
+    hands each kernel in its ``leaf`` and, through ``kernel_deficiency``,
+    of ``deficiency_numerator``."""
     d = q.order
     terms = []
     for root in roots:
@@ -1081,7 +1081,7 @@ def check_kernel_invariants():
                 ks = [k for k, _ in terms]
                 _ensure(ks == [centralizer_index(q, r) for r in pres.relators],
                         f"{pres.to_text()} onto {q!r}: table orders {ks}")
-                leaf_ks = leaf_orders(roots, q)
+                leaf_ks = q.leaf[3]
                 _ensure(leaf_ks == ks,
                         f"{pres.to_text()} onto {q!r}: leaf orders {leaf_ks}, table {ks}")
                 de = kernel_deficiency(q, terms)

@@ -7,6 +7,7 @@ constructor performs free reduction, so every Word is canonical, and all
 values here are immutable; every operation is a pure function.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,6 +78,15 @@ def nu_p_int(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
+
+
+def _p_weight(valuations, p: int) -> Fraction:
+    """Sum of p^-v over the valuations, exactly: the weight that a
+    p-deficiency takes off |X| - 1.  One Fraction over p^top, top the
+    largest v, with one power of p per distinct v."""
+    counts = Counter(valuations)
+    top = max(counts, default=0)
+    return Fraction(sum([n * p ** (top - v) for v, n in counts.items()]), p**top)
 
 
 class Word:

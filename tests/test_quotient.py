@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdeficiency import verification
+from pdeficiency.invariants import relator_roots
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
     FiniteQuotient,
@@ -282,7 +283,7 @@ class TestEnumerate:
         def corrupted(pres, catalog, max_order, budget):
             for q in enumerate_quotients(pres, catalog, max_order, budget):
                 if q.order == 6:
-                    grp, indices, order = q.leaf
+                    grp, indices, order, ks = q.leaf
                     if part == "table":
                         table = list(q.tables[0])
                         table[1], table[2] = table[2], table[1]
@@ -290,7 +291,7 @@ class TestEnumerate:
                                                  q.leaf)
                     else:
                         order = [order[0], order[2], order[1], *order[3:]]
-                        q = FiniteQuotient._make(q.images, q.tables, (grp, indices, order))
+                        q = FiniteQuotient._make(q.images, q.tables, (grp, indices, order, ks))
                 yield q
 
         monkeypatch.setattr(verification, "enumerate_quotients", corrupted)
@@ -303,10 +304,15 @@ class TestEnumerate:
         # the search builds its quotients unchecked, with the tables and
         # cycle texts it already has, and closes no element list until one
         # is asked for; the public constructor and format_perm are their
-        # oracle
+        # oracle.  The relator check hands each quotient the order k of
+        # each relator root's image, which the table walk checks: with
+        # relators at every depth, two of them powers of a root other
+        # than themselves
         catalog = parse_catalog_manifest(self.MANIFEST) if manifest else default_catalog()
-        for text in ("< x, y | >", "< x, y, z | x^2, (y*z)^3 >"):
+        for text in ("< x, y | >", "< x, y, z | x^2, (y*z)^3 >",
+                     "< x, y, z | x^6, (x*y^-1)^2, y*z^3*y^-1 >"):
             pres = parse_presentation(text)
+            roots = relator_roots(pres)
             found = list(enumerate_quotients(pres, catalog, 12))
             assert len(found) > 20
             for q in found:
@@ -321,9 +327,10 @@ class TestEnumerate:
                     f"{name}:{format_perm(img)}"
                     for name, img in zip(pres.generators, q.images))
                 assert describe_quotient(q, pres) == describe_quotient(fresh, pres)
-                grp, indices, order = q.leaf
+                grp, indices, order, ks = q.leaf
                 assert tuple(grp.elements[a] for a in indices) == q.images
                 assert tuple(grp.elements[h] for h in order) == q.elements
+                assert ks == [table_order(q, root.runs) for root in roots]
                 assert fresh.leaf is None
 
     def test_catalog_builds_no_search_tables(self):
