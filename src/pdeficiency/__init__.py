@@ -53,7 +53,6 @@ from .presentation import (
 from .quotient import (
     CatalogGroup,
     FiniteQuotient,
-    GroupCatalog,
     SearchBudget,
     default_catalog,
     enumerate_quotients,

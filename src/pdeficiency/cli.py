@@ -308,22 +308,16 @@ def cmd_fuchsian(args):
     return payload, lines
 
 
-def _parse_action_spec(spec: str, sig, degree_hint) -> EllipticAction:
+def _parse_action_spec(spec: str, sig) -> EllipticAction:
     names = standard_presentation(sig).generators
     images = _parse_quotient_spec(spec, names).images
-    degree = len(images[0])
-    if degree_hint and degree_hint > degree:
-        check_degree(degree_hint)
-        fixed = tuple(range(degree, degree_hint))
-        images = tuple(perm + fixed for perm in images)
-        degree = degree_hint
     r = len(sig.periods)
-    return EllipticAction(degree, images[:r], images[r:])
+    return EllipticAction(len(images[0]), images[:r], images[r:])
 
 
 def cmd_singerman(args):
     sig = parse_signature(args.signature)
-    act = _parse_action_spec(args.action, sig, args.degree)
+    act = _parse_action_spec(args.action, sig)
     transferred = singerman_transfer(sig, act)
     payload = {
         "command": "singerman",
@@ -510,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("signature")
     sub.add_argument("--action", required=True,
                      help="per-generator cycles over x1..xr,u1,v1,..., e.g. 'x1:(1 2),x2:(1 2),x3:()'")
-    sub.add_argument("--degree", type=int, default=0, help="action degree if larger than any named point")
     _add_common(sub)
 
     presentation_command("chi", "lower bound for the negated p-Euler characteristic",

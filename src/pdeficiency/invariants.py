@@ -24,7 +24,6 @@ from .abelian import abelian_invariants, d_p, rank_mod_p
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import (
     FiniteQuotient,
-    GroupCatalog,
     SearchBudget,
     describe_quotient,
     enumerate_quotients,
@@ -302,7 +301,7 @@ class ChiEstimate:
 def chi_p_estimate(
     pres: FinitePresentation,
     p: int,
-    catalog: GroupCatalog = None,
+    catalog: tuple = None,
     budget: SearchBudget = None,
 ) -> ChiEstimate:
     """Enumerate kernels and maximize the exact deficiency/index ratio.
@@ -317,7 +316,7 @@ def chi_p_estimate(
     samples = [ChiSample(1, de, de, None)]
     roots = relator_roots(pres, p)
     top = max((root.scale for root in roots), default=1)
-    for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
+    for q in enumerate_quotients(pres, catalog, budget=budget):
         d = q.order
         if d == 1:
             continue
@@ -349,7 +348,7 @@ class GradientWindow:
 def gradient_window(
     pres: FinitePresentation,
     p: int,
-    catalog: GroupCatalog = None,
+    catalog: tuple = None,
     budget: SearchBudget = None,
 ) -> GradientWindow:
     require_prime(p)
@@ -358,7 +357,7 @@ def gradient_window(
     dp = d_p(abelian_invariants(pres), p)
     samples = [GradientSample(1, dp, Fraction(dp), "index 1")]
     roots = relator_roots(pres, p)
-    for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
+    for q in enumerate_quotients(pres, catalog, budget=budget):
         if q.order == 1:
             continue
         dp_sub = leaf_d_p(roots, q, p)
@@ -423,7 +422,7 @@ class PowerWitness:
 def find_power_witness(
     pres: FinitePresentation,
     p: int,
-    catalog: GroupCatalog = None,
+    catalog: tuple = None,
     budget: SearchBudget = None,
 ):
     """Search catalog quotients for a witness that some kernel has positive
@@ -438,7 +437,7 @@ def find_power_witness(
         budget = SearchBudget()
     roots = relator_roots(pres, p)
     top = max((root.scale for root in roots), default=1)
-    for q in enumerate_quotients(pres, catalog, budget.max_order, budget):
+    for q in enumerate_quotients(pres, catalog, budget=budget):
         if q.order == 1:
             continue
         ks = q.leaf[3]

@@ -6,15 +6,18 @@ first and then b, so evaluating a word left to right is a homomorphism.
 
 A quotient's coset table is its regular tables, and ``_cycle_layout``
 lays out the cycles of each table that is walked, all of one length, the
-order of the generator's image.  A catalog group is the quotient onto
-itself by its generators; it also caches its multiplication table and
-powers, its automorphisms, the cycle text of each element and the cycle
-layout of right multiplication by each.  The search checks each relator
-r = c*u^m*c^-1 by the order k of the image of v = c*u*c^-1, which
-divides m exactly when r is killed.  A quotient that the search yields
-keeps its group, image indices, closure and those orders as its
-``leaf``, so that the kernel invariants and the description of each one
-read those caches, not a new coset table.
+order of the generator's image.  A catalog is a tuple of ``CatalogGroup``s;
+a catalog group is the quotient onto itself by its generators, and it
+also caches its multiplication table and powers, its automorphisms, the
+cycle text of each element and the cycle layout of right multiplication
+by each.  The search's ``SearchBudget`` is its only order cap: it skips
+every group above ``budget.max_order`` and refuses one within it above
+``SEARCH_ORDER_LIMIT`` before building its tables.  The search checks
+each relator r = c*u^m*c^-1 by the order k of the image of
+v = c*u*c^-1, which divides m exactly when r is killed.  A quotient that
+the search yields keeps its group, image indices, closure and those
+orders as its ``leaf``, so that the kernel invariants and the
+description of each one read those caches, not a new coset table.
 """
 
 import math
@@ -26,6 +29,9 @@ from operator import itemgetter
 from .presentation import FinitePresentation
 
 CLOSURE_LIMIT = 10_000
+# the largest catalog group the search builds tables for: its
+# multiplication table holds at most 10^6 entries
+SEARCH_ORDER_LIMIT = 1_000
 
 
 # -- permutation helpers ----------------------------------------------------
@@ -338,9 +344,7 @@ class CatalogGroup(FiniteQuotient):
     group onto it that sends generator i to ``images[i]``; ``order`` is
     checked against the closure, or taken from it when omitted."""
 
-    def __init__(self, name: str, degree: int, gens, order: int = None):
-        for p in gens:
-            _validate_perm(p, degree)
+    def __init__(self, name: str, gens, order: int = None):
         super().__init__(gens)
         self.name = name
         if order is not None and self.order != order:
@@ -511,61 +515,40 @@ def _extend_map(mul, img, used, gens, images):
     return {**img, **new} if new else img
 
 
-@dataclass(frozen=True)
-class GroupCatalog:
-    groups: tuple
-
-    def up_to(self, max_order: int) -> "GroupCatalog":
-        return GroupCatalog(tuple(g for g in self.groups if g.order <= max_order))
-
-    def names(self) -> tuple:
-        return tuple(g.name for g in self.groups)
-
-
 def _cycle(n: int) -> tuple:
     return tuple((i + 1) % n for i in range(n))
 
 
 @cache
-def default_catalog() -> GroupCatalog:
+def default_catalog() -> tuple:
     """Cyclic C_2..C_12, elementary abelian C_pxC_p for p in {2, 3, 5},
-    dihedral D_4 and D_5, symmetric S_3 and S_4, alternating A_4.
+    dihedral D_4 and D_5, symmetric S_3 and S_4, alternating A_4, as a
+    tuple sorted by order, then name.
 
-    Built once per process: the catalog is frozen, so every search shares
+    Built once per process: the tuple is immutable, so every search shares
     its groups and the search tables they cache."""
     entries = []
     for n in range(2, 13):
-        entries.append(CatalogGroup(f"C{n}", n, (_cycle(n),), n))
+        entries.append(CatalogGroup(f"C{n}", (_cycle(n),), n))
     for p in (2, 3, 5):
         first = cycles_to_perm([tuple(range(p))], 2 * p)
         second = cycles_to_perm([tuple(range(p, 2 * p))], 2 * p)
-        entries.append(CatalogGroup(f"C{p}xC{p}", 2 * p, (first, second), p * p))
-    entries.append(
-        CatalogGroup("D4", 4, (cycles_to_perm([(0, 1, 2, 3)], 4),
-                               cycles_to_perm([(1, 3)], 4)), 8)
-    )
-    entries.append(
-        CatalogGroup("D5", 5, (cycles_to_perm([(0, 1, 2, 3, 4)], 5),
-                               cycles_to_perm([(1, 4), (2, 3)], 5)), 10)
-    )
-    entries.append(
-        CatalogGroup("S3", 3, (cycles_to_perm([(0, 1)], 3),
-                               cycles_to_perm([(0, 1, 2)], 3)), 6)
-    )
-    entries.append(
-        CatalogGroup("S4", 4, (cycles_to_perm([(0, 1)], 4),
-                               cycles_to_perm([(0, 1, 2, 3)], 4)), 24)
-    )
-    entries.append(
-        CatalogGroup("A4", 4, (cycles_to_perm([(0, 1, 2)], 4),
-                               cycles_to_perm([(1, 2, 3)], 4)), 12)
-    )
+        entries.append(CatalogGroup(f"C{p}xC{p}", (first, second), p * p))
+    for name, degree, gens, order in (
+        ("D4", 4, ([(0, 1, 2, 3)], [(1, 3)]), 8),
+        ("D5", 5, ([(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]), 10),
+        ("S3", 3, ([(0, 1)], [(0, 1, 2)]), 6),
+        ("S4", 4, ([(0, 1)], [(0, 1, 2, 3)]), 24),
+        ("A4", 4, ([(0, 1, 2)], [(1, 2, 3)]), 12),
+    ):
+        entries.append(CatalogGroup(name, tuple(cycles_to_perm(c, degree) for c in gens), order))
     entries.sort(key=lambda g: (g.order, g.name))
-    return GroupCatalog(tuple(entries))
+    return tuple(entries)
 
 
-def parse_catalog_manifest(text: str) -> GroupCatalog:
-    """One group per line: ``name degree perm1 perm2 ...`` with cycle
+def parse_catalog_manifest(text: str) -> tuple:
+    """The catalog of a manifest, its groups in the order of their lines.
+    One group per line: ``name degree perm1 perm2 ...`` with cycle
     notation, e.g. ``S3 3 (1 2) (1 2 3)``.  Blank lines and lines starting
     with '#' are ignored."""
     entries = []
@@ -584,8 +567,8 @@ def parse_catalog_manifest(text: str) -> GroupCatalog:
         if not gen_texts:
             raise ValueError(f"manifest line {lineno}: no generators")
         gens = tuple(parse_perm(t, degree) for t in gen_texts)
-        entries.append(CatalogGroup(name, degree, gens))
-    return GroupCatalog(tuple(entries))
+        entries.append(CatalogGroup(name, gens))
+    return tuple(entries)
 
 
 def _split_perm_list(text: str) -> list:
@@ -616,7 +599,9 @@ def _split_perm_list(text: str) -> list:
 
 @dataclass
 class SearchBudget:
-    """Caps for the homomorphism search; exhaustion is reported, not fatal."""
+    """Caps for the homomorphism search: ``max_order``, its only cap on the
+    order of a catalog group, and ``max_assignments``; exhaustion is
+    reported, not fatal."""
 
     max_order: int = 24
     max_assignments: int = 10**6
@@ -667,13 +652,16 @@ def _closure(mul, images) -> tuple:
     return order, tables
 
 
-def enumerate_quotients(
-    pres: FinitePresentation,
-    catalog: GroupCatalog = None,
-    max_order: int = None,
-    budget: SearchBudget = None,
-):
-    """Yield quotients of pres over the catalog, deduplicated by kernel.
+def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
+                        budget: SearchBudget = None):
+    """Yield quotients of pres over the catalog groups of order at most
+    ``budget.max_order``, deduplicated by kernel.  ``catalog`` is a tuple
+    of ``CatalogGroup``s, ``default_catalog()`` when omitted; a group
+    within the cap whose order is above ``SEARCH_ORDER_LIMIT`` is refused
+    with ``ValueError`` when the search reaches it.  ``budget`` is
+    keyword-only: the bench tracer (``bench/tracer.py``) counts the
+    assignments a search spends off ``kwargs["budget"]``, and would count
+    none for a budget passed in third place.
 
     For each catalog group, generator images are assigned depth-first in
     generator order, each running over the group's element list, so full
@@ -702,8 +690,7 @@ def enumerate_quotients(
         catalog = default_catalog()
     if budget is None:
         budget = SearchBudget()
-    if max_order is None:
-        max_order = budget.max_order
+    max_order = budget.max_order
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
     n = pres.n_gens
@@ -717,12 +704,15 @@ def enumerate_quotients(
         checks[max(g for g, _ in runs)].append((i, runs, rd.exponent))
     ks = [0] * len(pres.relators)
     seen = set()
-    for grp in catalog.groups:
-        if grp.order > max_order:
+    for grp in catalog:
+        size = grp.order
+        if size > max_order:
             continue
+        if size > SEARCH_ORDER_LIMIT:
+            raise ValueError(f"catalog group {grp.name} has order {size}, "
+                             f"above the search limit {SEARCH_ORDER_LIMIT}")
         elements = grp.elements
         mul, powers = grp.search_tables
-        size = grp.order
         leaves = [size ** (n - 1 - k) for k in range(n)]
         # fixing[k]: the automorphisms that fix images[:k]
         fixing = [grp.automorphisms] * n

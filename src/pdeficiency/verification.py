@@ -465,14 +465,18 @@ def _oracle_class_count(q: FiniteQuotient, conjugates) -> int:
     return len(reps)
 
 
-def brute_force_quotients(pres, catalog, max_order, budget):
+def brute_force_quotients(pres, catalog=None, *, budget=None):
     """The quotient search without tables or pruning: every assignment in
     ``itertools.product`` order, each built as a ``FiniteQuotient``, tested
     with ``is_quotient_of`` and deduplicated by ``kernel_key``.  The oracle
-    for ``enumerate_quotients``."""
+    for ``enumerate_quotients``, with its signature."""
+    if catalog is None:
+        catalog = default_catalog()
+    if budget is None:
+        budget = SearchBudget()
     seen = set()
-    for grp in catalog.groups:
-        if grp.order > max_order:
+    for grp in catalog:
+        if grp.order > budget.max_order:
             continue
         for assignment in itertools.product(grp.elements, repeat=pres.n_gens):
             if not budget.spend():
@@ -496,7 +500,7 @@ def search_agrees(pres, catalog, max_order, max_assignments) -> int:
     for search in (enumerate_quotients, brute_force_quotients):
         budget = SearchBudget(max_order, max_assignments)
         found = [(q.images, q.elements, q.tables)
-                 for q in search(pres, catalog, max_order, budget)]
+                 for q in search(pres, catalog, budget=budget)]
         runs.append((found, budget.assignments_used, budget.exhausted))
     (fast, used, exhausted), (slow, used_bf, exhausted_bf) = runs
     _ensure(fast == slow,
@@ -691,7 +695,6 @@ def check_supermult():
     """Subgroup deficiency is at least index times the original, over random
     presentations and catalog quotients."""
     rng = random.Random(0x5EED02)
-    catalog = default_catalog().up_to(12)
     instances = 0
     presentations = 0
     target = 100
@@ -701,7 +704,7 @@ def check_supermult():
         p = rng.choice((2, 3, 5))
         budget = SearchBudget(max_order=12, max_assignments=1500)
         found = 0
-        for q in enumerate_quotients(pres, catalog, 12, budget):
+        for q in enumerate_quotients(pres, budget=budget):
             if q.order == 1:
                 continue
             report = supermultiplicity_check(pres, q, p)
@@ -724,9 +727,8 @@ def check_conjugacy():
     conjugacy oracle, and the valuation transfer inequality, exactly."""
     rng = random.Random(0x5EED03)
     free2 = FinitePresentation(("x", "y"), ())
-    catalog = default_catalog().up_to(6)
     quotients = [
-        q for q in enumerate_quotients(free2, catalog, 6, SearchBudget(6, 10_000))
+        q for q in enumerate_quotients(free2, budget=SearchBudget(6, 10_000))
         if q.order > 1
     ][:12]
     _ensure(len(quotients) >= 6, "too few small quotients found")
@@ -928,15 +930,14 @@ def check_chi():
     everywhere; the genus-2 surface group stays at its volume 2;
     multiplicativity across an index-2 kernel."""
     free2 = FinitePresentation(("x", "y"), ())
-    est2 = chi_p_estimate(free2, 2, default_catalog().up_to(6),
-                          SearchBudget(max_order=6, max_assignments=10_000))
+    est2 = chi_p_estimate(free2, 2, budget=SearchBudget(max_order=6, max_assignments=10_000))
     _ensure(all(s.ratio == 1 for s in est2.samples),
             "a free-group ratio differs from 1")
     _ensure(est2.best_ratio == 1, f"best ratio {est2.best_ratio} != 1")
 
     surface = standard_presentation(FuchsianSignature(2))
-    est_s = chi_p_estimate(surface, 2, default_catalog().up_to(4),
-                           SearchBudget(max_order=4, max_assignments=10_000))
+    est_s = chi_p_estimate(surface, 2,
+                           budget=SearchBudget(max_order=4, max_assignments=10_000))
     _ensure(est_s.samples[0].ratio == 2, "index-1 ratio is not 2")
     _ensure(all(s.ratio <= 2 for s in est_s.samples), "a surface ratio exceeds 2")
     _ensure(est_s.best_ratio == 2, f"best surface ratio {est_s.best_ratio} != 2")
@@ -944,8 +945,7 @@ def check_chi():
     q2 = FiniteQuotient(((1, 0), (0, 1)))
     free3 = subgroup_presentation(free2, q2)
     _ensure(free3.n_gens == 3 and not free3.relators, "index-2 kernel is not free of rank 3")
-    est3 = chi_p_estimate(free3, 2, default_catalog().up_to(6),
-                          SearchBudget(max_order=6, max_assignments=10_000))
+    est3 = chi_p_estimate(free3, 2, budget=SearchBudget(max_order=6, max_assignments=10_000))
     _ensure(est3.best_ratio == 2 * est2.best_ratio, "multiplicativity failed")
     return (f"free rank 2: all {est2.subgroups_examined} ratios = 1; genus 2: "
             f"{est_s.subgroups_examined} ratios <= 2 with equality at index 1; "
@@ -969,8 +969,8 @@ def check_power_witness():
     de_sub = p_deficiency(sub, 2)
     _ensure(de_sub > 0, f"kernel deficiency {de_sub} not positive")
 
-    witness = find_power_witness(pres, 2, default_catalog().up_to(12),
-                                  SearchBudget(max_order=12, max_assignments=50_000))
+    witness = find_power_witness(pres, 2,
+                                 budget=SearchBudget(max_order=12, max_assignments=50_000))
     _ensure(witness is not None, "witness search found nothing")
     _ensure(witness.subgroup_deficiency > 0, "witness kernel not positive")
     return (f"explicit C_3 kernel has de_2 = {_rat(de_sub)} > 0; search found a witness "
@@ -1057,7 +1057,6 @@ def check_kernel_invariants():
     representatives.  The genus-2 surface group onto
     PSL(2,7) has a kernel of genus 169."""
     rng = random.Random(0x5EED0E)
-    catalog = default_catalog().up_to(12)
     presentations = 40
     cases = divisible = 0
     for i in range(presentations):
@@ -1067,7 +1066,7 @@ def check_kernel_invariants():
             c = _random_word(rng, pres.n_gens, rng.randint(0, 2))
             power = (u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c)
             pres = pres.with_relators(pres.relators + (power,))
-        quotients = enumerate_quotients(pres, catalog, 12, SearchBudget(12, 3000))
+        quotients = enumerate_quotients(pres, budget=SearchBudget(12, 3000))
         for q in itertools.islice(quotients, 15):
             sd = schreier(q)
             sub = subgroup_presentation(pres, q, sd=sd)

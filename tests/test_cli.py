@@ -137,7 +137,6 @@ class TestSubgroup:
         ``--naive``.  Half the presentations have a relator c*u^m*c^-1, so
         that p divides many of the orders k of the relator roots' images."""
         rng = random.Random(0x5EED13)
-        catalog = default_catalog().up_to(12)
         cases = divisible = 0
         for i in range(40):
             pres = _random_presentation(rng, max_relators=2, max_len=8, min_relators=0)
@@ -146,7 +145,7 @@ class TestSubgroup:
                 c = _random_word(rng, pres.n_gens, rng.randint(0, 2))
                 power = (u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c)
                 pres = pres.with_relators(pres.relators + (power,))
-            quotients = enumerate_quotients(pres, catalog, 12, SearchBudget(12, 3000))
+            quotients = enumerate_quotients(pres, budget=SearchBudget(12, 3000))
             for q in itertools.islice((q for q in quotients if q.order > 1), 15):
                 spec = describe_quotient(q, pres)
                 ks = [centralizer_index(q, r) for r in pres.relators]
@@ -205,13 +204,13 @@ class TestSingerman:
         assert code == 0
         assert "transferred signature: (0; 2,2,4,4)" in out
 
-    def test_degree_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "singerman", "(1; 2)",
-            "--action", "x1:(),u1:(1 2)(3 4),v1:(1 3)(2 4)", "--degree", "4",
-        )
-        assert code == 0
-        assert "(1; 2,2,2,2)" in out
+    def test_no_degree_flag(self, capsys):
+        # the action's degree is its largest named point
+        with pytest.raises(SystemExit) as exc:
+            main(["singerman", "(1; 2)", "--action", "x1:(),u1:(1 2)(3 4),v1:(1 3)(2 4)",
+                  "--degree", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --degree 4" in capsys.readouterr().err
 
 
 class TestSearchCommands:
@@ -255,6 +254,25 @@ class TestSearchCommands:
         )
         assert code == 0
         assert "subgroups examined: 4" in out
+
+    @pytest.mark.parametrize("p, message", [
+        ("2", "max_order must be at least 2"),
+        ("4", "p must be a prime number, got 4"),  # a bad prime is reported first
+    ])
+    def test_max_order_below_two(self, capsys, p, message):
+        assert run(capsys, "chi", "-p", p, "< x | >", "--max-order", "1") \
+            == (1, "", f"error: {message}\n")
+
+    def test_max_order_caps_the_tables(self, capsys):
+        # --max-order is the search's only order cap: no group above it gets
+        # search tables or automorphisms built
+        default_catalog.cache_clear()
+        code, _, _ = run(capsys, "chi", "-p", "2", "< x, y | >", "--max-order", "6")
+        assert code == 0
+        assert any("search_tables" in vars(g) for g in default_catalog())
+        for g in default_catalog():
+            if g.order > 6:
+                assert "search_tables" not in vars(g) and "automorphisms" not in vars(g)
 
 
 def run_child(*argv, **options):
@@ -358,6 +376,25 @@ def test_automorphism_guard(tmp_path, manifest, presentation, max_order, text):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
 
 
+@pytest.mark.parametrize("manifest, code, out, err", [
+    ("S7 7 (1 2) (1 2 3 4 5 6 7)", 1, "",
+     "error: catalog group S7 has order 5040, above the search limit 1000\n"),
+    ("S6 6 (1 2) (1 2 3 4 5 6)", 0, "presentation: < x, y | x^2 >\n"
+     "subgroups examined: 55\n"
+     "best ratio de/index = 1/2 at index 1 (index 1)\n"
+     "-chi_2 >= 1/2\n", ""),
+], ids=["S7", "S6"])
+def test_search_order_limit(tmp_path, manifest, code, out, err):
+    """A manifest group within --max-order but above the search limit is
+    refused before its |H|^2 multiplication table is built; S6, below the
+    limit, is searched."""
+    catalog = tmp_path / "groups.txt"
+    catalog.write_text(manifest + "\n")
+    proc = capped_child("chi", "-p", "2", "< x, y | x^2 >", "--max-order", "10000",
+                        "--catalog", str(catalog))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_text_output_builds_no_json(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("JSON built for text output")
@@ -455,7 +492,7 @@ class TestDegreeBound:
 
     def test_action_degree(self, capsys):
         self.assert_rejected(capsys, "singerman", "(0; 4,4,4)",
-                             "--action", "x1:(1 2),x2:(1 2),x3:()", "--degree", self.BIG)
+                             "--action", f"x1:(1 {self.BIG}),x2:(1 2),x3:()")
 
     def test_catalog_degree(self, capsys, tmp_path):
         manifest = tmp_path / "groups.txt"

@@ -17,7 +17,7 @@ from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
 )
 from pdeficiency.quotient import (
-    SearchBudget, default_catalog, enumerate_quotients, table_order,
+    SearchBudget, enumerate_quotients, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import (
@@ -45,8 +45,7 @@ class TestKernelInvariants:
     ])
     def test_match_rewriting(self, text):
         pres = parse_presentation(text)
-        kernels = list(enumerate_quotients(pres, default_catalog().up_to(12), 12,
-                                           budget(12)))
+        kernels = list(enumerate_quotients(pres, budget=budget(12)))
         assert len(kernels) > 3
         for q in kernels:
             sub = subgroup_presentation(pres, q)
@@ -59,7 +58,7 @@ class TestKernelInvariants:
     def test_transfer_terms(self):
         # x^6 onto C2: k = 2, one class of valuation nu_2(6) - nu_2(2) = 0 of valuation nu_2(6) - nu_2(2) = 0
         pres = parse_presentation("< x | x^6 >")
-        q = next(q for q in enumerate_quotients(pres, default_catalog().up_to(4), 4)
+        q = next(q for q in enumerate_quotients(pres, budget=SearchBudget(4))
                  if q.order == 2)
         roots = relator_roots(pres, 2)
         assert roots[0].exponent == 6 and roots[0].nu == 1 and roots[0].scale == 2
@@ -100,10 +99,9 @@ class TestFoxMasks:
     reads off its ``powers`` against the table walks."""
 
     def check(self, pres, primes):
-        catalog = default_catalog().up_to(12)
         for p in primes:
             roots = relator_roots(pres, p)
-            for s in chi_p_estimate(pres, p, catalog, budget(12)).samples[1:]:
+            for s in chi_p_estimate(pres, p, budget=budget(12)).samples[1:]:
                 q = s.quotient
                 de = kernel_deficiency(q, transfer_terms(roots, q))
                 assert s.deficiency == de and s.ratio == Fraction(de, s.index)
@@ -131,13 +129,13 @@ class TestFoxMasks:
         pres = parse_presentation("< x, y | (x^-37*y^2)^4, y^25*x^-13*y^-2 >")
         root = relator_roots(pres, 2)[0]
         assert any(root.exponent // table_order(q, root.runs) == 2
-                   for q in enumerate_quotients(pres, default_catalog().up_to(12), 12))
+                   for q in enumerate_quotients(pres, budget=SearchBudget(12)))
         self.check(pres, (2, 3, 5, 7, 13))
 
 
 class TestChiEstimate:
     def test_free_group_all_ratios_one(self):
-        est = chi_p_estimate(FREE2, 2, default_catalog().up_to(6), budget(6))
+        est = chi_p_estimate(FREE2, 2, budget=budget(6))
         assert est.best_ratio == 1
         assert all(s.ratio == 1 for s in est.samples)
         assert est.subgroups_examined == len(est.samples)
@@ -145,7 +143,7 @@ class TestChiEstimate:
 
     def test_surface_group_capped_by_volume(self):
         surface = standard_presentation(FuchsianSignature(2))
-        est = chi_p_estimate(surface, 2, default_catalog().up_to(4), budget(4))
+        est = chi_p_estimate(surface, 2, budget=budget(4))
         assert est.samples[0].index == 1
         assert est.samples[0].ratio == 2
         assert all(s.ratio <= volume(FuchsianSignature(2)) for s in est.samples)
@@ -153,24 +151,23 @@ class TestChiEstimate:
 
     def test_zero_deficiency_example(self):
         pres = parse_presentation("< x,y,z | x^2,y^4,z^4,x*y*z >")
-        est = chi_p_estimate(pres, 2, default_catalog().up_to(4), budget(4))
+        est = chi_p_estimate(pres, 2, budget=budget(4))
         assert est.best_ratio >= 0
 
     def test_monotone_in_budget(self):
         pres = parse_presentation("< x, y | x^2, y^2 >")
-        small = chi_p_estimate(pres, 2, default_catalog().up_to(2), budget(2))
-        large = chi_p_estimate(pres, 2, default_catalog().up_to(8), budget(8))
+        small = chi_p_estimate(pres, 2, budget=budget(2))
+        large = chi_p_estimate(pres, 2, budget=budget(8))
         assert large.best_ratio >= small.best_ratio
 
     def test_exhaustion_reported(self):
-        est = chi_p_estimate(FREE2, 2, default_catalog().up_to(6),
-                             SearchBudget(max_order=6, max_assignments=5))
+        est = chi_p_estimate(FREE2, 2, budget=SearchBudget(max_order=6, max_assignments=5))
         assert est.exhausted
 
 
 class TestGradientWindow:
     def test_free_group_ratios(self):
-        window = gradient_window(FREE2, 2, default_catalog().up_to(6), budget(6))
+        window = gradient_window(FREE2, 2, budget=budget(6))
         for s in window.samples:
             # a free subgroup of index n has rank 1 + n
             assert s.d_p == 1 + s.index if s.index > 1 else s.d_p == 2
@@ -180,7 +177,7 @@ class TestGradientWindow:
 
     def test_dihedral_kernel(self):
         dinf = parse_presentation("< x, y | x^2, y^2 >")
-        window = gradient_window(dinf, 2, default_catalog().up_to(2), budget(2))
+        window = gradient_window(dinf, 2, budget=budget(2))
         # the kernel generated by xy is infinite cyclic: d_2 = 1 at index 2
         assert any(s.index == 2 and s.d_p == 1 and s.ratio == Fraction(1, 2)
                    for s in window.samples)
@@ -215,7 +212,7 @@ class TestQuotientDpDrop:
 class TestPowerWitness:
     def test_demo_instance(self):
         pres = parse_presentation("< x, y | x^6, y^12, (x*y)^12 >")
-        witness = find_power_witness(pres, 2, default_catalog().up_to(12), budget(12))
+        witness = find_power_witness(pres, 2, budget=budget(12))
         assert witness is not None
         assert witness.exponent % 2 == 1 and witness.exponent > 1
         assert witness.subgroup_deficiency > 0
@@ -223,13 +220,12 @@ class TestPowerWitness:
 
     def test_no_witness_when_roots_are_p_powers(self):
         pres = parse_presentation("< x,y,z | x^2,y^4,z^4,x*y*z >")
-        witness = find_power_witness(pres, 2, default_catalog().up_to(8),
-                                      budget(8, 100_000))
+        witness = find_power_witness(pres, 2, budget=budget(8, 100_000))
         assert witness is None
 
     def test_powered_up_relators_yield_witness(self):
         pres = power_up(parse_presentation("< x,y,z | x^2,y^4,z^4,x*y*z >"), 3)
-        witness = find_power_witness(pres, 2, default_catalog().up_to(12), budget(12))
+        witness = find_power_witness(pres, 2, budget=budget(12))
         assert witness is not None
         assert witness.exponent == 3
 

@@ -193,23 +193,20 @@ class TestWalk:
 class TestEnumerate:
     def test_c2_on_involution(self):
         pres = parse_presentation("< x | x^2 >")
-        catalog = default_catalog().up_to(2)
-        found = list(enumerate_quotients(pres, catalog, 2))
+        found = list(enumerate_quotients(pres, budget=SearchBudget(2)))
         assert len(found) == 2  # the trivial quotient and x -> (1 2)
         orders = sorted(q.order for q in found)
         assert orders == [1, 2]
 
     def test_free_group_c2_kernels(self):
         pres = parse_presentation("< x, y | >")
-        catalog = default_catalog().up_to(2)
-        found = list(enumerate_quotients(pres, catalog, 2))
+        found = list(enumerate_quotients(pres, budget=SearchBudget(2)))
         assert len(found) == 4  # trivial plus the 3 index-2 kernels
         assert sum(1 for q in found if q.order == 2) == 3
 
     def test_prop_instance_has_y_surviving(self):
         pres = parse_presentation("< x, y | x^2, y^5, (x*y)^5 >")
-        catalog = default_catalog().up_to(5)
-        found = list(enumerate_quotients(pres, catalog, 5))
+        found = list(enumerate_quotients(pres, budget=SearchBudget(5)))
         y = Word(((1, 1),), 2)
         assert any(
             q.order == 5 and evaluate(q, y) != perm_identity(q.degree) for q in found
@@ -217,7 +214,7 @@ class TestEnumerate:
 
     def test_all_yielded_are_quotients_and_deduplicated(self):
         pres = parse_presentation("< x, y | x^2, y^2 >")
-        found = list(enumerate_quotients(pres, default_catalog().up_to(8), 8))
+        found = list(enumerate_quotients(pres, budget=SearchBudget(8)))
         keys = [q.kernel_key() for q in found]
         assert len(keys) == len(set(keys))
         assert all(is_quotient_of(q, pres) for q in found)
@@ -225,13 +222,9 @@ class TestEnumerate:
     def test_cross_group_deduplication(self):
         # the C_2 kernels reappear inside C_4 assignments and must collapse:
         # 1 trivial + 3 of index 2 + 6 of index 4
-        from pdeficiency.quotient import GroupCatalog
-
         pres = parse_presentation("< x, y | >")
-        catalog = GroupCatalog(
-            tuple(g for g in default_catalog().groups if g.name in ("C2", "C4"))
-        )
-        found = list(enumerate_quotients(pres, catalog, 4))
+        catalog = tuple(g for g in default_catalog() if g.name in ("C2", "C4"))
+        found = list(enumerate_quotients(pres, catalog, budget=SearchBudget(4)))
         counts = {}
         for q in found:
             counts[q.order] = counts.get(q.order, 0) + 1
@@ -239,14 +232,14 @@ class TestEnumerate:
 
     def test_deterministic_order(self):
         pres = parse_presentation("< x, y | x^2, y^2 >")
-        first = [q.images for q in enumerate_quotients(pres, default_catalog().up_to(8), 8)]
-        second = [q.images for q in enumerate_quotients(pres, default_catalog().up_to(8), 8)]
+        first = [q.images for q in enumerate_quotients(pres, budget=SearchBudget(8))]
+        second = [q.images for q in enumerate_quotients(pres, budget=SearchBudget(8))]
         assert first == second
 
     def test_budget_exhaustion(self):
         pres = parse_presentation("< x, y | >")
         budget = SearchBudget(max_order=6, max_assignments=10)
-        list(enumerate_quotients(pres, default_catalog(), 6, budget))
+        list(enumerate_quotients(pres, budget=budget))
         assert budget.exhausted
         assert budget.assignments_used == 10
 
@@ -269,7 +262,7 @@ class TestEnumerate:
     ])
     def test_matches_brute_force(self, text):
         catalog = parse_catalog_manifest(self.MANIFEST)
-        assert len(catalog.groups[-1].automorphisms) + 1 == 48  # all of Aut(C3xC3)
+        assert len(catalog[-1].automorphisms) + 1 == 48  # all of Aut(C3xC3)
         pres = parse_presentation(text)
         full = search_agrees(pres, catalog, 12, 10**6)
         for max_assignments in sorted({0, 1, full // 3, full // 2, full - 1, full}):
@@ -280,8 +273,8 @@ class TestEnumerate:
         # the comparison reads the tables that the search yields and the
         # element order of its closure, not a closure of the images redone
         # on the yielded quotient: a wrong table or order fails it
-        def corrupted(pres, catalog, max_order, budget):
-            for q in enumerate_quotients(pres, catalog, max_order, budget):
+        def corrupted(pres, catalog, *, budget):
+            for q in enumerate_quotients(pres, catalog, budget=budget):
                 if q.order == 6:
                     grp, indices, order, ks = q.leaf
                     if part == "table":
@@ -313,7 +306,7 @@ class TestEnumerate:
                      "< x, y, z | x^6, (x*y^-1)^2, y*z^3*y^-1 >"):
             pres = parse_presentation(text)
             roots = relator_roots(pres)
-            found = list(enumerate_quotients(pres, catalog, 12))
+            found = list(enumerate_quotients(pres, catalog, budget=SearchBudget(12)))
             assert len(found) > 20
             for q in found:
                 assert q._elements is None
@@ -337,7 +330,7 @@ class TestEnumerate:
         # the catalog is cached per process, and earlier searches fill in
         # the shared groups' tables and automorphisms: check a fresh build
         default_catalog.cache_clear()
-        for g in default_catalog().groups:
+        for g in default_catalog():
             assert "search_tables" not in vars(g)
             assert "automorphisms" not in vars(g)
             assert "cycle_texts" not in vars(g)
@@ -348,8 +341,17 @@ class TestEnumerate:
         assert default_catalog() is default_catalog()
 
     def test_max_order_validation(self):
-        with pytest.raises(ValueError):
-            list(enumerate_quotients(parse_presentation("< x | >"), max_order=1))
+        with pytest.raises(ValueError, match="max_order must be at least 2"):
+            list(enumerate_quotients(parse_presentation("< x | >"), budget=SearchBudget(1)))
+
+    def test_budget_is_keyword_only(self):
+        # the budget is the search's only order cap, and it is passed by
+        # keyword, so that no order cap or budget can come in third place
+        pres = parse_presentation("< x | >")
+        with pytest.raises(TypeError):
+            enumerate_quotients(pres, default_catalog(), SearchBudget(2))
+        with pytest.raises(TypeError):
+            verification.brute_force_quotients(pres, default_catalog(), SearchBudget(2))
 
 
 def direct_tables(q):
@@ -365,7 +367,7 @@ def direct_mul(elements):
 
 
 class TestTables:
-    @pytest.mark.parametrize("grp", default_catalog().groups, ids=lambda g: g.name)
+    @pytest.mark.parametrize("grp", default_catalog(), ids=lambda g: g.name)
     def test_default_catalog(self, grp):
         q = FiniteQuotient(grp.images)
         assert q.tables == direct_tables(q)
@@ -373,7 +375,7 @@ class TestTables:
         assert grp.search_tables[0] == direct_mul(grp.elements)
 
     def test_manifest_group(self):
-        (grp,) = parse_catalog_manifest("A5 5 (1 2 3) (3 4 5)").groups
+        (grp,) = parse_catalog_manifest("A5 5 (1 2 3) (3 4 5)")
         q = FiniteQuotient(grp.images)
         assert q.order == 60
         assert q.tables == direct_tables(q)
@@ -387,7 +389,7 @@ class TestTables:
         # each element's entry is built on first use and holds two tuples
         # of |H| indices, no more than a row of mul: its cycles end to end
         # and the place of each index in them
-        (grp,) = parse_catalog_manifest(manifest).groups
+        (grp,) = parse_catalog_manifest(manifest)
         mul, powers = grp.search_tables
         size = grp.order
         for a in range(size):
@@ -426,7 +428,7 @@ AUT_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("grp", default_catalog().groups, ids=lambda g: g.name)
+@pytest.mark.parametrize("grp", default_catalog(), ids=lambda g: g.name)
 class TestAutomorphisms:
     def test_whole_group(self, grp):
         # the identity is left out
@@ -451,7 +453,7 @@ def test_manifest_automorphisms(line, least):
     """Images are extended one generator at a time, so a group with many
     generators, or with a repeated one, keeps automorphisms within the
     |H|^2 tries."""
-    (grp,) = parse_catalog_manifest(line).groups
+    (grp,) = parse_catalog_manifest(line)
     mul, _ = grp.search_tables
     size = grp.order
     assert len(set(grp.automorphisms)) == len(grp.automorphisms) >= least
@@ -462,8 +464,7 @@ def test_manifest_automorphisms(line, least):
 
 class TestCatalog:
     def test_default_orders(self):
-        catalog = default_catalog()
-        by_name = {g.name: g for g in catalog.groups}
+        by_name = {g.name: g for g in default_catalog()}
         assert by_name["S3"].order == 6
         assert by_name["S4"].order == 24
         assert by_name["A4"].order == 12
@@ -474,15 +475,10 @@ class TestCatalog:
         for n in range(2, 13):
             assert by_name[f"C{n}"].order == n
 
-    def test_up_to(self):
-        assert all(g.order <= 6 for g in default_catalog().up_to(6).groups)
-
     def test_manifest_roundtrip(self):
         manifest = "# a comment\nS3 3 (1 2) (1 2 3)\nK4 4 (1 2)(3 4) (1 3)(2 4)\n"
-        catalog = parse_catalog_manifest(manifest)
-        assert catalog.names() == ("S3", "K4")
-        assert catalog.groups[0].order == 6
-        assert catalog.groups[1].order == 4
+        s3, k4 = parse_catalog_manifest(manifest)
+        assert (s3.name, s3.order, k4.name, k4.order) == ("S3", 6, "K4", 4)
 
     def test_manifest_errors(self):
         with pytest.raises(ValueError):

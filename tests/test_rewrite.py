@@ -10,7 +10,7 @@ from pdeficiency.invariants import class_cosets, p_size_bound, relator_roots
 from pdeficiency.presentation import FinitePresentation, parse_presentation, parse_word
 from pdeficiency.quotient import (
     FiniteQuotient,
-    default_catalog,
+    SearchBudget,
     enumerate_quotients,
     parse_perm,
     perm_identity,
@@ -151,13 +151,13 @@ class TestSchreier:
 
     def test_nielsen_schreier_rank(self):
         free2 = parse_presentation("< x, y | >")
-        for q in enumerate_quotients(free2, default_catalog().up_to(8), 8):
+        for q in enumerate_quotients(free2, budget=SearchBudget(8)):
             sd = schreier(q)
             assert sd.rank == 1 + q.order * (free2.n_gens - 1)
 
     def test_matches_word_by_word_build(self):
         free2 = parse_presentation("< x, y | >")
-        quotients = [*enumerate_quotients(free2, default_catalog().up_to(8), 8),
+        quotients = [*enumerate_quotients(free2, budget=SearchBudget(8)),
                      *WALK_QUOTIENTS, *KERNEL_QUOTIENTS]
         for q in quotients:
             sd = schreier(q)
@@ -183,7 +183,7 @@ class TestRewrite:
         rng = random.Random(23)
         free2 = parse_presentation("< x, y | >")
         quotients = [
-            q for q in enumerate_quotients(free2, default_catalog().up_to(6), 6)
+            q for q in enumerate_quotients(free2, budget=SearchBudget(6))
             if q.order > 1
         ]
         for q in quotients[:8]:
@@ -357,7 +357,7 @@ class TestConjugateClassReps:
         rng = random.Random(31)
         free2 = parse_presentation("< x, y | >")
         quotients = [
-            q for q in enumerate_quotients(free2, default_catalog().up_to(6), 6)
+            q for q in enumerate_quotients(free2, budget=SearchBudget(6))
             if q.order > 1
         ]
         for q in quotients[:10]:
@@ -436,14 +436,13 @@ class TestPSizeBound:
 
     def test_chain_of_inequalities(self):
         rng = random.Random(41)
-        catalog = default_catalog().up_to(8)
         checked = 0
         while checked < 15:
             n = rng.randint(1, 3)
             names = ("x", "y", "z")[:n]
             relators = [random_word(rng, n, rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
             pres = FinitePresentation(names, relators)
-            for q in enumerate_quotients(pres, catalog, 8):
+            for q in enumerate_quotients(pres, budget=SearchBudget(8)):
                 if q.order == 1:
                     continue
                 p = rng.choice((2, 3))
@@ -460,7 +459,6 @@ class TestPSizeBound:
         # psize reads each class representative's valuation off the transfer
         # formula; rewriting each one and taking its maximal root must agree
         rng = random.Random(73)
-        catalog = default_catalog().up_to(12)
         cases = nonzero = 0
         for i in range(30):
             n = rng.randint(1, 2)
@@ -470,7 +468,7 @@ class TestPSizeBound:
                 c = random_word(rng, n, rng.randint(0, 2))
                 relators.append((u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c))
             pres = FinitePresentation(("x", "y")[:n], relators)
-            for q in itertools.islice(enumerate_quotients(pres, catalog, 12), 10):
+            for q in itertools.islice(enumerate_quotients(pres, budget=SearchBudget(12)), 10):
                 sd = schreier(q)
                 exponents = [[maximal_root(rewrite_word(sd, r, c)).exponent
                               for c in class_cosets(q, root)]
@@ -505,7 +503,7 @@ class TestSupermultiplicity:
         rng = random.Random(57)
         free2 = parse_presentation("< x, y | >")
         quotients = [
-            q for q in enumerate_quotients(free2, default_catalog().up_to(6), 6)
+            q for q in enumerate_quotients(free2, budget=SearchBudget(6))
             if q.order > 1
         ]
         for q in quotients[:6]:
