@@ -13,7 +13,6 @@ from .abelian import (
     d_p,
     exponent_columns,
     smith_normal_form,
-    upper_bound_de,
 )
 from .fuchsian import (
     DeficiencyResult,
@@ -23,7 +22,6 @@ from .fuchsian import (
     de_exact,
     de_standard,
     de_upper,
-    kernel_construction,
     parse_signature,
     singerman_transfer,
     standard_presentation,
@@ -37,14 +35,12 @@ from .invariants import (
     gradient_window,
     find_power_witness,
     p_size_bound,
-    quotient_dp_drop,
 )
 from .presentation import (
     FinitePresentation,
     ParseError,
     PresentationError,
     p_deficiency,
-    p_prime_root_presentation,
     parse_presentation,
     parse_word,
     power_up,
@@ -80,10 +76,12 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    """The oracles exported from ``verification``, which is imported on
-    first use: only ``pdef verify`` runs it."""
+    """The oracles, bounds and constructions exported from ``verification``,
+    which is imported on first use: only ``pdef verify`` runs it."""
     if name in ("centralizer_index", "conjugate_class_reps", "evaluate", "exponent_matrix",
-                "is_quotient_of", "order_of_image", "supermultiplicity_check"):
+                "is_quotient_of", "kernel_construction", "order_of_image",
+                "p_prime_root_presentation", "quotient_dp_drop", "supermultiplicity_check",
+                "upper_bound_de"):
         from . import verification
         return getattr(verification, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,11 +11,10 @@ point is involved anywhere.
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import FinitePresentation
-from .words import _p_weight, nu_p_int, require_prime
+from .words import _p_weight, _record, nu_p_int, require_prime
 
 
 class IntMatrix:
@@ -120,24 +119,25 @@ def smith_normal_form(mat: IntMatrix) -> tuple:
 # -- abelian invariants ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class AbelianInvariants:
     """Free rank plus the elementary divisor chain d_1 | d_2 | ..., each >= 2."""
 
     rank: int
     divisors: tuple
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank: int, divisors):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "divisors", tuple(int(d) for d in self.divisors))
+        divisors = tuple(int(d) for d in divisors)
         prev = None
-        for d in self.divisors:
+        for d in divisors:
             if d < 2:
                 raise ValueError(f"divisor {d} is not >= 2")
             if prev is not None and d % prev:
                 raise ValueError(f"divisibility chain broken: {prev} does not divide {d}")
             prev = d
+        return tuple.__new__(cls, (rank, divisors))
 
     @classmethod
     def from_cyclic_factors(cls, orders, rank: int = 0) -> "AbelianInvariants":
@@ -292,12 +292,6 @@ def abelian_p_deficiency_group(inv: AbelianInvariants, p: int) -> Fraction:
     require_prime(p)
     n = inv.rank + len(inv.divisors)
     return n - 1 - _p_weight((nu_p_int(e, p) for e in inv.divisors), p)
-
-
-def upper_bound_de(pres: FinitePresentation, p: int) -> Fraction:
-    """Upper bound for the p-deficiency of the group presented by pres,
-    computed from its abelianization."""
-    return abelian_p_deficiency_group(abelian_invariants(pres), p)
 
 
 def d_p(inv: AbelianInvariants, p: int) -> int:

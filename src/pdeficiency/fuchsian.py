@@ -7,12 +7,11 @@ groups and are handled by the presentation/abelian modules instead.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import FinitePresentation
 from .quotient import perm_cycles, perm_identity, perm_inv, perm_mul, perm_order
-from .words import Word, _p_weight, nu_p_int, require_prime
+from .words import Word, _p_weight, _record, nu_p_int, require_prime
 
 
 class FuchsianSignature:
@@ -146,7 +145,7 @@ def classify(sig: FuchsianSignature, p: int) -> str:
     return "none"
 
 
-@dataclass(frozen=True)
+@_record
 class DeficiencyResult:
     """Exact p-deficiency when a case applies; otherwise the 'negative' tag
     with the interval [standard value, abelianization bound]."""
@@ -173,7 +172,7 @@ def de_exact(sig: FuchsianSignature, p: int) -> DeficiencyResult:
 # -- Singerman transfer ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class EllipticAction:
     """Coset action data: one permutation per elliptic generator (aligned
     with the signature's period order) and per hyperbolic generator pair
@@ -255,44 +254,3 @@ def singerman_transfer(sig: FuchsianSignature, act: EllipticAction) -> FuchsianS
             "nonnegative integer"
         )
     return FuchsianSignature(int(genus2), periods)
-
-
-def kernel_construction(sig: FuchsianSignature, p: int, case: str):
-    """Explicit finite-quotient action for an applicable case and the
-    transferred signature of its kernel.
-
-    Case a: map onto the Klein four-group killing all elliptic generators
-    (index 4).  Cases b-d: map onto C_p sending one chosen period generator
-    to +1, another to -1 and everything else to 0 (index p).
-    """
-    require_prime(p)
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if not applicable(sig, p, case):
-        raise ValueError(f"case {case!r} is not applicable to {format_signature(sig)}")
-    r = len(sig.periods)
-    s = sig.genus
-    if case == "a":
-        degree = 4
-        ident = perm_identity(degree)
-        swap_a = (1, 0, 3, 2)
-        swap_b = (2, 3, 0, 1)
-        hyperbolic = [ident] * (2 * s)
-        hyperbolic[0] = swap_a
-        hyperbolic[1] = swap_b
-        act = EllipticAction(degree, (ident,) * r, tuple(hyperbolic))
-    else:
-        if case == "b":
-            chosen = [i for i, e in enumerate(sig.periods) if e % p == 0][:2]
-        elif case == "c":
-            chosen = [i for i, e in enumerate(sig.periods) if e % 2 == 0][:2]
-        else:
-            chosen = [i for i, e in enumerate(sig.periods) if e % 4 == 0][:2]
-        degree = p
-        ident = perm_identity(degree)
-        shift = tuple((i + 1) % degree for i in range(degree))
-        elliptic = [ident] * r
-        elliptic[chosen[0]] = shift
-        elliptic[chosen[1]] = perm_inv(shift)
-        act = EllipticAction(degree, tuple(elliptic), (ident,) * (2 * s))
-    return act, singerman_transfer(sig, act)

@@ -1,6 +1,6 @@
 """Euler-characteristic and homology-gradient estimates from finite-quotient
-searches, the p-size transfer bound of one kernel, the finite d_p drop
-step, and the power-witness search.
+searches, the p-size transfer bound of one kernel, and the power-witness
+search.
 
 All searches run over kernels of maps onto catalog groups; every reported
 ratio is an exact rational.  A kernel's p-deficiency, p-size and d_p are
@@ -17,7 +17,6 @@ table walks as their oracle.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import abelian_invariants, d_p, rank_mod_p
@@ -31,14 +30,14 @@ from .quotient import (
     table_order,
 )
 from .words import (
-    RootDecomposition, Word, maximal_root, nu_p_int, p_prime_part, require_prime,
+    RootDecomposition, Word, _record, nu_p_int, p_prime_part, require_prime,
 )
 
 
 # -- kernel invariants from the coset table ------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class RelatorRoot:
     """A relator r = c*u^m*c^-1 with u not a proper power, as the kernel
     formulas read it: the runs of v = c*u*c^-1, the exponent m, its
@@ -85,7 +84,7 @@ def class_cosets(q: FiniteQuotient, root: RelatorRoot) -> list:
     return firsts
 
 
-@dataclass(frozen=True)
+@_record
 class RelatorContribution:
     relator_index: int
     centralizer_idx: int     # k = (C_F(r) : C_K(r))
@@ -96,7 +95,7 @@ class RelatorContribution:
     rep_valuations: tuple    # valuation of each rewritten class rep: nu_free - nu_p_k
 
 
-@dataclass(frozen=True)
+@_record
 class SizeBound:
     """Upper bound for the p-size of the relator normal closure within the
     kernel: the sum of the per-relator transfer terms.  It is also the sum
@@ -275,7 +274,7 @@ def rank_f2(rows) -> int:
 # -- searches ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ChiSample:
     """One examined kernel; ``quotient`` is None for the whole group."""
 
@@ -285,7 +284,7 @@ class ChiSample:
     quotient: FiniteQuotient
 
 
-@dataclass(frozen=True)
+@_record
 class ChiEstimate:
     """Certified lower bound for the negated p-Euler characteristic: the
     best exact ratio de(subgroup presentation)/index over examined kernels.
@@ -326,7 +325,7 @@ def chi_p_estimate(
     return ChiEstimate(best.ratio, best, len(samples), budget.exhausted, tuple(samples))
 
 
-@dataclass(frozen=True)
+@_record
 class GradientSample:
     index: int
     d_p: int
@@ -334,7 +333,7 @@ class GradientSample:
     description: str
 
 
-@dataclass(frozen=True)
+@_record
 class GradientWindow:
     """d_p(subgroup)/index over the examined finite window of kernels; the
     asymptotic gradients are not computed, only this window is reported."""
@@ -367,44 +366,7 @@ def gradient_window(
     return GradientWindow(tuple(samples), min(ratios), max(ratios), budget.exhausted)
 
 
-@dataclass(frozen=True)
-class DpDropReport:
-    """d_p before and after killing the given normal generators, and the
-    count ell of generators that are not p-th powers in the free group;
-    the drop never exceeds ell."""
-
-    d_before: int
-    d_after: int
-    ell: int
-    holds: bool
-
-
-def quotient_dp_drop(
-    sub_pres: FinitePresentation, normal_gens, p: int
-) -> DpDropReport:
-    require_prime(p)
-    normal_gens = list(normal_gens)
-    for w in normal_gens:
-        if not isinstance(w, Word) or w.n_gens != sub_pres.n_gens:
-            raise ValueError("normal generators must be words over the same alphabet")
-    ell = 0
-    extra = []
-    for w in normal_gens:
-        if w.is_identity:
-            continue
-        extra.append(w)
-        # not a p-th power in the free group
-        if nu_p_int(maximal_root(w).exponent, p) == 0:
-            ell += 1
-    before = d_p(abelian_invariants(sub_pres), p)
-    after_pres = FinitePresentation(
-        sub_pres.generators, sub_pres.relators + tuple(extra)
-    )
-    after = d_p(abelian_invariants(after_pres), p)
-    return DpDropReport(before, after, ell, after >= before - ell)
-
-
-@dataclass(frozen=True)
+@_record
 class PowerWitness:
     """A relator r = root^exponent with the exponent prime to p whose root
     survives in a finite quotient; the kernel then has positive

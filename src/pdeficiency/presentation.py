@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .words import (
     RUN_LIMIT, RootDecomposition, Word, _p_weight, _seam, maximal_root, nu_p_int,
-    p_prime_part, require_prime,
+    require_prime,
 )
 
 
@@ -408,10 +408,3 @@ def power_up(pres: FinitePresentation, n: int) -> FinitePresentation:
     if not pres.relators:
         raise ValueError("power_up requires at least one relator")
     return pres.with_relators(r**n for r in pres.relators)
-
-
-def p_prime_root_presentation(pres: FinitePresentation, p: int) -> FinitePresentation:
-    """Replace every relator by its primitive p'-root."""
-    require_prime(p)
-    return pres.with_relators(p_prime_part(pres.root(i), p)[0]
-                              for i in range(len(pres.relators)))

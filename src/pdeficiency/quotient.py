@@ -21,7 +21,6 @@ description of each one read those caches, not a new coset table.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from operator import itemgetter
@@ -597,16 +596,18 @@ def _split_perm_list(text: str) -> list:
 # -- quotient search ---------------------------------------------------------
 
 
-@dataclass
 class SearchBudget:
     """Caps for the homomorphism search: ``max_order``, its only cap on the
     order of a catalog group, and ``max_assignments``; exhaustion is
     reported, not fatal."""
 
-    max_order: int = 24
-    max_assignments: int = 10**6
-    assignments_used: int = 0
-    exhausted: bool = False
+    __slots__ = ("max_order", "max_assignments", "assignments_used", "exhausted")
+
+    def __init__(self, max_order: int = 24, max_assignments: int = 10**6):
+        self.max_order = max_order
+        self.max_assignments = max_assignments
+        self.assignments_used = 0
+        self.exhausted = False
 
     def spend(self, assignments: int = 1) -> bool:
         """Charge ``assignments`` full assignments.  When fewer are left,

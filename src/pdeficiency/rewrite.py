@@ -18,16 +18,15 @@ coset of t: relators are rewritten from cosets, never conjugated.
 """
 
 import string
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .invariants import class_cosets, relator_roots
 from .presentation import FinitePresentation
 from .quotient import FiniteQuotient
-from .words import RUN_LIMIT, Word, _join, _seam
+from .words import RUN_LIMIT, Word, _join, _record, _seam
 
 
-@dataclass(frozen=True)
+@_record
 class SchreierData:
     """The Schreier data of a kernel, as one numbering of the edges of its
     coset table.  Edge (c, g) leads from coset c to ``tables[g][c]``; the

@@ -3,7 +3,9 @@
 Every check is deterministic (fixed seeds, fixed budgets) and uses exact
 rational arithmetic; randomized checks state their instance counts in the
 summary.  The CLI ``verify`` command and the acceptance tests both run
-these.
+these.  The oracles they compare the product path against live here, and
+so do the bounds and constructions that only the checks and the tests use,
+so that no other command imports this module.
 """
 
 import itertools
@@ -23,14 +25,17 @@ from .abelian import (
     d_p,
     rank_mod_p,
     smith_normal_form,
-    upper_bound_de,
 )
 from .fuchsian import (
+    CASES,
+    EllipticAction,
     FuchsianSignature,
+    applicable,
     classify,
     de_exact,
     de_standard,
-    kernel_construction,
+    format_signature,
+    singerman_transfer,
     standard_presentation,
     volume,
 )
@@ -41,7 +46,6 @@ from .invariants import (
     find_power_witness,
     leaf_d_p,
     p_size_bound,
-    quotient_dp_drop,
     rank_f2,
     relator_root,
     relator_roots,
@@ -61,7 +65,9 @@ from .quotient import (
     table_order,
 )
 from .rewrite import SchreierData, rewrite_word, schreier, subgroup_presentation
-from .words import Word, maximal_root, nu_p, nu_p_int, p_prime_root, require_prime
+from .words import (
+    Word, maximal_root, nu_p, nu_p_int, p_prime_part, p_prime_root, require_prime,
+)
 
 
 class CheckFailure(AssertionError):
@@ -624,6 +630,100 @@ def _random_sparse_presentation(rng) -> FinitePresentation:
             if not word.is_identity:
                 relators.append(word)
     return FinitePresentation([f"g{i}" for i in range(n)], relators)
+
+
+# -- bounds and constructions that only the checks use -----------------------
+
+
+def upper_bound_de(pres: FinitePresentation, p: int) -> Fraction:
+    """Upper bound for the p-deficiency of the group presented by pres,
+    computed from its abelianization."""
+    return abelian_p_deficiency_group(abelian_invariants(pres), p)
+
+
+def p_prime_root_presentation(pres: FinitePresentation, p: int) -> FinitePresentation:
+    """Replace every relator by its primitive p'-root."""
+    require_prime(p)
+    return pres.with_relators(p_prime_part(pres.root(i), p)[0]
+                              for i in range(len(pres.relators)))
+
+
+def kernel_construction(sig: FuchsianSignature, p: int, case: str):
+    """Explicit finite-quotient action for an applicable case and the
+    transferred signature of its kernel.
+
+    Case a: map onto the Klein four-group killing all elliptic generators
+    (index 4).  Cases b-d: map onto C_p sending one chosen period generator
+    to +1, another to -1 and everything else to 0 (index p).
+    """
+    require_prime(p)
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    if not applicable(sig, p, case):
+        raise ValueError(f"case {case!r} is not applicable to {format_signature(sig)}")
+    r = len(sig.periods)
+    s = sig.genus
+    if case == "a":
+        degree = 4
+        ident = perm_identity(degree)
+        swap_a = (1, 0, 3, 2)
+        swap_b = (2, 3, 0, 1)
+        hyperbolic = [ident] * (2 * s)
+        hyperbolic[0] = swap_a
+        hyperbolic[1] = swap_b
+        act = EllipticAction(degree, (ident,) * r, tuple(hyperbolic))
+    else:
+        if case == "b":
+            chosen = [i for i, e in enumerate(sig.periods) if e % p == 0][:2]
+        elif case == "c":
+            chosen = [i for i, e in enumerate(sig.periods) if e % 2 == 0][:2]
+        else:
+            chosen = [i for i, e in enumerate(sig.periods) if e % 4 == 0][:2]
+        degree = p
+        ident = perm_identity(degree)
+        shift = tuple((i + 1) % degree for i in range(degree))
+        elliptic = [ident] * r
+        elliptic[chosen[0]] = shift
+        elliptic[chosen[1]] = perm_inv(shift)
+        act = EllipticAction(degree, tuple(elliptic), (ident,) * (2 * s))
+    return act, singerman_transfer(sig, act)
+
+
+@dataclass(frozen=True)
+class DpDropReport:
+    """d_p before and after killing the given normal generators, and the
+    count ell of generators that are not p-th powers in the free group;
+    the drop never exceeds ell."""
+
+    d_before: int
+    d_after: int
+    ell: int
+    holds: bool
+
+
+def quotient_dp_drop(
+    sub_pres: FinitePresentation, normal_gens, p: int
+) -> DpDropReport:
+    require_prime(p)
+    normal_gens = list(normal_gens)
+    for w in normal_gens:
+        if not isinstance(w, Word) or w.n_gens != sub_pres.n_gens:
+            raise ValueError("normal generators must be words over the same alphabet")
+    ell = 0
+    extra = []
+    for w in normal_gens:
+        if w.is_identity:
+            continue
+        extra.append(w)
+        # not a p-th power in the free group
+        if nu_p_int(maximal_root(w).exponent, p) == 0:
+            ell += 1
+    before = d_p(abelian_invariants(sub_pres), p)
+    after_pres = FinitePresentation(
+        sub_pres.generators, sub_pres.relators + tuple(extra)
+    )
+    after = d_p(abelian_invariants(after_pres), p)
+    return DpDropReport(before, after, ell, after >= before - ell)
 
 
 # -- the criteria ------------------------------------------------------------

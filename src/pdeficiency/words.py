@@ -7,8 +7,7 @@ constructor performs free reduction, so every Word is canonical, and all
 values here are immutable; every operation is a pure function.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 
@@ -267,7 +266,19 @@ def _join(left: tuple, right: tuple) -> tuple:
     return left[:i] + merged + right[j:]
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """The class body ``cls`` as an immutable record: a ``namedtuple``
+    subclass without an instance dict, whose fields are the body's annotated
+    names in order, and which keeps the body's methods, properties and
+    classmethods.  A record is a tuple: it has a length, it iterates and it
+    compares equal to the plain tuple of its values."""
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    body["__slots__"] = ()
+    base = namedtuple(cls.__name__, cls.__annotations__, module=cls.__module__)
+    return type(cls.__name__, (base,), body)
+
+
+@_record
 class Valuation:
     """p-valuation of a word: a finite natural number, or infinite for the
     identity.  The weight p^-k is an exact rational; the identity weighs 0.
@@ -295,7 +306,7 @@ class Valuation:
         return Fraction(1, p**self.k)
 
 
-@dataclass(frozen=True)
+@_record
 class RootDecomposition:
     """w = conjugator * root^exponent * conjugator^-1 with the exponent
     maximal; the root is cyclically reduced and not a proper power."""

@@ -16,10 +16,11 @@ from pdeficiency.abelian import (
     exponent_columns,
     rank_mod_p,
     smith_normal_form,
-    upper_bound_de,
 )
 from pdeficiency.presentation import FinitePresentation, p_deficiency, parse_presentation
-from pdeficiency.verification import dense_abelian_invariants, det, exponent_matrix
+from pdeficiency.verification import (
+    dense_abelian_invariants, det, exponent_matrix, upper_bound_de,
+)
 from pdeficiency.words import Valuation, Word, nu_p_int, require_prime
 
 
@@ -246,12 +247,18 @@ class TestAbelianInvariants:
         ) == AbelianInvariants(0, (5,))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AbelianInvariants(0, (2, 3))  # chain broken
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^divisibility chain broken: 2 does not divide 3$"):
+            AbelianInvariants(0, (2, 3))
+        with pytest.raises(ValueError, match="^divisor 1 is not >= 2$"):
             AbelianInvariants(0, (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rank must be nonnegative$"):
             AbelianInvariants(-1, ())
+
+    def test_divisors_normalised(self):
+        inv = AbelianInvariants(1, [2, Fraction(4)])
+        assert inv.divisors == (2, 4) and type(inv.divisors) is tuple
+        assert all(type(d) is int for d in inv.divisors)
+        assert inv == AbelianInvariants(rank=1, divisors=(2, 4))
 
     def test_from_cyclic_factors(self):
         assert AbelianInvariants.from_cyclic_factors((4, 2)) == AbelianInvariants(0, (2, 4))

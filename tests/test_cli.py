@@ -275,12 +275,43 @@ class TestSearchCommands:
                 assert "search_tables" not in vars(g) and "automorphisms" not in vars(g)
 
 
-def run_child(*argv, **options):
-    """``pdef`` with these arguments in a child process."""
+def run_python(*args, **options):
+    """A child interpreter with this checkout's ``src`` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "pdeficiency.cli", *argv],
-                          capture_output=True, text=True, env=env, **options)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          **options)
+
+
+def run_child(*argv, **options):
+    """``pdef`` with these arguments in a child process."""
+    return run_python("-m", "pdeficiency.cli", *argv, **options)
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+from pdeficiency import cli
+pres = "< x, y | x^2, y^5, (x*y)^5 >"
+for argv in (["def", "-p", "2", pres], ["abdef", "-p", "2", pres],
+             ["chi", "-p", "2", pres, "--max-order", "6"],
+             ["psize", "-p", "2", pres, "--hom-cyclic", "5", "0,1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(*(m for m in ("dataclasses", "inspect", "pdeficiency.verification") if m in sys.modules))
+from pdeficiency import upper_bound_de
+print(upper_bound_de.__module__)
+"""
+
+
+def test_startup_loads_no_oracles():
+    """Each command's start-up imports neither the oracles of
+    ``verification`` nor ``dataclasses`` and the ``inspect`` it pulls in,
+    which together took longer to import than a typical command runs.  The
+    oracle-only names stay importable from the package, which loads
+    ``verification`` on their first use."""
+    proc = run_python("-c", STARTUP_SCRIPT, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\npdeficiency.verification\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from pdeficiency.abelian import upper_bound_de
 from pdeficiency.fuchsian import (
     EllipticAction,
     FuchsianSignature,
@@ -11,7 +10,6 @@ from pdeficiency.fuchsian import (
     de_standard,
     de_upper,
     format_signature,
-    kernel_construction,
     parse_signature,
     singerman_transfer,
     standard_presentation,
@@ -20,6 +18,7 @@ from pdeficiency.fuchsian import (
 from pdeficiency.presentation import p_deficiency
 from pdeficiency.quotient import FiniteQuotient, parse_perm, perm_identity
 from pdeficiency.rewrite import subgroup_presentation
+from pdeficiency.verification import kernel_construction, upper_bound_de
 
 TRIANGLE = FuchsianSignature(0, (6, 12, 12))
 HURWITZ = FuchsianSignature(0, (2, 3, 7))

@@ -10,7 +10,6 @@ from pdeficiency.invariants import (
     gradient_window,
     find_power_witness,
     leaf_d_p,
-    quotient_dp_drop,
     relator_roots,
 )
 from pdeficiency.presentation import (
@@ -21,7 +20,7 @@ from pdeficiency.quotient import (
 )
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import (
-    fox_masks, fox_rows, kernel_d_p, kernel_deficiency, transfer_terms,
+    fox_masks, fox_rows, kernel_d_p, kernel_deficiency, quotient_dp_drop, transfer_terms,
 )
 from pdeficiency.words import Word
 

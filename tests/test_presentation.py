@@ -12,12 +12,11 @@ from pdeficiency.presentation import (
     PresentationError,
     _root_text,
     p_deficiency,
-    p_prime_root_presentation,
     parse_presentation,
     parse_word,
     power_up,
 )
-from pdeficiency.verification import word_from_letters
+from pdeficiency.verification import p_prime_root_presentation, word_from_letters
 from pdeficiency.words import RUN_LIMIT, Word, maximal_root
 
 

@@ -190,6 +190,18 @@ class TestWalk:
             kernel_index(quotient("(1 2)", degree=2), parse_presentation("< x, y | x^2 >"))
 
 
+class TestSearchBudget:
+    def test_defaults(self):
+        budget = SearchBudget()
+        assert (budget.max_order, budget.max_assignments) == (24, 10**6)
+        assert (budget.assignments_used, budget.exhausted) == (0, False)
+
+    def test_spend_past_the_cap(self):
+        budget = SearchBudget(max_order=6, max_assignments=3)
+        assert not budget.spend(5)
+        assert budget.assignments_used == 3 and budget.exhausted
+
+
 class TestEnumerate:
     def test_c2_on_involution(self):
         pres = parse_presentation("< x | x^2 >")

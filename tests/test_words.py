@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdeficiency import abelian, fuchsian, invariants, rewrite, words
 from pdeficiency.presentation import parse_word
 from pdeficiency.verification import word_from_letters, word_letters
 from pdeficiency.words import (
@@ -595,3 +597,38 @@ class TestIsPrime:
         for n in (PRIME_LIMIT, PRIME_LIMIT + 1, 10**30):
             with pytest.raises(ValueError, match="exact only below"):
                 is_prime(n)
+
+
+RECORDS = (
+    words.Valuation, words.RootDecomposition, abelian.AbelianInvariants,
+    fuchsian.DeficiencyResult, fuchsian.EllipticAction, invariants.RelatorRoot,
+    invariants.RelatorContribution, invariants.SizeBound, invariants.ChiSample,
+    invariants.ChiEstimate, invariants.GradientSample, invariants.GradientWindow,
+    invariants.PowerWitness, rewrite.SchreierData,
+)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_frozen(self, cls):
+        values = tuple(range(len(cls._fields)))
+        rec = cls._make(values)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, -1)
+        with pytest.raises(AttributeError):
+            rec.extra = -1
+        assert tuple(rec) == values
+
+    def test_body_and_tuple_semantics(self):
+        # a record keeps its class body's methods, properties and
+        # classmethods, and is the tuple of its fields: it compares equal to
+        # one, has a length and iterates; a field named index shadows
+        # tuple.index
+        v = Valuation.finite(3)
+        assert v == Valuation(k=3) == (3,) and repr(v) == "Valuation(k=3)"
+        assert not v.is_infinite and v.weight(2) == Fraction(1, 8)
+        assert len(Valuation.infinite()) == 1 and Valuation.infinite().weight(2) == 0
+        sample = invariants.GradientSample(4, 2, Fraction(1, 2), "C4")
+        assert list(sample) == [4, 2, Fraction(1, 2), "C4"]
+        assert sample.index == 4
