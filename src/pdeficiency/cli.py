@@ -10,6 +10,17 @@ the JSON payload and the text lines formatted from the payload's values.
 JSON to -o FILE, and exits 1 when the payload says ``"all_passed": false``.
 ``chi`` leaves its per-kernel samples out of the payload when no JSON is
 rendered, since the text names only the witness.
+
+A ``pdef`` process runs one command, and compiling the modules of the
+others would cost more than a typical command takes.  So each handler
+imports the names it uses from ``abelian``, ``fuchsian``, ``invariants``,
+``quotient``, ``rewrite`` and ``verification`` in its own body: ``def``
+loads ``presentation``, ``words`` and ``abelian`` only.  The
+``presentation`` names stay at module level, as nearly every command
+parses a presentation.  The benchmark's tracer (``bench/tracer.py``) also
+counts ``presentation.parse_chars`` through ``cli.parse_presentation``: it
+wraps a function only under the names that other modules hold at module
+level.
 """
 
 import argparse
@@ -18,38 +29,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .abelian import (
-    abelian_invariants,
-    abelian_p_deficiency_group,
-    abelian_p_deficiency_presentation,
-    d_p,
-    exponent_columns,
-)
-from .fuchsian import (
-    EllipticAction,
-    de_exact,
-    de_standard,
-    de_upper,
-    format_signature,
-    parse_signature,
-    singerman_transfer,
-    standard_presentation,
-    volume,
-)
-from .invariants import chi_p_estimate, gradient_window, find_power_witness, p_size_bound
 from .presentation import p_deficiency, parse_presentation, word_to_text
-from .quotient import (
-    FiniteQuotient,
-    SearchBudget,
-    check_degree,
-    default_catalog,
-    describe_quotient,
-    kernel_index,
-    parse_cycles,
-    cycles_to_perm,
-    parse_catalog_manifest,
-)
-from .rewrite import basis_words, schreier, subgroup_presentation
 
 
 def _rat(q: Fraction) -> str:
@@ -72,20 +52,23 @@ def _add_budget(sub) -> None:
 
 
 def _load_catalog(args):
+    from .quotient import default_catalog, parse_catalog_manifest
     if getattr(args, "catalog", None):
         with open(args.catalog) as fh:
             return parse_catalog_manifest(fh.read())
     return default_catalog()
 
 
-def _budget(args) -> SearchBudget:
+def _budget(args) -> "SearchBudget":
+    from .quotient import SearchBudget
     return SearchBudget(max_order=args.max_order,
                         max_assignments=args.max_assignments)
 
 
-def _parse_quotient_spec(spec: str, generators) -> FiniteQuotient:
+def _parse_quotient_spec(spec: str, generators) -> "FiniteQuotient":
     """Per-generator cycle notation: ``x:(1 2),y:(1 2 3 4 5)``; unlisted
     generators act trivially."""
+    from .quotient import FiniteQuotient, cycles_to_perm, parse_cycles
     cycles_by_name = {}
     depth = 0
     part = ""
@@ -122,7 +105,8 @@ def _parse_quotient_spec(spec: str, generators) -> FiniteQuotient:
     return FiniteQuotient(images)
 
 
-def _hom_cyclic(modulus: int, exps_text: str, generators) -> FiniteQuotient:
+def _hom_cyclic(modulus: int, exps_text: str, generators) -> "FiniteQuotient":
+    from .quotient import FiniteQuotient, check_degree
     if modulus < 2:
         raise ValueError("cyclic image order must be at least 2")
     check_degree(modulus)
@@ -137,7 +121,7 @@ def _hom_cyclic(modulus: int, exps_text: str, generators) -> FiniteQuotient:
     return FiniteQuotient(images)
 
 
-def _quotient_from_args(args, pres) -> FiniteQuotient:
+def _quotient_from_args(args, pres) -> "FiniteQuotient":
     if args.quotient and args.hom_cyclic:
         raise ValueError("give either --quotient or --hom-cyclic, not both")
     if args.quotient:
@@ -156,6 +140,7 @@ def _head(args, pres) -> dict:
 
 
 def cmd_def(args):
+    from .abelian import abelian_invariants, abelian_p_deficiency_group
     pres = parse_presentation(args.presentation)
     p = args.prime
     de = _rat(p_deficiency(pres, p))
@@ -177,6 +162,10 @@ def cmd_def(args):
 
 
 def cmd_abdef(args):
+    from .abelian import (
+        abelian_invariants, abelian_p_deficiency_group, abelian_p_deficiency_presentation,
+        d_p, exponent_columns,
+    )
     pres = parse_presentation(args.presentation)
     p = args.prime
     cols = exponent_columns(pres)
@@ -203,6 +192,9 @@ def cmd_abdef(args):
 
 
 def cmd_subgroup(args):
+    from .invariants import p_size_bound
+    from .quotient import describe_quotient, kernel_index
+    from .rewrite import basis_words, schreier, subgroup_presentation
     pres = parse_presentation(args.presentation)
     p = args.prime
     q = _quotient_from_args(args, pres)
@@ -242,6 +234,7 @@ def cmd_subgroup(args):
 
 
 def cmd_psize(args):
+    from .invariants import p_size_bound
     pres = parse_presentation(args.presentation)
     q = _quotient_from_args(args, pres)
     bound = p_size_bound(pres, q, args.prime)
@@ -280,6 +273,9 @@ def cmd_psize(args):
 
 
 def cmd_fuchsian(args):
+    from .fuchsian import (
+        de_exact, de_standard, de_upper, format_signature, parse_signature, volume,
+    )
     sig = parse_signature(args.signature)
     p = args.prime
     result = de_exact(sig, p)
@@ -308,7 +304,8 @@ def cmd_fuchsian(args):
     return payload, lines
 
 
-def _parse_action_spec(spec: str, sig) -> EllipticAction:
+def _parse_action_spec(spec: str, sig) -> "EllipticAction":
+    from .fuchsian import EllipticAction, standard_presentation
     names = standard_presentation(sig).generators
     images = _parse_quotient_spec(spec, names).images
     r = len(sig.periods)
@@ -316,6 +313,7 @@ def _parse_action_spec(spec: str, sig) -> EllipticAction:
 
 
 def cmd_singerman(args):
+    from .fuchsian import format_signature, parse_signature, singerman_transfer, volume
     sig = parse_signature(args.signature)
     act = _parse_action_spec(args.action, sig)
     transferred = singerman_transfer(sig, act)
@@ -347,6 +345,8 @@ def _budget_note(exhausted: bool) -> str:
 
 
 def cmd_chi(args):
+    from .invariants import chi_p_estimate
+    from .quotient import describe_quotient
     pres = parse_presentation(args.presentation)
     est = chi_p_estimate(pres, args.prime, _load_catalog(args), _budget(args))
     best = _rat(est.best_ratio)
@@ -383,6 +383,7 @@ def cmd_chi(args):
 
 
 def cmd_gradient(args):
+    from .invariants import gradient_window
     pres = parse_presentation(args.presentation)
     window = gradient_window(pres, args.prime, _load_catalog(args), _budget(args))
     payload = {
@@ -410,6 +411,8 @@ def cmd_gradient(args):
 
 
 def cmd_witness(args):
+    from .invariants import find_power_witness
+    from .quotient import describe_quotient
     pres = parse_presentation(args.presentation)
     budget = _budget(args)
     witness = find_power_witness(pres, args.prime, _load_catalog(args), budget)

@@ -11,9 +11,10 @@ a catalog group is the quotient onto itself by its generators, and it
 also caches its multiplication table and powers, its automorphisms, the
 cycle text of each element and the cycle layout of right multiplication
 by each.  The search's ``SearchBudget`` is its only order cap: it skips
-every group above ``budget.max_order`` and refuses one within it above
-``SEARCH_ORDER_LIMIT`` before building its tables.  The search checks
-each relator r = c*u^m*c^-1 by the order k of the image of
+every group above ``budget.max_order``, without closing a manifest group
+whose generators' orders have their lcm above it, and refuses one within
+it above ``SEARCH_ORDER_LIMIT`` before building its tables.  The search
+checks each relator r = c*u^m*c^-1 by the order k of the image of
 v = c*u*c^-1, which divides m exactly when r is killed.  A quotient that
 the search yields keeps its group, image indices, closure and those
 orders as its ``leaf``, so that the kernel invariants and the
@@ -706,6 +707,10 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     ks = [0] * len(pres.relators)
     seen = set()
     for grp in catalog:
+        # the order of each generator divides the group's order, so a group
+        # not yet closed (a manifest's) is skipped without its closure
+        if grp._tables is None and math.lcm(*map(perm_order, grp.images)) > max_order:
+            continue
         size = grp.order
         if size > max_order:
             continue

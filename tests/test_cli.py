@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from pdeficiency import cli, verification, words
+from pdeficiency import cli, quotient, verification, words
 from pdeficiency.cli import main
+from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
     SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
+    parse_catalog_manifest,
 )
 from pdeficiency.verification import (
     CheckOutcome, _random_presentation, _random_word, centralizer_index,
@@ -314,6 +317,92 @@ def test_startup_loads_no_oracles():
     assert proc.stdout == "\npdeficiency.verification\n"
 
 
+# Each module's names that the package exported before it became lazy.
+PACKAGE_EXPORTS = {
+    "abelian": ["AbelianInvariants", "IntMatrix", "abelian_invariants",
+                "abelian_p_deficiency_group", "abelian_p_deficiency_presentation", "d_p",
+                "exponent_columns", "smith_normal_form"],
+    "fuchsian": ["DeficiencyResult", "EllipticAction", "FuchsianSignature", "classify",
+                 "de_exact", "de_standard", "de_upper", "parse_signature",
+                 "singerman_transfer", "standard_presentation", "volume"],
+    "invariants": ["ChiEstimate", "GradientWindow", "SizeBound", "chi_p_estimate",
+                   "gradient_window", "find_power_witness", "p_size_bound"],
+    "presentation": ["FinitePresentation", "ParseError", "PresentationError", "p_deficiency",
+                     "parse_presentation", "parse_word", "power_up", "word_to_text"],
+    "quotient": ["CatalogGroup", "FiniteQuotient", "SearchBudget", "default_catalog",
+                 "enumerate_quotients", "kernel_index", "parse_catalog_manifest"],
+    "rewrite": ["SchreierData", "basis_words", "rewrite_word", "schreier",
+                "subgroup_presentation"],
+    "words": ["RootDecomposition", "Valuation", "Word", "maximal_root", "nu_p", "nu_p_int",
+              "p_prime_root"],
+    "verification": ["centralizer_index", "conjugate_class_reps", "evaluate",
+                     "exponent_matrix", "is_quotient_of", "kernel_construction",
+                     "order_of_image", "p_prime_root_presentation", "quotient_dp_drop",
+                     "supermultiplicity_check", "upper_bound_de"],
+}
+
+
+def test_package_exports():
+    """``__all__``, ``dir`` and a star import list every exported name, and
+    each name is its home module's object."""
+    import pdeficiency
+
+    names = {name for names in PACKAGE_EXPORTS.values() for name in names}
+    assert len(pdeficiency.__all__) == len(names) == 64
+    assert set(pdeficiency.__all__) == names
+    assert names <= set(dir(pdeficiency))
+    namespace = {}
+    exec("from pdeficiency import *", namespace)
+    assert set(namespace) - {"__builtins__"} == names
+    for module, exported in PACKAGE_EXPORTS.items():
+        home = importlib.import_module(f"pdeficiency.{module}")
+        for name in exported:
+            assert getattr(pdeficiency, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'cycles_to_perm'"):
+        pdeficiency.cycles_to_perm
+
+
+MODULES_SCRIPT = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from pdeficiency import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+else:
+    import pdeficiency
+print(" ".join(sorted(m.removeprefix("pdeficiency.") for m in sys.modules
+                      if m.partition(".")[0] == "pdeficiency")))
+"""
+
+KERNEL_ARGV = ["-p", "2", "< x, y | x^2, y^5, (x*y)^5 >", "--hom-cyclic", "5", "0,1"]
+SEARCH_ARGV = ["-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "6"]
+WORDS_MODULES = "abelian cli pdeficiency presentation words"
+SEARCH_MODULES = "abelian cli invariants pdeficiency presentation quotient words"
+FUCHSIAN_MODULES = "cli fuchsian pdeficiency presentation quotient words"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ([], "pdeficiency"),
+    (["def", *SEARCH_ARGV[:3]], WORDS_MODULES),
+    (["abdef", *SEARCH_ARGV[:3]], WORDS_MODULES),
+    (["chi", *SEARCH_ARGV], SEARCH_MODULES),
+    (["gradient", *SEARCH_ARGV], SEARCH_MODULES),
+    (["witness", *SEARCH_ARGV], SEARCH_MODULES),
+    (["psize", *KERNEL_ARGV], SEARCH_MODULES),
+    (["subgroup", *KERNEL_ARGV],
+     "abelian cli invariants pdeficiency presentation quotient rewrite words"),
+    (["fuchsian", "-p", "2", "(0; 6,12,12)"], FUCHSIAN_MODULES),
+    (["singerman", "(0; 4,4,4)", "--action", "x1:(1 2),x2:(1 2),x3:()"], FUCHSIAN_MODULES),
+], ids=lambda v: v[0] if isinstance(v, list) and v else None)
+def test_command_loads_only_its_modules(argv, modules):
+    """A bare ``import pdeficiency`` loads no submodule, and each command
+    loads the modules it runs and no other."""
+    proc = run_python("-c", MODULES_SCRIPT, json.dumps(argv), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == modules + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["def"], ["chi", "--max-order", "6"], ["gradient", "--max-order", "6"],
 ])
@@ -426,6 +515,29 @@ def test_search_order_limit(tmp_path, manifest, code, out, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+def test_oversized_manifest_group_is_not_closed(tmp_path):
+    """A manifest group whose generator orders have their lcm above
+    --max-order is above it too, so the search skips it without its
+    closure, which for C5000 takes about a second and 200 MB."""
+    manifest = f"C2 2 (1 2)\nC5000 5000 ({' '.join(map(str, range(1, 5001)))})\n"
+    catalog = tmp_path / "groups.txt"
+    catalog.write_text(manifest)
+    proc = capped_child("chi", "-p", "2", "< x | >", "--max-order", "2",
+                        "--catalog", str(catalog))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "presentation: < x | >\n"
+           "subgroups examined: 2\n"
+           "best ratio de/index = 0/1 at index 1 (index 1)\n"
+           "-chi_2 >= 0/1\n", "")
+    c2, c5000 = parse_catalog_manifest(manifest)
+    pres = parse_presentation("< x | >")
+    assert len(list(enumerate_quotients(pres, (c2, c5000), budget=SearchBudget(max_order=2)))) == 2
+    assert c5000._tables is None
+    # at a cap its lcm reaches the group is closed, and refused as too large
+    with pytest.raises(ValueError, match="C5000 has order 5000, above the search limit"):
+        list(enumerate_quotients(pres, (c5000,), budget=SearchBudget(max_order=5000)))
+
+
 def test_text_output_builds_no_json(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("JSON built for text output")
@@ -437,13 +549,13 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
 
 def test_chi_text_describes_only_the_witness(capsys, monkeypatch):
     described = []
-    real = cli.describe_quotient
 
     def counting(q, pres):
         described.append(q)
-        return real(q, pres)
+        return describe_quotient(q, pres)
 
-    monkeypatch.setattr(cli, "describe_quotient", counting)
+    # ``chi`` imports it from its home module when it runs
+    monkeypatch.setattr(quotient, "describe_quotient", counting)
     argv = ("chi", "-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "8")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "at index 3 (x:(1 2 3), y:(1 2 3))" in out
