@@ -12,9 +12,12 @@ Grammar (whitespace insignificant)::
 Identifiers are ASCII letters and digits starting with a letter.  A chain
 containing a literal ``1`` makes every other member a relator; a chain
 without it yields the pairwise relators w_i * w_{i+1}^-1.
+
+Cost: a compact flat product such as ``x*y^-1*x^2`` is one regex match and
+one split, then a dict lookup per factor; whitespace, parentheses, ``=``
+chains and the literal 1 are read token by token.
 """
 
-import itertools
 import re
 from fractions import Fraction
 
@@ -48,7 +51,7 @@ class FinitePresentation:
         generators = tuple(generators)
         seen = set()
         for name in generators:
-            if not _is_identifier(name):
+            if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
                 raise PresentationError(f"invalid generator name {name!r}")
             if name in seen:
                 raise PresentationError(f"duplicate generator name {name!r}")
@@ -66,6 +69,13 @@ class FinitePresentation:
         self.generators = generators
         self.relators = relators
         self._roots = None
+
+    @classmethod
+    def _make(cls, generators: tuple, relators: tuple) -> "FinitePresentation":
+        """Distinct valid names and non-trivial words over them, unchecked."""
+        pres = object.__new__(cls)
+        pres.generators, pres.relators, pres._roots = generators, relators, None
+        return pres
 
     @property
     def n_gens(self) -> int:
@@ -122,13 +132,6 @@ class FinitePresentation:
         return f"FinitePresentation({self.to_text()!r})"
 
 
-_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-
-
-def _is_identifier(name) -> bool:
-    return isinstance(name, str) and _IDENTIFIER.fullmatch(name) is not None
-
-
 def word_to_text(w: Word, names) -> str:
     if w.is_identity:
         return "1"
@@ -167,228 +170,224 @@ def _root_text(w: Word, rd: RootDecomposition, names) -> str:
     return "*".join(parts)
 
 
-# -- tokenizer / parser ----------------------------------------------------
+# -- scanner ---------------------------------------------------------------
 
-# A token is an integer, an identifier or a symbol; whitespace between
-# tokens is skipped.  Any other character matches the last alternative,
-# outside the group, and so is read as an empty token.
-_TOKEN = re.compile(r"(-?\d+|[A-Za-z][A-Za-z0-9]*|[<>|,;=^*()])|\S")
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+# The token at a position, after any whitespace: an integer, an identifier,
+# a symbol, or "" at the end of the text.  _BAD finds every other character
+# first, so a match never stops short of the end; in an ASCII text of
+# _PASS only a '-' can be bad, so _BAD is compiled on first use.
+_NEXT = re.compile(r"\s*(-?\d+|[A-Za-z][A-Za-z0-9]*|[<>|,;=^*()]|)")
+_BAD = r"[^\s\dA-Za-z<>|,;=^*()-]|-(?!\d)"
+_DASH = re.compile(r"-(?!\d)")
+_PASS = bytes(c for c in range(128) if chr(c).isspace() or chr(c).isalnum()
+              or chr(c) in "<>|,;=^*()-")
+_NAMES = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:\s*,\s*[A-Za-z][A-Za-z0-9]*)*")
+# A flat product: generators joined by '*', each with an exponent or no '^'
+# after it; the guard keeps a name from being cut short to fit.
+_PART = r"[A-Za-z][A-Za-z0-9]*(?:\^-?\d+|(?![A-Za-z0-9]|\s*\^))"
+_FLAT = re.compile(rf"{_PART}(?:\*{_PART})*")
 
 
-class _Parser:
-    """Recursive descent over the token strings of a text, with "" for the
-    end of input.  A token's kind is read off its first character:
-    identifiers start with a letter, integers with a digit or '-'.
-    Positions are looked up only for an error message."""
+class _Scanner:
+    """The text, the generator ``index``, the current token ``tok`` from
+    ``start`` to ``end``, and the run of each flat factor read, as ``runs``."""
 
-    def __init__(self, text: str):
-        tokens = _TOKEN.findall(text)
-        self.text = text
-        if "" in tokens:
-            m = next(itertools.islice(_TOKEN.finditer(text), tokens.index(""), None))
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append("")
-        self.tokens = tokens
-        self.i = 0
+    __slots__ = ("text", "index", "runs", "tok", "start", "end")
 
-    def pos(self, i: int) -> int:
-        """Where token i starts in the text."""
-        if i >= len(self.tokens) - 1:
-            return len(self.text)
-        return next(itertools.islice(_TOKEN.finditer(self.text), i, None)).start()
+    def __init__(self, text: str, index=None):
+        plain = text.isascii() and not text.encode().translate(None, _PASS)
+        bad = _DASH.search(text) if plain else re.search(_BAD, text)  # before any syntax error
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+        self.text, self.index, self.runs = text, index, {}
+        self.advance(0)
 
-    def error(self, message: str, i: int = None) -> ParseError:
-        return ParseError(message, self.pos(self.i if i is None else i))
+    def advance(self, pos: int = None) -> None:
+        """Read the token after the current one, or at ``pos``."""
+        m = _NEXT.match(self.text, self.end if pos is None else pos)
+        self.tok, self.start, self.end = m.group(1), m.start(1), m.end()
 
-    def peek(self) -> str:
-        return self.tokens[self.i]
+    def found(self, expected: str) -> ParseError:
+        return ParseError(f"expected {expected}, found {self.tok or 'end of input'!r}",
+                          self.start)
 
-    def expect_sym(self, sym: str) -> None:
-        tok = self.tokens[self.i]
-        if tok != sym:
-            raise self.error(f"expected {sym!r}, found {tok or 'end of input'!r}")
-        self.i += 1
+    def expect(self, sym: str) -> None:
+        if self.tok != sym:
+            raise self.found(repr(sym))
+        self.advance()
 
-    def at_sym(self, *syms) -> bool:
-        return self.tokens[self.i] in syms
+    def finish(self) -> None:
+        if self.tok:
+            raise ParseError(f"trailing input {self.tok!r}", self.start)
 
-    def parse_names(self) -> tuple:
-        names = []
-        seen = set()
+    def names(self) -> None:
+        """Read the generator names, one match of _NAMES, into ``index``."""
+        m = _NAMES.match(self.text, self.start) if self.tok[:1].isalpha() else None
+        if m is None:
+            raise ParseError("expected a generator name", self.start)
+        names = [name.strip() for name in m.group().split(",")]
+        self.index = {name: i for i, name in enumerate(names)}
+        if len(self.index) < len(names):  # locate the first repeated name
+            k = next(i for i, name in enumerate(names) if name in names[:i])
+            at = list(_IDENTIFIER.finditer(self.text, self.start, m.end()))[k]
+            raise ParseError(f"duplicate generator name {names[k]!r}", at.start())
+        self.advance(m.end())
+        if self.tok == ",":  # and no name after it
+            self.advance()
+            raise ParseError("expected a generator name", self.start)
+
+    def word(self) -> tuple:
+        """(runs, saw_generator) of the word at the current token; a word
+        with no generator occurrence is the literal identity that ends a
+        chain.  Each generator of a flat product is a run that merges with
+        or cancels the last run so far.  Any other factor is joined at its
+        seam, and a lone one is returned as it was read.  The run bound
+        counts the factors' runs before they are joined, at every factor
+        but the first."""
+        text, known = self.text, self.runs
+        runs, lone, total, saw, first = [], None, 0, False, True
         while True:
-            tok = self.tokens[self.i]
-            if not tok[:1].isalpha():
-                raise self.error("expected a generator name")
-            if tok in seen:
-                raise self.error(f"duplicate generator name {tok!r}")
-            seen.add(tok)
-            names.append(tok)
-            self.i += 1
-            if self.tokens[self.i] == ",":
-                self.i += 1
-            else:
-                return tuple(names)
-
-    def exponent(self, i: int) -> int:
-        """The integer exponent at token i, which follows a '^'."""
-        tok = self.tokens[i]
-        if not (tok[:1] == "-" or tok[:1].isdigit()):
-            raise self.error("expected an integer exponent after '^'", i)
-        try:
-            return int(tok)
-        except ValueError as exc:  # more digits than int() converts
-            raise self.error(str(exc), i) from None
-
-    def parse_factor(self, index):
-        """Returns (word, saw_generator)."""
-        tok = self.tokens[self.i]
-        if tok[:1].isalpha():
-            if tok not in index:
-                raise self.error(f"unknown generator {tok!r}")
-            self.i += 1
-            base, saw = Word._make(((index[tok], 1),), len(index)), True
-        elif tok == "(":
-            self.i += 1
-            base, saw = self.parse_word(index)
-            self.expect_sym(")")
-        elif tok == "1":
-            self.i += 1
-            base, saw = Word._make((), len(index)), False
-        else:
-            raise self.error(
-                f"expected a generator, '(' or 1, found {tok or 'end of input'!r}"
-            )
-        if self.tokens[self.i] == "^":
-            i = self.i + 1
-            n = self.exponent(i)
-            self.i = i + 1
-            try:
-                base = base ** n
-            except ValueError as exc:  # more runs than RUN_LIMIT
-                raise self.error(str(exc), i) from None
-        return base, saw
-
-    def parse_word(self, index):
-        """Returns (word, saw_generator); a word with no generator occurrence
-        is the literal identity used as a chain terminator.
-
-        A lone factor is returned as it was parsed.  Otherwise a factor that
-        is a generator, with or without an exponent, is one run and is
-        joined to the runs so far in this loop: it merges with, or cancels,
-        the last run only.  Any other factor is parsed by ``parse_factor``,
-        and its reduced runs are joined at the seam: a run popped there was
-        pushed once, so the time is linear in the number of runs.  The
-        factor's runs are copied whole into the list, with no slice, and
-        the runs that its seam merged or cancelled are then deleted from
-        the list.  The run bound counts the factors' runs before they are
-        joined."""
-        tokens = self.tokens
-        word, saw = self.parse_factor(index)
-        runs = []  # filled once a second factor follows
-        total = len(word.runs)
-        i = self.i
-        while True:
-            tok = tokens[i]
-            if tok == "*":
-                i += 1
-                tok = tokens[i]
-            elif not (tok in index or tok == "(" or tok == "1" or tok[:1].isalpha()):
-                self.i = i
-                if word is None:
-                    word = Word._make(tuple(runs), len(index))
-                return word, saw
-            if word is not None:
-                runs += word.runs
-                word = None
-            g = index.get(tok)
-            if g is not None:
-                start = i
-                if tokens[i + 1] == "^":
-                    e = self.exponent(i + 2)
-                    i += 3
-                else:
-                    e = 1
-                    i += 1
-                if e:
-                    total += 1
+            start = self.start
+            flat = _FLAT.match(text, start) if self.tok[:1].isalpha() else None
+            if flat:
+                parts = flat.group().split("*")
+                before = total
+                total += len(parts)
+                last = runs[-1][0] if runs else None
+                try:
+                    for part in parts:
+                        try:
+                            g, e = run = known[part]
+                        except KeyError:
+                            name, _, exp = part.partition("^")
+                            g, e = run = known[part] = (self.index[name], int(exp) if exp else 1)
+                        if not e:
+                            total -= 1
+                        elif g != last:
+                            runs.append(run)
+                            last = g
+                        elif e + runs[-1][1]:
+                            runs[-1] = (g, e + runs[-1][1])
+                        else:
+                            runs.pop()
+                            last = runs[-1][0] if runs else None
+                except (KeyError, ValueError):
+                    raise _flat_error(parts, start, before, self.index) from None
                 if total > RUN_LIMIT:
-                    raise self.error(f"word would have more than {RUN_LIMIT} runs", start)
-                if runs and runs[-1][0] == g:
-                    e += runs.pop()[1]
-                if e:
-                    runs.append((g, e))
+                    raise _flat_error(parts, start, before, self.index)
                 saw = True
-                continue
-            start = self.i = i
-            nxt, s = self.parse_factor(index)
-            i = self.i
-            total += len(nxt.runs)
-            if total > RUN_LIMIT:
-                raise self.error(f"word would have more than {RUN_LIMIT} runs", start)
-            j, k, merged = _seam(runs, nxt.runs)
-            del runs[j:]
-            runs += merged
-            j = len(runs)
-            runs += nxt.runs
-            del runs[j:j + k]
-            saw = saw or s
+                self.advance(flat.end())
+            else:
+                nxt, s = self.factor()
+                saw = saw or s
+                total += len(nxt)
+                if first:
+                    lone = nxt
+                elif total > RUN_LIMIT:
+                    raise ParseError(f"word would have more than {RUN_LIMIT} runs", start)
+                else:  # a run popped at the seam was pushed once: linear time
+                    j, k, runs[j:] = _seam(runs, nxt)
+                    j = len(runs)
+                    runs += nxt  # whole, with no slice, then the seam's runs go
+                    del runs[j:j + k]
+            first = False
+            tok = self.tok
+            if tok == "*":
+                self.advance()
+            elif not (tok[:1].isalpha() or tok == "(" or tok == "1"):
+                return (tuple(runs) if lone is None else lone), saw
+            if lone is not None:
+                runs, lone = list(lone), None
+
+    def factor(self) -> tuple:
+        """(runs, saw_generator) of any factor, with its exponent, by tokens."""
+        tok = self.tok
+        if tok[:1].isalpha():
+            if tok not in self.index:
+                raise ParseError(f"unknown generator {tok!r}", self.start)
+            runs, saw = ((self.index[tok], 1),), True
+            self.advance()
+        elif tok == "(":
+            self.advance()
+            runs, saw = self.word()
+            self.expect(")")
+        elif tok == "1":
+            runs, saw = (), False
+            self.advance()
+        else:
+            raise self.found("a generator, '(' or 1")
+        if self.tok == "^":
+            self.advance()
+            tok = self.tok
+            if not (tok[:1] == "-" or tok[:1].isdigit()):
+                raise ParseError("expected an integer exponent after '^'", self.start)
+            try:
+                runs = (Word._make(runs, len(self.index)) ** int(tok)).runs
+            except ValueError as exc:  # int() of too many digits, or RUN_LIMIT
+                raise ParseError(str(exc), self.start) from None
+            self.advance()
+        return runs, saw
+
+
+def _flat_error(parts, pos: int, total: int, index) -> ParseError:
+    """The first error of the flat product ``parts`` at ``pos``, after
+    ``total`` runs, at the offset of the part it names."""
+    for part in parts:
+        name, _, exp = part.partition("^")
+        if name not in index:
+            return ParseError(f"unknown generator {name!r}", pos)
+        try:
+            total += int(exp or 1) != 0
+        except ValueError as exc:  # more digits than int() converts
+            return ParseError(str(exc), pos + len(name) + 1)
+        if total > RUN_LIMIT:
+            return ParseError(f"word would have more than {RUN_LIMIT} runs", pos)
+        pos += len(part) + 1
 
 
 def parse_presentation(text: str) -> FinitePresentation:
-    parser = _Parser(text)
-    parser.expect_sym("<")
-    names = parser.parse_names()
-    parser.expect_sym("|")
-    index = {name: i for i, name in enumerate(names)}
-
+    scan = _Scanner(text)
+    scan.expect("<")
+    scan.names()
+    scan.expect("|")
     relators = []
-    while not parser.at_sym(">"):
-        chain = []
-        chain_start = parser.i
-        while True:
-            chain.append(parser.parse_word(index))
-            if parser.at_sym("="):
-                parser.i += 1
-            else:
-                break
-        chain = _chain_relators(chain)
-        if any(r.is_identity for r in chain):
-            raise parser.error("trivial relator: reduces to the identity", chain_start)
-        relators += chain
-        if parser.at_sym(",", ";"):
-            parser.i += 1
-        elif not parser.at_sym(">"):
-            tok = parser.peek()
-            raise parser.error(
-                f"expected ',', ';', '=' or '>', found {tok or 'end of input'!r}"
-            )
-    parser.expect_sym(">")
-    if parser.peek():
-        raise parser.error(f"trailing input {parser.peek()!r}")
-    return FinitePresentation(names, relators)
+    while scan.tok != ">":
+        start = scan.start
+        chain = [scan.word()]
+        while scan.tok == "=":
+            scan.advance()
+            chain.append(scan.word())
+        for r in _chain_relators(chain, len(scan.index)):
+            if not r.runs:
+                raise ParseError("trivial relator: reduces to the identity", start)
+            relators.append(r)
+        if scan.tok == "," or scan.tok == ";":
+            scan.advance()
+        elif scan.tok != ">":
+            raise scan.found("',', ';', '=' or '>'")
+    scan.advance()
+    scan.finish()
+    return FinitePresentation._make(tuple(scan.index), tuple(relators))
 
 
-def _chain_relators(chain) -> list:
-    """Relators contributed by one equality chain.
-
-    A literal 1 anywhere equates every member with the identity; otherwise
-    consecutive members are equated pairwise.
-    """
-    words = [w for w, _ in chain]
+def _chain_relators(chain, n: int) -> list:
+    """The relators of one equality chain of (runs, saw_generator) pairs: a
+    literal 1 anywhere equates every member with the identity; otherwise
+    consecutive members are equated pairwise."""
+    words = [Word._make(runs, n) for runs, _ in chain]
     if len(chain) == 1:
         return words
     if any(not saw for _, saw in chain):
-        return [w for w, saw in chain if saw]
+        return [w for w, (_, saw) in zip(words, chain) if saw]
     return [words[i] * words[i + 1].inverse() for i in range(len(words) - 1)]
 
 
 def parse_word(text: str, generators) -> Word:
-    parser = _Parser(text)
-    index = {name: i for i, name in enumerate(generators)}
-    word, _ = parser.parse_word(index)
-    if parser.peek():
-        raise parser.error(f"trailing input {parser.peek()!r}")
-    return word
+    scan = _Scanner(text, {name: i for i, name in enumerate(generators)})
+    runs, _ = scan.word()
+    scan.finish()
+    return Word._make(runs, len(scan.index))
 
 
 # -- invariants ------------------------------------------------------------

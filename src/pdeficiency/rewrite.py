@@ -239,5 +239,6 @@ def subgroup_presentation(
     else:
         for r in pres.relators:
             relators.extend(rewrite_word(sd, r, c) for c in range(sd.degree))
-    return FinitePresentation(_subgroup_names(sd.rank), relators)
+    # every rewritten relator is a non-trivial word over the basis
+    return FinitePresentation._make(_subgroup_names(sd.rank), tuple(relators))
 

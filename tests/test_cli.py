@@ -542,7 +542,7 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("JSON built for text output")
 
-    monkeypatch.setattr(cli.json, "dumps", refuse)
+    monkeypatch.setattr(cli, "_dumps", refuse)
     code, out, _ = run(capsys, "def", "-p", "2", "< x | x^2 >")
     assert code == 0 and out.startswith("presentation: < x | x^2 >\n")
 
@@ -996,6 +996,28 @@ class TestFullOutput:
         target = tmp_path / "report.json"
         assert run(capsys, *argv, "-o", str(target)) == (0, text, "")
         assert target.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    "", "plain text", 'a "quoted" word', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+    "caf\u00e9 \u2003 \U0001d49c", "< x, y | x^2*y^-3 >" * 2000, "x" * 256, "x" * 257,
+    'say "x"\\' * 100, "caf\u00e9" * 100, "\x7f" * 300, "line\n" * 100,
+    {}, [], (), {"b": {}, "a": [[], {"c": [1, [2, {}]]}], "": None},
+    [True, False, None, 0, -1, 10**40, -(10**40)], (1, "x", (2, ("y",))),
+    {"z": 1.5, "y": [float("inf")]},
+])
+def test_dumps_matches_json(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in FULL_OUTPUT],
+                         ids=[" ".join(case[0][:1] + case[0][-2:]) for case in FULL_OUTPUT])
+def test_dumps_matches_json_on_payloads(argv):
+    """Every command's payload, as --json builds it, renders as json.dumps
+    renders it."""
+    args = cli.build_parser().parse_args(argv + ["--json"])
+    payload, _ = cli._HANDLERS[args.command](args)
+    assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_verify_failure(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,229 @@ from pdeficiency.presentation import (
     parse_word,
     power_up,
 )
+from pdeficiency.quotient import FiniteQuotient
+from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import p_prime_root_presentation, word_from_letters
-from pdeficiency.words import RUN_LIMIT, Word, maximal_root
+from pdeficiency.words import RUN_LIMIT, Word, _seam, maximal_root
+
+
+# -- the reference parser ----------------------------------------------------
+#
+# The token-list parser that the scanner replaced, kept as the oracle for its
+# accepted texts, its words and its error messages and positions: it
+# tokenizes the whole text first, then descends over the token list.
+
+_TOKEN = re.compile(r"(-?\d+|[A-Za-z][A-Za-z0-9]*|[<>|,;=^*()])|\S")
+
+
+class _Parser:
+    """Recursive descent over the token strings of a text, with "" for the
+    end of input.  A token's kind is read off its first character:
+    identifiers start with a letter, integers with a digit or '-'.
+    Positions are looked up only for an error message."""
+
+    def __init__(self, text: str):
+        tokens = _TOKEN.findall(text)
+        self.text = text
+        if "" in tokens:
+            m = next(itertools.islice(_TOKEN.finditer(text), tokens.index(""), None))
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append("")
+        self.tokens = tokens
+        self.i = 0
+
+    def pos(self, i: int) -> int:
+        """Where token i starts in the text."""
+        if i >= len(self.tokens) - 1:
+            return len(self.text)
+        return next(itertools.islice(_TOKEN.finditer(self.text), i, None)).start()
+
+    def error(self, message: str, i: int = None) -> ParseError:
+        return ParseError(message, self.pos(self.i if i is None else i))
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def expect_sym(self, sym: str) -> None:
+        tok = self.tokens[self.i]
+        if tok != sym:
+            raise self.error(f"expected {sym!r}, found {tok or 'end of input'!r}")
+        self.i += 1
+
+    def at_sym(self, *syms) -> bool:
+        return self.tokens[self.i] in syms
+
+    def parse_names(self) -> tuple:
+        names = []
+        seen = set()
+        while True:
+            tok = self.tokens[self.i]
+            if not tok[:1].isalpha():
+                raise self.error("expected a generator name")
+            if tok in seen:
+                raise self.error(f"duplicate generator name {tok!r}")
+            seen.add(tok)
+            names.append(tok)
+            self.i += 1
+            if self.tokens[self.i] == ",":
+                self.i += 1
+            else:
+                return tuple(names)
+
+    def exponent(self, i: int) -> int:
+        """The integer exponent at token i, which follows a '^'."""
+        tok = self.tokens[i]
+        if not (tok[:1] == "-" or tok[:1].isdigit()):
+            raise self.error("expected an integer exponent after '^'", i)
+        try:
+            return int(tok)
+        except ValueError as exc:  # more digits than int() converts
+            raise self.error(str(exc), i) from None
+
+    def parse_factor(self, index):
+        """Returns (word, saw_generator)."""
+        tok = self.tokens[self.i]
+        if tok[:1].isalpha():
+            if tok not in index:
+                raise self.error(f"unknown generator {tok!r}")
+            self.i += 1
+            base, saw = Word._make(((index[tok], 1),), len(index)), True
+        elif tok == "(":
+            self.i += 1
+            base, saw = self.parse_word(index)
+            self.expect_sym(")")
+        elif tok == "1":
+            self.i += 1
+            base, saw = Word._make((), len(index)), False
+        else:
+            raise self.error(
+                f"expected a generator, '(' or 1, found {tok or 'end of input'!r}"
+            )
+        if self.tokens[self.i] == "^":
+            i = self.i + 1
+            n = self.exponent(i)
+            self.i = i + 1
+            try:
+                base = base ** n
+            except ValueError as exc:  # more runs than RUN_LIMIT
+                raise self.error(str(exc), i) from None
+        return base, saw
+
+    def parse_word(self, index):
+        """Returns (word, saw_generator); a word with no generator occurrence
+        is the literal identity used as a chain terminator.
+
+        A lone factor is returned as it was parsed.  Otherwise a factor that
+        is a generator, with or without an exponent, is one run and is
+        joined to the runs so far in this loop: it merges with, or cancels,
+        the last run only.  Any other factor is parsed by ``parse_factor``,
+        and its reduced runs are joined at the seam: a run popped there was
+        pushed once, so the time is linear in the number of runs.  The
+        factor's runs are copied whole into the list, with no slice, and
+        the runs that its seam merged or cancelled are then deleted from
+        the list.  The run bound counts the factors' runs before they are
+        joined."""
+        tokens = self.tokens
+        word, saw = self.parse_factor(index)
+        runs = []  # filled once a second factor follows
+        total = len(word.runs)
+        i = self.i
+        while True:
+            tok = tokens[i]
+            if tok == "*":
+                i += 1
+                tok = tokens[i]
+            elif not (tok in index or tok == "(" or tok == "1" or tok[:1].isalpha()):
+                self.i = i
+                if word is None:
+                    word = Word._make(tuple(runs), len(index))
+                return word, saw
+            if word is not None:
+                runs += word.runs
+                word = None
+            g = index.get(tok)
+            if g is not None:
+                start = i
+                if tokens[i + 1] == "^":
+                    e = self.exponent(i + 2)
+                    i += 3
+                else:
+                    e = 1
+                    i += 1
+                if e:
+                    total += 1
+                if total > RUN_LIMIT:
+                    raise self.error(f"word would have more than {RUN_LIMIT} runs", start)
+                if runs and runs[-1][0] == g:
+                    e += runs.pop()[1]
+                if e:
+                    runs.append((g, e))
+                saw = True
+                continue
+            start = self.i = i
+            nxt, s = self.parse_factor(index)
+            i = self.i
+            total += len(nxt.runs)
+            if total > RUN_LIMIT:
+                raise self.error(f"word would have more than {RUN_LIMIT} runs", start)
+            j, k, merged = _seam(runs, nxt.runs)
+            del runs[j:]
+            runs += merged
+            j = len(runs)
+            runs += nxt.runs
+            del runs[j:j + k]
+            saw = saw or s
+
+
+def _chain_relators(chain) -> list:
+    words = [w for w, _ in chain]
+    if len(chain) == 1:
+        return words
+    if any(not saw for _, saw in chain):
+        return [w for w, saw in chain if saw]
+    return [words[i] * words[i + 1].inverse() for i in range(len(words) - 1)]
+
+
+def reference_presentation(text: str) -> FinitePresentation:
+    parser = _Parser(text)
+    parser.expect_sym("<")
+    names = parser.parse_names()
+    parser.expect_sym("|")
+    index = {name: i for i, name in enumerate(names)}
+    relators = []
+    while not parser.at_sym(">"):
+        chain = []
+        chain_start = parser.i
+        while True:
+            chain.append(parser.parse_word(index))
+            if parser.at_sym("="):
+                parser.i += 1
+            else:
+                break
+        chain = _chain_relators(chain)
+        if any(r.is_identity for r in chain):
+            raise parser.error("trivial relator: reduces to the identity", chain_start)
+        relators += chain
+        if parser.at_sym(",", ";"):
+            parser.i += 1
+        elif not parser.at_sym(">"):
+            tok = parser.peek()
+            raise parser.error(
+                f"expected ',', ';', '=' or '>', found {tok or 'end of input'!r}"
+            )
+    parser.expect_sym(">")
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}")
+    return FinitePresentation(names, relators)
+
+
+def reference_word(text: str, generators) -> Word:
+    parser = _Parser(text)
+    index = {name: i for i, name in enumerate(generators)}
+    word, _ = parser.parse_word(index)
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}")
+    return word
 
 
 class TestParse:
@@ -162,16 +385,16 @@ class TestParseProducts:
             word.inverse() * Word(((0, 2),), 2) * word)
 
     def test_lone_factor_returned_as_parsed(self, monkeypatch):
-        parsed = []
-        real = presentation._Parser.parse_factor
+        built = []
+        real = Word.__pow__
 
-        def recording(parser, index):
-            parsed.append(real(parser, index))
-            return parsed[-1]
+        def recording(word, n):
+            built.append(real(word, n))
+            return built[-1]
 
-        monkeypatch.setattr(presentation._Parser, "parse_factor", recording)
+        monkeypatch.setattr(Word, "__pow__", recording)
         word = parse_word("((x*y^-1)^3)", ("x", "y"))
-        assert word is parsed[-1][0]  # the outermost factor returns last
+        assert word.runs is built[-1].runs  # the outermost power is built last
         assert word.runs == ((0, 1), (1, -1)) * 3
 
 
@@ -270,6 +493,120 @@ class TestParseErrors:
         assert self.error(text) == (
             "word would have more than 1000000 runs (at position 32)", 32)
         assert text.index("x^0") == 32
+
+
+@st.composite
+def written_st(draw):
+    """A presentation text written with any mix of compact products,
+    spaces, juxtaposition, extra parentheses, spaced exponents, '='
+    chains with 1 and either separator; it need not be valid."""
+    names = draw(st.sampled_from([("x",), ("x", "y"), ("a", "b1", "c"), ("x", "xy")]))
+    space = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+
+    def factor(depth):
+        kinds = ["gen"] * 6 + ["one"] + ["paren"] * 2 * bool(depth)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "gen":
+            text = draw(st.sampled_from(names))
+        elif kind == "one":
+            text = "1"
+        else:
+            text = "(" + draw(space) + word(depth - 1) + draw(space) + ")"
+        if draw(st.integers(0, 2)) == 0:
+            e = draw(st.sampled_from([0, 1, -1, 2, -2, 3, 12, -40, 1000]))
+            text += draw(space) + "^" + draw(space) + str(e)
+        return "(" + text + ")" if draw(st.integers(0, 9)) == 0 else text
+
+    def word(depth):
+        text = factor(depth)
+        for _ in range(draw(st.integers(0, 8))):
+            join = draw(st.sampled_from(["*", "*", "*", " * ", " ", "\n", "*\t"]))
+            text += join + factor(depth)
+        return text
+
+    chains = []
+    for _ in range(draw(st.integers(0, 3))):
+        members = [word(2) for _ in range(draw(st.integers(1, 3)))]
+        if len(members) > 1 and draw(st.booleans()):
+            members.insert(draw(st.integers(0, len(members))), "1")
+        chains.append((draw(space) + "=" + draw(space)).join(members))
+    seps = [draw(st.sampled_from([",", ";", " , ", ";\n"])) for _ in chains]
+    rels = "".join(c + s for c, s in zip(chains, seps))
+    if rels and draw(st.booleans()):
+        rels = rels[:-len(seps[-1])]
+    return draw(space) + "<" + draw(space) + ", ".join(names) + " |" + draw(space) + rels + ">"
+
+
+# one-character edits that make malformed texts: stray symbols, '-', '^^',
+# a letter outside ASCII, a digit outside ASCII, whitespace and names
+EDITS = ["<", ">", "|", ",", ";", "=", "^", "^^", "*", "(", ")", "x", "y", "z", "1",
+         "0", "7", "-", "-1", " ", "\u00e9", "\u0663", "\u2003", ""]
+
+
+def outcome(parse, *args):
+    """What a parser makes of a text: its result, or its error's message
+    and position."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestAgainstReference:
+    """The scanner accepts what the reference parser accepts, builds the
+    same words, and raises the same message at the same position."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_st())
+    def test_written_presentations(self, text):
+        assert outcome(parse_presentation, text) == outcome(reference_presentation, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_st(), st.data())
+    def test_malformed_texts(self, text, data):
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 2))
+            text = text[:i] + data.draw(st.sampled_from(EDITS)) + text[i + cut:]
+        assert outcome(parse_presentation, text) == outcome(reference_presentation, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(EDITS), max_size=20).map("".join))
+    def test_random_words(self, text):
+        names = ("x", "y")
+        assert outcome(parse_word, text, names) == outcome(reference_word, text, names)
+
+    def test_examples(self):
+        for text in ("< x, y | x ^ 2 * y ^ -3 >", "< x,y | x y^-1 x, (x)(y) >",
+                     "< x, y | x^-2y^3 = 1 = (x y) ^ 2 ; >", "< x, y | x*y ^2*x >",
+                     "< x, xy | xy*x y x^0 y^\u0663 >", "< x | x^^2 >", "< x | x^ >",
+                     "< x, y | x*\u00e9 >", "< x, y | x-y >", "< x | (x^2 >", "< x | x >>",
+                     "< x, y, x | >", "< a ,b1,\n  b1 | a >", "< x, | x >", "< x y | >"):
+            assert outcome(parse_presentation, text) == outcome(reference_presentation, text)
+
+    def test_zero_exponents_add_no_runs(self):
+        # (x*y)^499990 has 999,980 runs: twenty more reach the bound, and the
+        # generators to the power 0 among them add none
+        text = "< x, y | (x*y)^499990" + "*x*x^0*y" * 10 + "*y^0" * 5 + " >"
+        assert len(parse_presentation(text).relators[0].runs) == RUN_LIMIT
+        assert parse_presentation(text) == reference_presentation(text)
+
+    def test_public_constructor_checks_what_parsing_trusts(self):
+        cases = [((("1bad",), ()), "invalid generator name '1bad'"),
+                 ((("x", "x"), ()), "duplicate generator name 'x'"),
+                 ((("x",), (Word.identity(1),)), "trivial relator at index 0: "
+                                                  "reduces to the identity"),
+                 ((("x",), (Word.identity(2),)), "relator 0 is not a word over this alphabet")]
+        for args, message in cases:
+            with pytest.raises(PresentationError) as exc:
+                FinitePresentation(*args)
+            assert str(exc.value) == message
+        pres = parse_presentation("< a, b1 | a^2 = b1^3 = (a*b1)^7 = 1 >")
+        built = FinitePresentation(pres.generators, pres.relators)
+        assert pres == built and pres.to_text() == built.to_text()
+        q = FiniteQuotient([(1, 0), (1, 0)])
+        sub = subgroup_presentation(parse_presentation("< x, y | x^2, y^2 >"), q)
+        assert sub == FinitePresentation(sub.generators, sub.relators)
 
 
 names_st = st.sampled_from([("x",), ("x", "y"), ("a", "b", "c")])
