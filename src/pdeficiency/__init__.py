@@ -23,7 +23,7 @@ _EXPORTS = {
         "standard_presentation", "volume",
     ), "fuchsian"),
     **dict.fromkeys((
-        "ChiEstimate", "GradientWindow", "SizeBound", "chi_p_estimate", "gradient_window",
+        "KernelSample", "KernelWindow", "SizeBound", "chi_p_estimate", "gradient_window",
         "find_power_witness", "p_size_bound",
     ), "invariants"),
     **dict.fromkeys((

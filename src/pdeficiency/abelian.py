@@ -141,39 +141,15 @@ class AbelianInvariants:
 
     @classmethod
     def from_cyclic_factors(cls, orders, rank: int = 0) -> "AbelianInvariants":
-        """Canonical chain of an arbitrary direct sum of cyclic groups."""
+        """Canonical chain of an arbitrary direct sum of cyclic groups: the
+        divisors above 1 of the Smith normal form of the diagonal matrix of
+        the orders."""
         orders = [int(e) for e in orders if int(e) != 1]
         if any(e < 1 for e in orders):
             raise ValueError("cyclic factor orders must be positive")
-        primes = set()
-        for e in orders:
-            primes.update(_prime_factors(e))
-        per_prime = {
-            p: sorted((nu_p_int(e, p) for e in orders if e % p == 0), reverse=True)
-            for p in primes
-        }
-        length = max((len(v) for v in per_prime.values()), default=0)
-        chain = []
-        for j in range(length):  # largest divisor first
-            d = 1
-            for p, exps in per_prime.items():
-                if j < len(exps):
-                    d *= p ** exps[j]
-            chain.append(d)
-        return cls(rank, tuple(reversed(chain)))
-
-
-def _prime_factors(n: int) -> set:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+        diag = smith_normal_form(IntMatrix(
+            [[e if i == j else 0 for j in range(len(orders))] for i, e in enumerate(orders)]))
+        return cls(rank, tuple(d for d in diag if d > 1))
 
 
 def exponent_columns(pres: FinitePresentation) -> list:

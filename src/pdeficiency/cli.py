@@ -8,8 +8,10 @@ A command computes its report once and returns it as ``(payload, lines)``:
 the JSON payload and the text lines formatted from the payload's values.
 ``main`` is the only renderer: it prints the JSON or the text, writes the
 JSON to -o FILE, and exits 1 when the payload says ``"all_passed": false``.
-``chi`` leaves its per-kernel samples out of the payload when no JSON is
-rendered, since the text names only the witness.
+``chi`` and ``gradient`` format their kernel samples with one helper,
+``_sample``; each sample carries its own description.  ``chi`` leaves its
+samples out of the payload when no JSON is rendered, since the text names
+only the witness.
 
 A ``pdef`` process runs one command, and compiling the modules of the
 others would cost more than a typical command takes.  So each handler
@@ -155,12 +157,21 @@ def _parse_quotient_spec(spec: str, generators) -> "FiniteQuotient":
     return FiniteQuotient(images)
 
 
-def _hom_cyclic(modulus: int, exps_text: str, generators) -> "FiniteQuotient":
+def _hom_int(text: str, field: str) -> int:
+    """One integer field of ``--hom-cyclic``; a bad one is named."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--hom-cyclic {field} must be an integer, got {text!r}") from None
+
+
+def _hom_cyclic(modulus_text: str, exps_text: str, generators) -> "FiniteQuotient":
     from .quotient import FiniteQuotient, check_degree
+    modulus = _hom_int(modulus_text, "order Q")
     if modulus < 2:
         raise ValueError("cyclic image order must be at least 2")
     check_degree(modulus)
-    exps = [int(t) for t in exps_text.split(",")]
+    exps = [_hom_int(t, f"exponent {i + 1}") for i, t in enumerate(exps_text.split(","))]
     if len(exps) != len(generators):
         raise ValueError(
             f"expected {len(generators)} exponents, got {len(exps)}"
@@ -177,8 +188,7 @@ def _quotient_from_args(args, pres) -> "FiniteQuotient":
     if args.quotient:
         return _parse_quotient_spec(args.quotient, pres.generators)
     if args.hom_cyclic:
-        modulus, exps = args.hom_cyclic
-        return _hom_cyclic(int(modulus), exps, pres.generators)
+        return _hom_cyclic(*args.hom_cyclic, pres.generators)
     raise ValueError("a quotient is required: --quotient or --hom-cyclic")
 
 
@@ -394,39 +404,37 @@ def _budget_note(exhausted: bool) -> str:
     return " (budget exhausted)" if exhausted else ""
 
 
+def _sample(s, key: str) -> dict:
+    """A kernel sample as ``chi`` and ``gradient`` report it, its value
+    under ``key``: exact rational text for a de_p, an int for a d_p."""
+    value = _rat(s.value) if isinstance(s.value, Fraction) else s.value
+    return {"index": s.index, key: value, "ratio": _rat(s.ratio),
+            "description": s.description}
+
+
 def cmd_chi(args):
     from .invariants import chi_p_estimate
-    from .quotient import describe_quotient
     pres = parse_presentation(args.presentation)
     est = chi_p_estimate(pres, args.prime, _load_catalog(args), _budget(args))
-    best = _rat(est.best_ratio)
-
-    def describe(sample):
-        q = sample.quotient
-        return "index 1" if q is None else describe_quotient(q, pres)
-
-    witness = describe(est.witness)
+    witness = est.best
+    best = _rat(witness.ratio)
     payload = {
         **_head(args, pres),
         "best_ratio": best,
         "witness": {
-            "index": est.witness.index,
-            "deficiency": _rat(est.witness.deficiency),
-            "description": witness,
+            "index": witness.index,
+            "deficiency": _rat(witness.value),
+            "description": witness.description,
         },
-        "subgroups_examined": est.subgroups_examined,
+        "subgroups_examined": len(est.samples),
         "exhausted": est.exhausted,
     }
     if _json_wanted(args):  # the text names only the witness
-        payload["samples"] = [
-            {"index": s.index, "deficiency": _rat(s.deficiency),
-             "ratio": _rat(s.ratio), "description": describe(s)}
-            for s in est.samples
-        ]
+        payload["samples"] = [_sample(s, "deficiency") for s in est.samples]
     lines = [
         f"presentation: {payload['presentation']}",
-        f"subgroups examined: {est.subgroups_examined}{_budget_note(est.exhausted)}",
-        f"best ratio de/index = {best} at index {est.witness.index} ({witness})",
+        f"subgroups examined: {len(est.samples)}{_budget_note(est.exhausted)}",
+        f"best ratio de/index = {best} at index {witness.index} ({witness.description})",
         f"-chi_{args.prime} >= {best}",
     ]
     return payload, lines
@@ -438,13 +446,9 @@ def cmd_gradient(args):
     window = gradient_window(pres, args.prime, _load_catalog(args), _budget(args))
     payload = {
         **_head(args, pres),
-        "samples": [
-            {"index": s.index, "d_p": s.d_p, "ratio": _rat(s.ratio),
-             "description": s.description}
-            for s in window.samples
-        ],
-        "min_ratio": _rat(window.min_ratio),
-        "max_ratio": _rat(window.max_ratio),
+        "samples": [_sample(s, "d_p") for s in window.samples],
+        "min_ratio": _rat(min(s.ratio for s in window.samples)),
+        "max_ratio": _rat(window.best.ratio),
         "exhausted": window.exhausted,
     }
     lines = [

@@ -14,6 +14,12 @@ with each kernel from the search's relator check, de_p is one integer
 over the largest p-power scale, and the Fox rows come from the group's
 cycle layout of each generator's image; ``verification`` keeps the
 table walks as their oracle.
+
+``chi`` and ``gradient`` examine the same kernels and differ only in the
+numerator: one search loop builds a ``KernelSample`` per kernel, holding
+its index, its de_p or d_p, the ratio to the index, and its quotient in
+``--quotient`` notation, and no ``FiniteQuotient``.  A ``PowerWitness``
+keeps its quotient, as the witness's certificate.
 """
 
 import math
@@ -275,26 +281,46 @@ def rank_f2(rows) -> int:
 
 
 @_record
-class ChiSample:
-    """One examined kernel; ``quotient`` is None for the whole group."""
+class KernelSample:
+    """One examined kernel: its index, its value (de_p, a Fraction, for
+    ``chi``; d_p, an int, for ``gradient``), value/index, and the quotient
+    in ``--quotient`` notation, or "index 1" for the whole group."""
 
     index: int
-    deficiency: Fraction
+    value: object
     ratio: Fraction
-    quotient: FiniteQuotient
+    description: str
 
 
 @_record
-class ChiEstimate:
-    """Certified lower bound for the negated p-Euler characteristic: the
-    best exact ratio de(subgroup presentation)/index over examined kernels.
-    """
+class KernelWindow:
+    """The whole group and every kernel that a search examined, in search
+    order.  ``best`` is the first sample of the largest ratio: for ``chi``
+    a certified lower bound for the negated p-Euler characteristic, for
+    ``gradient`` the top of the d_p/index window; the asymptotic gradients
+    are not computed, only this window is reported."""
 
-    best_ratio: Fraction
-    witness: ChiSample
-    subgroups_examined: int
-    exhausted: bool
     samples: tuple
+    exhausted: bool
+
+    @property
+    def best(self) -> KernelSample:
+        return max(self.samples, key=lambda s: s.ratio)
+
+
+def _kernel_window(pres, catalog, budget, whole, value) -> KernelWindow:
+    """The whole group's sample, valued ``whole``, then one sample per
+    nontrivial kernel of the search, valued ``value(q)``."""
+    if budget is None:
+        budget = SearchBudget()
+    samples = [KernelSample(1, whole, Fraction(whole), "index 1")]
+    for q in enumerate_quotients(pres, catalog, budget=budget):
+        if q.order == 1:
+            continue
+        v = value(q)  # an int or a Fraction: both have the two fields
+        samples.append(KernelSample(q.order, v, Fraction(v.numerator, v.denominator * q.order),
+                                    describe_quotient(q, pres)))
+    return KernelWindow(tuple(samples), budget.exhausted)
 
 
 def chi_p_estimate(
@@ -302,46 +328,18 @@ def chi_p_estimate(
     p: int,
     catalog: tuple = None,
     budget: SearchBudget = None,
-) -> ChiEstimate:
+) -> KernelWindow:
     """Enumerate kernels and maximize the exact deficiency/index ratio.
 
     The index-1 subgroup is always included, so the result is at least the
     presentation's own p-deficiency.
     """
     require_prime(p)
-    if budget is None:
-        budget = SearchBudget()
     de = p_deficiency(pres, p)
-    samples = [ChiSample(1, de, de, None)]
     roots = relator_roots(pres, p)
     top = max((root.scale for root in roots), default=1)
-    for q in enumerate_quotients(pres, catalog, budget=budget):
-        d = q.order
-        if d == 1:
-            continue
-        de_sub = deficiency_numerator(roots, q.leaf[3], d, pres.n_gens, top)
-        samples.append(ChiSample(d, Fraction(de_sub, top), Fraction(de_sub, top * d), q))
-    best = max(samples, key=lambda s: s.ratio)
-    return ChiEstimate(best.ratio, best, len(samples), budget.exhausted, tuple(samples))
-
-
-@_record
-class GradientSample:
-    index: int
-    d_p: int
-    ratio: Fraction
-    description: str
-
-
-@_record
-class GradientWindow:
-    """d_p(subgroup)/index over the examined finite window of kernels; the
-    asymptotic gradients are not computed, only this window is reported."""
-
-    samples: tuple
-    min_ratio: Fraction
-    max_ratio: Fraction
-    exhausted: bool
+    return _kernel_window(pres, catalog, budget, de, lambda q: Fraction(
+        deficiency_numerator(roots, q.leaf[3], q.order, pres.n_gens, top), top))
 
 
 def gradient_window(
@@ -349,21 +347,12 @@ def gradient_window(
     p: int,
     catalog: tuple = None,
     budget: SearchBudget = None,
-) -> GradientWindow:
+) -> KernelWindow:
+    """d_p(subgroup)/index over the whole group and the examined kernels."""
     require_prime(p)
-    if budget is None:
-        budget = SearchBudget()
     dp = d_p(abelian_invariants(pres), p)
-    samples = [GradientSample(1, dp, Fraction(dp), "index 1")]
     roots = relator_roots(pres, p)
-    for q in enumerate_quotients(pres, catalog, budget=budget):
-        if q.order == 1:
-            continue
-        dp_sub = leaf_d_p(roots, q, p)
-        samples.append(GradientSample(q.order, dp_sub, Fraction(dp_sub, q.order),
-                                      describe_quotient(q, pres)))
-    ratios = [s.ratio for s in samples]
-    return GradientWindow(tuple(samples), min(ratios), max(ratios), budget.exhausted)
+    return _kernel_window(pres, catalog, budget, dp, lambda q: leaf_d_p(roots, q, p))
 
 
 @_record

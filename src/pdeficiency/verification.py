@@ -11,7 +11,6 @@ so that no other command imports this module.
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import xor
@@ -66,7 +65,7 @@ from .quotient import (
 )
 from .rewrite import SchreierData, rewrite_word, schreier, subgroup_presentation
 from .words import (
-    Word, maximal_root, nu_p, nu_p_int, p_prime_part, p_prime_root, require_prime,
+    Word, _record, maximal_root, nu_p, nu_p_int, p_prime_part, p_prime_root, require_prime,
 )
 
 
@@ -84,7 +83,7 @@ def _rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
+@_record
 class CheckOutcome:
     name: str
     passed: bool
@@ -255,7 +254,7 @@ def kernel_deficiency(q: FiniteQuotient, terms) -> Fraction:
     return Fraction(q.order * (q.n_gens - 1)) - sum(term for _, term in terms)
 
 
-@dataclass(frozen=True)
+@_record
 class SupermultReport:
     index: int
     de_orig: Fraction
@@ -689,7 +688,7 @@ def kernel_construction(sig: FuchsianSignature, p: int, case: str):
     return act, singerman_transfer(sig, act)
 
 
-@dataclass(frozen=True)
+@_record
 class DpDropReport:
     """d_p before and after killing the given normal generators, and the
     count ell of generators that are not p-th powers in the free group;
@@ -1033,25 +1032,24 @@ def check_chi():
     est2 = chi_p_estimate(free2, 2, budget=SearchBudget(max_order=6, max_assignments=10_000))
     _ensure(all(s.ratio == 1 for s in est2.samples),
             "a free-group ratio differs from 1")
-    _ensure(est2.best_ratio == 1, f"best ratio {est2.best_ratio} != 1")
+    _ensure(est2.best.ratio == 1, f"best ratio {est2.best.ratio} != 1")
 
     surface = standard_presentation(FuchsianSignature(2))
     est_s = chi_p_estimate(surface, 2,
                            budget=SearchBudget(max_order=4, max_assignments=10_000))
     _ensure(est_s.samples[0].ratio == 2, "index-1 ratio is not 2")
     _ensure(all(s.ratio <= 2 for s in est_s.samples), "a surface ratio exceeds 2")
-    _ensure(est_s.best_ratio == 2, f"best surface ratio {est_s.best_ratio} != 2")
+    _ensure(est_s.best.ratio == 2, f"best surface ratio {est_s.best.ratio} != 2")
 
     q2 = FiniteQuotient(((1, 0), (0, 1)))
     free3 = subgroup_presentation(free2, q2)
     _ensure(free3.n_gens == 3 and not free3.relators, "index-2 kernel is not free of rank 3")
     est3 = chi_p_estimate(free3, 2, budget=SearchBudget(max_order=6, max_assignments=10_000))
-    _ensure(est3.best_ratio == 2 * est2.best_ratio, "multiplicativity failed")
-    return (f"free rank 2: all {est2.subgroups_examined} ratios = 1; genus 2: "
-            f"{est_s.subgroups_examined} ratios <= 2 with equality at index 1; "
+    _ensure(est3.best.ratio == 2 * est2.best.ratio, "multiplicativity failed")
+    return (f"free rank 2: all {len(est2.samples)} ratios = 1; genus 2: "
+            f"{len(est_s.samples)} ratios <= 2 with equality at index 1; "
             "index-2 kernel doubles the estimate",
-            {"free_samples": est2.subgroups_examined,
-             "surface_samples": est_s.subgroups_examined})
+            {"free_samples": len(est2.samples), "surface_samples": len(est_s.samples)})
 
 
 def check_power_witness():

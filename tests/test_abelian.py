@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,6 +23,30 @@ from pdeficiency.verification import (
     dense_abelian_invariants, det, exponent_matrix, upper_bound_de,
 )
 from pdeficiency.words import Valuation, Word, nu_p_int, require_prime
+
+
+def primary_chain(orders) -> tuple:
+    """The divisor chain of a direct sum of cyclic groups from its primary
+    parts, by trial division: the j-th largest divisor multiplies the j-th
+    largest power of each prime.  The oracle of the Smith normal form
+    route of ``AbelianInvariants.from_cyclic_factors``."""
+    powers = {}  # prime -> its exponents in the orders
+    for e in orders:
+        q = 2
+        while e > 1:
+            k = 0
+            while e % q == 0:
+                e //= q
+                k += 1
+            if k:
+                powers.setdefault(q, []).append(k)
+            q += 1
+    for ks in powers.values():
+        ks.sort(reverse=True)
+    length = max(map(len, powers.values()), default=0)
+    chain = [math.prod(q**ks[j] for q, ks in powers.items() if j < len(ks))
+             for j in range(length)]
+    return tuple(reversed(chain))
 
 
 def nu_p_vector(vec, p: int) -> Valuation:
@@ -269,6 +294,27 @@ class TestAbelianInvariants:
         assert AbelianInvariants.from_cyclic_factors((1, 1), rank=2) == AbelianInvariants(
             2, ()
         )
+
+    def test_from_cyclic_factors_matches_primary_parts(self):
+        rng = random.Random(26)
+        for _ in range(3000):
+            orders = [rng.randint(1, 200) for _ in range(rng.randint(0, 6))]
+            rank = rng.randint(0, 2)
+            assert AbelianInvariants.from_cyclic_factors(orders, rank) == AbelianInvariants(
+                rank, primary_chain(orders))
+
+    @pytest.mark.parametrize("big", [10**13 + 37, 2**127 - 1])
+    def test_from_cyclic_factors_large_prime(self, big):
+        # nothing is factored: trial division would take 0.3 s on 10^13 + 37
+        # and would not end on 2^127 - 1
+        assert AbelianInvariants.from_cyclic_factors((big,)) == AbelianInvariants(0, (big,))
+        assert AbelianInvariants.from_cyclic_factors((big, 4, 2 * big)) == AbelianInvariants(
+            0, (2 * big, 4 * big))
+
+    @pytest.mark.parametrize("orders", [(0,), (3, -2)])
+    def test_from_cyclic_factors_validation(self, orders):
+        with pytest.raises(ValueError, match="cyclic factor orders must be positive"):
+            AbelianInvariants.from_cyclic_factors(orders)
 
 
 class TestNuPVector:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from pdeficiency import cli, quotient, verification, words
+from pdeficiency import cli, invariants, verification, words
 from pdeficiency.cli import main
+from pdeficiency.invariants import chi_p_estimate
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
     SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
@@ -112,6 +113,36 @@ class TestSubgroup:
         code, _, err = run(capsys, "subgroup", "-p", "2", "< x | x^2 >")
         assert code == 1
         assert "quotient" in err
+
+    @pytest.mark.parametrize("order, exps, message", [
+        ("abc", "1", "--hom-cyclic order Q must be an integer, got 'abc'"),
+        ("2", "0,a", "--hom-cyclic exponent 2 must be an integer, got 'a'"),
+    ])
+    def test_hom_cyclic_not_an_integer(self, capsys, order, exps, message):
+        for command in ("subgroup", "psize"):
+            assert run(capsys, command, "-p", "2", "< x, y | x^2 >",
+                       "--hom-cyclic", order, exps) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("p, text", [
+        (2, "< x, y | x^2, y^5, (x*y)^5 >"),
+        (2, "< x, y | x^2, y^3, (x*y)^4 >"),
+        (2, "< x, y | x^6, y^12, (x*y)^12 >"),
+        (2, "< x, y | x^2, y^2 >"),
+        (3, "< x, y | x^3, y^3, (x*y)^3 >"),
+        (3, "< x, y | x^2*y^3 >"),
+    ])
+    def test_chi_descriptions_round_trip(self, capsys, p, text):
+        # each kernel's description is a --quotient that gives back its
+        # index and its de_p
+        pres = parse_presentation(text)
+        est = chi_p_estimate(pres, p, budget=SearchBudget(max_order=12))
+        assert len(est.samples) > 1
+        for s in est.samples[1:]:
+            code, out, _ = run(capsys, "subgroup", "-p", str(p), text,
+                               "--quotient", s.description, "--json")
+            report = json.loads(out)
+            assert code == 0 and report["index"] == s.index
+            assert Fraction(report["de_subgroup"]) == s.value
 
     def test_relators_must_die(self, capsys):
         code, _, err = run(
@@ -306,6 +337,19 @@ print(upper_bound_de.__module__)
 """
 
 
+def test_verify_loads_no_dataclasses():
+    """``verify`` builds its reports as records too: checking the estimates
+    imports neither ``dataclasses`` nor ``inspect``."""
+    proc = run_python("-c", """
+import contextlib, io, sys
+from pdeficiency import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--only", "chi"]) == 0
+print(*(m for m in ("dataclasses", "inspect") if m in sys.modules))
+""", timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
+
+
 def test_startup_loads_no_oracles():
     """Each command's start-up imports neither the oracles of
     ``verification`` nor ``dataclasses`` and the ``inspect`` it pulls in,
@@ -317,7 +361,8 @@ def test_startup_loads_no_oracles():
     assert proc.stdout == "\npdeficiency.verification\n"
 
 
-# Each module's names that the package exported before it became lazy.
+# Each module's names that the package exports: those it exported before it
+# became lazy, with the kernel-sample records renamed.
 PACKAGE_EXPORTS = {
     "abelian": ["AbelianInvariants", "IntMatrix", "abelian_invariants",
                 "abelian_p_deficiency_group", "abelian_p_deficiency_presentation", "d_p",
@@ -325,7 +370,7 @@ PACKAGE_EXPORTS = {
     "fuchsian": ["DeficiencyResult", "EllipticAction", "FuchsianSignature", "classify",
                  "de_exact", "de_standard", "de_upper", "parse_signature",
                  "singerman_transfer", "standard_presentation", "volume"],
-    "invariants": ["ChiEstimate", "GradientWindow", "SizeBound", "chi_p_estimate",
+    "invariants": ["KernelSample", "KernelWindow", "SizeBound", "chi_p_estimate",
                    "gradient_window", "find_power_witness", "p_size_bound"],
     "presentation": ["FinitePresentation", "ParseError", "PresentationError", "p_deficiency",
                      "parse_presentation", "parse_word", "power_up", "word_to_text"],
@@ -547,22 +592,23 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     assert code == 0 and out.startswith("presentation: < x | x^2 >\n")
 
 
-def test_chi_text_describes_only_the_witness(capsys, monkeypatch):
+def test_chi_describes_each_kernel_once(capsys, monkeypatch):
     described = []
 
     def counting(q, pres):
         described.append(q)
         return describe_quotient(q, pres)
 
-    # ``chi`` imports it from its home module when it runs
-    monkeypatch.setattr(quotient, "describe_quotient", counting)
+    # each sample is described once, as the search builds it; the report
+    # reads the witness's description off its sample
+    monkeypatch.setattr(invariants, "describe_quotient", counting)
     argv = ("chi", "-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "8")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "at index 3 (x:(1 2 3), y:(1 2 3))" in out
-    assert len(described) == 1
+    assert len(described) == 27
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and len(json.loads(out)["samples"]) == 28
-    assert len(described) == 1 + 1 + 27  # the witness, then every kernel
+    assert len(described) == 27 + 27
 
 
 PRIME_ARGV = [

@@ -16,7 +16,7 @@ from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
 )
 from pdeficiency.quotient import (
-    SearchBudget, enumerate_quotients, table_order,
+    FiniteQuotient, SearchBudget, describe_quotient, enumerate_quotients, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import (
@@ -98,12 +98,17 @@ class TestFoxMasks:
     reads off its ``powers`` against the table walks."""
 
     def check(self, pres, primes):
+        # a sample keeps no quotient: the search yields the same kernels in
+        # the same order, and each sample names its own
+        kernels = [q for q in enumerate_quotients(pres, budget=budget(12)) if q.order > 1]
         for p in primes:
             roots = relator_roots(pres, p)
-            for s in chi_p_estimate(pres, p, budget=budget(12)).samples[1:]:
-                q = s.quotient
+            samples = chi_p_estimate(pres, p, budget=budget(12)).samples[1:]
+            assert len(samples) == len(kernels)
+            for s, q in zip(samples, kernels):
+                assert (s.index, s.description) == (q.order, describe_quotient(q, pres))
                 de = kernel_deficiency(q, transfer_terms(roots, q))
-                assert s.deficiency == de and s.ratio == Fraction(de, s.index)
+                assert s.value == de and s.ratio == Fraction(de, s.index)
                 assert leaf_d_p(roots, q, p) == kernel_d_p(roots, q, p)
                 if p == 2:
                     # bit g*d + c of a mask is the parity of entry g*d + c of its row
@@ -135,9 +140,11 @@ class TestFoxMasks:
 class TestChiEstimate:
     def test_free_group_all_ratios_one(self):
         est = chi_p_estimate(FREE2, 2, budget=budget(6))
-        assert est.best_ratio == 1
+        assert est.best.ratio == 1
         assert all(s.ratio == 1 for s in est.samples)
-        assert est.subgroups_examined == len(est.samples)
+        assert est.best is est.samples[0]  # the first sample of the largest ratio
+        # the count examined: the whole group, then each kernel but the trivial one
+        assert len(est.samples) == len(list(enumerate_quotients(FREE2, budget=budget(6))))
         assert not est.exhausted
 
     def test_surface_group_capped_by_volume(self):
@@ -146,18 +153,18 @@ class TestChiEstimate:
         assert est.samples[0].index == 1
         assert est.samples[0].ratio == 2
         assert all(s.ratio <= volume(FuchsianSignature(2)) for s in est.samples)
-        assert est.best_ratio == 2
+        assert est.best.ratio == 2
 
     def test_zero_deficiency_example(self):
         pres = parse_presentation("< x,y,z | x^2,y^4,z^4,x*y*z >")
         est = chi_p_estimate(pres, 2, budget=budget(4))
-        assert est.best_ratio >= 0
+        assert est.best.ratio >= 0
 
     def test_monotone_in_budget(self):
         pres = parse_presentation("< x, y | x^2, y^2 >")
         small = chi_p_estimate(pres, 2, budget=budget(2))
         large = chi_p_estimate(pres, 2, budget=budget(8))
-        assert large.best_ratio >= small.best_ratio
+        assert large.best.ratio >= small.best.ratio
 
     def test_exhaustion_reported(self):
         est = chi_p_estimate(FREE2, 2, budget=SearchBudget(max_order=6, max_assignments=5))
@@ -169,17 +176,29 @@ class TestGradientWindow:
         window = gradient_window(FREE2, 2, budget=budget(6))
         for s in window.samples:
             # a free subgroup of index n has rank 1 + n
-            assert s.d_p == 1 + s.index if s.index > 1 else s.d_p == 2
+            assert s.value == 1 + s.index if s.index > 1 else s.value == 2
             if s.index > 1:
                 assert s.ratio == Fraction(s.index + 1, s.index)
-        assert window.max_ratio == 2  # the index-1 sample: d_2(F_2) = 2
+        assert window.best.ratio == 2  # the index-1 sample: d_2(F_2) = 2
 
     def test_dihedral_kernel(self):
         dinf = parse_presentation("< x, y | x^2, y^2 >")
         window = gradient_window(dinf, 2, budget=budget(2))
         # the kernel generated by xy is infinite cyclic: d_2 = 1 at index 2
-        assert any(s.index == 2 and s.d_p == 1 and s.ratio == Fraction(1, 2)
+        assert any(s.index == 2 and s.value == 1 and s.ratio == Fraction(1, 2)
                    for s in window.samples)
+
+
+@pytest.mark.parametrize("search", [chi_p_estimate, gradient_window])
+def test_samples_keep_no_quotient(search):
+    """A sample names its kernel's quotient in text and keeps no
+    ``FiniteQuotient``; only a ``PowerWitness`` holds one, as its
+    certificate."""
+    window = search(parse_presentation("< x, y | x^2, y^3 >"), 2, budget=budget(12))
+    assert len(window.samples) > 3
+    for s in window.samples:
+        assert not any(isinstance(v, FiniteQuotient) for v in s)
+        assert type(s.description) is str
 
 
 class TestQuotientDpDrop:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdeficiency import abelian, fuchsian, invariants, rewrite, words
-from pdeficiency.presentation import parse_word
+from pdeficiency import abelian, fuchsian, invariants, rewrite, verification, words
+from pdeficiency.presentation import p_deficiency, parse_presentation, parse_word
+from pdeficiency.quotient import SearchBudget
 from pdeficiency.verification import word_from_letters, word_letters
 from pdeficiency.words import (
     PRIME_LIMIT,
@@ -602,18 +603,49 @@ class TestIsPrime:
 RECORDS = (
     words.Valuation, words.RootDecomposition, abelian.AbelianInvariants,
     fuchsian.DeficiencyResult, fuchsian.EllipticAction, invariants.RelatorRoot,
-    invariants.RelatorContribution, invariants.SizeBound, invariants.ChiSample,
-    invariants.ChiEstimate, invariants.GradientSample, invariants.GradientWindow,
-    invariants.PowerWitness, rewrite.SchreierData,
+    invariants.RelatorContribution, invariants.SizeBound, invariants.KernelSample,
+    invariants.KernelWindow, invariants.PowerWitness, rewrite.SchreierData,
+    verification.CheckOutcome, verification.SupermultReport, verification.DpDropReport,
 )
 
 
+def _made(cls):
+    """A record built from its field positions, with those as its tuple."""
+    values = tuple(range(len(cls._fields)))
+    return cls._make(values), values
+
+
+def _kernel_records():
+    """The records that ``chi`` and ``gradient`` return, each paired with
+    the tuple it must be: the whole group's sample is computed here
+    independently of the search, and a window is its samples and its
+    exhaustion flag."""
+    pres = parse_presentation("< x, y | x^2, y^3 >")
+    chi = invariants.chi_p_estimate(pres, 2, budget=SearchBudget(max_order=6))
+    gradient = invariants.gradient_window(pres, 2, budget=SearchBudget(max_order=6))
+    de = p_deficiency(pres, 2)
+    dp = abelian.d_p(abelian.abelian_invariants(pres), 2)
+    return {
+        "ChiSample": (chi.samples[0], (1, de, de, "index 1")),
+        "ChiEstimate": (chi, (chi.samples, False)),
+        "GradientSample": (gradient.samples[0], (1, dp, Fraction(dp), "index 1")),
+        "GradientWindow": (gradient, (gradient.samples, False)),
+    }
+
+
+# every record class built from its field positions, then the kernel
+# samples and windows as the chi and gradient searches build them
+FROZEN = [pytest.param(lambda cls=cls: _made(cls), id=cls.__name__) for cls in RECORDS] + [
+    pytest.param(lambda role=role: _kernel_records()[role], id=role)
+    for role in ("ChiSample", "ChiEstimate", "GradientSample", "GradientWindow")
+]
+
+
 class TestRecords:
-    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-    def test_frozen(self, cls):
-        values = tuple(range(len(cls._fields)))
-        rec = cls._make(values)
-        for name in cls._fields:
+    @pytest.mark.parametrize("make", FROZEN)
+    def test_frozen(self, make):
+        rec, values = make()
+        for name in rec._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, -1)
         with pytest.raises(AttributeError):
@@ -629,6 +661,6 @@ class TestRecords:
         assert v == Valuation(k=3) == (3,) and repr(v) == "Valuation(k=3)"
         assert not v.is_infinite and v.weight(2) == Fraction(1, 8)
         assert len(Valuation.infinite()) == 1 and Valuation.infinite().weight(2) == 0
-        sample = invariants.GradientSample(4, 2, Fraction(1, 2), "C4")
+        sample = invariants.KernelSample(4, 2, Fraction(1, 2), "C4")
         assert list(sample) == [4, 2, Fraction(1, 2), "C4"]
         assert sample.index == 4
