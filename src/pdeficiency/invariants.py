@@ -310,15 +310,16 @@ class KernelWindow:
 
 def _kernel_window(pres, catalog, budget, whole, value) -> KernelWindow:
     """The whole group's sample, valued ``whole``, then one sample per
-    nontrivial kernel of the search, valued ``value(q)``."""
+    nontrivial kernel of the search, of index d, valued ``value(q, d)``."""
     if budget is None:
         budget = SearchBudget()
     samples = [KernelSample(1, whole, Fraction(whole), "index 1")]
     for q in enumerate_quotients(pres, catalog, budget=budget):
-        if q.order == 1:
+        d = len(q.leaf[2])  # the closure's length, the kernel's index
+        if d == 1:
             continue
-        v = value(q)  # an int or a Fraction: both have the two fields
-        samples.append(KernelSample(q.order, v, Fraction(v.numerator, v.denominator * q.order),
+        v = value(q, d)  # an int or a Fraction: both have the two fields
+        samples.append(KernelSample(d, v, Fraction(v.numerator, v.denominator * d),
                                     describe_quotient(q, pres)))
     return KernelWindow(tuple(samples), budget.exhausted)
 
@@ -338,8 +339,8 @@ def chi_p_estimate(
     de = p_deficiency(pres, p)
     roots = relator_roots(pres, p)
     top = max((root.scale for root in roots), default=1)
-    return _kernel_window(pres, catalog, budget, de, lambda q: Fraction(
-        deficiency_numerator(roots, q.leaf[3], q.order, pres.n_gens, top), top))
+    return _kernel_window(pres, catalog, budget, de, lambda q, d: Fraction(
+        deficiency_numerator(roots, q.leaf[3], d, pres.n_gens, top), top))
 
 
 def gradient_window(
@@ -352,7 +353,7 @@ def gradient_window(
     require_prime(p)
     dp = d_p(abelian_invariants(pres), p)
     roots = relator_roots(pres, p)
-    return _kernel_window(pres, catalog, budget, dp, lambda q: leaf_d_p(roots, q, p))
+    return _kernel_window(pres, catalog, budget, dp, lambda q, d: leaf_d_p(roots, q, p))
 
 
 @_record

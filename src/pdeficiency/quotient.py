@@ -8,17 +8,21 @@ A quotient's coset table is its regular tables, and ``_cycle_layout``
 lays out the cycles of each table that is walked, all of one length, the
 order of the generator's image.  A catalog is a tuple of ``CatalogGroup``s;
 a catalog group is the quotient onto itself by its generators, and it
-also caches its multiplication table and powers, its automorphisms, the
-cycle text of each element and the cycle layout of right multiplication
-by each.  The search's ``SearchBudget`` is its only order cap: it skips
-every group above ``budget.max_order``, without closing a manifest group
-whose generators' orders have their lcm above it, and refuses one within
-it above ``SEARCH_ORDER_LIMIT`` before building its tables.  The search
-checks each relator r = c*u^m*c^-1 by the order k of the image of
-v = c*u*c^-1, which divides m exactly when r is killed.  A quotient that
-the search yields keeps its group, image indices, closure and those
-orders as its ``leaf``, so that the kernel invariants and the
-description of each one read those caches, not a new coset table.
+also caches its multiplication table and powers, its automorphisms with
+two bitmasks of them per element, the cycle text of each element and the
+cycle layout of right multiplication by each.  The search's
+``SearchBudget`` is its only order cap: it skips every group above
+``budget.max_order``, without closing a manifest group whose generators'
+orders have their lcm above it, and refuses one within it above
+``SEARCH_ORDER_LIMIT`` before building its tables.  The search checks
+each relator r = c*u^m*c^-1 by the order k of the image of v = c*u*c^-1,
+which divides m exactly when r is killed, prunes by automorphisms with
+two ANDs of bitmasks per node, charges its budget by the rank of its
+position in assignment order, and deduplicates kernels on their tables
+as bytes.  A quotient that the search yields keeps its group, image
+indices, closure and those orders as its ``leaf``, so that the kernel
+invariants and the description of each one read those caches, not a new
+coset table.
 """
 
 import math
@@ -473,6 +477,23 @@ class CatalogGroup(FiniteQuotient):
         extend({0: 0}, ())
         return tuple(found)
 
+    @cached_property
+    def automorphism_masks(self) -> tuple:
+        """``(fix, lower)``, two int bitmasks per element index x over the
+        indices of ``automorphisms``: bit i of ``fix[x]`` is set when
+        automorphism i fixes x, and bit i of ``lower[x]`` when it takes x
+        to a smaller index.  Built on the first search that reaches the
+        group."""
+        if not self.automorphisms:
+            return (0,) * self.order, (0,) * self.order
+        fix, lower = [], []
+        # column x lists the image of x under each automorphism, the last
+        # first, so that automorphism i is bit i of the binary text
+        for x, column in enumerate(zip(*reversed(self.automorphisms))):
+            fix.append(int("".join(["1" if y == x else "0" for y in column]), 2))
+            lower.append(int("".join(["1" if y < x else "0" for y in column]), 2))
+        return tuple(fix), tuple(lower)
+
 
 def _bfs_steps(tables) -> list:
     """``(h, g)`` for each element i > 0 of the breadth-first numbering of
@@ -600,7 +621,8 @@ def _split_perm_list(text: str) -> list:
 class SearchBudget:
     """Caps for the homomorphism search: ``max_order``, its only cap on the
     order of a catalog group, and ``max_assignments``; exhaustion is
-    reported, not fatal."""
+    reported, not fatal.  ``enumerate_quotients`` keeps its count by rank
+    and writes it back; ``spend`` charges as the brute force goes."""
 
     __slots__ = ("max_order", "max_assignments", "assignments_used", "exhausted")
 
@@ -637,23 +659,6 @@ def _kills(checks, images, mul, powers, ks) -> bool:
     return True
 
 
-def _closure(mul, images) -> tuple:
-    """Breadth-first closure of the images from the identity, numbered as
-    ``FiniteQuotient.elements`` numbers it, and the regular tables in that
-    numbering: the same ``(order, tables)`` as ``FiniteQuotient.kernel_key``."""
-    order = [0]
-    number = {0: 0}
-    for h in order:
-        row = mul[h]
-        for a in images:
-            x = row[a]
-            if x not in number:
-                number[x] = len(order)
-                order.append(x)
-    tables = tuple(tuple(number[mul[h][a]] for h in order) for a in images)
-    return order, tables
-
-
 def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                         budget: SearchBudget = None):
     """Yield quotients of pres over the catalog groups of order at most
@@ -675,18 +680,33 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     prefix of images that an automorphism α of the group takes to an
     earlier prefix: for every assignment φ below it, α∘φ has the same
     kernel and comes earlier, so the first assignment of each kernel is
-    never cut.  Two assignments are the same kernel exactly when their
-    regular coset tables agree after breadth-first relabeling, so the
-    deduplication is exact.  Each quotient's ``leaf`` carries the k of
-    every relator, all taken at its assignment.  Order of results is
-    deterministic: catalog order, then assignment order over each group's
-    element list.
+    never cut.  The search keeps, per depth, the automorphisms that fix the
+    prefix above it as a bitmask over ``grp.automorphisms``; image x is cut
+    when that mask meets ``lower[x]`` of ``grp.automorphism_masks``, and
+    the next depth's mask is its meet with ``fix[x]``.  Each quotient's
+    ``leaf`` carries the k of every relator, all taken at its assignment.
+    Order of results is deterministic: catalog order, then assignment order
+    over each group's element list.
+
+    Two assignments are the same kernel exactly when their regular coset
+    tables agree after breadth-first relabeling.  One breadth-first pass
+    from the identity numbers the image's elements and writes the
+    relabelled tables, interleaved, into one flat list; the kernel is keyed
+    by that list as bytes, one byte an entry when the image has order at
+    most 256, and above that the high bytes of all entries and then their
+    low bytes.  The key is injective, so the deduplication is
+    exact, and the tuple tables are built only for a new kernel.
 
     ``budget.max_assignments`` counts full assignments: each one reached
     costs 1 and a cut subtree, by a relator or an automorphism, costs the
-    number of full assignments below it, capped at what is left.  So
-    ``assignments_used``, ``exhausted`` and the quotients yielded are those
-    of trying every assignment in turn.
+    number of full assignments below it, so the assignments used are the
+    rank of the search's position in assignment order.  The search keeps
+    that rank, writes it to ``budget.assignments_used`` before each yield
+    and at the end of each group, and exhausts at the first cut or
+    assignment whose subtree passes ``max_assignments``, charging what was
+    left.  So ``assignments_used`` and ``exhausted``, after each yield and
+    at the end, and the quotients yielded are those of trying every
+    assignment in turn.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -705,6 +725,8 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
         runs = rd.power(1).runs
         checks[max(g for g, _ in runs)].append((i, runs, rd.exponent))
     ks = [0] * len(pres.relators)
+    last = n - 1
+    stop = budget.max_assignments
     seen = set()
     for grp in catalog:
         # the order of each generator divides the group's order, so a group
@@ -719,42 +741,60 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                              f"above the search limit {SEARCH_ORDER_LIMIT}")
         elements = grp.elements
         mul, powers = grp.search_tables
+        fix, lower = grp.automorphism_masks
         leaves = [size ** (n - 1 - k) for k in range(n)]
-        # fixing[k]: the automorphisms that fix images[:k]
-        fixing = [grp.automorphisms] * n
+        # stabs[k]: the automorphisms that fix images[:k], as a mask
+        stabs = [(1 << len(grp.automorphisms)) - 1] * n
         images = [0] * n
+        # the rank after the current position: every full assignment
+        # before it or below it, cut or tried
+        used = budget.assignments_used
         k = 0
         while k >= 0:
-            if images[k] == size:  # every element tried at depth k: back up
+            x = images[k]
+            if x == size:  # every element tried at depth k: back up
                 k -= 1
                 if k >= 0:
                     images[k] += 1
                 continue
-            x = images[k]
-            fixed = []
-            for a in fixing[k]:
-                y = a[x]
-                if y == x:
-                    fixed.append(a)
-                elif y < x:  # a takes this prefix to an earlier one
-                    fixed = None
-                    break
-            if fixed is None or not _kills(checks[k], images, mul, powers, ks):
-                if not budget.spend(leaves[k]):
-                    return
-            elif k < n - 1:
+            stab = stabs[k]
+            cut = stab & lower[x] or checks[k] and not _kills(checks[k], images, mul, powers, ks)
+            if not cut and k < last:
                 k += 1
-                fixing[k] = fixed
+                stabs[k] = stab & fix[x]
                 images[k] = 0
                 continue
-            else:
-                if not budget.spend():
-                    return
-                order, tables = _closure(mul, images)
-                key = (len(order), tables)
+            used += leaves[k]
+            if used > stop:  # charge what was left of the budget
+                budget.assignments_used = max(used - leaves[k], stop)
+                budget.exhausted = True
+                return
+            if not cut:
+                # one breadth-first pass numbers the image's elements and
+                # writes each one times each generator, renumbered, to flat
+                order = [0]
+                number = {0: 0}
+                flat = []
+                for h in order:
+                    row = mul[h]
+                    for a in images:
+                        y = row[a]
+                        i = number.get(y)
+                        if i is None:
+                            i = number[y] = len(order)
+                            order.append(y)
+                        flat.append(i)
+                if len(order) <= 256:
+                    key = bytes(flat)
+                else:  # the high bytes, then the low bytes
+                    key = bytes([i >> 8 for i in flat]) + bytes([i & 255 for i in flat])
                 if key not in seen:
                     seen.add(key)
                     indices = tuple(images)
-                    yield FiniteQuotient._make(tuple([elements[a] for a in indices]),
-                                               tables, (grp, indices, order, ks[:]))
+                    budget.assignments_used = used
+                    yield FiniteQuotient._make(
+                        tuple([elements[a] for a in indices]),
+                        tuple([tuple(flat[g::n]) for g in range(n)]),
+                        (grp, indices, order, ks[:]))
             images[k] += 1
+        budget.assignments_used = used

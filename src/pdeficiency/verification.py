@@ -499,22 +499,28 @@ def brute_force_quotients(pres, catalog=None, *, budget=None):
 def search_agrees(pres, catalog, max_order, max_assignments) -> int:
     """Run ``enumerate_quotients`` and the brute force with equal budgets;
     raise ``CheckFailure`` unless they yield the same images, element
-    lists and regular tables and leave the budgets equal.  Returns the
-    assignments used."""
+    lists and regular tables, and leave the budgets equal after every
+    yield and at the end.  Returns the assignments used."""
     runs = []
     for search in (enumerate_quotients, brute_force_quotients):
         budget = SearchBudget(max_order, max_assignments)
-        found = [(q.images, q.elements, q.tables)
-                 for q in search(pres, catalog, budget=budget)]
-        runs.append((found, budget.assignments_used, budget.exhausted))
-    (fast, used, exhausted), (slow, used_bf, exhausted_bf) = runs
+        found, states = [], []
+        for q in search(pres, catalog, budget=budget):
+            found.append((q.images, q.elements, q.tables))
+            states.append((budget.assignments_used, budget.exhausted))
+        states.append((budget.assignments_used, budget.exhausted))
+        runs.append((found, states))
+    (fast, states), (slow, states_bf) = runs
     _ensure(fast == slow,
             f"{pres.to_text()}, budget {max_assignments}: {len(fast)} quotients "
             f"from the search, {len(slow)} from the brute force, or they differ")
-    _ensure((used, exhausted) == (used_bf, exhausted_bf),
-            f"{pres.to_text()}, budget {max_assignments}: search used {used} "
-            f"(exhausted {exhausted}), brute force {used_bf} (exhausted {exhausted_bf})")
-    return used
+    for i, (state, state_bf) in enumerate(zip(states, states_bf)):
+        where = "at the end" if i == len(fast) else f"after yield {i}"
+        _ensure(state == state_bf,
+                f"{pres.to_text()}, budget {max_assignments}, {where}: search used "
+                f"{state[0]} (exhausted {state[1]}), brute force {state_bf[0]} "
+                f"(exhausted {state_bf[1]})")
+    return states[-1][0]
 
 
 def det(mat: IntMatrix) -> int:
@@ -1103,9 +1109,10 @@ def check_dp_drop():
 
 def check_search():
     """The table search yields the same quotients, in the same order, and
-    leaves the budget as the brute-force search does: on random
-    presentations with and without relators, at the full and at a random
-    budget, and at every budget of one small case.  Presentations on one
+    leaves the budget as the brute-force search does, after every quotient
+    and at the end: on random presentations with and without relators, at
+    the full and at a random budget, and at every budget of two small
+    cases, on two and on three generators.  Presentations on one
     or two generators search up to order 12, so that the automorphism cuts
     of D4, C3xC3, D5 and A4 (up to 48 automorphisms) meet the oracle too."""
     rng = random.Random(0x5EED0D)
@@ -1122,15 +1129,22 @@ def check_search():
         wide += max_order == 12
         full = search_agrees(pres, catalog, max_order, 10**6)
         search_agrees(pres, catalog, max_order, rng.randint(0, full))
-    small = parse_presentation("< x, y | x^2, y^3 >")
-    full = search_agrees(small, catalog, 4, 10**6)
-    for max_assignments in range(full + 1):
-        search_agrees(small, catalog, 4, max_assignments)
+    # the relators of the second case cut at every depth, so a cut below
+    # the top charges its subtree from the middle of the assignment order
+    cases = ("< x, y | x^2, y^3 >", "< a, b, c | a^2, b^2, (a*b*c)^2 >")
+    budgets = []
+    for text in cases:
+        small = parse_presentation(text)
+        full = search_agrees(small, catalog, 4, 10**6)
+        for max_assignments in range(full + 1):
+            search_agrees(small, catalog, 4, max_assignments)
+        budgets.append(full + 1)
     return (f"{presentations} random presentations at two budgets ({wide} of them "
-            f"up to order 12) and {small.to_text()} at all {full + 1} budgets up to "
-            f"its {full} assignments: same quotients and budget state as the brute force",
+            f"up to order 12), {cases[0]} at all {budgets[0]} budgets and {cases[1]} at "
+            f"all {budgets[1]} budgets: same quotients and budget state after every "
+            f"quotient as the brute force",
             {"presentations": presentations, "up_to_order_12": wide,
-             "small_budgets": full + 1})
+             "small_budgets": budgets[0], "three_generator_budgets": budgets[1]})
 
 
 def _psl27() -> tuple:

@@ -304,6 +304,18 @@ class TestEnumerate:
         with pytest.raises(CheckFailure, match="differ"):
             search_agrees(parse_presentation("< x, y | >"), catalog, 6, 10**6)
 
+    def test_brute_force_sees_the_budget_at_each_yield(self, monkeypatch):
+        # a search that writes its budget back only at the end yields the
+        # same quotients and ends in the same state, yet a caller that
+        # stops at a quotient, as witness does, would read a wrong budget
+        def buffered(pres, catalog, *, budget):
+            yield from list(enumerate_quotients(pres, catalog, budget=budget))
+
+        monkeypatch.setattr(verification, "enumerate_quotients", buffered)
+        catalog = parse_catalog_manifest(self.MANIFEST)
+        with pytest.raises(CheckFailure, match="after yield 0: search used"):
+            search_agrees(parse_presentation("< x, y | >"), catalog, 6, 10**6)
+
     @pytest.mark.parametrize("manifest", [False, True], ids=["default", "manifest"])
     def test_yielded_quotients_match_checked_ones(self, manifest):
         # the search builds its quotients unchecked, with the tables and
@@ -345,9 +357,25 @@ class TestEnumerate:
         for g in default_catalog():
             assert "search_tables" not in vars(g)
             assert "automorphisms" not in vars(g)
+            assert "automorphism_masks" not in vars(g)
             assert "cycle_texts" not in vars(g)
             assert "_element_layouts" not in vars(g)
             assert g._layouts is None
+
+    def test_orders_above_256_deduplicate_on_two_byte_keys(self):
+        # a kernel of order above 256 is keyed by two bytes an entry; the
+        # second group repeats every kernel of the first, so only the
+        # dedup keeps the 18 kernels, one per divisor of 300
+        cycle = " ".join(map(str, range(1, 301)))
+        catalog = parse_catalog_manifest(f"C300 300 ({cycle})\nC300b 300 ({cycle})")
+        pres = parse_presentation("< x | >")
+        found = list(enumerate_quotients(pres, catalog, budget=SearchBudget(300)))
+        slow = list(verification.brute_force_quotients(pres, catalog,
+                                                       budget=SearchBudget(300)))
+        assert len(found) == len(slow) == 18
+        assert sorted(q.order for q in found) == [
+            d for d in range(1, 301) if 300 % d == 0]
+        assert [(q.images, q.tables) for q in found] == [(q.images, q.tables) for q in slow]
 
     def test_catalog_built_once(self):
         assert default_catalog() is default_catalog()
@@ -456,10 +484,25 @@ class TestAutomorphisms:
             assert all(mul[a[x]][a[y]] == a[mul[x][y]]
                        for x in range(size) for y in range(size))
 
+    def test_masks(self, grp):
+        assert_masks(grp)
+
+
+def assert_masks(grp):
+    """Bit i of ``fix[x]`` and of ``lower[x]`` say whether automorphism i
+    fixes x and whether it takes x lower, checked element by element."""
+    fix, lower = grp.automorphism_masks
+    assert len(fix) == len(lower) == grp.order
+    for x in range(grp.order):
+        for i, a in enumerate(grp.automorphisms):
+            assert (fix[x] >> i & 1, lower[x] >> i & 1) == (a[x] == x, a[x] < x)
+        assert fix[x] >> len(grp.automorphisms) == lower[x] >> len(grp.automorphisms) == 0
+
 
 @pytest.mark.parametrize("line, least", [
     ("E32 10 (1 2) (3 4) (5 6) (7 8) (9 10)", 500),  # 9,999,360 in all
     ("K 4 (1 2)(3 4) (1 2)(3 4) (1 3)(2 4)", 5),     # a generator repeated
+    ("T 1 ()", 0),                                   # no automorphism but 1
 ])
 def test_manifest_automorphisms(line, least):
     """Images are extended one generator at a time, so a group with many
@@ -472,6 +515,7 @@ def test_manifest_automorphisms(line, least):
     for a in grp.automorphisms:
         assert sorted(a) == list(range(size)) and a != tuple(range(size))
         assert all(mul[a[x]][a[y]] == a[mul[x][y]] for x in range(size) for y in range(size))
+    assert_masks(grp)
 
 
 class TestCatalog:
