@@ -274,33 +274,3 @@ def d_p(inv: AbelianInvariants, p: int) -> int:
     """Dimension over F_p of G / (commutators and p-th powers)."""
     require_prime(p)
     return inv.rank + sum(1 for d in inv.divisors if d % p == 0)
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of a sparse integer matrix given as one
-    ``{column: entry}`` dict per row.
-
-    Each row is reduced by the pivot rows at its leading (smallest) column
-    until it vanishes or leads at a new column, where it becomes a pivot
-    row, kept with the inverse of its leading entry rather than scaled by
-    it.  A pivot row has no entries left of its leading column, so each
-    reduction step only moves the lead to the right.
-    """
-    pivots = {}  # leading column -> (pivot row, inverse of its leading entry)
-    for row in rows:
-        row = {c: x % p for c, x in row.items() if x % p}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (row, pow(row[lead], -1, p))
-                break
-            pivot_row, inv = pivot
-            f = row[lead] * inv % p
-            for c, x in pivot_row.items():
-                y = (row.get(c, 0) - f * x) % p
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-    return len(pivots)

@@ -12,8 +12,9 @@ the de_p that ``subgroup`` prints.  The searches read their
 kernels off the catalog group that the search holds them in: k comes
 with each kernel from the search's relator check, de_p is one integer
 over the largest p-power scale, and the Fox rows come from the group's
-cycle layout of each generator's image; ``verification`` keeps the
-table walks as their oracle.
+cycle layout of each generator's image, one int a row at every prime, a
+slot of bits per column, ranked by one elimination; ``verification``
+keeps the table walks and a dict elimination as their oracle.
 
 ``chi`` and ``gradient`` examine the same kernels and differ only in the
 numerator: one search loop builds a ``KernelSample`` per kernel, holding
@@ -24,8 +25,9 @@ keeps its quotient, as the witness's certificate.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .abelian import abelian_invariants, d_p, rank_mod_p
+from .abelian import abelian_invariants, d_p
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import (
     FiniteQuotient,
@@ -178,34 +180,33 @@ def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
     range of L columns, L the order of a.  A run g^e from the element at
     offset i of its cycle crosses the whole range |e| // L times, then the
     arc of |e| % L edges forward from i for e > 0, backward for e < 0; it
-    ends at offset (i + e) % L.  At p = 2 each row is one int, a bit per
-    column: a run toggles the range when |e| // L is odd, then its arc,
-    shifted and rotated within the range, and the rank is XOR elimination.
-    At odd p the rows are dicts of signed counts and the rank is
-    ``rank_mod_p``.  ``verification.kernel_d_p`` walks the coset table for
-    the same value."""
+    ends at offset (i + e) % L.  Each row is one int with a slot of W bits
+    per column (``slot_layout``), and its rank is ``packed_rank``.  Each of
+    the k walks of v in a row adds less than 2p to a column per run, so no
+    entry passes (p - 1)*2*k*|runs| before the rank reduces it, nor
+    p*(p - 1) after.
+    ``verification.kernel_d_p`` walks the coset table for the same value."""
     grp, images, order, ks = q.leaf
     size, d = grp.order, len(order)
+    live = [(root, k) for root, k in zip(roots, ks) if root.exponent // k % p]
+    bound = (p - 1) * max([p] + [2 * k * len(root.runs) for root, k in live])
+    width = slot_layout(p, bound)[0]
     rows = []
-    for root, k in zip(roots, ks):
-        if not root.exponent // k % p:
-            continue
+    for root, k in live:
         # per run g^e: the layout of g's image, g's first column, e
         steps = [(*grp.cycle_layout(images[g]), g * size, e) for g, e in root.runs]
-        rows += _f2_rows(steps, order, size) if p == 2 else _dict_rows(steps, order, size)
-    rank = rank_f2(rows) if p == 2 else rank_mod_p(rows, p)
-    return d * len(images) - d + 1 - rank
+        rows += _fox_rows(steps, order, size, p, width)
+    return d * len(images) - d + 1 - packed_rank(rows, p, bound)
 
 
-def _f2_rows(steps, order, size) -> list:
-    """The rows of ``leaf_d_p`` mod 2 from the runs' ``steps``, one per orbit
-    of the walk on ``order``."""
-    runs = []
-    for length, cols, place, base, e in steps:
-        full, rest = divmod(abs(e), length)
-        whole = (1 << length) - 1
-        runs.append((cols, place, length, base, whole, whole if full & 1 else 0,
-                     (1 << rest) - 1, e % length, e > 0))
+def _fox_rows(steps, order, size: int, p: int, width: int) -> list:
+    """The rows of ``leaf_d_p`` from the runs' ``steps``, one per orbit of
+    the walk on ``order``, ``width`` bits a column: a run from offset i of
+    its cycle adds its ``_run_pattern`` rotated to i, shifted to the
+    cycle's range."""
+    odd = p > 2
+    runs = [(cols, place, length, base * width, *_run_pattern(length, e, p, width))
+            for length, cols, place, base, e in steps]
     rows = []
     seen = bytearray(size)
     for start in order:
@@ -215,65 +216,100 @@ def _f2_rows(steps, order, size) -> list:
         c = start
         while not seen[c]:
             seen[c] = 1
-            for cols, place, length, base, whole, turn, arc, shift, forward in runs:
+            for cols, place, length, base, doubled, whole, drops, ends in runs:
                 i = place[c]
                 off = i % length
                 i -= off
-                end = (off + shift) % length
-                bits = arc << (off if forward else end)  # wraps past bit L - 1
-                row ^= ((bits & whole) ^ (bits >> length) ^ turn) << (base + i)
-                c = cols[i + end]
+                piece = (doubled >> drops[off] & whole) << base + i * width
+                if odd:
+                    row += piece
+                else:
+                    row ^= piece
+                c = cols[i + ends[off]]
         rows.append(row)
     return rows
 
 
-def _dict_rows(steps, order, size) -> list:
-    """The rows of ``leaf_d_p`` as ``{column: signed count}`` from the runs'
-    ``steps``, one per orbit of the walk on ``order``."""
-    runs = []
-    for length, cols, place, base, e in steps:
-        full, rest = divmod(abs(e), length)
-        sign = 1 if e > 0 else -1
-        runs.append((cols, place, length, base, sign * full, rest, e % length, sign))
-    rows = []
-    seen = bytearray(size)
-    for start in order:
-        if seen[start]:
-            continue
-        row = {}
-        c = start
-        while not seen[c]:
-            seen[c] = 1
-            for cols, place, length, base, turns, rest, shift, sign in runs:
-                i = place[c]
-                off = i % length
-                i -= off
-                end = (off + shift) % length
-                col = base + i
-                if turns:
-                    for x in range(col, col + length):
-                        row[x] = row.get(x, 0) + turns
-                first = off if sign > 0 else end
-                for t in range(first, first + rest):
-                    x = col + t % length
-                    row[x] = row.get(x, 0) + sign
-                c = cols[i + end]
-        rows.append(row)
-    return rows
+@lru_cache(maxsize=256)
+def _run_pattern(length: int, e: int, p: int, width: int) -> tuple:
+    """(doubled, whole, drops, ends): what a run g^e adds to a cycle of
+    L = ``length`` columns of g's image, ``width`` bits a column.  From
+    offset i it adds the whole range |e| // L times, then the arc of
+    |e| % L edges forward from i for e > 0, backward for e < 0, and ends at
+    offset ends[i] = (i + e) % L.  That is the piece from offset 0 rotated
+    by i, or by ends[i] for e < 0, within the range.  ``doubled`` holds the
+    piece twice, over 2L slots, so the rotated piece is the range ``whole``
+    of doubled >> drops[i].  At p = 2 a slot is a bit and adding is XOR; at
+    odd p an edge crossed forward adds 1 and one crossed backward p - 1, so
+    each entry is below 2p, and ``packed_rank`` reduces the sums.  A search
+    reuses each run on thousands of leaves."""
+    full, rest = divmod(abs(e), length)
+    span = length * width
+    whole = (1 << span) - 1
+    ones = whole // ((1 << width) - 1)  # a 1 in each slot
+    unit = 1 if e > 0 else p - 1
+    turn = unit * full % p * ones
+    arc = unit * (ones >> (length - rest) * width)  # the first rest slots
+    piece = arc ^ turn if p == 2 else arc + turn
+    ends = tuple((i + e) % length for i in range(length))
+    drops = tuple((length - (i if e > 0 else end)) * width for i, end in enumerate(ends))
+    return piece | piece << span, whole, drops, ends
 
 
-def rank_f2(rows) -> int:
-    """Rank over F_2 of rows given as ints: XOR elimination, each pivot
-    keyed by its top bit."""
-    pivots = {}
+def slot_layout(p: int, bound: int) -> tuple:
+    """(W, s, m) for rows whose entries are at most ``bound``: a slot of W
+    bits per column, and the shift s and multiplier m = ceil(2^s / p) with
+    which (x*m) >> s is x // p for every such entry x (T. Granlund and
+    P. Montgomery, "Division by invariant integers using multiplication",
+    PLDI 1994).  W is the length of bound*m, so that x*m stays in its slot
+    and one multiplication divides every slot of a row at once.  At p = 2 a
+    slot is one bit, W = 1, and no entry is ever above 1."""
+    if p == 2:
+        return 1, 0, 1
+    shift = bound.bit_length() + p.bit_length()
+    mult = -(-(1 << shift) // p)
+    return (bound * mult).bit_length(), shift, mult
+
+
+def packed_rank(rows, p: int, bound: int) -> int:
+    """Rank over F_p of rows packed by ``slot_layout(p, bound)``: column c
+    in bits [c*W, (c+1)*W) of a row, each entry at most ``bound``, which is
+    at least p*(p - 1).
+
+    Each row is reduced by the pivot row at its top column until it
+    vanishes or tops at a new column, where it becomes a pivot row, scaled
+    to top entry 1.  At p = 2 reducing is XOR.  At odd p it adds
+    (p - f)*pivot, f the row's top entry, so no entry passes
+    (p - 1) + (p - 1)^2 = p*(p - 1); then every entry is reduced mod p at
+    once, x - p*((x*m) >> s), each quotient masked to the low W - s bits of
+    its slot.  The rows come unreduced and are reduced first."""
+    width, shift, mult = slot_layout(p, bound)
+    odd = p > 2
+    if odd and rows:
+        slots = -(-max(map(int.bit_length, rows)) // width)
+        ones = ((1 << slots * width) - 1) // ((1 << width) - 1)
+        low = ((1 << width - shift) - 1) * ones
+
+    def reduced(x):  # every entry mod p
+        return x - p * ((x * mult >> shift) & low)
+
+    pivots = {}  # top column -> pivot row, its entry there 1
     for row in rows:
+        if odd:
+            row = reduced(row)
         while row:
-            top = row.bit_length()
+            top = (row.bit_length() - 1) // width
             pivot = pivots.get(top)
             if pivot is None:
+                f = row >> top * width
+                if f > 1:
+                    row = reduced(row * pow(f, -1, p))
                 pivots[top] = row
                 break
-            row ^= pivot
+            if odd:
+                row = reduced(row + (p - (row >> top * width)) * pivot)
+            else:
+                row ^= pivot
     return len(pivots)
 
 

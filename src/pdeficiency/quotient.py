@@ -715,6 +715,8 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     max_order = budget.max_order
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
+    if budget.max_assignments < 0:
+        raise ValueError("max_assignments must be nonnegative")
     n = pres.n_gens
     if n == 0:
         raise ValueError("the quotient search needs at least one generator")

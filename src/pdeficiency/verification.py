@@ -12,8 +12,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations
-from operator import xor
+from itertools import combinations
 
 from .abelian import (
     AbelianInvariants,
@@ -22,7 +21,6 @@ from .abelian import (
     abelian_p_deficiency_group,
     abelian_p_deficiency_presentation,
     d_p,
-    rank_mod_p,
     smith_normal_form,
 )
 from .fuchsian import (
@@ -45,7 +43,6 @@ from .invariants import (
     find_power_witness,
     leaf_d_p,
     p_size_bound,
-    rank_f2,
     relator_root,
     relator_roots,
 )
@@ -285,15 +282,12 @@ def kernel_d_p(roots, q: FiniteQuotient, p: int) -> int:
     """d_p of the kernel of ``q``, of index d, from the Fox Jacobian walked
     on the coset table: d*|X| - d + 1 - rank_Fp(J), with J as
     ``invariants.leaf_d_p`` describes it, its columns the edges
-    (coset, generator) numbered g*d + c.  At p = 2 the rows are
-    ``fox_masks``, at odd p ``fox_rows``: the oracle of ``leaf_d_p``, for
-    any quotient, also one that the search did not yield."""
+    (coset, generator) numbered g*d + c, its rows ``fox_rows`` and its rank
+    ``rank_mod_p``: the oracle of ``leaf_d_p`` at every p, sharing neither
+    its rows nor its elimination, for any quotient, also one that the
+    search did not yield."""
     d = q.order
-    if p == 2:
-        rank = rank_f2(fox_masks(roots, q))
-    else:
-        rank = rank_mod_p(fox_rows(roots, q, p), p)
-    return d * q.n_gens - d + 1 - rank
+    return d * q.n_gens - d + 1 - rank_mod_p(fox_rows(roots, q, p), p)
 
 
 def fox_rows(roots, q: FiniteQuotient, p: int) -> list:
@@ -335,65 +329,34 @@ def fox_rows(roots, q: FiniteQuotient, p: int) -> list:
     return rows
 
 
-def fox_masks(roots, q: FiniteQuotient) -> list:
-    """The rows of the Fox Jacobian mod 2, each an int with bit g*d + c set
-    for an odd entry in column g*d + c.
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a sparse integer matrix given as one
+    ``{column: entry}`` dict per row.
 
-    Every cycle of tables[g] has the period L of g, as the action is
-    regular.  Each cycle is walked twice, and ``prefix[j]`` is the XOR of
-    the bits of its first j edges, so the XOR of two prefixes is an arc of
-    fewer than L edges, also one that wraps; ``prefix[L]`` is the whole
-    cycle.  A run g^e from the coset at place i toggles the whole cycle
-    when |e| // L is odd, then the arc of |e| % L edges forward from i for
-    e > 0, backward for e < 0.  A row counts only when m/k is odd."""
-    d = q.order
-    tables, periods = q.tables, [perm_order(img) for img in q.images]
-    runs = [root.runs for root in roots
-            if root.exponent // table_order(q, root.runs) % 2]
-    # at[g][c]: (prefix, doubled cycle, c's place) for each generator read
-    at = {}
-    for g in {g for rs in runs for g, _ in rs}:
-        table, length, base = tables[g], periods[g], g * d
-        places = [None] * d
-        for start in range(d):
-            if places[start] is not None:
-                continue
-            cyc = [start]
-            for _ in range(length - 1):
-                cyc.append(table[cyc[-1]])
-            cyc += cyc
-            prefix = list(accumulate([1 << (base + x) for x in cyc], xor, initial=0))
-            for i in range(length):
-                places[cyc[i]] = (prefix, cyc, i)
-        at[g] = places
-    rows = []
-    for rs in runs:
-        steps = []  # (places, L, odd, rest, forward) per run
-        for g, e in rs:
-            length = periods[g]
-            full, rest = divmod(abs(e), length)
-            steps.append((at[g], length, full & 1, rest, e > 0))
-        seen = bytearray(d)
-        for start in range(d):
-            if seen[start]:
-                continue
-            row = 0
-            c = start
-            while not seen[c]:
-                seen[c] = 1
-                for places, length, odd, rest, forward in steps:
-                    prefix, cyc, i = places[c]
-                    if odd:
-                        row ^= prefix[length]
-                    if forward:
-                        row ^= prefix[i + rest] ^ prefix[i]
-                        c = cyc[i + rest]
-                    else:
-                        i += length
-                        row ^= prefix[i] ^ prefix[i - rest]
-                        c = cyc[i - rest]
-            rows.append(row)
-    return rows
+    Each row is reduced by the pivot rows at its leading (smallest) column
+    until it vanishes or leads at a new column, where it becomes a pivot
+    row, kept with the inverse of its leading entry rather than scaled by
+    it.  A pivot row has no entries left of its leading column, so each
+    reduction step only moves the lead to the right.
+    """
+    pivots = {}  # leading column -> (pivot row, inverse of its leading entry)
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (row, pow(row[lead], -1, p))
+                break
+            pivot_row, inv = pivot
+            f = row[lead] * inv % p
+            for c, x in pivot_row.items():
+                y = (row.get(c, 0) - f * x) % p
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def conjugate_class_reps(q: FiniteQuotient, g: Word, sd: SchreierData = None) -> list:

@@ -15,12 +15,11 @@ from pdeficiency.abelian import (
     d_p,
     eliminate_unit_pivots,
     exponent_columns,
-    rank_mod_p,
     smith_normal_form,
 )
 from pdeficiency.presentation import FinitePresentation, p_deficiency, parse_presentation
 from pdeficiency.verification import (
-    dense_abelian_invariants, det, exponent_matrix, upper_bound_de,
+    dense_abelian_invariants, det, exponent_matrix, rank_mod_p, upper_bound_de,
 )
 from pdeficiency.words import Valuation, Word, nu_p_int, require_prime
 

@@ -296,6 +296,12 @@ class TestSearchCommands:
     def test_max_order_below_two(self, capsys, p, message):
         assert run(capsys, "chi", "-p", p, "< x | >", "--max-order", "1") \
             == (1, "", f"error: {message}\n")
+        # a negative budget is refused after a bad prime too; a budget of 0 is valid
+        negative = message if p == "4" else "max_assignments must be nonnegative"
+        assert run(capsys, "chi", "-p", p, "< x | x^2 >", "--max-assignments", "-5") \
+            == (1, "", f"error: {negative}\n")
+        code, out, _ = run(capsys, "chi", "-p", "2", "< x | x^2 >", "--max-assignments", "0")
+        assert code == 0 and "(budget exhausted)" in out
 
     def test_max_order_caps_the_tables(self, capsys):
         # --max-order is the search's only order cap: no group above it gets

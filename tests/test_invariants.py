@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdeficiency.fuchsian import FuchsianSignature, standard_presentation, volume
-from pdeficiency.abelian import abelian_invariants, d_p, rank_mod_p
+from pdeficiency.abelian import abelian_invariants, d_p
 from pdeficiency.invariants import (
     chi_p_estimate,
     gradient_window,
     find_power_witness,
     leaf_d_p,
+    packed_rank,
     relator_roots,
+    slot_layout,
 )
 from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
@@ -20,7 +23,7 @@ from pdeficiency.quotient import (
 )
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import (
-    fox_masks, fox_rows, kernel_d_p, kernel_deficiency, quotient_dp_drop, transfer_terms,
+    kernel_d_p, kernel_deficiency, quotient_dp_drop, rank_mod_p, transfer_terms,
 )
 from pdeficiency.words import Word
 
@@ -65,13 +68,6 @@ class TestKernelInvariants:
         assert kernel_deficiency(q, transfer_terms(roots, q)) == -1
 
 
-def dict_d_2(roots, q):
-    """d_2 of the kernel from the dict rows and ``rank_mod_p``: the oracle
-    of the bit masks."""
-    d = q.order
-    return d * q.n_gens - d + 1 - rank_mod_p(fox_rows(roots, q, 2), 2)
-
-
 # runs longer than every cycle of a table of order at most 12, and short ones
 EXPONENTS = st.sampled_from([1, -1, 2, -2, 3, -5, 13, -13, 25, -37, 144])
 
@@ -92,10 +88,9 @@ def powered_presentations(draw):
 
 
 class TestFoxMasks:
-    """The table walk's F_2 rows as bit masks against its dict rows at
-    p = 2; and on every search leaf at every p, the d_p that ``gradient``
-    reads off the catalog group's cycle layouts and the de_p that ``chi``
-    reads off its ``powers`` against the table walks."""
+    """On every search leaf at every p, the d_p that ``gradient`` reads off
+    the packed rows of the catalog group's cycle layouts and the de_p that
+    ``chi`` reads off its ``powers`` against the table walks."""
 
     def check(self, pres, primes):
         # a sample keeps no quotient: the search yields the same kernels in
@@ -110,12 +105,6 @@ class TestFoxMasks:
                 de = kernel_deficiency(q, transfer_terms(roots, q))
                 assert s.value == de and s.ratio == Fraction(de, s.index)
                 assert leaf_d_p(roots, q, p) == kernel_d_p(roots, q, p)
-                if p == 2:
-                    # bit g*d + c of a mask is the parity of entry g*d + c of its row
-                    assert fox_masks(roots, q) == [
-                        sum(1 << col for col, x in row.items() if x % 2)
-                        for row in fox_rows(roots, q, 2)]
-                    assert kernel_d_p(roots, q, 2) == dict_d_2(roots, q)
 
     @settings(max_examples=60, deadline=None)
     @given(powered_presentations())
@@ -125,7 +114,7 @@ class TestFoxMasks:
     @settings(max_examples=20, deadline=None)
     @given(powered_presentations())
     def test_odd_primes(self, pres):
-        self.check(pres, (3, 5, 7, 13))
+        self.check(pres, (3, 5, 7, 13, 1000003, 100000000000031))
 
     def test_long_negative_runs_and_even_quotients(self):
         # x^-37 and y^25 wrap every cycle; onto C2, (x^-37*y^2)^4 has k = 2
@@ -134,7 +123,36 @@ class TestFoxMasks:
         root = relator_roots(pres, 2)[0]
         assert any(root.exponent // table_order(q, root.runs) == 2
                    for q in enumerate_quotients(pres, budget=SearchBudget(12)))
-        self.check(pres, (2, 3, 5, 7, 13))
+        self.check(pres, (2, 3, 5, 7, 13, 1000003, 100000000000031))
+
+
+class TestPackedRank:
+    @pytest.mark.parametrize("p", [2, 3, 5, 1000003, 100000000000031])
+    def test_matches_rank_mod_p(self, p):
+        # the bounds of runs walked once, of a genus-2 relator's 8 runs
+        # walked 24 times, and of that relator walked 1000 times
+        rnd = random.Random(p)
+        for count in (1, 24 * 8, 1000 * 8):
+            bound = (p - 1) * max(p, 2 * count)
+            width, shift, mult = slot_layout(p, bound)
+            if p > 2:
+                # x*m fits its slot, and (x*m) >> s is x // p, up to the bound
+                assert (bound * mult).bit_length() <= width
+                assert all(x * mult >> shift == x // p
+                           for x in (bound, bound - 1, bound - bound % p, p * p - p, p - 1))
+            for _ in range(40):
+                # dependent rows among random ones, each entry lifted to the
+                # largest value of its residue up to the bound
+                n_cols = rnd.randint(1, 6)
+                rows = [[rnd.randrange(p) for _ in range(n_cols)]
+                        for _ in range(rnd.randint(1, 4))]
+                rows += [[sum(rnd.randrange(p) * row[c] for row in rows) % p
+                          for c in range(n_cols)] for _ in range(rnd.randint(0, 3))]
+                rnd.shuffle(rows)
+                lifted = [[x + (bound - x) // p * p if p > 2 else x for x in row] for row in rows]
+                packed = [sum(x << c * width for c, x in enumerate(row)) for row in lifted]
+                assert packed_rank(packed, p, bound) == rank_mod_p(
+                    [dict(enumerate(row)) for row in rows], p)
 
 
 class TestChiEstimate:

@@ -381,8 +381,12 @@ class TestEnumerate:
         assert default_catalog() is default_catalog()
 
     def test_max_order_validation(self):
+        pres = parse_presentation("< x | >")
         with pytest.raises(ValueError, match="max_order must be at least 2"):
-            list(enumerate_quotients(parse_presentation("< x | >"), budget=SearchBudget(1)))
+            list(enumerate_quotients(pres, budget=SearchBudget(1)))
+        with pytest.raises(ValueError, match="max_assignments must be nonnegative"):
+            list(enumerate_quotients(pres, budget=SearchBudget(2, -5)))
+        assert list(enumerate_quotients(pres, budget=SearchBudget(2, 0))) == []
 
     def test_budget_is_keyword_only(self):
         # the budget is the search's only order cap, and it is passed by
