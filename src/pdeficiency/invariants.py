@@ -184,7 +184,8 @@ def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
     per column (``slot_layout``), and its rank is ``packed_rank``.  Each of
     the k walks of v in a row adds less than 2p to a column per run, so no
     entry passes (p - 1)*2*k*|runs| before the rank reduces it, nor
-    p*(p - 1) after.
+    p*(p - 1) after.  The rows walk each run through ``_run_steps``, one
+    table per (group, a, e, p, W) that a search reuses on every leaf.
     ``verification.kernel_d_p`` walks the coset table for the same value."""
     grp, images, order, ks = q.leaf
     size, d = grp.order, len(order)
@@ -193,20 +194,18 @@ def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
     width = slot_layout(p, bound)[0]
     rows = []
     for root, k in live:
-        # per run g^e: the layout of g's image, g's first column, e
-        steps = [(*grp.cycle_layout(images[g]), g * size, e) for g, e in root.runs]
-        rows += _fox_rows(steps, order, size, p, width)
+        # per run g^e: g's first bit, then g's image's steps for e
+        runs = [(g * size * width, *_run_steps(grp, images[g], e, p, width))
+                for g, e in root.runs]
+        rows += _fox_rows(runs, order, size, p > 2)
     return d * len(images) - d + 1 - packed_rank(rows, p, bound)
 
 
-def _fox_rows(steps, order, size: int, p: int, width: int) -> list:
-    """The rows of ``leaf_d_p`` from the runs' ``steps``, one per orbit of
-    the walk on ``order``, ``width`` bits a column: a run from offset i of
-    its cycle adds its ``_run_pattern`` rotated to i, shifted to the
-    cycle's range."""
-    odd = p > 2
-    runs = [(cols, place, length, base * width, *_run_pattern(length, e, p, width))
-            for length, cols, place, base, e in steps]
+def _fox_rows(runs, order, size: int, odd: bool) -> list:
+    """The rows of ``leaf_d_p``, one per orbit of the walk of the ``runs``
+    on ``order``: from element c a run adds its piece rotated to c's
+    offset, ``doubled >> drops[c] & whole``, shifted to c's cycle's range,
+    ``base + shifts[c]``, and moves on to ``nexts[c]``."""
     rows = []
     seen = bytearray(size)
     for start in order:
@@ -216,33 +215,33 @@ def _fox_rows(steps, order, size: int, p: int, width: int) -> list:
         c = start
         while not seen[c]:
             seen[c] = 1
-            for cols, place, length, base, doubled, whole, drops, ends in runs:
-                i = place[c]
-                off = i % length
-                i -= off
-                piece = (doubled >> drops[off] & whole) << base + i * width
+            for base, doubled, whole, drops, shifts, nexts in runs:
+                piece = (doubled >> drops[c] & whole) << base + shifts[c]
                 if odd:
                     row += piece
                 else:
                     row ^= piece
-                c = cols[i + ends[off]]
+                c = nexts[c]
         rows.append(row)
     return rows
 
 
-@lru_cache(maxsize=256)
-def _run_pattern(length: int, e: int, p: int, width: int) -> tuple:
-    """(doubled, whole, drops, ends): what a run g^e adds to a cycle of
-    L = ``length`` columns of g's image, ``width`` bits a column.  From
-    offset i it adds the whole range |e| // L times, then the arc of
+@lru_cache(maxsize=512)
+def _run_steps(grp, a: int, e: int, p: int, width: int) -> tuple:
+    """(doubled, whole, drops, shifts, nexts): what a run g^e adds to a Fox
+    row from each element of ``grp`` when g's image is element a, ``width``
+    bits a column.  On a cycle of the ``cycle_layout`` of a, L columns, it
+    adds from offset i the whole range |e| // L times, then the arc of
     |e| % L edges forward from i for e > 0, backward for e < 0, and ends at
-    offset ends[i] = (i + e) % L.  That is the piece from offset 0 rotated
-    by i, or by ends[i] for e < 0, within the range.  ``doubled`` holds the
-    piece twice, over 2L slots, so the rotated piece is the range ``whole``
-    of doubled >> drops[i].  At p = 2 a slot is a bit and adding is XOR; at
-    odd p an edge crossed forward adds 1 and one crossed backward p - 1, so
-    each entry is below 2p, and ``packed_rank`` reduces the sums.  A search
-    reuses each run on thousands of leaves."""
+    offset (i + e) % L.  That is the piece from offset 0 rotated by i, or
+    by (i + e) % L for e < 0, within the range.  ``doubled`` holds the
+    piece twice, over 2L slots, so the rotated piece from element c is the
+    range ``whole`` of doubled >> drops[c]; ``shifts[c]`` is the first bit
+    of c's cycle's range, and ``nexts[c]`` is c*a^e.  At p = 2 a slot is a
+    bit and adding is XOR; at odd p an edge crossed forward adds 1 and one
+    crossed backward p - 1, so each entry is below 2p, and ``packed_rank``
+    reduces the sums.  Each table holds three ints per group element."""
+    length, cols, place = grp.cycle_layout(a)
     full, rest = divmod(abs(e), length)
     span = length * width
     whole = (1 << span) - 1
@@ -251,9 +250,14 @@ def _run_pattern(length: int, e: int, p: int, width: int) -> tuple:
     turn = unit * full % p * ones
     arc = unit * (ones >> (length - rest) * width)  # the first rest slots
     piece = arc ^ turn if p == 2 else arc + turn
-    ends = tuple((i + e) % length for i in range(length))
-    drops = tuple((length - (i if e > 0 else end)) * width for i, end in enumerate(ends))
-    return piece | piece << span, whole, drops, ends
+    drops, shifts, nexts = [], [], []
+    for i in place:
+        off = i % length
+        end = (off + e) % length
+        drops.append((length - (off if e > 0 else end)) * width)
+        shifts.append((i - off) * width)
+        nexts.append(cols[i - off + end])
+    return piece | piece << span, whole, tuple(drops), tuple(shifts), tuple(nexts)
 
 
 def slot_layout(p: int, bound: int) -> tuple:
@@ -297,17 +301,21 @@ def packed_rank(rows, p: int, bound: int) -> int:
     for row in rows:
         if odd:
             row = reduced(row)
+        last = math.inf  # each reduction clears the top column
         while row:
             top = (row.bit_length() - 1) // width
+            f = row >> top * width
+            if top >= last or f >= p:
+                raise ValueError(f"packed_rank: an entry passed the bound {bound}")
+            last = top
             pivot = pivots.get(top)
             if pivot is None:
-                f = row >> top * width
                 if f > 1:
                     row = reduced(row * pow(f, -1, p))
                 pivots[top] = row
                 break
             if odd:
-                row = reduced(row + (p - (row >> top * width)) * pivot)
+                row = reduced(row + (p - f) * pivot)
             else:
                 row ^= pivot
     return len(pivots)

@@ -9,20 +9,23 @@ lays out the cycles of each table that is walked, all of one length, the
 order of the generator's image.  A catalog is a tuple of ``CatalogGroup``s;
 a catalog group is the quotient onto itself by its generators, and it
 also caches its multiplication table and powers, its automorphisms with
-two bitmasks of them per element, the cycle text of each element and the
-cycle layout of right multiplication by each.  The search's
-``SearchBudget`` is its only order cap: it skips every group above
-``budget.max_order``, without closing a manifest group whose generators'
-orders have their lcm above it, and refuses one within it above
-``SEARCH_ORDER_LIMIT`` before building its tables.  The search checks
-each relator r = c*u^m*c^-1 by the order k of the image of v = c*u*c^-1,
-which divides m exactly when r is killed, prunes by automorphisms with
-two ANDs of bitmasks per node, charges its budget by the rank of its
-position in assignment order, and deduplicates kernels on their tables
-as bytes.  A quotient that the search yields keeps its group, image
-indices, closure and those orders as its ``leaf``, so that the kernel
-invariants and the description of each one read those caches, not a new
-coset table.
+two bitmasks of them per element, the search's candidate masks, the
+cycle text of each element and the cycle layout of right multiplication
+by each.  The search's ``SearchBudget`` is its only order cap: it skips
+every group above ``budget.max_order``, without closing a manifest group
+whose generators' orders have their lcm above it, and refuses one within
+it above ``SEARCH_ORDER_LIMIT`` before building its tables.  The search
+checks each relator r = c*u^m*c^-1 by the order k of the image of u,
+which divides m exactly when r is killed.  At each depth it tries only
+the set bits of one candidate bitmask: the images that no automorphism
+fixing the prefix takes lower, ANDed with the images that solve each
+relator whose last generator is one run.  It charges its budget by the
+rank of its position in assignment order, so a skipped image costs its
+subtree, and deduplicates kernels on their tables as bytes.  A quotient
+that the search yields keeps its group, image indices, closure and those
+orders as its ``leaf``, so that the kernel invariants and the
+description of each one read those caches, not a new coset table; its
+elements and tables are read off the group only when asked for.
 """
 
 import math
@@ -36,6 +39,8 @@ CLOSURE_LIMIT = 10_000
 # the largest catalog group the search builds tables for: its
 # multiplication table holds at most 10^6 entries
 SEARCH_ORDER_LIMIT = 1_000
+# the most candidate masks a catalog group caches for the search
+SEARCH_CACHE_LIMIT = 8_192
 
 
 # -- permutation helpers ----------------------------------------------------
@@ -217,14 +222,14 @@ class FiniteQuotient:
 
     @classmethod
     def _make(cls, images, tables, leaf) -> "FiniteQuotient":
-        """The quotient of permutations already checked, with the regular
-        tables already built, as the search has them; nothing is checked.
-        ``leaf`` is the search's own view of it: ``(group, image indices,
-        closure, ks)``, the catalog group, the index in ``group.elements``
-        of each generator's image, the indices of the image group's
-        elements in breadth-first order, from which ``elements`` is read
-        when asked for, and per relator the order k of its root's image
-        (see ``_kills``)."""
+        """The quotient of permutations already checked, with its regular
+        tables, or None; nothing is checked.  ``leaf`` is the search's own
+        view of it: ``(group, image indices, closure, ks)``, the catalog
+        group, the index in ``group.elements`` of each generator's image,
+        the indices of the image group's elements in breadth-first order,
+        from which ``elements`` and ``tables`` are read when asked for, and
+        per relator the order k of its root's image (see
+        ``enumerate_quotients``)."""
         q = object.__new__(cls)
         q.degree = len(images[0])
         q.images = images
@@ -278,16 +283,24 @@ class FiniteQuotient:
 
     @property
     def order(self) -> int:
-        return len(self.tables[0])
+        return len(self.leaf[2]) if self.leaf else len(self.tables[0])
 
     @property
     def tables(self) -> tuple:
         """Per-generator action on the image-group elements by right
         multiplication, with the breadth-first numbering: the coset table of
         the kernel, with the identity as base coset 0, and a canonical
-        invariant of it."""
+        invariant of it.  On a quotient that the search yields, the catalog
+        group's products renumbered by its closure."""
         if self._tables is None:
-            self._close()
+            if self.leaf is None:
+                self._close()
+            else:
+                grp, indices, order, _ = self.leaf
+                mul = grp.search_tables[0]
+                number = dict(zip(order, range(len(order))))
+                self._tables = tuple(tuple([number[mul[h][a]] for h in order])
+                                     for a in indices)
         return self._tables
 
     @property
@@ -494,6 +507,45 @@ class CatalogGroup(FiniteQuotient):
             lower.append(int("".join(["1" if y < x else "0" for y in column]), 2))
         return tuple(fix), tuple(lower)
 
+    @cached_property
+    def _search_masks(self) -> dict:
+        """The masks of ``orbit_minima``, keyed by an int, and of
+        ``solutions``, keyed by a tuple; emptied when it holds
+        ``SEARCH_CACHE_LIMIT``.  Built on the first search that reaches
+        the group."""
+        return {}
+
+    def orbit_minima(self, stab: int) -> int:
+        """The mask of the element indices x that no automorphism in the
+        mask ``stab`` takes to a smaller index: where the automorphisms in
+        ``stab`` fix the images above it, the images that the search tries
+        at a depth."""
+        cache = self._search_masks
+        mask = cache.get(stab)
+        if mask is None:
+            if len(cache) >= SEARCH_CACHE_LIMIT:
+                cache.clear()
+            lower = self.automorphism_masks[1]
+            mask = cache[stab] = int("".join(
+                ["0" if stab & lower[x] else "1" for x in reversed(range(self.order))]), 2)
+        return mask
+
+    def solutions(self, a: int, e: int, m: int) -> int:
+        """The mask of the element indices x for which the order of a*x^e
+        divides m."""
+        cache = self._search_masks
+        key = a, e, m
+        mask = cache.get(key)
+        if mask is None:
+            if len(cache) >= SEARCH_CACHE_LIMIT:
+                cache.clear()
+            mul, powers = self.search_tables
+            row = mul[a]
+            mask = cache[key] = int("".join(
+                ["0" if m % len(powers[row[pw[e % len(pw)]]]) else "1"
+                 for pw in reversed(powers)]), 2)
+        return mask
+
 
 def _bfs_steps(tables) -> list:
     """``(h, g)`` for each element i > 0 of the breadth-first numbering of
@@ -644,21 +696,6 @@ class SearchBudget:
         return True
 
 
-def _kills(checks, images, mul, powers, ks) -> bool:
-    """True iff each relator r = c*u^m*c^-1 of ``checks``, filed as
-    ``(i, runs of v, m)`` with v = c*u*c^-1, maps to the identity index:
-    iff the order k of v's image divides m.  Stores k as ``ks[i]``."""
-    for i, runs, m in checks:
-        x = 0
-        for g, e in runs:
-            pw = powers[images[g]]
-            x = mul[x][pw[e % len(pw)]]
-        k = ks[i] = len(powers[x])
-        if m % k:
-            return False
-    return True
-
-
 def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                         budget: SearchBudget = None):
     """Yield quotients of pres over the catalog groups of order at most
@@ -673,40 +710,52 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     For each catalog group, generator images are assigned depth-first in
     generator order, each running over the group's element list, so full
     assignments come in the order of ``itertools.product``.  Each relator
-    r = c*u^m*c^-1 is checked as soon as the highest generator it uses has
-    an image: v = c*u*c^-1 is evaluated through the group's multiplication
-    table, and r vanishes exactly when the order k of v's image divides m.
-    One that does not vanish cuts the whole subtree below.  So does a
+    r = c*u^m*c^-1 is checked as soon as the highest generator g of u has
+    an image: r vanishes exactly when the order k of u's image divides m,
+    and one that does not vanish cuts the whole subtree below.  So does a
     prefix of images that an automorphism α of the group takes to an
     earlier prefix: for every assignment φ below it, α∘φ has the same
     kernel and comes earlier, so the first assignment of each kernel is
     never cut.  The search keeps, per depth, the automorphisms that fix the
-    prefix above it as a bitmask over ``grp.automorphisms``; image x is cut
-    when that mask meets ``lower[x]`` of ``grp.automorphism_masks``, and
-    the next depth's mask is its meet with ``fix[x]``.  Each quotient's
-    ``leaf`` carries the k of every relator, all taken at its assignment.
-    Order of results is deterministic: catalog order, then assignment order
-    over each group's element list.
+    prefix above it as a bitmask over ``grp.automorphisms``, and the next
+    depth's mask is its meet with ``fix[x]`` of ``grp.automorphism_masks``.
+
+    Each depth walks the set bits of one candidate bitmask in ascending
+    order.  It starts as ``grp.orbit_minima`` of the automorphism mask, the
+    images that none of those automorphisms takes lower.  u is checked
+    through its rotation that ends with a run of g, a conjugate with the
+    same order, split at its first run of g: the product P of the runs
+    before that is taken once per parent.  When the rest is one run g^e,
+    the mask is ANDed with ``grp.solutions(P, e, m)``, the x for which the
+    order of P*x^e divides m; otherwise the rest is walked from P for each
+    candidate.  Each quotient's ``leaf`` carries the k of every relator,
+    all taken at its assignment.  Order of results is deterministic:
+    catalog order, then assignment order over each group's element list.
 
     Two assignments are the same kernel exactly when their regular coset
     tables agree after breadth-first relabeling.  One breadth-first pass
-    from the identity numbers the image's elements and writes the
+    from the identity numbers the image's elements, in a list over the
+    group's element indices that is reset after each pass, and writes the
     relabelled tables, interleaved, into one flat list; the kernel is keyed
     by that list as bytes, one byte an entry when the image has order at
     most 256, and above that the high bytes of all entries and then their
-    low bytes.  The key is injective, so the deduplication is
-    exact, and the tuple tables are built only for a new kernel.
+    low bytes.  The key is injective, so the deduplication is exact.  A
+    quotient yielded builds its tuple tables only when they are asked for.
 
     ``budget.max_assignments`` counts full assignments: each one reached
     costs 1 and a cut subtree, by a relator or an automorphism, costs the
-    number of full assignments below it, so the assignments used are the
-    rank of the search's position in assignment order.  The search keeps
-    that rank, writes it to ``budget.assignments_used`` before each yield
-    and at the end of each group, and exhausts at the first cut or
-    assignment whose subtree passes ``max_assignments``, charging what was
-    left.  So ``assignments_used`` and ``exhausted``, after each yield and
-    at the end, and the quotients yielded are those of trying every
-    assignment in turn.
+    number of full assignments below it, also when the candidate mask
+    skips it, so the assignments used are the rank of the search's
+    position in assignment order.  The search reads that rank off the
+    image indices: the rank before image x at depth k is the rank before
+    the parent's image plus x times ``size**(n - 1 - k)``.  It writes the
+    rank to ``budget.assignments_used`` before each yield and at the end of
+    each group, and exhausts at the first cut, assignment or finished
+    depth whose rank passes ``max_assignments``, charging what was left:
+    ``assignments_used`` is then ``max_assignments``.  So
+    ``assignments_used`` and ``exhausted``, after each yield and at the
+    end, and the quotients yielded are those of trying every assignment in
+    turn.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -720,12 +769,19 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     n = pres.n_gens
     if n == 0:
         raise ValueError("the quotient search needs at least one generator")
-    # each relator is checked at the depth of the highest generator it uses
+    # relator i = c*u^m*c^-1 is killed iff the order of u's image divides m;
+    # it is checked at the depth of the highest generator of u, through the
+    # rotation of u (a conjugate, so of the same order) that ends with its
+    # last run of that generator: the runs before its first run of it are
+    # the prefix, read once per parent, and the rest the tail
     checks = [[] for _ in range(n)]
     for i in range(len(pres.relators)):
         rd = pres.root(i)
-        runs = rd.power(1).runs
-        checks[max(g for g, _ in runs)].append((i, runs, rd.exponent))
+        runs = rd.root.runs
+        top = max(g for g, _ in runs)
+        at = [j for j, (g, _) in enumerate(runs) if g == top]
+        checks[top].append((i, runs[at[-1] + 1:] + runs[:at[0]], runs[at[0]:at[-1] + 1],
+                            rd.exponent))
     ks = [0] * len(pres.relators)
     last = n - 1
     stop = budget.max_assignments
@@ -743,60 +799,101 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                              f"above the search limit {SEARCH_ORDER_LIMIT}")
         elements = grp.elements
         mul, powers = grp.search_tables
-        fix, lower = grp.automorphism_masks
+        fix = grp.automorphism_masks[0]
+        minima, solutions = grp.orbit_minima, grp.solutions
         leaves = [size ** (n - 1 - k) for k in range(n)]
-        # stabs[k]: the automorphisms that fix images[:k], as a mask
-        stabs = [(1 << len(grp.automorphisms)) - 1] * n
         images = [0] * n
-        # the rank after the current position: every full assignment
-        # before it or below it, cut or tried
-        used = budget.assignments_used
-        k = 0
-        while k >= 0:
-            x = images[k]
-            if x == size:  # every element tried at depth k: back up
+        # per depth k: the candidates for images[k] not yet tried, as a
+        # mask; the rank where the depth starts; the automorphisms that fix
+        # images[:k], as a mask; per relator checked there, (i, prefix
+        # product, tail, m) when its tail is walked per candidate, and
+        # (i, prefix product, e) when its tail is one run g^e, solved for
+        # the whole mask at once
+        masks, bases, stabs = [0] * n, [0] * n, [0] * n
+        walks, solved = [()] * n, [()] * n
+        number = [-1] * size  # the closure's numbering, reset after each
+        k, stab, base = 0, (1 << len(grp.automorphisms)) - 1, budget.assignments_used
+        fresh = True
+        while True:
+            if fresh:  # a new depth k: its candidates, cut by the relators
+                fresh = False
+                mask = minima(stab)
+                walk, sol = [], []
+                for i, prefix, tail, m in checks[k]:
+                    y = 0
+                    for g, e in prefix:
+                        pw = powers[images[g]]
+                        y = mul[y][pw[e % len(pw)]]
+                    if len(tail) == 1:
+                        e = tail[0][1]
+                        mask &= solutions(y, e, m)
+                        sol.append((i, y, e))
+                    else:
+                        walk.append((i, y, tail, m))
+                masks[k], bases[k], stabs[k], walks[k], solved[k] = mask, base, stab, walk, sol
+            else:
+                mask = masks[k]
+            if not mask:  # every candidate tried: the parent's node is done
+                used = bases[k] + size * leaves[k]
+                if used > stop:
+                    budget.assignments_used, budget.exhausted = stop, True
+                    return
+                if not k:
+                    break
                 k -= 1
-                if k >= 0:
-                    images[k] += 1
                 continue
-            stab = stabs[k]
-            cut = stab & lower[x] or checks[k] and not _kills(checks[k], images, mul, powers, ks)
+            low = mask & -mask
+            masks[k] = mask ^ low
+            x = images[k] = low.bit_length() - 1
+            cut = False
+            for i, y, tail, m in walks[k]:
+                for g, e in tail:
+                    pw = powers[images[g]]
+                    y = mul[y][pw[e % len(pw)]]
+                j = ks[i] = len(powers[y])
+                if m % j:
+                    cut = True
+                    break
             if not cut and k < last:
+                base = bases[k] + x * leaves[k]
+                stab = stabs[k] & fix[x]
                 k += 1
-                stabs[k] = stab & fix[x]
-                images[k] = 0
+                fresh = True
                 continue
-            used += leaves[k]
+            used = bases[k] + (x + 1) * leaves[k]
             if used > stop:  # charge what was left of the budget
-                budget.assignments_used = max(used - leaves[k], stop)
-                budget.exhausted = True
+                budget.assignments_used, budget.exhausted = stop, True
                 return
-            if not cut:
-                # one breadth-first pass numbers the image's elements and
-                # writes each one times each generator, renumbered, to flat
-                order = [0]
-                number = {0: 0}
-                flat = []
-                for h in order:
-                    row = mul[h]
-                    for a in images:
-                        y = row[a]
-                        i = number.get(y)
-                        if i is None:
-                            i = number[y] = len(order)
-                            order.append(y)
-                        flat.append(i)
-                if len(order) <= 256:
-                    key = bytes(flat)
-                else:  # the high bytes, then the low bytes
-                    key = bytes([i >> 8 for i in flat]) + bytes([i & 255 for i in flat])
-                if key not in seen:
-                    seen.add(key)
-                    indices = tuple(images)
-                    budget.assignments_used = used
-                    yield FiniteQuotient._make(
-                        tuple([elements[a] for a in indices]),
-                        tuple([tuple(flat[g::n]) for g in range(n)]),
-                        (grp, indices, order, ks[:]))
-            images[k] += 1
+            if cut:
+                continue
+            # one breadth-first pass numbers the image's elements and
+            # writes each one times each generator, renumbered, to flat
+            order = [0]
+            number[0] = 0
+            flat = []
+            for h in order:
+                row = mul[h]
+                for a in images:
+                    y = row[a]
+                    i = number[y]
+                    if i < 0:
+                        i = number[y] = len(order)
+                        order.append(y)
+                    flat.append(i)
+            for y in order:
+                number[y] = -1
+            if len(order) <= 256:
+                key = bytes(flat)
+            else:  # the high bytes, then the low bytes
+                key = bytes([i >> 8 for i in flat]) + bytes([i & 255 for i in flat])
+            if key not in seen:
+                seen.add(key)
+                for j, sol in enumerate(solved):
+                    for i, y, e in sol:
+                        pw = powers[images[j]]
+                        ks[i] = len(powers[mul[y][pw[e % len(pw)]]])
+                indices = tuple(images)
+                budget.assignments_used = used
+                yield FiniteQuotient._make(tuple([elements[a] for a in indices]), None,
+                                           (grp, indices, order, ks[:]))
         budget.assignments_used = used

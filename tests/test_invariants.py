@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +129,36 @@ class TestFoxMasks:
                    for q in enumerate_quotients(pres, budget=SearchBudget(12)))
         self.check(pres, (2, 3, 5, 7, 13, 1000003, 100000000000031))
 
+    def test_identity_images_long_runs_and_repeated_generators(self):
+        # x and y each in two runs, and runs longer than the order of some
+        # images; the search also sends generators to the identity (L = 1)
+        pres = parse_presentation("< x, y, z | x^-5*y^7*x^3*z^-2*y^-2 >")
+        lengths = [[q.leaf[0].cycle_layout(a)[0] for a in q.leaf[1]]
+                   for q in enumerate_quotients(pres, budget=budget(12)) if q.order > 1]
+        assert any(1 in ls for ls in lengths) and any(5 > ls[0] > 1 for ls in lengths)
+        self.check(pres, (2, 3, 1000003, 100000000000031))
+
+
+# packed_rank on rows laid out one bit too narrow for their bound, as a
+# caller with a wrong bound would: entries pass their slots
+NARROW_SCRIPT = """
+import random
+from pdeficiency import invariants
+layout = invariants.slot_layout
+p, bound = 3, 2 * 2 * 24 * 8
+width = layout(p, bound)[0] - 1
+invariants.slot_layout = lambda p, bound: (width, *layout(p, bound)[1:])
+rnd = random.Random(1)
+for _ in range(40):
+    # three random rows and the sum of the first two, lifted to the bound
+    rows = [[rnd.randrange(p) for _ in range(4)] for _ in range(3)]
+    rows.append([(a + b) % p for a, b in zip(rows[0], rows[1])])
+    rows = [[x + (bound - x) // p * p for x in row] for row in rows]
+    invariants.packed_rank([sum(x << c * width for c, x in enumerate(row)) for row in rows],
+                           p, bound)
+print("no error")
+"""
+
 
 class TestPackedRank:
     @pytest.mark.parametrize("p", [2, 3, 5, 1000003, 100000000000031])
@@ -153,6 +187,19 @@ class TestPackedRank:
                 packed = [sum(x << c * width for c, x in enumerate(row)) for row in lifted]
                 assert packed_rank(packed, p, bound) == rank_mod_p(
                     [dict(enumerate(row)) for row in rows], p)
+
+    def test_entry_past_the_bound_is_an_error(self):
+        # a reduction that leaves its pivot's column nonzero would repeat for
+        # ever, as it did on these rows before the check; it must stop with the
+        # error, in a child so that a hang is seen
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", NARROW_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith(
+            "ValueError: packed_rank: an entry passed the bound ")
 
 
 class TestChiEstimate:

@@ -1,7 +1,10 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
+
+import regen_search_golden
 
 from pdeficiency import verification
 from pdeficiency.invariants import relator_roots
@@ -280,6 +283,19 @@ class TestEnumerate:
         for max_assignments in sorted({0, 1, full // 3, full // 2, full - 1, full}):
             search_agrees(pres, catalog, 12, max_assignments)
 
+    @pytest.mark.parametrize("text", [
+        # the top generator in one run, |e| >= 2 and e < 0: solved by mask
+        "< x, y | (x*y^-2)^2 >",
+        # two such relators at one depth, and one that is walked there
+        "< x, y | (x*y^-2)^3, (x^-1*y^-2)^2, (x*y*x*y^-1)^3 >",
+    ])
+    def test_solved_relators_at_every_budget(self, text):
+        catalog = parse_catalog_manifest(self.MANIFEST)
+        pres = parse_presentation(text)
+        full = search_agrees(pres, catalog, 12, 10**6)
+        for max_assignments in range(full + 1):
+            search_agrees(pres, catalog, 12, max_assignments)
+
     @pytest.mark.parametrize("part", ["table", "order"])
     def test_brute_force_sees_a_corrupted_quotient(self, part, monkeypatch):
         # the comparison reads the tables that the search yields and the
@@ -358,6 +374,7 @@ class TestEnumerate:
             assert "search_tables" not in vars(g)
             assert "automorphisms" not in vars(g)
             assert "automorphism_masks" not in vars(g)
+            assert "_search_masks" not in vars(g)
             assert "cycle_texts" not in vars(g)
             assert "_element_layouts" not in vars(g)
             assert g._layouts is None
@@ -396,6 +413,15 @@ class TestEnumerate:
             enumerate_quotients(pres, default_catalog(), SearchBudget(2))
         with pytest.raises(TypeError):
             verification.brute_force_quotients(pres, default_catalog(), SearchBudget(2))
+
+
+class TestSearchGolden:
+    def test_stream_matches_the_recorded_digests(self):
+        # every yield and budget state of 690 searches, recorded by
+        # tests/regen_search_golden.py before the search last changed
+        recorded = json.loads(regen_search_golden.GOLDEN.read_text())
+        for want, got in zip(recorded, regen_search_golden.compute(), strict=True):
+            assert got == want
 
 
 def direct_tables(q):
