@@ -120,23 +120,11 @@ def _budget(args) -> "SearchBudget":
 def _parse_quotient_spec(spec: str, generators) -> "FiniteQuotient":
     """Per-generator cycle notation: ``x:(1 2),y:(1 2 3 4 5)``; unlisted
     generators act trivially."""
-    from .quotient import FiniteQuotient, cycles_to_perm, parse_cycles
+    from .quotient import FiniteQuotient, cycles_to_perm, parse_cycles, split_outside_parens
     cycles_by_name = {}
-    depth = 0
-    part = ""
-    parts = []
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(part)
-            part = ""
-        else:
-            part += ch
-    if part.strip():
-        parts.append(part)
+    parts = split_outside_parens(spec, lambda ch: ch == ",")
+    if not parts[-1].strip():
+        parts.pop()
     for chunk in parts:
         if ":" not in chunk:
             raise ValueError(f"invalid quotient entry {chunk!r}; expected name:(cycles)")
@@ -176,10 +164,19 @@ def _hom_cyclic(modulus_text: str, exps_text: str, generators) -> "FiniteQuotien
         raise ValueError(
             f"expected {len(generators)} exponents, got {len(exps)}"
         )
-    images = [
-        tuple((i + e) % modulus for i in range(modulus)) for e in exps
-    ]
-    return FiniteQuotient(images)
+    images = tuple(tuple((i + e) % modulus for i in range(modulus)) for e in exps)
+    # the image group is the shifts that the exponents generate, numbered
+    # breadth-first from 0 as FiniteQuotient's closure would number them,
+    # and right multiplication by an image adds its exponent
+    number, shifts = {0: 0}, [0]
+    for h in shifts:
+        for e in exps:
+            y = (h + e) % modulus
+            if y not in number:
+                number[y] = len(shifts)
+                shifts.append(y)
+    tables = tuple(tuple([number[(h + e) % modulus] for h in shifts]) for e in exps)
+    return FiniteQuotient._make(images, tables)
 
 
 def _quotient_from_args(args, pres) -> "FiniteQuotient":

@@ -8,19 +8,19 @@ found without rewriting: the transfer formula gives de_p and the valuation
 of each rewritten relator from the order k of each relator root's image,
 and d_p is the F_p corank of the Fox Jacobian.  ``p_size_bound`` reads k
 off the coset table, the quotient's regular tables, for ``psize`` and for
-the de_p that ``subgroup`` prints.  The searches read their
-kernels off the catalog group that the search holds them in: k comes
-with each kernel from the search's relator check, de_p is one integer
-over the largest p-power scale, and the Fox rows come from the group's
-cycle layout of each generator's image, one int a row at every prime, a
-slot of bits per column, ranked by one elimination; ``verification``
-keeps the table walks and a dict elimination as their oracle.
+the de_p that ``subgroup`` prints.  The searches read each kernel off
+the ``CatalogKernel`` that the search yields, with no coset table: k
+comes with it from the search's relator check, de_p is one integer over
+the largest p-power scale, and the Fox rows come from the group's cycle
+layout of each generator's image, one int a row at every prime, a slot
+of bits per column, ranked by one elimination; ``verification`` keeps
+the table walks and a dict elimination as their oracle.
 
 ``chi`` and ``gradient`` examine the same kernels and differ only in the
 numerator: one search loop builds a ``KernelSample`` per kernel, holding
 its index, its de_p or d_p, the ratio to the index, and its quotient in
-``--quotient`` notation, and no ``FiniteQuotient``.  A ``PowerWitness``
-keeps its quotient, as the witness's certificate.
+``--quotient`` notation, and no kernel.  A ``PowerWitness`` keeps its
+``CatalogKernel``, as the witness's certificate.
 """
 
 import math
@@ -30,6 +30,7 @@ from functools import lru_cache
 from .abelian import abelian_invariants, d_p
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import (
+    CatalogKernel,
     FiniteQuotient,
     SearchBudget,
     describe_quotient,
@@ -159,8 +160,8 @@ def deficiency_numerator(roots, ks, d: int, n_gens: int, top: int) -> int:
         for root, k in zip(roots, ks))
 
 
-def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
-    """d_p of the kernel of a quotient that the search yields, of index d:
+def leaf_d_p(roots, kernel: CatalogKernel, p: int) -> int:
+    """d_p of a kernel that the search yields, of index d:
     d*|X| - d + 1 - rank_Fp(J).
 
     J is the Fox Jacobian of the relators in the regular representation
@@ -187,9 +188,9 @@ def leaf_d_p(roots, q: FiniteQuotient, p: int) -> int:
     p*(p - 1) after.  The rows walk each run through ``_run_steps``, one
     table per (group, a, e, p, W) that a search reuses on every leaf.
     ``verification.kernel_d_p`` walks the coset table for the same value."""
-    grp, images, order, ks = q.leaf
+    grp, images, order = kernel.group, kernel.images, kernel.closure
     size, d = grp.order, len(order)
-    live = [(root, k) for root, k in zip(roots, ks) if root.exponent // k % p]
+    live = [(root, k) for root, k in zip(roots, kernel.ks) if root.exponent // k % p]
     bound = (p - 1) * max([p] + [2 * k * len(root.runs) for root, k in live])
     width = slot_layout(p, bound)[0]
     rows = []
@@ -354,17 +355,17 @@ class KernelWindow:
 
 def _kernel_window(pres, catalog, budget, whole, value) -> KernelWindow:
     """The whole group's sample, valued ``whole``, then one sample per
-    nontrivial kernel of the search, of index d, valued ``value(q, d)``."""
+    nontrivial kernel of the search, of index d, valued ``value(kernel, d)``."""
     if budget is None:
         budget = SearchBudget()
     samples = [KernelSample(1, whole, Fraction(whole), "index 1")]
-    for q in enumerate_quotients(pres, catalog, budget=budget):
-        d = len(q.leaf[2])  # the closure's length, the kernel's index
+    for kernel in enumerate_quotients(pres, catalog, budget=budget):
+        d = kernel.order
         if d == 1:
             continue
-        v = value(q, d)  # an int or a Fraction: both have the two fields
+        v = value(kernel, d)  # an int or a Fraction: both have the two fields
         samples.append(KernelSample(d, v, Fraction(v.numerator, v.denominator * d),
-                                    describe_quotient(q, pres)))
+                                    describe_quotient(kernel, pres)))
     return KernelWindow(tuple(samples), budget.exhausted)
 
 
@@ -383,8 +384,8 @@ def chi_p_estimate(
     de = p_deficiency(pres, p)
     roots = relator_roots(pres, p)
     top = max((root.scale for root in roots), default=1)
-    return _kernel_window(pres, catalog, budget, de, lambda q, d: Fraction(
-        deficiency_numerator(roots, q.leaf[3], d, pres.n_gens, top), top))
+    return _kernel_window(pres, catalog, budget, de, lambda kernel, d: Fraction(
+        deficiency_numerator(roots, kernel.ks, d, pres.n_gens, top), top))
 
 
 def gradient_window(
@@ -397,7 +398,7 @@ def gradient_window(
     require_prime(p)
     dp = d_p(abelian_invariants(pres), p)
     roots = relator_roots(pres, p)
-    return _kernel_window(pres, catalog, budget, dp, lambda q, d: leaf_d_p(roots, q, p))
+    return _kernel_window(pres, catalog, budget, dp, lambda kernel, d: leaf_d_p(roots, kernel, p))
 
 
 @_record
@@ -410,7 +411,7 @@ class PowerWitness:
     relator: Word
     root: Word
     exponent: int
-    quotient: FiniteQuotient
+    quotient: CatalogKernel
     index: int
     subgroup_deficiency: Fraction
 
@@ -433,18 +434,18 @@ def find_power_witness(
         budget = SearchBudget()
     roots = relator_roots(pres, p)
     top = max((root.scale for root in roots), default=1)
-    for q in enumerate_quotients(pres, catalog, budget=budget):
-        if q.order == 1:
+    for kernel in enumerate_quotients(pres, catalog, budget=budget):
+        d = kernel.order
+        if d == 1:
             continue
-        ks = q.leaf[3]
-        for i, (root, k) in enumerate(zip(roots, ks)):
+        for i, (root, k) in enumerate(zip(roots, kernel.ks)):
             if root.scale % k == 0:
-                continue  # the p'-root v^(p^nu) dies in q
-            de_sub = Fraction(deficiency_numerator(roots, ks, q.order, pres.n_gens, top), top)
+                continue  # the p'-root v^(p^nu) dies in the quotient
+            de_sub = Fraction(deficiency_numerator(roots, kernel.ks, d, pres.n_gens, top), top)
             if de_sub <= 0:
                 raise AssertionError(
                     "internal error: witnessed kernel must have positive p-deficiency"
                 )
             return PowerWitness(i, pres.relators[i], *p_prime_part(pres.root(i), p),
-                                q, q.order, de_sub)
+                                kernel, d, de_sub)
     return None

@@ -21,11 +21,11 @@ the set bits of one candidate bitmask: the images that no automorphism
 fixing the prefix takes lower, ANDed with the images that solve each
 relator whose last generator is one run.  It charges its budget by the
 rank of its position in assignment order, so a skipped image costs its
-subtree, and deduplicates kernels on their tables as bytes.  A quotient
-that the search yields keeps its group, image indices, closure and those
-orders as its ``leaf``, so that the kernel invariants and the
-description of each one read those caches, not a new coset table; its
-elements and tables are read off the group only when asked for.
+subtree, and deduplicates kernels on their tables as bytes.  It yields
+each kernel as a ``CatalogKernel``: its group, image indices, closure and
+those orders, from which the kernel invariants and the description of
+each one are read, with no coset table; ``CatalogKernel.quotient`` closes
+the images anew into a ``FiniteQuotient`` for the oracles.
 """
 
 import math
@@ -34,6 +34,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .presentation import FinitePresentation
+from .words import _record
 
 CLOSURE_LIMIT = 10_000
 # the largest catalog group the search builds tables for: its
@@ -158,17 +159,10 @@ def format_perm(a: tuple) -> str:
     return "".join("(" + " ".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
 
 
-def describe_quotient(q: "FiniteQuotient", pres: FinitePresentation) -> str:
-    """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``.
-    A quotient that the search yields reads its images' texts off its
-    catalog group, formatted once per element; any other is formatted
-    here."""
-    if q.leaf is None:
-        texts = map(format_perm, q.images)
-    else:
-        grp, images = q.leaf[:2]
-        texts = map(grp.cycle_texts.__getitem__, images)
-    return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, texts))
+def describe_quotient(q, pres: FinitePresentation) -> str:
+    """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``,
+    for a ``FiniteQuotient`` or a ``CatalogKernel``."""
+    return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, q.image_texts))
 
 
 def _validate_perm(p, degree):
@@ -200,11 +194,9 @@ class FiniteQuotient:
     """Homomorphism from the free group into Sym(degree), one permutation
     image per generator.  The image group is the closure of the images; its
     elements double as the cosets of the kernel under the regular action.
-    ``leaf`` is None, except on a quotient that the search yields (see
-    ``_make``).
     """
 
-    __slots__ = ("degree", "images", "leaf", "_elements", "_tables", "_layouts")
+    __slots__ = ("degree", "images", "_elements", "_tables", "_layouts")
 
     def __init__(self, images):
         images = tuple(tuple(p) for p in images)
@@ -218,22 +210,15 @@ class FiniteQuotient:
         self._elements = None
         self._tables = None
         self._layouts = None
-        self.leaf = None
 
     @classmethod
-    def _make(cls, images, tables, leaf) -> "FiniteQuotient":
+    def _make(cls, images, tables) -> "FiniteQuotient":
         """The quotient of permutations already checked, with its regular
-        tables, or None; nothing is checked.  ``leaf`` is the search's own
-        view of it: ``(group, image indices, closure, ks)``, the catalog
-        group, the index in ``group.elements`` of each generator's image,
-        the indices of the image group's elements in breadth-first order,
-        from which ``elements`` and ``tables`` are read when asked for, and
-        per relator the order k of its root's image (see
-        ``enumerate_quotients``)."""
+        tables in the breadth-first numbering of ``_close``, built without
+        closing the images; nothing is checked."""
         q = object.__new__(cls)
         q.degree = len(images[0])
         q.images = images
-        q.leaf = leaf
         q._elements = None
         q._tables = tables
         q._layouts = None
@@ -270,38 +255,29 @@ class FiniteQuotient:
 
     @property
     def elements(self) -> tuple:
-        """Image-group elements in breadth-first order from the identity;
-        on a quotient that the search yields, the catalog group's elements
-        in the order of its closure."""
+        """Image-group elements in breadth-first order from the identity."""
         if self._elements is None:
-            if self.leaf is None:
-                self._close()
-            else:
-                grp, _, order, _ = self.leaf
-                self._elements = tuple([grp.elements[h] for h in order])
+            self._close()
         return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.leaf[2]) if self.leaf else len(self.tables[0])
+        return len(self.tables[0])
 
     @property
     def tables(self) -> tuple:
         """Per-generator action on the image-group elements by right
         multiplication, with the breadth-first numbering: the coset table of
         the kernel, with the identity as base coset 0, and a canonical
-        invariant of it.  On a quotient that the search yields, the catalog
-        group's products renumbered by its closure."""
+        invariant of it."""
         if self._tables is None:
-            if self.leaf is None:
-                self._close()
-            else:
-                grp, indices, order, _ = self.leaf
-                mul = grp.search_tables[0]
-                number = dict(zip(order, range(len(order))))
-                self._tables = tuple(tuple([number[mul[h][a]] for h in order])
-                                     for a in indices)
+            self._close()
         return self._tables
+
+    @property
+    def image_texts(self):
+        """``format_perm`` of each generator's image."""
+        return map(format_perm, self.images)
 
     @property
     def layouts(self) -> tuple:
@@ -547,6 +523,35 @@ class CatalogGroup(FiniteQuotient):
         return mask
 
 
+@_record
+class CatalogKernel:
+    """A kernel that ``enumerate_quotients`` yields, as the search holds it:
+    its catalog group, the index in ``group.elements`` of each generator's
+    image, the indices of the image group's elements in breadth-first order
+    from the identity, and per relator the order k of its root's image."""
+
+    group: CatalogGroup
+    images: tuple
+    closure: list
+    ks: list
+
+    @property
+    def order(self) -> int:
+        """The order of the image group, the kernel's index."""
+        return len(self.closure)
+
+    @property
+    def image_texts(self):
+        """Each generator's image in cycle notation, read off the group's
+        ``cycle_texts``, formatted once per element."""
+        return map(self.group.cycle_texts.__getitem__, self.images)
+
+    def quotient(self) -> FiniteQuotient:
+        """The ``FiniteQuotient`` of the image permutations, checked and
+        closed anew: the coset table for the oracles."""
+        return FiniteQuotient([self.group.elements[a] for a in self.images])
+
+
 def _bfs_steps(tables) -> list:
     """``(h, g)`` for each element i > 0 of the breadth-first numbering of
     the regular ``tables``: i was first reached as element h times
@@ -636,7 +641,7 @@ def parse_catalog_manifest(text: str) -> tuple:
         if not degree_text.isdigit() or int(degree_text) < 1:
             raise ValueError(f"manifest line {lineno}: invalid degree {degree_text!r}")
         degree = int(degree_text)
-        gen_texts = [t for t in _split_perm_list(perm_text) if t]
+        gen_texts = [t for t in split_outside_parens(perm_text, str.isspace) if t]
         if not gen_texts:
             raise ValueError(f"manifest line {lineno}: no generators")
         gens = tuple(parse_perm(t, degree) for t in gen_texts)
@@ -644,27 +649,23 @@ def parse_catalog_manifest(text: str) -> tuple:
     return tuple(entries)
 
 
-def _split_perm_list(text: str) -> list:
-    """Split e.g. '(1 2)(3 4) (1 2 3)' into whole-permutation chunks."""
-    chunks = []
-    current = ""
-    depth = 0
-    for ch in text:
+def split_outside_parens(text: str, sep) -> list:
+    """The pieces of text between the characters that ``sep`` accepts
+    outside parentheses, e.g. the permutations of ``(1 2)(3 4) (1 2 3)``
+    at whitespace; a ``)`` that closes no ``(`` raises ``ValueError``."""
+    pieces, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parenthesis in {text!r}")
-        if ch.isspace() and depth == 0:
-            if current:
-                chunks.append(current)
-                current = ""
-        else:
-            current += ch
-    if current:
-        chunks.append(current)
-    return chunks
+        elif not depth and sep(ch):
+            pieces.append(text[start:i])
+            start = i + 1
+    pieces.append(text[start:])
+    return pieces
 
 
 # -- quotient search ---------------------------------------------------------
@@ -698,14 +699,15 @@ class SearchBudget:
 
 def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                         budget: SearchBudget = None):
-    """Yield quotients of pres over the catalog groups of order at most
-    ``budget.max_order``, deduplicated by kernel.  ``catalog`` is a tuple
-    of ``CatalogGroup``s, ``default_catalog()`` when omitted; a group
-    within the cap whose order is above ``SEARCH_ORDER_LIMIT`` is refused
-    with ``ValueError`` when the search reaches it.  ``budget`` is
-    keyword-only: the bench tracer (``bench/tracer.py``) counts the
-    assignments a search spends off ``kwargs["budget"]``, and would count
-    none for a budget passed in third place.
+    """Yield a ``CatalogKernel`` for each quotient of pres onto a subgroup
+    of a catalog group of order at most ``budget.max_order``, deduplicated
+    by kernel.  ``catalog`` is a tuple of ``CatalogGroup``s,
+    ``default_catalog()`` when omitted; a group within the cap whose order
+    is above ``SEARCH_ORDER_LIMIT`` is refused with ``ValueError`` when the
+    search reaches it.  ``budget`` is keyword-only: the bench tracer
+    (``bench/tracer.py``) counts the assignments a search spends off
+    ``kwargs["budget"]``, and would count none for a budget passed in third
+    place.
 
     For each catalog group, generator images are assigned depth-first in
     generator order, each running over the group's element list, so full
@@ -728,8 +730,8 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     before that is taken once per parent.  When the rest is one run g^e,
     the mask is ANDed with ``grp.solutions(P, e, m)``, the x for which the
     order of P*x^e divides m; otherwise the rest is walked from P for each
-    candidate.  Each quotient's ``leaf`` carries the k of every relator,
-    all taken at its assignment.  Order of results is deterministic:
+    candidate.  Each ``CatalogKernel`` carries the k of every relator, all
+    taken at its assignment.  Order of results is deterministic:
     catalog order, then assignment order over each group's element list.
 
     Two assignments are the same kernel exactly when their regular coset
@@ -740,7 +742,7 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     by that list as bytes, one byte an entry when the image has order at
     most 256, and above that the high bytes of all entries and then their
     low bytes.  The key is injective, so the deduplication is exact.  A
-    quotient yielded builds its tuple tables only when they are asked for.
+    kernel yielded keeps that pass's closure and builds no table.
 
     ``budget.max_assignments`` counts full assignments: each one reached
     costs 1 and a cut subtree, by a relator or an automorphism, costs the
@@ -797,7 +799,6 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
         if size > SEARCH_ORDER_LIMIT:
             raise ValueError(f"catalog group {grp.name} has order {size}, "
                              f"above the search limit {SEARCH_ORDER_LIMIT}")
-        elements = grp.elements
         mul, powers = grp.search_tables
         fix = grp.automorphism_masks[0]
         minima, solutions = grp.orbit_minima, grp.solutions
@@ -892,8 +893,6 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                     for i, y, e in sol:
                         pw = powers[images[j]]
                         ks[i] = len(powers[mul[y][pw[e % len(pw)]]])
-                indices = tuple(images)
                 budget.assignments_used = used
-                yield FiniteQuotient._make(tuple([elements[a] for a in indices]), None,
-                                           (grp, indices, order, ks[:]))
+                yield CatalogKernel(grp, tuple(images), order, ks[:])
         budget.assignments_used = used

@@ -232,9 +232,9 @@ def transfer_terms(roots, q: FiniteQuotient) -> list:
     table walk of ``quotient.table_order``: k is the order of the image of
     v and term = (d/k) * p^(nu_p(k) - nu_p(m)), the terms that
     ``invariants.p_size_bound`` reads off the same walk.  As k divides m,
-    p^nu_p(k) is gcd(k, p^nu_p(m)).  The oracle of the k that the search
-    hands each kernel in its ``leaf`` and, through ``kernel_deficiency``,
-    of ``deficiency_numerator``."""
+    p^nu_p(k) is gcd(k, p^nu_p(m)).  The oracle of the ``ks`` of each
+    ``CatalogKernel`` that the search yields and, through
+    ``kernel_deficiency``, of ``deficiency_numerator``."""
     d = q.order
     terms = []
     for root in roots:
@@ -461,15 +461,22 @@ def brute_force_quotients(pres, catalog=None, *, budget=None):
 
 def search_agrees(pres, catalog, max_order, max_assignments) -> int:
     """Run ``enumerate_quotients`` and the brute force with equal budgets;
-    raise ``CheckFailure`` unless they yield the same images, element
-    lists and regular tables, and leave the budgets equal after every
-    yield and at the end.  Returns the assignments used."""
+    raise ``CheckFailure`` unless they yield the same image permutations
+    and element lists, the search's read off its group by its image
+    indices and its closure, and leave the budgets equal after every yield
+    and at the end.  Both numberings are breadth-first, so the regular
+    tables follow.  Returns the assignments used."""
     runs = []
     for search in (enumerate_quotients, brute_force_quotients):
         budget = SearchBudget(max_order, max_assignments)
         found, states = [], []
         for q in search(pres, catalog, budget=budget):
-            found.append((q.images, q.elements, q.tables))
+            if search is enumerate_quotients:
+                elements = q.group.elements
+                found.append((tuple([elements[a] for a in q.images]),
+                              tuple([elements[h] for h in q.closure])))
+            else:
+                found.append((q.images, q.elements))
             states.append((budget.assignments_used, budget.exhausted))
         states.append((budget.assignments_used, budget.exhausted))
         runs.append((found, states))
@@ -772,10 +779,10 @@ def check_supermult():
         p = rng.choice((2, 3, 5))
         budget = SearchBudget(max_order=12, max_assignments=1500)
         found = 0
-        for q in enumerate_quotients(pres, budget=budget):
-            if q.order == 1:
+        for kernel in enumerate_quotients(pres, budget=budget):
+            if kernel.order == 1:
                 continue
-            report = supermultiplicity_check(pres, q, p)
+            report = supermultiplicity_check(pres, kernel.quotient(), p)
             _ensure(
                 report.holds,
                 f"supermultiplicity failed for {pres.to_text()} at p={p}, "
@@ -795,10 +802,8 @@ def check_conjugacy():
     conjugacy oracle, and the valuation transfer inequality, exactly."""
     rng = random.Random(0x5EED03)
     free2 = FinitePresentation(("x", "y"), ())
-    quotients = [
-        q for q in enumerate_quotients(free2, budget=SearchBudget(6, 10_000))
-        if q.order > 1
-    ][:12]
+    kernels = enumerate_quotients(free2, budget=SearchBudget(6, 10_000))
+    quotients = [kernel.quotient() for kernel in kernels if kernel.order > 1][:12]
     _ensure(len(quotients) >= 6, "too few small quotients found")
     instances = 0
     for q in quotients:
@@ -1141,8 +1146,9 @@ def check_kernel_invariants():
             c = _random_word(rng, pres.n_gens, rng.randint(0, 2))
             power = (u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c)
             pres = pres.with_relators(pres.relators + (power,))
-        quotients = enumerate_quotients(pres, budget=SearchBudget(12, 3000))
-        for q in itertools.islice(quotients, 15):
+        kernels = enumerate_quotients(pres, budget=SearchBudget(12, 3000))
+        for kernel in itertools.islice(kernels, 15):
+            q = kernel.quotient()
             sd = schreier(q)
             sub = subgroup_presentation(pres, q, sd=sd)
             inv = abelian_invariants(sub)
@@ -1155,24 +1161,23 @@ def check_kernel_invariants():
                 ks = [k for k, _ in terms]
                 _ensure(ks == [centralizer_index(q, r) for r in pres.relators],
                         f"{pres.to_text()} onto {q!r}: table orders {ks}")
-                leaf_ks = q.leaf[3]
-                _ensure(leaf_ks == ks,
-                        f"{pres.to_text()} onto {q!r}: leaf orders {leaf_ks}, table {ks}")
+                _ensure(kernel.ks == ks,
+                        f"{pres.to_text()} onto {q!r}: search orders {kernel.ks}, table {ks}")
                 de = kernel_deficiency(q, terms)
                 want = p_deficiency(sub, p)
                 _ensure(de == want, f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"transfer formula {de}, rewritten {want}")
                 top = max((root.scale for root in roots), default=1)
-                leaf_de = Fraction(
-                    deficiency_numerator(roots, leaf_ks, q.order, pres.n_gens, top), top)
-                _ensure(leaf_de == de, f"{pres.to_text()} onto {q!r}, p={p}: "
-                        f"leaf de_p {leaf_de}, table {de}")
+                search_de = Fraction(
+                    deficiency_numerator(roots, kernel.ks, q.order, pres.n_gens, top), top)
+                _ensure(search_de == de, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"search de_p {search_de}, table {de}")
                 dp = kernel_d_p(roots, q, p)
                 _ensure(dp == d_p(inv, p), f"{pres.to_text()} onto {q!r}, p={p}: "
                         f"Fox d_p {dp}, rewritten {d_p(inv, p)}")
-                leaf_dp = leaf_d_p(roots, q, p)
-                _ensure(leaf_dp == dp, f"{pres.to_text()} onto {q!r}, p={p}: "
-                        f"leaf d_p {leaf_dp}, table {dp}")
+                search_dp = leaf_d_p(roots, kernel, p)
+                _ensure(search_dp == dp, f"{pres.to_text()} onto {q!r}, p={p}: "
+                        f"search d_p {search_dp}, table {dp}")
                 bound = p_size_bound(pres, q, p)
                 got = [(c.centralizer_idx, c.term) for c in bound.contributions]
                 _ensure(got == terms, f"{pres.to_text()} onto {q!r}, p={p}: "

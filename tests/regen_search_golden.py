@@ -5,7 +5,7 @@ path.
     PYTHONPATH=src python tests/regen_search_golden.py [OUT]
 
 Each case digests every yield (group name, image indices, closure, ks and
-tables) and ``(assignments_used, exhausted)`` after each yield and at the
+the tables of ``kernel.quotient()``, closed anew) and ``(assignments_used, exhausted)`` after each yield and at the
 end.  The cases are random presentations on 1-3 generators from fixed
 seeds, on the default catalog and on a manifest, each at the full budget
 and at one random budget, and every budget of two small cases.  A search
@@ -69,9 +69,9 @@ def stream_digest(text: str, catalog, max_order: int, max_assignments: int) -> d
     budget = SearchBudget(max_order, max_assignments)
     digest = hashlib.sha256()
     count = 0
-    for q in enumerate_quotients(parse_presentation(text), catalog, budget=budget):
-        grp, indices, order, ks = q.leaf
-        digest.update(repr((grp.name, indices, tuple(order), tuple(ks), q.tables,
+    for kernel in enumerate_quotients(parse_presentation(text), catalog, budget=budget):
+        digest.update(repr((kernel.group.name, kernel.images, tuple(kernel.closure),
+                            tuple(kernel.ks), kernel.quotient().tables,
                             budget.assignments_used, budget.exhausted)).encode())
         count += 1
     end = [budget.assignments_used, budget.exhausted]

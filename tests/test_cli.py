@@ -16,7 +16,7 @@ from pdeficiency.cli import main
 from pdeficiency.invariants import chi_p_estimate
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
-    SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
+    FiniteQuotient, SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
     parse_catalog_manifest,
 )
 from pdeficiency.verification import (
@@ -109,6 +109,35 @@ class TestSubgroup:
         assert "index = 5" in out
         assert "de_2(subgroup) = 1/2" in out
 
+    @pytest.mark.parametrize("modulus, exps", [
+        ("5", "0,1"), ("12", "4,6"), ("7", "0,0"), ("10", "-3,15"), ("6", "8"), ("9", "3,6,0"),
+    ])
+    def test_hom_cyclic_tables_match_the_closure(self, modulus, exps):
+        # the tables that --hom-cyclic builds by arithmetic are those of
+        # the closure of its permutations, also when the exponents generate
+        # a proper subgroup of Z/Q or none of it
+        names = ("x", "y", "z")[:len(exps.split(","))]
+        q = cli._hom_cyclic(modulus, exps, names)
+        fresh = FiniteQuotient(q.images)
+        assert (q.degree, q.images, q.tables) == (fresh.degree, fresh.images, fresh.tables)
+
+    @pytest.mark.parametrize("spec, out", [
+        ("x:(1,2),y:(1 3)", "quotient: x:(1 2), y:(1 3)\n"),
+        ("x:(1 2)(3 4),", "quotient: x:(1 2)(3 4), y:()\n"),
+    ])
+    def test_quotient_spec_splits_outside_parentheses(self, capsys, spec, out):
+        code, text, _ = run(capsys, "subgroup", "-p", "2", "< x, y | x^2 >", "--quotient", spec)
+        assert code == 0 and out in text
+
+    @pytest.mark.parametrize("spec, message", [
+        ("x:(1 2)),y:(1 3)", "unbalanced parenthesis in 'x:(1 2)),y:(1 3)'"),
+        ("x:(1 2),,y:(1 3)", "invalid quotient entry ''; expected name:(cycles)"),
+        ("x:(1 2", "unbalanced parenthesis in '(1 2'"),
+    ])
+    def test_quotient_spec_errors(self, capsys, spec, message):
+        assert run(capsys, "subgroup", "-p", "2", "< x, y | x^2 >", "--quotient", spec) == (
+            1, "", f"error: {message}\n")
+
     def test_requires_quotient(self, capsys):
         code, _, err = run(capsys, "subgroup", "-p", "2", "< x | x^2 >")
         assert code == 1
@@ -179,8 +208,9 @@ class TestSubgroup:
                 c = _random_word(rng, pres.n_gens, rng.randint(0, 2))
                 power = (u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c)
                 pres = pres.with_relators(pres.relators + (power,))
-            quotients = enumerate_quotients(pres, budget=SearchBudget(12, 3000))
-            for q in itertools.islice((q for q in quotients if q.order > 1), 15):
+            kernels = enumerate_quotients(pres, budget=SearchBudget(12, 3000))
+            for kernel in itertools.islice((k for k in kernels if k.order > 1), 15):
+                q = kernel.quotient()
                 spec = describe_quotient(q, pres)
                 ks = [centralizer_index(q, r) for r in pres.relators]
                 for p in (2, 3, 5):
@@ -543,6 +573,22 @@ def test_search_memory(allowance, presentation, options, text):
     proc = run_python("-c", GROWTH_SCRIPT, str(allowance), "chi", "-p", "2", presentation,
                       "--max-order", "24", *options, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("command, line", [
+    ("psize", "  relator 0: k=5000 classes=1 nu_F=3 nu_p(k)=3 term=1/1 "
+              "rewritten valuations=[0]\n"),
+    ("subgroup", "subgroup presentation: < a | a >\n"),
+])
+def test_hom_cyclic_memory(command, line):
+    """``--hom-cyclic`` numbers the image in Z/Q by arithmetic: closing its
+    Q permutations of degree Q, one key of Q points per element, took about
+    200 MB at Q = 5000.  Each command may grow the child by at most 20 MB."""
+    proc = run_python("-c", GROWTH_SCRIPT, "20", command, "-p", "2", "< x | x^5000 >",
+                      "--hom-cyclic", "5000", "1", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "index = 5000\n" in proc.stdout and line in proc.stdout
 
 
 def test_psize_past_the_run_limit():

@@ -23,7 +23,8 @@ from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
 )
 from pdeficiency.quotient import (
-    FiniteQuotient, SearchBudget, describe_quotient, enumerate_quotients, table_order,
+    CatalogKernel, FiniteQuotient, SearchBudget, describe_quotient, enumerate_quotients,
+    kernel_index, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import (
@@ -53,19 +54,20 @@ class TestKernelInvariants:
         pres = parse_presentation(text)
         kernels = list(enumerate_quotients(pres, budget=budget(12)))
         assert len(kernels) > 3
-        for q in kernels:
+        for kernel in kernels:
+            q = kernel.quotient()
             sub = subgroup_presentation(pres, q)
             for p in (2, 3, 5):
                 roots = relator_roots(pres, p)
                 assert kernel_deficiency(q, transfer_terms(roots, q)) == p_deficiency(sub, p)
                 assert kernel_d_p(roots, q, p) == d_p(abelian_invariants(sub), p)
-                assert leaf_d_p(roots, q, p) == d_p(abelian_invariants(sub), p)
+                assert leaf_d_p(roots, kernel, p) == d_p(abelian_invariants(sub), p)
 
     def test_transfer_terms(self):
         # x^6 onto C2: k = 2, one class of valuation nu_2(6) - nu_2(2) = 0 of valuation nu_2(6) - nu_2(2) = 0
         pres = parse_presentation("< x | x^6 >")
-        q = next(q for q in enumerate_quotients(pres, budget=SearchBudget(4))
-                 if q.order == 2)
+        q = next(k for k in enumerate_quotients(pres, budget=SearchBudget(4))
+                 if k.order == 2).quotient()
         roots = relator_roots(pres, 2)
         assert roots[0].exponent == 6 and roots[0].nu == 1 and roots[0].scale == 2
         assert transfer_terms(roots, q) == [(2, Fraction(1))]
@@ -99,16 +101,17 @@ class TestFoxMasks:
     def check(self, pres, primes):
         # a sample keeps no quotient: the search yields the same kernels in
         # the same order, and each sample names its own
-        kernels = [q for q in enumerate_quotients(pres, budget=budget(12)) if q.order > 1]
+        kernels = [k for k in enumerate_quotients(pres, budget=budget(12)) if k.order > 1]
+        quotients = [kernel.quotient() for kernel in kernels]
         for p in primes:
             roots = relator_roots(pres, p)
             samples = chi_p_estimate(pres, p, budget=budget(12)).samples[1:]
             assert len(samples) == len(kernels)
-            for s, q in zip(samples, kernels):
+            for s, kernel, q in zip(samples, kernels, quotients):
                 assert (s.index, s.description) == (q.order, describe_quotient(q, pres))
                 de = kernel_deficiency(q, transfer_terms(roots, q))
                 assert s.value == de and s.ratio == Fraction(de, s.index)
-                assert leaf_d_p(roots, q, p) == kernel_d_p(roots, q, p)
+                assert leaf_d_p(roots, kernel, p) == kernel_d_p(roots, q, p)
 
     @settings(max_examples=60, deadline=None)
     @given(powered_presentations())
@@ -125,16 +128,16 @@ class TestFoxMasks:
         # and m/k = 2, so its rows vanish
         pres = parse_presentation("< x, y | (x^-37*y^2)^4, y^25*x^-13*y^-2 >")
         root = relator_roots(pres, 2)[0]
-        assert any(root.exponent // table_order(q, root.runs) == 2
-                   for q in enumerate_quotients(pres, budget=SearchBudget(12)))
+        assert any(root.exponent // table_order(k.quotient(), root.runs) == 2
+                   for k in enumerate_quotients(pres, budget=SearchBudget(12)))
         self.check(pres, (2, 3, 5, 7, 13, 1000003, 100000000000031))
 
     def test_identity_images_long_runs_and_repeated_generators(self):
         # x and y each in two runs, and runs longer than the order of some
         # images; the search also sends generators to the identity (L = 1)
         pres = parse_presentation("< x, y, z | x^-5*y^7*x^3*z^-2*y^-2 >")
-        lengths = [[q.leaf[0].cycle_layout(a)[0] for a in q.leaf[1]]
-                   for q in enumerate_quotients(pres, budget=budget(12)) if q.order > 1]
+        lengths = [[k.group.cycle_layout(a)[0] for a in k.images]
+                   for k in enumerate_quotients(pres, budget=budget(12)) if k.order > 1]
         assert any(1 in ls for ls in lengths) and any(5 > ls[0] > 1 for ls in lengths)
         self.check(pres, (2, 3, 1000003, 100000000000031))
 
@@ -257,12 +260,12 @@ class TestGradientWindow:
 @pytest.mark.parametrize("search", [chi_p_estimate, gradient_window])
 def test_samples_keep_no_quotient(search):
     """A sample names its kernel's quotient in text and keeps no
-    ``FiniteQuotient``; only a ``PowerWitness`` holds one, as its
-    certificate."""
+    ``FiniteQuotient`` or ``CatalogKernel``; only a ``PowerWitness`` holds a
+    kernel, as its certificate."""
     window = search(parse_presentation("< x, y | x^2, y^3 >"), 2, budget=budget(12))
     assert len(window.samples) > 3
     for s in window.samples:
-        assert not any(isinstance(v, FiniteQuotient) for v in s)
+        assert not any(isinstance(v, (FiniteQuotient, CatalogKernel)) for v in s)
         assert type(s.description) is str
 
 
@@ -300,6 +303,12 @@ class TestPowerWitness:
         assert witness.exponent % 2 == 1 and witness.exponent > 1
         assert witness.subgroup_deficiency > 0
         assert witness.index > 1
+        # the certificate: the witness's kernel, whose quotient kills every
+        # relator and keeps the root alive
+        assert isinstance(witness.quotient, CatalogKernel)
+        q = witness.quotient.quotient()
+        assert kernel_index(q, pres) == witness.index
+        assert q.walk(witness.root.runs) != 0
 
     def test_no_witness_when_roots_are_p_powers(self):
         pres = parse_presentation("< x,y,z | x^2,y^4,z^4,x*y*z >")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from pdeficiency import verification
 from pdeficiency.invariants import relator_roots
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
+    CatalogKernel,
     FiniteQuotient,
     SearchBudget,
     cycles_to_perm,
@@ -24,6 +26,7 @@ from pdeficiency.quotient import (
     perm_identity,
     perm_mul,
     perm_order,
+    split_outside_parens,
     table_order,
 )
 from pdeficiency.verification import (
@@ -221,7 +224,7 @@ class TestEnumerate:
 
     def test_prop_instance_has_y_surviving(self):
         pres = parse_presentation("< x, y | x^2, y^5, (x*y)^5 >")
-        found = list(enumerate_quotients(pres, budget=SearchBudget(5)))
+        found = [k.quotient() for k in enumerate_quotients(pres, budget=SearchBudget(5))]
         y = Word(((1, 1),), 2)
         assert any(
             q.order == 5 and evaluate(q, y) != perm_identity(q.degree) for q in found
@@ -229,7 +232,7 @@ class TestEnumerate:
 
     def test_all_yielded_are_quotients_and_deduplicated(self):
         pres = parse_presentation("< x, y | x^2, y^2 >")
-        found = list(enumerate_quotients(pres, budget=SearchBudget(8)))
+        found = [k.quotient() for k in enumerate_quotients(pres, budget=SearchBudget(8))]
         keys = [q.kernel_key() for q in found]
         assert len(keys) == len(set(keys))
         assert all(is_quotient_of(q, pres) for q in found)
@@ -296,24 +299,21 @@ class TestEnumerate:
         for max_assignments in range(full + 1):
             search_agrees(pres, catalog, 12, max_assignments)
 
-    @pytest.mark.parametrize("part", ["table", "order"])
+    @pytest.mark.parametrize("part", ["image", "order"])
     def test_brute_force_sees_a_corrupted_quotient(self, part, monkeypatch):
-        # the comparison reads the tables that the search yields and the
-        # element order of its closure, not a closure of the images redone
-        # on the yielded quotient: a wrong table or order fails it
+        # the comparison reads the image indices that the search yields and
+        # the element order of its closure, not a closure of the images
+        # redone on the yielded kernel: a wrong image or order fails it
         def corrupted(pres, catalog, *, budget):
-            for q in enumerate_quotients(pres, catalog, budget=budget):
-                if q.order == 6:
-                    grp, indices, order, ks = q.leaf
-                    if part == "table":
-                        table = list(q.tables[0])
-                        table[1], table[2] = table[2], table[1]
-                        q = FiniteQuotient._make(q.images, (tuple(table),) + q.tables[1:],
-                                                 q.leaf)
+            for kernel in enumerate_quotients(pres, catalog, budget=budget):
+                if kernel.order == 6:
+                    grp, images, closure, ks = kernel
+                    if part == "image":
+                        images = ((images[0] + 1) % grp.order, *images[1:])
                     else:
-                        order = [order[0], order[2], order[1], *order[3:]]
-                        q = FiniteQuotient._make(q.images, q.tables, (grp, indices, order, ks))
-                yield q
+                        closure = [closure[0], closure[2], closure[1], *closure[3:]]
+                    kernel = CatalogKernel(grp, images, closure, ks)
+                yield kernel
 
         monkeypatch.setattr(verification, "enumerate_quotients", corrupted)
         catalog = parse_catalog_manifest(self.MANIFEST)
@@ -334,10 +334,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("manifest", [False, True], ids=["default", "manifest"])
     def test_yielded_quotients_match_checked_ones(self, manifest):
-        # the search builds its quotients unchecked, with the tables and
-        # cycle texts it already has, and closes no element list until one
-        # is asked for; the public constructor and format_perm are their
-        # oracle.  The relator check hands each quotient the order k of
+        # the search yields each kernel as its group's image indices and
+        # closure, with the cycle texts the group already has; the quotient
+        # of its permutations, checked and closed anew, and format_perm are
+        # their oracle.  The relator check hands each kernel the order k of
         # each relator root's image, which the table walk checks: with
         # relators at every depth, two of them powers of a root other
         # than themselves
@@ -348,23 +348,22 @@ class TestEnumerate:
             roots = relator_roots(pres)
             found = list(enumerate_quotients(pres, catalog, budget=SearchBudget(12)))
             assert len(found) > 20
-            for q in found:
-                assert q._elements is None
-                fresh = FiniteQuotient(q.images)
-                assert q.tables == fresh.tables
-                assert q._elements is None
-                assert q.elements == fresh.elements
-                assert q.layouts == fresh.layouts
-                assert q.degree == fresh.degree
-                assert describe_quotient(q, pres) == ", ".join(
+            for kernel in found:
+                grp, images, closure, ks = kernel
+                mul, powers = grp.search_tables
+                q = kernel.quotient()
+                assert q.images == tuple(grp.elements[a] for a in images)
+                assert q.elements == tuple(grp.elements[h] for h in closure)
+                assert q.order == kernel.order
+                number = {h: i for i, h in enumerate(closure)}
+                assert q.tables == tuple(tuple(number[mul[h][a]] for h in closure)
+                                         for a in images)
+                assert [layout[0] for layout in q.layouts] == [len(powers[a]) for a in images]
+                assert describe_quotient(kernel, pres) == ", ".join(
                     f"{name}:{format_perm(img)}"
                     for name, img in zip(pres.generators, q.images))
-                assert describe_quotient(q, pres) == describe_quotient(fresh, pres)
-                grp, indices, order, ks = q.leaf
-                assert tuple(grp.elements[a] for a in indices) == q.images
-                assert tuple(grp.elements[h] for h in order) == q.elements
+                assert describe_quotient(kernel, pres) == describe_quotient(q, pres)
                 assert ks == [table_order(q, root.runs) for root in roots]
-                assert fresh.leaf is None
 
     def test_catalog_builds_no_search_tables(self):
         # the catalog is cached per process, and earlier searches fill in
@@ -392,6 +391,7 @@ class TestEnumerate:
         assert len(found) == len(slow) == 18
         assert sorted(q.order for q in found) == [
             d for d in range(1, 301) if 300 % d == 0]
+        found = [k.quotient() for k in found]
         assert [(q.images, q.tables) for q in found] == [(q.images, q.tables) for q in slow]
 
     def test_catalog_built_once(self):
@@ -565,6 +565,21 @@ class TestCatalog:
         manifest = "# a comment\nS3 3 (1 2) (1 2 3)\nK4 4 (1 2)(3 4) (1 3)(2 4)\n"
         s3, k4 = parse_catalog_manifest(manifest)
         assert (s3.name, s3.order, k4.name, k4.order) == ("S3", 6, "K4", 4)
+
+    def test_split_outside_parens(self):
+        # one splitter for manifest lines (whitespace) and --quotient (commas)
+        assert split_outside_parens("(1 2)(3 4)  (1, 2 3)", str.isspace) == [
+            "(1 2)(3 4)", "", "(1, 2 3)"]
+        assert split_outside_parens("x:(1,2),y:()", lambda ch: ch == ",") == [
+            "x:(1,2)", "y:()"]
+        # an unclosed ( keeps the rest in one piece, for parse_cycles to refuse
+        assert split_outside_parens("(1 2", str.isspace) == ["(1 2"]
+        with pytest.raises(ValueError, match=re.escape("unbalanced parenthesis in '(1 2)) (3 4)'")):
+            split_outside_parens("(1 2)) (3 4)", str.isspace)
+
+    def test_manifest_whitespace(self):
+        (k4,) = parse_catalog_manifest("K4 4   (1 2)(3 4)\t(1 3)( 2 4 )  ")
+        assert k4.images == (parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4))
 
     def test_manifest_errors(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,13 @@ def random_word(rng, n_gens, length):
     return word_from_letters(letters, n_gens)
 
 
+def search_quotients(pres, max_order):
+    """The quotient of each kernel that the search yields, closed anew from
+    its image permutations: the coset tables that rewriting walks."""
+    kernels = enumerate_quotients(pres, budget=SearchBudget(max_order))
+    return (kernel.quotient() for kernel in kernels)
+
+
 class TestCosetTable:
     def test_dihedral(self):
         assert Q_DINF.order == 2
@@ -151,13 +158,13 @@ class TestSchreier:
 
     def test_nielsen_schreier_rank(self):
         free2 = parse_presentation("< x, y | >")
-        for q in enumerate_quotients(free2, budget=SearchBudget(8)):
+        for q in search_quotients(free2, 8):
             sd = schreier(q)
             assert sd.rank == 1 + q.order * (free2.n_gens - 1)
 
     def test_matches_word_by_word_build(self):
         free2 = parse_presentation("< x, y | >")
-        quotients = [*enumerate_quotients(free2, budget=SearchBudget(8)),
+        quotients = [*search_quotients(free2, 8),
                      *WALK_QUOTIENTS, *KERNEL_QUOTIENTS]
         for q in quotients:
             sd = schreier(q)
@@ -183,7 +190,7 @@ class TestRewrite:
         rng = random.Random(23)
         free2 = parse_presentation("< x, y | >")
         quotients = [
-            q for q in enumerate_quotients(free2, budget=SearchBudget(6))
+            q for q in search_quotients(free2, 6)
             if q.order > 1
         ]
         for q in quotients[:8]:
@@ -357,7 +364,7 @@ class TestConjugateClassReps:
         rng = random.Random(31)
         free2 = parse_presentation("< x, y | >")
         quotients = [
-            q for q in enumerate_quotients(free2, budget=SearchBudget(6))
+            q for q in search_quotients(free2, 6)
             if q.order > 1
         ]
         for q in quotients[:10]:
@@ -442,7 +449,7 @@ class TestPSizeBound:
             names = ("x", "y", "z")[:n]
             relators = [random_word(rng, n, rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
             pres = FinitePresentation(names, relators)
-            for q in enumerate_quotients(pres, budget=SearchBudget(8)):
+            for q in search_quotients(pres, 8):
                 if q.order == 1:
                     continue
                 p = rng.choice((2, 3))
@@ -468,7 +475,7 @@ class TestPSizeBound:
                 c = random_word(rng, n, rng.randint(0, 2))
                 relators.append((u ** rng.choice((2, 3, 4, 6, 8, 9, 12))).conjugated_by(c))
             pres = FinitePresentation(("x", "y")[:n], relators)
-            for q in itertools.islice(enumerate_quotients(pres, budget=SearchBudget(12)), 10):
+            for q in itertools.islice(search_quotients(pres, 12), 10):
                 sd = schreier(q)
                 exponents = [[maximal_root(rewrite_word(sd, r, c)).exponent
                               for c in class_cosets(q, root)]
@@ -503,7 +510,7 @@ class TestSupermultiplicity:
         rng = random.Random(57)
         free2 = parse_presentation("< x, y | >")
         quotients = [
-            q for q in enumerate_quotients(free2, budget=SearchBudget(6))
+            q for q in search_quotients(free2, 6)
             if q.order > 1
         ]
         for q in quotients[:6]:
