@@ -188,8 +188,10 @@ def leaf_d_p(roots, kernel: CatalogKernel, p: int) -> int:
     p*(p - 1) after.  The rows walk each run through ``_run_steps``, one
     table per (group, a, e, p, W) that a search reuses on every leaf.
     ``verification.kernel_d_p`` walks the coset table for the same value."""
-    grp, images, order = kernel.group, kernel.images, kernel.closure
-    size, d = grp.order, len(order)
+    grp, images, d = kernel.group, kernel.images, kernel.order
+    size = grp.order
+    # on a kernel whose images generate the group, every element
+    order = range(size) if d == size else kernel.closure
     live = [(root, k) for root, k in zip(roots, kernel.ks) if root.exponent // k % p]
     bound = (p - 1) * max([p] + [2 * k * len(root.runs) for root, k in live])
     width = slot_layout(p, bound)[0]

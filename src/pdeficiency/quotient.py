@@ -9,23 +9,28 @@ lays out the cycles of each table that is walked, all of one length, the
 order of the generator's image.  A catalog is a tuple of ``CatalogGroup``s;
 a catalog group is the quotient onto itself by its generators, and it
 also caches its multiplication table and powers, its automorphisms with
-two bitmasks of them per element, the search's candidate masks, the
-cycle text of each element and the cycle layout of right multiplication
-by each.  The search's ``SearchBudget`` is its only order cap: it skips
-every group above ``budget.max_order``, without closing a manifest group
-whose generators' orders have their lcm above it, and refuses one within
-it above ``SEARCH_ORDER_LIMIT`` before building its tables.  The search
+two bitmasks of them per element, a bitmask of its maximal subgroups per
+element, the search's candidate masks, the cycle text of each element
+and the cycle layout of right multiplication by each.  The search's
+``SearchBudget`` is its only order cap: it skips every group above
+``budget.max_order``, without closing a manifest group whose generators'
+orders have their lcm above it, and refuses one within it above
+``SEARCH_ORDER_LIMIT`` before building its tables.  The search
 checks each relator r = c*u^m*c^-1 by the order k of the image of u,
 which divides m exactly when r is killed.  At each depth it tries only
 the set bits of one candidate bitmask: the images that no automorphism
 fixing the prefix takes lower, ANDed with the images that solve each
 relator whose last generator is one run.  It charges its budget by the
 rank of its position in assignment order, so a skipped image costs its
-subtree, and deduplicates kernels on their tables as bytes.  It yields
-each kernel as a ``CatalogKernel``: its group, image indices, closure and
-those orders, from which the kernel invariants and the description of
-each one are read, with no coset table; ``CatalogKernel.quotient`` closes
-the images anew into a ``FiniteQuotient`` for the oracles.
+subtree.  On a catalog closed under subgroups, which each group of
+``default_catalog`` certifies, the last depth tries only images that
+generate their group, each a new kernel; any other catalog deduplicates
+kernels on their tables as bytes.  It yields each kernel as a
+``CatalogKernel``: its group, image indices and those orders, from which
+the kernel invariants and the description of each one are read, with no
+coset table, and its closure, built on first use when the images
+generate the group; ``CatalogKernel.quotient`` closes the images anew
+into a ``FiniteQuotient`` for the oracles.
 """
 
 import math
@@ -34,7 +39,6 @@ from itertools import chain
 from operator import itemgetter
 
 from .presentation import FinitePresentation
-from .words import _record
 
 CLOSURE_LIMIT = 10_000
 # the largest catalog group the search builds tables for: its
@@ -335,7 +339,14 @@ def kernel_index(q: FiniteQuotient, pres: FinitePresentation) -> int:
 class CatalogGroup(FiniteQuotient):
     """A permutation group given by generators, as the quotient of the free
     group onto it that sends generator i to ``images[i]``; ``order`` is
-    checked against the closure, or taken from it when omitted."""
+    checked against the closure, or taken from it when omitted.
+
+    ``maximal_types`` is the group's closedness certificate, set by
+    ``default_catalog`` and None on any other group: the names of the
+    catalog groups isomorphic to its maximal subgroups, the trivial one
+    left out."""
+
+    maximal_types = None
 
     def __init__(self, name: str, gens, order: int = None):
         super().__init__(gens)
@@ -411,7 +422,9 @@ class CatalogGroup(FiniteQuotient):
         most |H|^2 images and keeps at most max(|H|, CLOSURE_LIMIT /
         sqrt(|H|)) automorphisms: about as many entries as ``mul`` for a
         large group, and whole Aut(H) for every default catalog group.  A
-        subset of Aut(H) prunes the search soundly, just less."""
+        subset of Aut(H) prunes the search soundly, just less.  The build
+        sets ``all_automorphisms``, True when neither cap stopped it, so
+        that the tuple is all of Aut(H) less the identity."""
         mul, powers = self.search_tables
         size = self.order
         gens = tuple(table[0] for table in self.tables)
@@ -463,7 +476,7 @@ class CatalogGroup(FiniteQuotient):
                     return False
             return True
 
-        extend({0: 0}, ())
+        self.all_automorphisms = extend({0: 0}, ())
         return tuple(found)
 
     @cached_property
@@ -485,8 +498,9 @@ class CatalogGroup(FiniteQuotient):
 
     @cached_property
     def _search_masks(self) -> dict:
-        """The masks of ``orbit_minima``, keyed by an int, and of
-        ``solutions``, keyed by a tuple; emptied when it holds
+        """The masks of ``orbit_minima``, keyed by an int, of
+        ``generating``, keyed by a 1-tuple, and of ``solutions``, keyed by
+        a 3-tuple; emptied when it holds
         ``SEARCH_CACHE_LIMIT``.  Built on the first search that reaches
         the group."""
         return {}
@@ -506,6 +520,47 @@ class CatalogGroup(FiniteQuotient):
                 ["0" if stab & lower[x] else "1" for x in reversed(range(self.order))]), 2)
         return mask
 
+    @cached_property
+    def maximal_masks(self) -> tuple:
+        """An int bitmask per element index x over the maximal subgroups:
+        bit j is set when maximal subgroup j holds x.  Every subgroup is a
+        join: from the trivial one, each subgroup found is joined with each
+        element outside it by ``_close_images``, and the maximal subgroups
+        are the proper ones in no other proper one.  Built on the first
+        search that tries only generating images."""
+        mul = self.search_tables[0]
+        size = self.order
+        whole = (1 << size) - 1
+        number = [-1] * size
+        found = {1}  # each subgroup as a mask of element indices
+        joins = [(1, ())]  # and the elements it was joined from
+        for sub, gens in joins:
+            for x in range(size):
+                if not sub >> x & 1:
+                    wider = gens + (x,)
+                    mask = sum([1 << y for y in _close_images(mul, wider, number)[0]])
+                    if mask not in found:
+                        found.add(mask)
+                        joins.append((mask, wider))
+        proper = [m for m in found if m != whole]
+        maximal = [m for m in proper if not any(m != o and m & o == m for o in proper)]
+        return tuple(sum(1 << j for j, m in enumerate(maximal) if m >> x & 1)
+                     for x in range(size))
+
+    def generating(self, ins: int) -> int:
+        """The mask of the element indices x in none of the maximal
+        subgroups in the mask ``ins``: where ``ins`` holds those that hold
+        every image above it, the images that complete a generating tuple."""
+        cache = self._search_masks
+        key = (ins,)
+        mask = cache.get(key)
+        if mask is None:
+            if len(cache) >= SEARCH_CACHE_LIMIT:
+                cache.clear()
+            mask = cache[key] = int("".join(
+                ["0" if ins & m else "1" for m in reversed(self.maximal_masks)]), 2)
+        return mask
+
     def solutions(self, a: int, e: int, m: int) -> int:
         """The mask of the element indices x for which the order of a*x^e
         divides m."""
@@ -523,22 +578,35 @@ class CatalogGroup(FiniteQuotient):
         return mask
 
 
-@_record
 class CatalogKernel:
     """A kernel that ``enumerate_quotients`` yields, as the search holds it:
     its catalog group, the index in ``group.elements`` of each generator's
-    image, the indices of the image group's elements in breadth-first order
-    from the identity, and per relator the order k of its root's image."""
+    image, and per relator the order k of its root's image.  ``closure``
+    lists the indices of the image group's elements in breadth-first order
+    from the identity; the search passes it when it has one, and without
+    one the images generate the group and it is built on first use."""
 
-    group: CatalogGroup
-    images: tuple
-    closure: list
-    ks: list
+    __slots__ = ("group", "images", "ks", "_closure")
+
+    def __init__(self, group: CatalogGroup, images: tuple, ks: list, closure: list = None):
+        self.group = group
+        self.images = images
+        self.ks = ks
+        self._closure = closure
+
+    @property
+    def closure(self) -> list:
+        if self._closure is None:
+            grp = self.group
+            self._closure = _close_images(grp.search_tables[0], self.images,
+                                          [-1] * grp.order)[0]
+        return self._closure
 
     @property
     def order(self) -> int:
         """The order of the image group, the kernel's index."""
-        return len(self.closure)
+        closure = self._closure
+        return self.group.order if closure is None else len(closure)
 
     @property
     def image_texts(self):
@@ -550,6 +618,30 @@ class CatalogKernel:
         """The ``FiniteQuotient`` of the image permutations, checked and
         closed anew: the coset table for the oracles."""
         return FiniteQuotient([self.group.elements[a] for a in self.images])
+
+
+def _close_images(mul, images, number) -> tuple:
+    """``(closure, flat)`` for the element indices ``images``: one
+    breadth-first pass from the identity numbers the elements they
+    generate, listed in ``closure``, and writes each one times each image,
+    renumbered, to ``flat``, the regular tables interleaved.  ``number``
+    holds -1 per element index of the group; the pass numbers in it and
+    leaves it so."""
+    closure = [0]
+    number[0] = 0
+    flat = []
+    for h in closure:
+        row = mul[h]
+        for a in images:
+            y = row[a]
+            i = number[y]
+            if i < 0:
+                i = number[y] = len(closure)
+                closure.append(y)
+            flat.append(i)
+    for y in closure:
+        number[y] = -1
+    return closure, flat
 
 
 def _bfs_steps(tables) -> list:
@@ -601,25 +693,34 @@ def _cycle(n: int) -> tuple:
 def default_catalog() -> tuple:
     """Cyclic C_2..C_12, elementary abelian C_pxC_p for p in {2, 3, 5},
     dihedral D_4 and D_5, symmetric S_3 and S_4, alternating A_4, as a
-    tuple sorted by order, then name.
+    tuple sorted by order, then name.  Each group carries its closedness
+    certificate ``maximal_types``: the maximal subgroups of C_n are the
+    C_(n/q) for the primes q dividing n, those of C_pxC_p are C_p, and the
+    others are listed; the tests prove each by brute force.
 
     Built once per process: the tuple is immutable, so every search shares
     its groups and the search tables they cache."""
     entries = []
     for n in range(2, 13):
-        entries.append(CatalogGroup(f"C{n}", (_cycle(n),), n))
+        grp = CatalogGroup(f"C{n}", (_cycle(n),), n)
+        grp.maximal_types = tuple(f"C{n // q}" for q in (2, 3, 5, 7, 11) if n % q == 0 and q < n)
+        entries.append(grp)
     for p in (2, 3, 5):
         first = cycles_to_perm([tuple(range(p))], 2 * p)
         second = cycles_to_perm([tuple(range(p, 2 * p))], 2 * p)
-        entries.append(CatalogGroup(f"C{p}xC{p}", (first, second), p * p))
-    for name, degree, gens, order in (
-        ("D4", 4, ([(0, 1, 2, 3)], [(1, 3)]), 8),
-        ("D5", 5, ([(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]), 10),
-        ("S3", 3, ([(0, 1)], [(0, 1, 2)]), 6),
-        ("S4", 4, ([(0, 1)], [(0, 1, 2, 3)]), 24),
-        ("A4", 4, ([(0, 1, 2)], [(1, 2, 3)]), 12),
+        grp = CatalogGroup(f"C{p}xC{p}", (first, second), p * p)
+        grp.maximal_types = (f"C{p}",)
+        entries.append(grp)
+    for name, degree, gens, order, maximal in (
+        ("D4", 4, ([(0, 1, 2, 3)], [(1, 3)]), 8, ("C4", "C2xC2")),
+        ("D5", 5, ([(0, 1, 2, 3, 4)], [(1, 4), (2, 3)]), 10, ("C2", "C5")),
+        ("S3", 3, ([(0, 1)], [(0, 1, 2)]), 6, ("C2", "C3")),
+        ("S4", 4, ([(0, 1)], [(0, 1, 2, 3)]), 24, ("S3", "D4", "A4")),
+        ("A4", 4, ([(0, 1, 2)], [(1, 2, 3)]), 12, ("C3", "C2xC2")),
     ):
-        entries.append(CatalogGroup(name, tuple(cycles_to_perm(c, degree) for c in gens), order))
+        grp = CatalogGroup(name, tuple(cycles_to_perm(c, degree) for c in gens), order)
+        grp.maximal_types = maximal
+        entries.append(grp)
     entries.sort(key=lambda g: (g.order, g.name))
     return tuple(entries)
 
@@ -671,6 +772,42 @@ def split_outside_parens(text: str, sep) -> list:
 # -- quotient search ---------------------------------------------------------
 
 
+def _generating_only(catalog: tuple, max_order: int) -> bool:
+    """Whether a search of ``catalog`` up to ``max_order`` may try only
+    the images that generate their group, and the identity tuple once, and
+    deduplicate nothing: when the catalog is closed under subgroups and
+    the automorphisms of each group searched are all of Aut(G).  Closed
+    means that the groups come in nondecreasing order, no name comes
+    twice, and each carries a certificate ``maximal_types`` whose groups
+    all come earlier in this catalog.  Only the default catalog's groups,
+    which are pairwise non-isomorphic, carry one.
+
+    Then, by induction over the certificates, a proper subgroup H of a
+    group is trivial or isomorphic to an earlier group G', and an image
+    that generates H has the kernel of an epimorphism onto G', which the
+    search yields first in G', as no group before it is larger.  Two
+    generating images with one kernel differ by an automorphism, and the
+    automorphism pruning keeps the least of every orbit of Aut(G).  So
+    every generating image it keeps is a new kernel, and no other image is
+    but the first identity tuple: orderly generation (R. C. Read, "Every
+    one a winner", Ann. Discrete Math. 2, 1978; B. D. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998)."""
+    names, last = set(), 0
+    for grp in catalog:
+        types = grp.maximal_types
+        if types is None or grp.name in names or not names.issuperset(types) \
+                or grp.order < last:
+            return False
+        names.add(grp.name)
+        last = grp.order
+    for grp in catalog:
+        if grp.order <= max_order:
+            grp.automorphisms  # the build sets all_automorphisms
+            if not grp.all_automorphisms:
+                return False
+    return True
+
+
 class SearchBudget:
     """Caps for the homomorphism search: ``max_order``, its only cap on the
     order of a catalog group, and ``max_assignments``; exhaustion is
@@ -700,8 +837,8 @@ class SearchBudget:
 def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                         budget: SearchBudget = None):
     """Yield a ``CatalogKernel`` for each quotient of pres onto a subgroup
-    of a catalog group of order at most ``budget.max_order``, deduplicated
-    by kernel.  ``catalog`` is a tuple of ``CatalogGroup``s,
+    of a catalog group of order at most ``budget.max_order``, each kernel
+    once.  ``catalog`` is a tuple of ``CatalogGroup``s,
     ``default_catalog()`` when omitted; a group within the cap whose order
     is above ``SEARCH_ORDER_LIMIT`` is refused with ``ValueError`` when the
     search reaches it.  ``budget`` is keyword-only: the bench tracer
@@ -734,15 +871,27 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     taken at its assignment.  Order of results is deterministic:
     catalog order, then assignment order over each group's element list.
 
-    Two assignments are the same kernel exactly when their regular coset
+    On a catalog closed under subgroups, such as the default one, no
+    kernel is deduplicated; ``_generating_only`` decides this once per
+    search, and says why it holds.  The search then tries only the images
+    that generate their group, and the identity tuple until it has been
+    yielded once: each depth ANDs the ``grp.maximal_masks`` of its image
+    into a mask of the maximal subgroups that hold the prefix, and the last
+    depth ANDs its candidates with ``grp.generating`` of that mask.  Every
+    such leaf is a new kernel, of index |G|, and it is yielded without
+    its closure, which ``CatalogKernel.closure`` builds on first use.
+
+    Any other catalog, and every manifest, deduplicates on the tables:
+    two assignments are the same kernel exactly when their regular coset
     tables agree after breadth-first relabeling.  One breadth-first pass
-    from the identity numbers the image's elements, in a list over the
-    group's element indices that is reset after each pass, and writes the
-    relabelled tables, interleaved, into one flat list; the kernel is keyed
-    by that list as bytes, one byte an entry when the image has order at
-    most 256, and above that the high bytes of all entries and then their
-    low bytes.  The key is injective, so the deduplication is exact.  A
-    kernel yielded keeps that pass's closure and builds no table.
+    from the identity, ``_close_images``, numbers the image's elements, in
+    a list over the group's element indices that is reset after each
+    pass, and writes the relabelled tables, interleaved, into one flat
+    list; the kernel is keyed by that list as bytes, one byte an entry
+    when the image has order at most 256, and above that the high bytes of
+    all entries and then their low bytes.  The key is injective, so the
+    deduplication is exact.  A kernel yielded keeps that pass's closure
+    and builds no table.
 
     ``budget.max_assignments`` counts full assignments: each one reached
     costs 1 and a cut subtree, by a relator or an automorphism, costs the
@@ -788,6 +937,8 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
     last = n - 1
     stop = budget.max_assignments
     seen = set()
+    fast = _generating_only(catalog, max_order)
+    trivial = fast  # the trivial kernel is still to be yielded on the fast path
     for grp in catalog:
         # the order of each generator divides the group's order, so a group
         # not yet closed (a manifest's) is skipped without its closure
@@ -802,23 +953,34 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
         mul, powers = grp.search_tables
         fix = grp.automorphism_masks[0]
         minima, solutions = grp.orbit_minima, grp.solutions
+        # per element, the maximal subgroups that hold it, on the fast path
+        maximal = grp.maximal_masks if fast else (0,) * size
         leaves = [size ** (n - 1 - k) for k in range(n)]
         images = [0] * n
         # per depth k: the candidates for images[k] not yet tried, as a
         # mask; the rank where the depth starts; the automorphisms that fix
-        # images[:k], as a mask; per relator checked there, (i, prefix
-        # product, tail, m) when its tail is walked per candidate, and
-        # (i, prefix product, e) when its tail is one run g^e, solved for
-        # the whole mask at once
-        masks, bases, stabs = [0] * n, [0] * n, [0] * n
+        # images[:k], as a mask; the maximal subgroups that hold them, as a
+        # mask; per relator checked there, (i, prefix product, tail, m)
+        # when its tail is walked per candidate, and (i, prefix product, e)
+        # when its tail is one run g^e, solved for the whole mask at once
+        masks, bases, stabs, inss = [0] * n, [0] * n, [0] * n, [0] * n
         walks, solved = [()] * n, [()] * n
         number = [-1] * size  # the closure's numbering, reset after each
         k, stab, base = 0, (1 << len(grp.automorphisms)) - 1, budget.assignments_used
+        ins = -1  # every bit set: every maximal subgroup
         fresh = True
         while True:
             if fresh:  # a new depth k: its candidates, cut by the relators
                 fresh = False
                 mask = minima(stab)
+                if fast and k == last:
+                    # the images that complete a generating tuple, and,
+                    # below an identity prefix, the identity until the
+                    # trivial kernel is yielded
+                    gen = grp.generating(ins)
+                    if trivial and not any(images[:last]):
+                        gen |= 1
+                    mask &= gen
                 walk, sol = [], []
                 for i, prefix, tail, m in checks[k]:
                     y = 0
@@ -831,7 +993,8 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                         sol.append((i, y, e))
                     else:
                         walk.append((i, y, tail, m))
-                masks[k], bases[k], stabs[k], walks[k], solved[k] = mask, base, stab, walk, sol
+                masks[k], bases[k], stabs[k], inss[k] = mask, base, stab, ins
+                walks[k], solved[k] = walk, sol
             else:
                 mask = masks[k]
             if not mask:  # every candidate tried: the parent's node is done
@@ -858,6 +1021,7 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
             if not cut and k < last:
                 base = bases[k] + x * leaves[k]
                 stab = stabs[k] & fix[x]
+                ins = inss[k] & maximal[x]
                 k += 1
                 fresh = True
                 continue
@@ -867,32 +1031,23 @@ def enumerate_quotients(pres: FinitePresentation, catalog: tuple = None, *,
                 return
             if cut:
                 continue
-            # one breadth-first pass numbers the image's elements and
-            # writes each one times each generator, renumbered, to flat
-            order = [0]
-            number[0] = 0
-            flat = []
-            for h in order:
-                row = mul[h]
-                for a in images:
-                    y = row[a]
-                    i = number[y]
-                    if i < 0:
-                        i = number[y] = len(order)
-                        order.append(y)
-                    flat.append(i)
-            for y in order:
-                number[y] = -1
-            if len(order) <= 256:
-                key = bytes(flat)
-            else:  # the high bytes, then the low bytes
-                key = bytes([i >> 8 for i in flat]) + bytes([i & 255 for i in flat])
-            if key not in seen:
+            if fast:  # the images generate grp, or this is the identity
+                closure = None
+                if trivial and not any(images):
+                    closure, trivial = [0], False
+            else:
+                closure, flat = _close_images(mul, images, number)
+                if len(closure) <= 256:
+                    key = bytes(flat)
+                else:  # the high bytes, then the low bytes
+                    key = bytes([i >> 8 for i in flat]) + bytes([i & 255 for i in flat])
+                if key in seen:
+                    continue
                 seen.add(key)
-                for j, sol in enumerate(solved):
-                    for i, y, e in sol:
-                        pw = powers[images[j]]
-                        ks[i] = len(powers[mul[y][pw[e % len(pw)]]])
-                budget.assignments_used = used
-                yield CatalogKernel(grp, tuple(images), order, ks[:])
+            for j, sol in enumerate(solved):
+                for i, y, e in sol:
+                    pw = powers[images[j]]
+                    ks[i] = len(powers[mul[y][pw[e % len(pw)]]])
+            budget.assignments_used = used
+            yield CatalogKernel(grp, tuple(images), ks[:], closure)
         budget.assignments_used = used

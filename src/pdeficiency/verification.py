@@ -50,6 +50,7 @@ from .presentation import FinitePresentation, p_deficiency, parse_presentation
 from .quotient import (
     FiniteQuotient,
     SearchBudget,
+    _generating_only,
     default_catalog,
     enumerate_quotients,
     kernel_index,
@@ -1082,7 +1083,11 @@ def check_search():
     the full and at a random budget, and at every budget of two small
     cases, on two and on three generators.  Presentations on one
     or two generators search up to order 12, so that the automorphism cuts
-    of D4, C3xC3, D5 and A4 (up to 48 automorphisms) meet the oracle too."""
+    of D4, C3xC3, D5 and A4 (up to 48 automorphisms) meet the oracle too.
+    The default catalog takes the search's generating-only path; the free
+    group on two generators also meets the oracle up to order 24 on it,
+    and on the catalog without D4, which is not closed under subgroups,
+    so that the search deduplicates its kernels there."""
     rng = random.Random(0x5EED0D)
     catalog = default_catalog()
     presentations = 30
@@ -1107,10 +1112,18 @@ def check_search():
         for max_assignments in range(full + 1):
             search_agrees(small, catalog, 4, max_assignments)
         budgets.append(full + 1)
+    free = parse_presentation("< x, y | >")
+    without_d4 = tuple(grp for grp in catalog if grp.name != "D4")
+    for name, cat, closed in (("default", catalog, True), ("without D4", without_d4, False)):
+        _ensure(_generating_only(cat, 24) == closed,
+                f"catalog {name}: generating-only search is {not closed}, expected {closed}")
+        full = search_agrees(free, cat, 24, 10**6)
+        search_agrees(free, cat, 24, rng.randint(0, full))
     return (f"{presentations} random presentations at two budgets ({wide} of them "
-            f"up to order 12), {cases[0]} at all {budgets[0]} budgets and {cases[1]} at "
-            f"all {budgets[1]} budgets: same quotients and budget state after every "
-            f"quotient as the brute force",
+            f"up to order 12), {cases[0]} at all {budgets[0]} budgets, {cases[1]} at "
+            f"all {budgets[1]} budgets, and {free.to_text()} up to order 24 on the "
+            f"catalog with and without D4 at two budgets: same quotients and budget "
+            f"state after every quotient as the brute force",
             {"presentations": presentations, "up_to_order_12": wide,
              "small_budgets": budgets[0], "three_generator_budgets": budgets[1]})
 

@@ -552,15 +552,15 @@ sys.exit(cli.main(sys.argv[2:]))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 @pytest.mark.parametrize("allowance, presentation, options, text", [
-    # 26,345 kernels: the search needs about 13 MB, and 33 MB with a dedup
-    # key of a tuple of tuples per kernel
-    (21, "< a,b,c,d | >", [],
+    # 26,345 kernels: about 8 MB, 12 MB with a bytes dedup key per kernel,
+    # and 33 MB with a tuple of tuples per kernel
+    (11, "< a,b,c,d | >", [],
      "presentation: < a, b, c, d | >\n"
      "subgroups examined: 26346\n"
      "best ratio de/index = 3/1 at index 1 (index 1)\n"
      "-chi_2 >= 3/1\n"),
-    # 56,254 kernels: about 25 MB, and 61 MB with tuple keys
-    (40, "< a,b,c,d,e | >", ["--max-assignments", "300000"],
+    # 56,254 kernels: about 22 MB, 25 MB with bytes keys, 61 MB with tuples
+    (24, "< a,b,c,d,e | >", ["--max-assignments", "300000"],
      "presentation: < a, b, c, d, e | >\n"
      "subgroups examined: 56255 (budget exhausted)\n"
      "best ratio de/index = 4/1 at index 1 (index 1)\n"
@@ -568,8 +568,9 @@ sys.exit(cli.main(sys.argv[2:]))
 ], ids=["4-generators", "5-generators"])
 def test_search_memory(allowance, presentation, options, text):
     """A free-group search may grow the child's address space by at most
-    ``allowance`` MB past its size once ``cli`` is imported: the search's
-    dedup set keeps one bytes key per kernel."""
+    ``allowance`` MB past its size once ``cli`` is imported: on the
+    default catalog the search keeps no dedup set, and ``chi`` one sample
+    per kernel."""
     proc = run_python("-c", GROWTH_SCRIPT, str(allowance), "chi", "-p", "2", presentation,
                       "--max-order", "24", *options, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")

@@ -22,9 +22,10 @@ from pdeficiency.invariants import (
 from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
 )
+from pdeficiency import quotient
 from pdeficiency.quotient import (
     CatalogKernel, FiniteQuotient, SearchBudget, describe_quotient, enumerate_quotients,
-    kernel_index, table_order,
+    kernel_index, parse_catalog_manifest, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
 from pdeficiency.verification import (
@@ -267,6 +268,30 @@ def test_samples_keep_no_quotient(search):
     for s in window.samples:
         assert not any(isinstance(v, (FiniteQuotient, CatalogKernel)) for v in s)
         assert type(s.description) is str
+
+
+def test_searches_close_no_kernel_on_the_default_catalog(monkeypatch):
+    """On the default catalog the search tries only generating images and
+    deduplicates nothing, so ``chi``, ``gradient`` and ``witness`` read
+    each index off the kernel's group and close no image; a manifest keeps
+    the dedup, which closes every leaf."""
+    pres = parse_presentation("< x, y | x^2, y^3 >")
+    chi_p_estimate(pres, 2, budget=budget(24))  # the groups' maximal subgroups are closed once
+    closures = []
+    close = quotient._close_images
+
+    def counted(*args):
+        closures.append(args[1])
+        return close(*args)
+
+    monkeypatch.setattr(quotient, "_close_images", counted)
+    for search in (chi_p_estimate, gradient_window):
+        assert len(search(pres, 2, budget=budget(24)).samples) > 5
+    witness = find_power_witness(parse_presentation("< x, y | x^6, y^12, (x*y)^12 >"), 2,
+                                 budget=budget(24))
+    assert witness is not None and closures == []
+    chi_p_estimate(pres, 2, parse_catalog_manifest("S3 3 (1 2 3) (1 2)"), budget(6))
+    assert closures
 
 
 class TestQuotientDpDrop:

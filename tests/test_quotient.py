@@ -1,13 +1,14 @@
 import json
 import math
 import re
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 import regen_search_golden
 
-from pdeficiency import verification
+from pdeficiency import quotient as quotient_module, verification
 from pdeficiency.invariants import relator_roots
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
@@ -307,12 +308,12 @@ class TestEnumerate:
         def corrupted(pres, catalog, *, budget):
             for kernel in enumerate_quotients(pres, catalog, budget=budget):
                 if kernel.order == 6:
-                    grp, images, closure, ks = kernel
+                    grp, images, closure = kernel.group, kernel.images, kernel.closure
                     if part == "image":
                         images = ((images[0] + 1) % grp.order, *images[1:])
                     else:
                         closure = [closure[0], closure[2], closure[1], *closure[3:]]
-                    kernel = CatalogKernel(grp, images, closure, ks)
+                    kernel = CatalogKernel(grp, images, kernel.ks, closure)
                 yield kernel
 
         monkeypatch.setattr(verification, "enumerate_quotients", corrupted)
@@ -349,7 +350,7 @@ class TestEnumerate:
             found = list(enumerate_quotients(pres, catalog, budget=SearchBudget(12)))
             assert len(found) > 20
             for kernel in found:
-                grp, images, closure, ks = kernel
+                grp, images, closure, ks = kernel.group, kernel.images, kernel.closure, kernel.ks
                 mul, powers = grp.search_tables
                 q = kernel.quotient()
                 assert q.images == tuple(grp.elements[a] for a in images)
@@ -376,6 +377,8 @@ class TestEnumerate:
             assert "_search_masks" not in vars(g)
             assert "cycle_texts" not in vars(g)
             assert "_element_layouts" not in vars(g)
+            assert "all_automorphisms" not in vars(g)
+            assert "maximal_masks" not in vars(g)
             assert g._layouts is None
 
     def test_orders_above_256_deduplicate_on_two_byte_keys(self):
@@ -422,6 +425,158 @@ class TestSearchGolden:
         recorded = json.loads(regen_search_golden.GOLDEN.read_text())
         for want, got in zip(recorded, regen_search_golden.compute(), strict=True):
             assert got == want
+
+
+def maximal_subgroups(grp) -> set:
+    """The maximal subgroups of a catalog group of order at most 25, each
+    as a frozenset of permutations, by brute force: a proper subgroup has
+    order at most 12, and each generator added to an irredundant list at
+    least doubles the subgroup, so it is generated by at most 3 elements,
+    and by generators of at most 3 cyclic subgroups.  Every such set is
+    closed by ``FiniteQuotient``, and the maximal subgroups are the proper
+    subgroups in no other."""
+    assert grp.order <= 25
+    cyclic = {}
+    for g in grp.elements:
+        cyclic.setdefault(frozenset(FiniteQuotient([g]).elements), g)
+    proper = {frozenset(FiniteQuotient(gens).elements)
+              for r in (1, 2, 3) for gens in combinations(cyclic.values(), r)}
+    proper.discard(frozenset(grp.elements))
+    return {m for m in proper if not any(m < other for other in proper)}
+
+
+def isomorphic(elements: frozenset, grp) -> bool:
+    """Whether the group of these permutations is isomorphic to ``grp``:
+    some images of its generators in it have the same regular tables, so
+    the same kernel in the free group, and generate all of it."""
+    if len(elements) != grp.order:
+        return False
+    for images in product(sorted(elements), repeat=len(grp.images)):
+        q = FiniteQuotient(images)
+        if q.order == grp.order and q.tables == grp.tables:
+            return True
+    return False
+
+
+def assert_closed(grp, catalog):
+    """The closedness proof of one catalog group: every nontrivial maximal
+    subgroup is isomorphic to a group its certificate names, each named
+    group is met so and comes earlier in ``catalog``, and the group's
+    ``maximal_masks`` hold exactly these maximal subgroups."""
+    by_name = {g.name: g for g in catalog}
+    maximal = maximal_subgroups(grp)
+    met = set()
+    for m in maximal:
+        if len(m) == 1:
+            continue
+        names = [name for name in grp.maximal_types if isomorphic(m, by_name[name])]
+        assert names, f"{grp.name}: a maximal subgroup of order {len(m)} is uncertified"
+        met.update(names)
+    assert met == set(grp.maximal_types), f"{grp.name}: certificate names {grp.maximal_types}"
+    assert all(catalog.index(by_name[name]) < catalog.index(grp) for name in met)
+    masks = grp.maximal_masks
+    held = {frozenset(grp.elements[x] for x in range(grp.order) if masks[x] >> j & 1)
+            for j in range(max(masks).bit_length())}
+    assert held == maximal
+
+
+@pytest.fixture
+def fresh_catalog():
+    """``default_catalog()`` built anew, and again after the test, so that
+    what the test does to its groups stays with it."""
+    default_catalog.cache_clear()
+    yield default_catalog()
+    default_catalog.cache_clear()
+
+
+def always_closed(catalog, max_order):
+    return True
+
+
+class TestClosedCatalog:
+    @pytest.mark.parametrize("name", [g.name for g in default_catalog()])
+    def test_default_catalog_is_closed(self, name):
+        # by name: a test before this one may have built the catalog anew
+        catalog = default_catalog()
+        assert_closed(next(g for g in catalog if g.name == name), catalog)
+
+    def test_default_catalog_takes_the_fast_path(self):
+        for max_order in (2, 12, 24, 25):
+            assert quotient_module._generating_only(default_catalog(), max_order)
+
+    @pytest.mark.parametrize("name, forged", [
+        ("S4", ("S3", "A4")),          # D4 left out
+        ("S4", ("S3", "C8", "A4")),    # C8 for D4
+        ("C12", ("C6", "C2xC2")),      # C2xC2 for C4
+        ("D5", ("C2", "C5", "C10")),   # C10 is no subgroup
+    ])
+    def test_forged_certificate_fails_the_proof(self, name, forged, monkeypatch):
+        grp = next(g for g in default_catalog() if g.name == name)
+        monkeypatch.setattr(grp, "maximal_types", forged)
+        with pytest.raises(AssertionError):
+            assert_closed(grp, default_catalog())
+
+    MUTANTS = {
+        "S4-without-D4": (lambda c: tuple(g for g in c if g.name != "D4"), 24),
+        "C2-twice": (lambda c: c[:1] + c, 6),
+        "reversed": (lambda c: tuple(reversed(c)), 6),
+    }
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutants_take_the_dedup_path(self, mutant, monkeypatch):
+        # each mutant is not closed, and the dedup search still matches
+        # the brute force; flagged closed, it would miss or repeat kernels
+        make, max_order = self.MUTANTS[mutant]
+        catalog = make(default_catalog())
+        pres = parse_presentation("< x, y | >")
+        assert not quotient_module._generating_only(catalog, max_order)
+        search_agrees(pres, catalog, max_order, 10**6)
+        monkeypatch.setattr(quotient_module, "_generating_only", always_closed)
+        with pytest.raises(CheckFailure, match="differ"):
+            search_agrees(pres, catalog, max_order, 10**6)
+
+    def test_out_of_order_takes_the_dedup_path(self):
+        # C3 before C2 leaves every group after the groups its certificate
+        # names, but the catalog is out of order
+        c2, c3, *rest = default_catalog()
+        catalog = (c3, c2, *rest)
+        assert not quotient_module._generating_only(catalog, 6)
+        search_agrees(parse_presentation("< x, y | >"), catalog, 6, 10**6)
+
+    def test_truncated_automorphisms_take_the_dedup_path(self, fresh_catalog, monkeypatch):
+        # the build keeps at most max(|H|, 30 // isqrt(|H|)) automorphisms:
+        # 10 of the 47 of C3xC3, and every one of D4's 7
+        monkeypatch.setattr(quotient_module, "CLOSURE_LIMIT", 30)
+        by_name = {g.name: g for g in fresh_catalog}
+        assert len(by_name["C3xC3"].automorphisms) == 10
+        assert not by_name["C3xC3"].all_automorphisms
+        assert len(by_name["D4"].automorphisms) == 7 and by_name["D4"].all_automorphisms
+        assert quotient_module._generating_only(fresh_catalog, 8)
+        assert not quotient_module._generating_only(fresh_catalog, 12)
+        pres = parse_presentation("< x, y | >")
+        search_agrees(pres, fresh_catalog, 12, 10**6)
+        monkeypatch.setattr(quotient_module, "_generating_only", always_closed)
+        with pytest.raises(CheckFailure, match="differ"):
+            search_agrees(pres, fresh_catalog, 12, 10**6)
+
+    @pytest.mark.parametrize("line, whole", [
+        ("E8 6 (1 2) (3 4) (5 6)", False),  # 167 automorphisms, 64 tries
+        ("K 4 (1 2)(3 4) (1 3)(2 4)", True),
+    ])
+    def test_automorphism_build_records_its_end(self, line, whole):
+        (grp,) = parse_catalog_manifest(line)
+        assert (len(grp.automorphisms) + 1 == {8: 168, 4: 6}[grp.order]) == whole
+        assert grp.all_automorphisms == whole
+
+    def test_lazy_closure_is_the_breadth_first_one(self):
+        # a generating kernel is yielded without its closure, which is
+        # built on first use, in the numbering of the quotient's closure
+        pres = parse_presentation("< x, y | x^2, y^3 >")
+        for kernel in enumerate_quotients(pres, budget=SearchBudget(24)):
+            if kernel.order > 1:
+                assert kernel._closure is None and kernel.order == kernel.group.order
+            elements = kernel.group.elements
+            assert tuple(elements[h] for h in kernel.closure) == kernel.quotient().elements
 
 
 def direct_tables(q):
