@@ -164,19 +164,7 @@ def _hom_cyclic(modulus_text: str, exps_text: str, generators) -> "FiniteQuotien
         raise ValueError(
             f"expected {len(generators)} exponents, got {len(exps)}"
         )
-    images = tuple(tuple((i + e) % modulus for i in range(modulus)) for e in exps)
-    # the image group is the shifts that the exponents generate, numbered
-    # breadth-first from 0 as FiniteQuotient's closure would number them,
-    # and right multiplication by an image adds its exponent
-    number, shifts = {0: 0}, [0]
-    for h in shifts:
-        for e in exps:
-            y = (h + e) % modulus
-            if y not in number:
-                number[y] = len(shifts)
-                shifts.append(y)
-    tables = tuple(tuple([number[(h + e) % modulus] for h in shifts]) for e in exps)
-    return FiniteQuotient._make(images, tables)
+    return FiniteQuotient(tuple((i + e) % modulus for i in range(modulus)) for e in exps)
 
 
 def _quotient_from_args(args, pres) -> "FiniteQuotient":

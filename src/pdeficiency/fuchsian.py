@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .presentation import FinitePresentation
-from .quotient import perm_cycles, perm_identity, perm_inv, perm_mul, perm_order
+from .quotient import orbit_starts, perm_cycles, perm_identity, perm_inv, perm_mul, perm_order
 from .words import Word, _p_weight, _record, nu_p_int, require_prime
 
 
@@ -215,18 +215,7 @@ def validate_action(sig: FuchsianSignature, act: EllipticAction) -> None:
         product = perm_mul(product, comm)
     if product != perm_identity(n):
         raise ValueError("product relation does not evaluate to the identity")
-    reached = {0}
-    frontier = [0]
-    perms = act.all_perms()
-    inverses = tuple(perm_inv(p) for p in perms)
-    while frontier:
-        x = frontier.pop()
-        for perm in perms + inverses:
-            y = perm[x]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    if len(reached) != n:
+    if len(orbit_starts(act.all_perms(), n)) != 1:
         raise ValueError("action is not transitive")
 
 

@@ -4,9 +4,11 @@ catalog of small permutation groups and the homomorphism search over it.
 Permutations are tuples of 0-based images; ``perm_mul(a, b)`` applies a
 first and then b, so evaluating a word left to right is a homomorphism.
 
-A quotient's coset table is its regular tables, and ``_cycle_layout``
-lays out the cycles of each table that is walked, all of one length, the
-order of the generator's image.  A catalog is a tuple of ``CatalogGroup``s;
+A quotient's coset table is its regular tables, from one closure that
+keys each element by its images of a base; its elements as permutations
+are a view of the tables.  ``_cycle_layout`` lays out the cycles of each
+table that is walked, all of one length, the order of the generator's
+image.  A catalog is a tuple of ``CatalogGroup``s;
 a catalog group is the quotient onto itself by its generators, and it
 also caches its multiplication table and powers, its automorphisms with
 two bitmasks of them per element, a bitmask of its maximal subgroups per
@@ -35,7 +37,7 @@ into a ``FiniteQuotient`` for the oracles.
 
 import math
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, combinations
 from operator import itemgetter
 
 from .presentation import FinitePresentation
@@ -121,7 +123,7 @@ def parse_cycles(text: str) -> list:
             continue
         points = []
         for item in body:
-            if not item.isdigit() or int(item) < 1:
+            if not item.isdecimal() or int(item) < 1:
                 raise ValueError(f"invalid point {item!r} in {text!r}")
             pt = int(item) - 1
             if pt in seen:
@@ -169,6 +171,24 @@ def describe_quotient(q, pres: FinitePresentation) -> str:
     return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, q.image_texts))
 
 
+def orbit_starts(perms, degree: int) -> list:
+    """The least point of each orbit on range(degree) of the group that the
+    permutations generate, in increasing order.  The group is finite, so
+    the orbit of a point is what the permutations reach from it."""
+    seen, starts = [False] * degree, []
+    for start in range(degree):
+        if not seen[start]:
+            starts.append(start)
+            seen[start] = True
+            orbit = [start]
+            for x in orbit:
+                for perm in perms:
+                    if not seen[perm[x]]:
+                        seen[perm[x]] = True
+                        orbit.append(perm[x])
+    return starts
+
+
 def _validate_perm(p, degree):
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise ValueError(f"{p!r} is not a permutation of {degree} points")
@@ -196,9 +216,9 @@ def _cycle_layout(perm) -> tuple:
 
 class FiniteQuotient:
     """Homomorphism from the free group into Sym(degree), one permutation
-    image per generator.  The image group is the closure of the images; its
-    elements double as the cosets of the kernel under the regular action.
-    """
+    image per generator.  The image group is the closure of the images, its
+    regular tables; its elements, a view of them, double as the cosets of
+    the kernel under the regular action."""
 
     __slots__ = ("degree", "images", "_elements", "_tables", "_layouts")
 
@@ -215,36 +235,32 @@ class FiniteQuotient:
         self._tables = None
         self._layouts = None
 
-    @classmethod
-    def _make(cls, images, tables) -> "FiniteQuotient":
-        """The quotient of permutations already checked, with its regular
-        tables in the breadth-first numbering of ``_close``, built without
-        closing the images; nothing is checked."""
-        q = object.__new__(cls)
-        q.degree = len(images[0])
-        q.images = images
-        q._elements = None
-        q._tables = tables
-        q._layouts = None
-        return q
-
     @property
     def n_gens(self) -> int:
         return len(self.images)
 
     def _close(self) -> None:
         """One breadth-first pass from the identity numbers the image-group
-        elements and fills in the regular tables in that numbering."""
-        identity = perm_identity(self.degree)
-        order = [identity]
-        index = {identity: 0}
-        rows = [[] for _ in self.images]
+        elements and fills in the regular tables in that numbering.  Each
+        element is keyed by its images of a base, points that only the
+        identity fixes all of: when the generator images commute, the first
+        point of each orbit, as a point's stabiliser in an abelian group
+        fixes its whole orbit; otherwise every point."""
+        images = self.images
+        if all(itemgetter(*a)(b) == itemgetter(*b)(a) for a, b in combinations(images, 2)):
+            base = orbit_starts(images, self.degree)
+        else:
+            base = range(self.degree)
+        # h then an image takes the base to the image at h's base images,
+        # read in one C-level gather; on one point itemgetter returns the
+        # point itself, not a 1-tuple, and that point keys the element
+        one = len(base) == 1
+        key = base[0] if one else tuple(base)
+        order, index = [key], {key: 0}
+        rows = [[] for _ in images]
         for h in order:
-            # h then each image, read off the image at h's points in one
-            # C-level gather; on one point itemgetter would return the point
-            # itself, not a 1-tuple, and h then img is img
-            gather = itemgetter(*h) if self.degree > 1 else tuple
-            for img, row in zip(self.images, rows):
+            gather = itemgetter(h) if one else itemgetter(*h)
+            for img, row in zip(images, rows):
                 nxt = gather(img)
                 i = index.get(nxt)
                 if i is None:
@@ -253,15 +269,18 @@ class FiniteQuotient:
                     i = index[nxt] = len(order)
                     order.append(nxt)
                 row.append(i)
-        self._elements = tuple(order)
-        if self._tables is None:
-            self._tables = tuple(tuple(row) for row in rows)
+        self._tables = tuple(tuple(row) for row in rows)
 
     @property
     def elements(self) -> tuple:
-        """Image-group elements in breadth-first order from the identity."""
+        """Image-group elements in breadth-first order from the identity, as
+        permutations: a view of the tables, built on first use along
+        ``_bfs_steps``, element i being element h then generator g."""
         if self._elements is None:
-            self._close()
+            elements = [perm_identity(self.degree)]
+            for h, g in _bfs_steps(self.tables):
+                elements.append(perm_mul(elements[h], self.images[g]))
+            self._elements = tuple(elements)
         return self._elements
 
     @property
@@ -739,7 +758,7 @@ def parse_catalog_manifest(text: str) -> tuple:
         if len(parts) < 3:
             raise ValueError(f"manifest line {lineno}: expected 'name degree perms...'")
         name, degree_text, perm_text = parts
-        if not degree_text.isdigit() or int(degree_text) < 1:
+        if not degree_text.isdecimal() or int(degree_text) < 1:
             raise ValueError(f"manifest line {lineno}: invalid degree {degree_text!r}")
         degree = int(degree_text)
         gen_texts = [t for t in split_outside_parens(perm_text, str.isspace) if t]

@@ -16,7 +16,7 @@ from pdeficiency.cli import main
 from pdeficiency.invariants import chi_p_estimate
 from pdeficiency.presentation import parse_presentation
 from pdeficiency.quotient import (
-    FiniteQuotient, SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
+    SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
     parse_catalog_manifest,
 )
 from pdeficiency.verification import (
@@ -24,6 +24,7 @@ from pdeficiency.verification import (
     supermultiplicity_check,
 )
 from pdeficiency.words import nu_p_int
+from test_quotient import closure_by_permutation
 
 
 def run(capsys, *argv):
@@ -113,13 +114,15 @@ class TestSubgroup:
         ("5", "0,1"), ("12", "4,6"), ("7", "0,0"), ("10", "-3,15"), ("6", "8"), ("9", "3,6,0"),
     ])
     def test_hom_cyclic_tables_match_the_closure(self, modulus, exps):
-        # the tables that --hom-cyclic builds by arithmetic are those of
-        # the closure of its permutations, also when the exponents generate
-        # a proper subgroup of Z/Q or none of it
+        # the quotient of --hom-cyclic, shifts of Z/Q closed on one point,
+        # has the elements and tables of the closure that keys each element
+        # by its whole permutation, also when the exponents generate a
+        # proper subgroup of Z/Q or none of it
         names = ("x", "y", "z")[:len(exps.split(","))]
         q = cli._hom_cyclic(modulus, exps, names)
-        fresh = FiniteQuotient(q.images)
-        assert (q.degree, q.images, q.tables) == (fresh.degree, fresh.images, fresh.tables)
+        n = int(modulus)
+        assert q.images == tuple(tuple((i + int(e)) % n for i in range(n)) for e in exps.split(","))
+        assert (q.elements, q.tables) == closure_by_permutation(q.images)
 
     @pytest.mark.parametrize("spec, out", [
         ("x:(1,2),y:(1 3)", "quotient: x:(1 2), y:(1 3)\n"),
@@ -133,6 +136,8 @@ class TestSubgroup:
         ("x:(1 2)),y:(1 3)", "unbalanced parenthesis in 'x:(1 2)),y:(1 3)'"),
         ("x:(1 2),,y:(1 3)", "invalid quotient entry ''; expected name:(cycles)"),
         ("x:(1 2", "unbalanced parenthesis in '(1 2'"),
+        # a digit that int() does not read is no point
+        ("x:(1 ²)", "invalid point '²' in '(1 ²)'"),
     ])
     def test_quotient_spec_errors(self, capsys, spec, message):
         assert run(capsys, "subgroup", "-p", "2", "< x, y | x^2 >", "--quotient", spec) == (
@@ -318,6 +323,16 @@ class TestSearchCommands:
         )
         assert code == 0
         assert "subgroups examined: 4" in out
+
+    @pytest.mark.parametrize("line, message", [
+        ("C2 ² (1 2)", "manifest line 1: invalid degree '²'"),
+        ("C2 2 (1 ²)", "invalid point '²' in '(1 ²)'"),
+    ])
+    def test_catalog_file_errors(self, capsys, tmp_path, line, message):
+        manifest = tmp_path / "groups.txt"
+        manifest.write_text(line + "\n")
+        assert run(capsys, "chi", "-p", "2", "< x, y | >", "--catalog", str(manifest)) == (
+            1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("p, message", [
         ("2", "max_order must be at least 2"),
@@ -576,18 +591,24 @@ def test_search_memory(allowance, presentation, options, text):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
 
 
+C5000 = " ".join(map(str, range(1, 5001)))
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("option", [["--hom-cyclic", "5000", "1"], ["--quotient", f"x:({C5000})"]],
+                         ids=["hom-cyclic", "quotient"])
 @pytest.mark.parametrize("command, line", [
     ("psize", "  relator 0: k=5000 classes=1 nu_F=3 nu_p(k)=3 term=1/1 "
               "rewritten valuations=[0]\n"),
     ("subgroup", "subgroup presentation: < a | a >\n"),
-])
-def test_hom_cyclic_memory(command, line):
-    """``--hom-cyclic`` numbers the image in Z/Q by arithmetic: closing its
-    Q permutations of degree Q, one key of Q points per element, took about
-    200 MB at Q = 5000.  Each command may grow the child by at most 20 MB."""
+], ids=["psize", "subgroup"])
+def test_explicit_quotient_memory(command, line, option):
+    """The image of x, a 5000-cycle, commutes with itself, so its closure
+    keys each element by its image of one point, the first of its orbit.
+    Keyed by all 5000 points, one tuple per element, it took about 200 MB.
+    Each command may grow the child by at most 20 MB."""
     proc = run_python("-c", GROWTH_SCRIPT, "20", command, "-p", "2", "< x | x^5000 >",
-                      "--hom-cyclic", "5000", "1", timeout=60)
+                      *option, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "index = 5000\n" in proc.stdout and line in proc.stdout
 
@@ -652,7 +673,10 @@ def test_search_order_limit(tmp_path, manifest, code, out, err):
 def test_oversized_manifest_group_is_not_closed(tmp_path):
     """A manifest group whose generator orders have their lcm above
     --max-order is above it too, so the search skips it without its
-    closure, which for C5000 takes about a second and 200 MB."""
+    closure.  C5000 itself would close on one point, as its generator
+    commutes with itself; the guard matters for generators that do not
+    commute, whose closure keys every point and costs order times degree
+    in time and memory."""
     manifest = f"C2 2 (1 2)\nC5000 5000 ({' '.join(map(str, range(1, 5001)))})\n"
     catalog = tmp_path / "groups.txt"
     catalog.write_text(manifest)

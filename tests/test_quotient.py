@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from itertools import combinations, product
 
@@ -21,6 +22,7 @@ from pdeficiency.quotient import (
     enumerate_quotients,
     format_perm,
     kernel_index,
+    orbit_starts,
     parse_catalog_manifest,
     parse_cycles,
     parse_perm,
@@ -591,6 +593,79 @@ def direct_mul(elements):
     return tuple(tuple(index[perm_mul(a, b)] for b in elements) for a in elements)
 
 
+def closure_by_permutation(images) -> tuple:
+    """``(elements, tables)`` of the image group by one breadth-first pass
+    from the identity that keys each element by its whole permutation."""
+    elements = [perm_identity(len(images[0]))]
+    index = {elements[0]: 0}
+    rows = [[] for _ in images]
+    for h in elements:
+        for img, row in zip(images, rows):
+            nxt = perm_mul(h, img)
+            if nxt not in index:
+                index[nxt] = len(elements)
+                elements.append(nxt)
+            row.append(index[nxt])
+    return tuple(elements), tuple(map(tuple, rows))
+
+
+def commuting_images(seed) -> tuple:
+    """``(images, starts)``: 1-3 commuting permutations on shuffled points,
+    with 2-4 cyclic orbits, the first image a generator of each, sometimes a
+    Klein four-group orbit, and 1-3 fixed points; ``starts`` holds the least
+    point of each orbit."""
+    rng = random.Random(seed)
+    n_gens = rng.randint(1, 3)
+    blocks = [rng.randint(2, 6) for _ in range(rng.randint(2, 4))] + [1] * rng.randint(1, 3)
+    if n_gens > 1 and rng.random() < 0.5:
+        blocks.append("klein")
+    degree = sum(4 if m == "klein" else m for m in blocks)
+    points = rng.sample(range(degree), degree)
+    images = [list(range(degree)) for _ in range(n_gens)]
+    starts, at = [], 0
+    for m in blocks:
+        size = 4 if m == "klein" else m
+        orbit, at = points[at:at + size], at + size
+        starts.append(min(orbit))
+        for i, img in enumerate(images):
+            if m == "klein":  # k -> k xor v, a translation of F_2^2
+                v = (1, 2)[i] if i < 2 else rng.randrange(4)
+                moved = [k ^ v for k in range(4)]
+            else:  # k -> k + e mod m
+                e = 1 if i == 0 else rng.randrange(m)
+                moved = [(k + e) % m for k in range(m)]
+            for k, x in enumerate(orbit):
+                img[x] = orbit[moved[k]]
+    return tuple(map(tuple, images)), sorted(starts)
+
+
+class TestClosure:
+    """The closure that keys each element by its images of a base gives the
+    elements and tables of the one that keys it by its whole permutation."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_commuting_images(self, seed):
+        images, starts = commuting_images(seed)
+        assert all(perm_mul(a, b) == perm_mul(b, a) for a, b in combinations(images, 2))
+        assert orbit_starts(images, len(images[0])) == starts
+        q = FiniteQuotient(images)
+        assert (q.elements, q.tables) == closure_by_permutation(images)
+
+    @pytest.mark.parametrize("images", [
+        [parse_perm("(1 2)", 3), parse_perm("(1 2 3)", 3)],
+        [parse_perm("(1 2 3 4)", 4), parse_perm("(1 3)", 4)],
+        [parse_perm("(1 2 3)", 4), parse_perm("(2 3 4)", 4)],
+        list(_psl27()),
+        [(0,)],
+        [perm_identity(4)] * 3,
+        [parse_perm("(1 2 3)(4 5)", 6)],
+        [parse_perm("(1 2)(3 4)", 4), parse_perm("(1 3)(2 4)", 4)],
+    ], ids=["S3", "D4", "A4", "PSL(2,7)", "degree-1", "identities", "one-generator", "C2xC2"])
+    def test_examples(self, images):
+        q = FiniteQuotient(images)
+        assert (q.elements, q.tables) == closure_by_permutation(images)
+
+
 class TestTables:
     @pytest.mark.parametrize("grp", default_catalog(), ids=lambda g: g.name)
     def test_default_catalog(self, grp):
@@ -743,3 +818,6 @@ class TestCatalog:
             parse_catalog_manifest("S3 3")
         with pytest.raises(ValueError):
             parse_catalog_manifest("S3 2 (1 2 3)")
+        # a digit that int() does not read is no degree
+        with pytest.raises(ValueError, match=re.escape("manifest line 1: invalid degree '²'")):
+            parse_catalog_manifest("C2 ² (1 2)")
