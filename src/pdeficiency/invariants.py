@@ -30,7 +30,6 @@ from functools import lru_cache
 from .abelian import abelian_invariants, d_p
 from .presentation import FinitePresentation, p_deficiency
 from .quotient import (
-    CatalogKernel,
     FiniteQuotient,
     SearchBudget,
     describe_quotient,
@@ -160,7 +159,7 @@ def deficiency_numerator(roots, ks, d: int, n_gens: int, top: int) -> int:
         for root, k in zip(roots, ks))
 
 
-def leaf_d_p(roots, kernel: CatalogKernel, p: int) -> int:
+def leaf_d_p(roots, kernel: "CatalogKernel", p: int) -> int:
     """d_p of a kernel that the search yields, of index d:
     d*|X| - d + 1 - rank_Fp(J).
 
@@ -188,8 +187,8 @@ def leaf_d_p(roots, kernel: CatalogKernel, p: int) -> int:
     p*(p - 1) after.  The rows walk each run through ``_run_steps``, one
     table per (group, a, e, p, W) that a search reuses on every leaf.
     ``verification.kernel_d_p`` walks the coset table for the same value."""
-    grp, images, d = kernel.group, kernel.images, kernel.order
-    size = grp.order
+    tables, images, d = kernel.tables, kernel.images, kernel.order
+    size = kernel.group.order
     # on a kernel whose images generate the group, every element
     order = range(size) if d == size else kernel.closure
     live = [(root, k) for root, k in zip(roots, kernel.ks) if root.exponent // k % p]
@@ -198,7 +197,7 @@ def leaf_d_p(roots, kernel: CatalogKernel, p: int) -> int:
     rows = []
     for root, k in live:
         # per run g^e: g's first bit, then g's image's steps for e
-        runs = [(g * size * width, *_run_steps(grp, images[g], e, p, width))
+        runs = [(g * size * width, *_run_steps(tables, images[g], e, p, width))
                 for g, e in root.runs]
         rows += _fox_rows(runs, order, size, p > 2)
     return d * len(images) - d + 1 - packed_rank(rows, p, bound)
@@ -230,9 +229,9 @@ def _fox_rows(runs, order, size: int, odd: bool) -> list:
 
 
 @lru_cache(maxsize=512)
-def _run_steps(grp, a: int, e: int, p: int, width: int) -> tuple:
+def _run_steps(tables, a: int, e: int, p: int, width: int) -> tuple:
     """(doubled, whole, drops, shifts, nexts): what a run g^e adds to a Fox
-    row from each element of ``grp`` when g's image is element a, ``width``
+    row from each element of the group when g's image is element a, ``width``
     bits a column.  On a cycle of the ``cycle_layout`` of a, L columns, it
     adds from offset i the whole range |e| // L times, then the arc of
     |e| % L edges forward from i for e > 0, backward for e < 0, and ends at
@@ -244,7 +243,7 @@ def _run_steps(grp, a: int, e: int, p: int, width: int) -> tuple:
     bit and adding is XOR; at odd p an edge crossed forward adds 1 and one
     crossed backward p - 1, so each entry is below 2p, and ``packed_rank``
     reduces the sums.  Each table holds three ints per group element."""
-    length, cols, place = grp.cycle_layout(a)
+    length, cols, place = tables.cycle_layout(a)
     full, rest = divmod(abs(e), length)
     span = length * width
     whole = (1 << span) - 1
@@ -413,7 +412,7 @@ class PowerWitness:
     relator: Word
     root: Word
     exponent: int
-    quotient: CatalogKernel
+    quotient: "CatalogKernel"
     index: int
     subgroup_deficiency: Fraction
 

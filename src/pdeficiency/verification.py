@@ -50,7 +50,6 @@ from .presentation import FinitePresentation, p_deficiency, parse_presentation
 from .quotient import (
     FiniteQuotient,
     SearchBudget,
-    _generating_only,
     default_catalog,
     enumerate_quotients,
     kernel_index,
@@ -62,6 +61,7 @@ from .quotient import (
     table_order,
 )
 from .rewrite import SchreierData, rewrite_word, schreier, subgroup_presentation
+from .search import _generating_only
 from .words import (
     Word, _record, maximal_root, nu_p, nu_p_int, p_prime_part, p_prime_root, require_prime,
 )

@@ -22,12 +22,13 @@ from pdeficiency.invariants import (
 from pdeficiency.presentation import (
     FinitePresentation, p_deficiency, parse_presentation, power_up,
 )
-from pdeficiency import quotient
+from pdeficiency import search as search_module
 from pdeficiency.quotient import (
-    CatalogKernel, FiniteQuotient, SearchBudget, describe_quotient, enumerate_quotients,
-    kernel_index, parse_catalog_manifest, table_order,
+    FiniteQuotient, SearchBudget, describe_quotient, enumerate_quotients, kernel_index,
+    parse_catalog_manifest, table_order,
 )
 from pdeficiency.rewrite import subgroup_presentation
+from pdeficiency.search import CatalogKernel
 from pdeficiency.verification import (
     kernel_d_p, kernel_deficiency, quotient_dp_drop, rank_mod_p, transfer_terms,
 )
@@ -137,7 +138,7 @@ class TestFoxMasks:
         # x and y each in two runs, and runs longer than the order of some
         # images; the search also sends generators to the identity (L = 1)
         pres = parse_presentation("< x, y, z | x^-5*y^7*x^3*z^-2*y^-2 >")
-        lengths = [[k.group.cycle_layout(a)[0] for a in k.images]
+        lengths = [[k.tables.cycle_layout(a)[0] for a in k.images]
                    for k in enumerate_quotients(pres, budget=budget(12)) if k.order > 1]
         assert any(1 in ls for ls in lengths) and any(5 > ls[0] > 1 for ls in lengths)
         self.check(pres, (2, 3, 1000003, 100000000000031))
@@ -278,13 +279,13 @@ def test_searches_close_no_kernel_on_the_default_catalog(monkeypatch):
     pres = parse_presentation("< x, y | x^2, y^3 >")
     chi_p_estimate(pres, 2, budget=budget(24))  # the groups' maximal subgroups are closed once
     closures = []
-    close = quotient._close_images
+    close = search_module._close_images
 
     def counted(*args):
         closures.append(args[1])
         return close(*args)
 
-    monkeypatch.setattr(quotient, "_close_images", counted)
+    monkeypatch.setattr(search_module, "_close_images", counted)
     for search in (chi_p_estimate, gradient_window):
         assert len(search(pres, 2, budget=budget(24)).samples) > 5
     witness = find_power_witness(parse_presentation("< x, y | x^6, y^12, (x*y)^12 >"), 2,

@@ -17,6 +17,7 @@ from pdeficiency.presentation import (
     parse_presentation,
     parse_word,
     power_up,
+    word_to_text,
 )
 from pdeficiency.quotient import FiniteQuotient
 from pdeficiency.rewrite import subgroup_presentation
@@ -383,6 +384,33 @@ class TestParseProducts:
             Word(((0, 1),), 2) * word * Word(((1, 1),), 2))
         assert parse_word(f"({text})^-1*x^2*{text}", ("x", "y")) == (
             word.inverse() * Word(((0, 2),), 2) * word)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factors_st(2), st.sampled_from([1, -1, 2, -3]),
+           st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1, 2, -2])),
+                    max_size=4),
+           st.integers(0, 4))
+    def test_flat_runs_at_a_power_seam(self, factors, k, before, cut):
+        # a bracketed power first, in the middle and last, next to flat
+        # products whose runs merge with or cancel into its first or last
+        # ``cut`` runs, or cancel all of it and reach the runs before it
+        names = ("x", "y")
+        power = factors_word(factors) ** k
+        text = f"({factors_text(factors)})^{k}"
+        a = Word(before, 2)
+        head = Word(power.runs[:cut], 2).inverse()
+        tail = Word(power.runs[len(power.runs) - cut:], 2).inverse()
+
+        def flat(word):
+            return word_to_text(word, names)
+
+        assert parse_word(f"{text}*{flat(tail)}", names) == power * tail
+        assert parse_word(f"{flat(head)}*{text}", names) == head * power
+        assert parse_word(f"{flat(a)}*{text}", names) == a * power
+        assert parse_word(f"{flat(a)}*{text}*{flat(tail)}", names) == a * power * tail
+        undo = (Word(a.runs[-1:], 2) * power).inverse()
+        assert parse_word(f"{flat(a)}*{text}*{flat(undo)}*y", names) == (
+            Word(a.runs[:-1], 2) * Word(((1, 1),), 2))
 
     def test_lone_factor_returned_as_parsed(self, monkeypatch):
         built = []
