@@ -8,10 +8,8 @@ A command computes its report once and returns it as ``(payload, lines)``:
 the JSON payload and the text lines formatted from the payload's values.
 ``main`` is the only renderer: it prints the JSON or the text, writes the
 JSON to -o FILE, and exits 1 when the payload says ``"all_passed": false``.
-``chi`` and ``gradient`` format their kernel samples with one helper,
-``_sample``; each sample carries its own description.  ``chi`` leaves its
-samples out of the payload when no JSON is rendered, since the text names
-only the witness.
+``chi`` and ``gradient`` render the integer rows of ``kernel_values``
+with one helper, ``_window``, and describe only the rows they print.
 
 A ``pdef`` process runs one command, and compiling the modules of the
 others would cost more than a typical command takes.  So each handler
@@ -19,30 +17,21 @@ imports the names it uses from ``abelian``, ``fuchsian``, ``invariants``,
 ``quotient``, ``rewrite`` and ``verification`` in its own body: ``def``
 loads ``presentation``, ``words`` and ``abelian`` only.  The
 ``presentation`` names stay at module level, as nearly every command
-parses a presentation.  The benchmark's tracer (``bench/tracer.py``) also
-counts ``presentation.parse_chars`` through ``cli.parse_presentation``: it
-wraps a function only under the names that other modules hold at module
-level.
-
-``_dumps`` writes what ``json.dumps(payload, indent=2, sort_keys=True)``
-writes.  With ``indent`` set, Python 3.10-3.12 leave the C encoder and pass
-every string through ``encode_basestring_ascii``, which escapes it character
-by character: on the 100 KB presentation strings of long relators that is
-about four times the cost of checking with one ``bytes.translate`` that
-nothing needs escaping, after which the string goes into the report as it is.
+parses a presentation; the benchmark's tracer (``bench/tracer.py``), which
+wraps only module-level names, counts ``presentation.parse_chars`` there.
 """
 
 import argparse
 import functools
 import json
+import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .presentation import p_deficiency, parse_presentation, word_to_text
 
 
-def _rat(q: Fraction) -> str:
+def _rat(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -53,9 +42,11 @@ _PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a payload: dicts
     with string keys, lists and tuples are laid out here as one list of
-    pieces, joined once; a long string of plain characters is one piece, not
-    copied; any other value is left to ``json.dumps``.  Below about 256
-    characters, escaping a string costs less than checking it."""
+    pieces, joined once; any other value is left to ``json.dumps``.  With
+    ``indent`` set, Python 3.10-3.12 escape every string character by
+    character, on the 100 KB strings of long relators four times the cost
+    of one ``bytes.translate`` that finds nothing to escape; such a string
+    is then one piece.  Below 256 characters escaping costs less."""
     out = []
     _emit(value, "\n", out)
     return "".join(out)
@@ -75,8 +66,14 @@ def _emit(value, indent: str, out: list) -> None:
     elif isinstance(value, dict):
         inner, sep = indent + "  ", "{"
         for k in sorted(value):
+            v = value[k]
             out += (sep, inner, encode_basestring_ascii(k), ": ")
-            _emit(value[k], inner, out)
+            if type(v) is int:
+                out.append(int.__repr__(v))
+            elif type(v) is str and len(v) <= 256:
+                out.append(encode_basestring_ascii(v))
+            else:
+                _emit(v, inner, out)
             sep = ","
         out += (indent, "}")
     else:
@@ -113,8 +110,7 @@ def _load_catalog(args):
 
 def _budget(args) -> "SearchBudget":
     from .quotient import SearchBudget
-    return SearchBudget(max_order=args.max_order,
-                        max_assignments=args.max_assignments)
+    return SearchBudget(max_order=args.max_order, max_assignments=args.max_assignments)
 
 
 def _parse_quotient_spec(spec: str, generators) -> "FiniteQuotient":
@@ -135,14 +131,10 @@ def _parse_quotient_spec(spec: str, generators) -> "FiniteQuotient":
         if name in cycles_by_name:
             raise ValueError(f"generator {name!r} listed twice in quotient spec")
         cycles_by_name[name] = parse_cycles(perm_text.strip())
-    degree = 1
-    for cycles in cycles_by_name.values():
-        for cyc in cycles:
-            degree = max(degree, max(cyc) + 1)
-    images = [
-        cycles_to_perm(cycles_by_name.get(name, []), degree) for name in generators
-    ]
-    return FiniteQuotient(images)
+    degree = 1 + max((max(cyc) for cycles in cycles_by_name.values() for cyc in cycles),
+                     default=0)
+    return FiniteQuotient([cycles_to_perm(cycles_by_name.get(name, []), degree)
+                           for name in generators])
 
 
 def _hom_int(text: str, field: str) -> int:
@@ -161,9 +153,7 @@ def _hom_cyclic(modulus_text: str, exps_text: str, generators) -> "FiniteQuotien
     check_degree(modulus)
     exps = [_hom_int(t, f"exponent {i + 1}") for i, t in enumerate(exps_text.split(","))]
     if len(exps) != len(generators):
-        raise ValueError(
-            f"expected {len(generators)} exponents, got {len(exps)}"
-        )
+        raise ValueError(f"expected {len(generators)} exponents, got {len(exps)}")
     return FiniteQuotient(tuple((i + e) % modulus for i in range(modulus)) for e in exps)
 
 
@@ -253,10 +243,8 @@ def cmd_subgroup(args):
     payload = {
         **_head(args, pres),
         "index": index,
-        "basis": {
-            name: word_to_text(word, pres.generators)
-            for name, word in zip(sub.generators, basis_words(sd))
-        },
+        "basis": {name: word_to_text(word, pres.generators)
+                  for name, word in zip(sub.generators, basis_words(sd))},
         "subgroup_presentation": sub.to_text(),
         "de_subgroup": _rat(de_sub),
         "de_presentation": _rat(de_orig),
@@ -289,15 +277,9 @@ def cmd_psize(args):
         "transfer_bound": _rat(bound.value),
         "exact_sum": _rat(bound.exact_sum),
         "contributions": [
-            {
-                "relator": c.relator_index,
-                "k": c.centralizer_idx,
-                "classes": c.class_count,
-                "nu_free": c.nu_free,
-                "nu_p_k": c.nu_p_k,
-                "term": _rat(c.term),
-                "rep_valuations": list(c.rep_valuations),
-            }
+            {"relator": c.relator_index, "k": c.centralizer_idx, "classes": c.class_count,
+             "nu_free": c.nu_free, "nu_p_k": c.nu_p_k, "term": _rat(c.term),
+             "rep_valuations": list(c.rep_valuations)}
             for c in bound.contributions
         ],
     }
@@ -305,12 +287,9 @@ def cmd_psize(args):
         f"presentation: {payload['presentation']}",
         f"index = {bound.index}",
         "per-relator transfer terms (k, classes, nu_F, nu_p(k), term):",
-        *(
-            f"  relator {c['relator']}: k={c['k']} classes={c['classes']} "
-            f"nu_F={c['nu_free']} nu_p(k)={c['nu_p_k']} term={c['term']} "
-            f"rewritten valuations={c['rep_valuations']}"
-            for c in payload["contributions"]
-        ),
+        *(f"  relator {c['relator']}: k={c['k']} classes={c['classes']} "
+          f"nu_F={c['nu_free']} nu_p(k)={c['nu_p_k']} term={c['term']} "
+          f"rewritten valuations={c['rep_valuations']}" for c in payload["contributions"]),
         f"transfer bound = {payload['transfer_bound']}",
         f"exact rewritten p-size = {payload['exact_sum']}",
     ]
@@ -318,24 +297,16 @@ def cmd_psize(args):
 
 
 def cmd_fuchsian(args):
-    from .fuchsian import (
-        de_exact, de_standard, de_upper, format_signature, parse_signature, volume,
-    )
+    from .fuchsian import de_exact, de_standard, de_upper, format_signature, parse_signature, volume
     sig = parse_signature(args.signature)
     p = args.prime
     result = de_exact(sig, p)
     lower, upper = _rat(result.lower), _rat(result.upper)
     payload = {
-        "command": "fuchsian",
-        "p": p,
-        "signature": format_signature(sig),
-        "volume": _rat(volume(sig)),
-        "de_standard": _rat(de_standard(sig, p)),
-        "de_upper": _rat(de_upper(sig, p)),
-        "case": result.case,
-        "negative": result.negative,
-        "de_exact": None if result.negative else _rat(result.value),
-        "interval": [lower, upper],
+        "command": "fuchsian", "p": p, "signature": format_signature(sig),
+        "volume": _rat(volume(sig)), "de_standard": _rat(de_standard(sig, p)),
+        "de_upper": _rat(de_upper(sig, p)), "case": result.case, "negative": result.negative,
+        "de_exact": None if result.negative else _rat(result.value), "interval": [lower, upper],
     }
     lines = [
         f"signature: {payload['signature']}",
@@ -389,62 +360,73 @@ def _budget_note(exhausted: bool) -> str:
     return " (budget exhausted)" if exhausted else ""
 
 
-def _sample(s, key: str) -> dict:
-    """A kernel sample as ``chi`` and ``gradient`` report it, its value
-    under ``key``: exact rational text for a de_p, an int for a d_p."""
-    value = _rat(s.value) if isinstance(s.value, Fraction) else s.value
-    return {"index": s.index, key: value, "ratio": _rat(s.ratio),
-            "description": s.description}
+def _window(args, gradient: bool = False) -> tuple:
+    """``(pres, budget, samples, count, high, low)`` of ``chi`` or
+    ``gradient`` from the rows ``(d, num, kernel)`` of ``kernel_values``;
+    high and low, the samples of the first largest and smallest ratio
+    num/(den*d), compare as integers.  A fraction takes one gcd: num/den
+    reduces to n/t, and n/(t*d) by gcd(n, d).  Without JSON, ``chi`` keeps
+    no samples, as its text names only the witness."""
+    from .invariants import kernel_values
+    from .quotient import describe_quotient
+    pres = parse_presentation(args.presentation)
+    budget = _budget(args)
+    den, values = kernel_values(pres, args.prime, _load_catalog(args), budget, gradient)
+    key = "d_p" if gradient else "deficiency"
+
+    def sample(d, num, kernel):
+        value, t = num, 1
+        if not gradient:
+            g = math.gcd(num, den)
+            num, t = num // g, den // g
+            value = f"{num}/{t}"
+        g = math.gcd(num, d)
+        return {"index": d, key: value, "ratio": f"{num // g}/{t * (d // g)}",
+                "description": "index 1" if kernel is None else describe_quotient(kernel, pres)}
+
+    keep = gradient or _json_wanted(args)
+    samples, count = [], 0
+    for row in values:
+        d, num, _ = row
+        if not count or num * high[0] > high[1] * d:
+            high, at_high = row, count
+        if not count or num * low[0] < low[1] * d:
+            low, at_low = row, count
+        count += 1
+        if keep:
+            samples.append(sample(*row))
+    if not keep:
+        return pres, budget, None, count, sample(*high), None
+    return pres, budget, samples, count, samples[at_high], samples[at_low]
 
 
 def cmd_chi(args):
-    from .invariants import chi_p_estimate
-    pres = parse_presentation(args.presentation)
-    est = chi_p_estimate(pres, args.prime, _load_catalog(args), _budget(args))
-    witness = est.best
-    best = _rat(witness.ratio)
-    payload = {
-        **_head(args, pres),
-        "best_ratio": best,
-        "witness": {
-            "index": witness.index,
-            "deficiency": _rat(witness.value),
-            "description": witness.description,
-        },
-        "subgroups_examined": len(est.samples),
-        "exhausted": est.exhausted,
-    }
-    if _json_wanted(args):  # the text names only the witness
-        payload["samples"] = [_sample(s, "deficiency") for s in est.samples]
+    pres, budget, samples, count, witness, _ = _window(args)
+    payload = {**_head(args, pres), "best_ratio": witness["ratio"],
+               "witness": {k: witness[k] for k in ("index", "deficiency", "description")},
+               "subgroups_examined": count, "exhausted": budget.exhausted}
+    if samples is not None:
+        payload["samples"] = samples
     lines = [
         f"presentation: {payload['presentation']}",
-        f"subgroups examined: {len(est.samples)}{_budget_note(est.exhausted)}",
-        f"best ratio de/index = {best} at index {witness.index} ({witness.description})",
-        f"-chi_{args.prime} >= {best}",
+        f"subgroups examined: {count}{_budget_note(budget.exhausted)}",
+        f"best ratio de/index = {witness['ratio']} at index {witness['index']} "
+        f"({witness['description']})",
+        f"-chi_{args.prime} >= {witness['ratio']}",
     ]
     return payload, lines
 
 
 def cmd_gradient(args):
-    from .invariants import gradient_window
-    pres = parse_presentation(args.presentation)
-    window = gradient_window(pres, args.prime, _load_catalog(args), _budget(args))
-    payload = {
-        **_head(args, pres),
-        "samples": [_sample(s, "d_p") for s in window.samples],
-        "min_ratio": _rat(min(s.ratio for s in window.samples)),
-        "max_ratio": _rat(window.best.ratio),
-        "exhausted": window.exhausted,
-    }
+    pres, budget, samples, _, high, low = _window(args, gradient=True)
+    payload = {**_head(args, pres), "samples": samples, "min_ratio": low["ratio"],
+               "max_ratio": high["ratio"], "exhausted": budget.exhausted}
     lines = [
         f"presentation: {payload['presentation']}",
         "window (index, d_p, ratio):",
-        *(
-            f"  {s['index']}  {s['d_p']}  {s['ratio']}  ({s['description']})"
-            for s in payload["samples"]
-        ),
+        *(f"  {s['index']}  {s['d_p']}  {s['ratio']}  ({s['description']})" for s in samples),
         f"window ratios in [{payload['min_ratio']}, {payload['max_ratio']}]"
-        + _budget_note(window.exhausted),
+        + _budget_note(budget.exhausted),
     ]
     return payload, lines
 
@@ -485,17 +467,12 @@ def cmd_verify(args):
     passed = sum(1 for o in outcomes if o.passed)
     payload = {
         "command": "verify",
-        "criteria": [
-            {"name": o.name, "passed": o.passed, "summary": o.summary,
-             "details": o.details}
-            for o in outcomes
-        ],
+        "criteria": [{"name": o.name, "passed": o.passed, "summary": o.summary,
+                      "details": o.details} for o in outcomes],
         "all_passed": passed == len(outcomes),
     }
-    lines = [
-        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['summary']}"
-        for c in payload["criteria"]
-    ]
+    lines = [f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['summary']}"
+             for c in payload["criteria"]]
     lines.append(f"verify: {passed}/{len(outcomes)} criteria passed")
     return payload, lines
 
@@ -561,18 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "def": cmd_def,
-    "abdef": cmd_abdef,
-    "subgroup": cmd_subgroup,
-    "psize": cmd_psize,
-    "fuchsian": cmd_fuchsian,
-    "singerman": cmd_singerman,
-    "chi": cmd_chi,
-    "gradient": cmd_gradient,
-    "witness": cmd_witness,
-    "verify": cmd_verify,
-}
+_HANDLERS = {name[4:]: fn for name, fn in list(globals().items()) if name.startswith("cmd_")}
 
 
 def main(argv=None) -> int:

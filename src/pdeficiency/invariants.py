@@ -17,10 +17,15 @@ of bits per column, ranked by one elimination; ``verification`` keeps
 the table walks and a dict elimination as their oracle.
 
 ``chi`` and ``gradient`` examine the same kernels and differ only in the
-numerator: one search loop builds a ``KernelSample`` per kernel, holding
-its index, its de_p or d_p, the ratio to the index, and its quotient in
-``--quotient`` notation, and no kernel.  A ``PowerWitness`` keeps its
-``CatalogKernel``, as the witness's certificate.
+numerator: one generator, ``kernel_values``, yields each kernel's index,
+its de_p or d_p as an integer over one denominator, and the kernel.  The
+CLI renders its reports from those integers, and describes only the
+kernels it prints.  ``chi_p_estimate`` and ``gradient_window`` are the
+library view: a ``KernelWindow`` of one ``KernelSample`` per kernel,
+holding its index, its value and the ratio to the index as exact
+rationals, and its quotient in ``--quotient`` notation, and no kernel.  A
+``PowerWitness`` keeps its ``CatalogKernel``, as the witness's
+certificate.
 """
 
 import math
@@ -354,19 +359,48 @@ class KernelWindow:
         return max(self.samples, key=lambda s: s.ratio)
 
 
-def _kernel_window(pres, catalog, budget, whole, value) -> KernelWindow:
-    """The whole group's sample, valued ``whole``, then one sample per
-    nontrivial kernel of the search, of index d, valued ``value(kernel, d)``."""
-    if budget is None:
-        budget = SearchBudget()
-    samples = [KernelSample(1, whole, Fraction(whole), "index 1")]
+def kernel_values(pres: FinitePresentation, p: int, catalog, budget: SearchBudget,
+                  gradient: bool = False) -> tuple:
+    """``(den, values)`` for ``chi``, or for ``gradient`` when ``gradient``
+    is set: ``values`` yields ``(d, numerator, kernel)`` for the whole
+    group, d = 1 and kernel None, then for each nontrivial kernel of the
+    search in search order.  Its value, de_p or d_p, is numerator/den, and
+    its ratio numerator/(den*d).  For de_p, den is ``top``, the one
+    denominator of ``deficiency_numerator``, and the whole group is the
+    kernel of index 1 with each k = 1; for d_p, den is 1.  The search
+    charges ``budget``."""
+    require_prime(p)
+    roots = relator_roots(pres, p)
+    if gradient:
+        return 1, _values(pres, catalog, budget, d_p(abelian_invariants(pres), p),
+                          lambda kernel, d: leaf_d_p(roots, kernel, p))
+    n, top = pres.n_gens, max((root.scale for root in roots), default=1)
+    return top, _values(pres, catalog, budget,
+                        deficiency_numerator(roots, [1] * len(roots), 1, n, top),
+                        lambda kernel, d: deficiency_numerator(roots, kernel.ks, d, n, top))
+
+
+def _values(pres, catalog, budget, whole, value):
+    """The rows of ``kernel_values``: the one loop over a search's kernels
+    for ``chi`` and ``gradient``."""
+    yield 1, whole, None
     for kernel in enumerate_quotients(pres, catalog, budget=budget):
         d = kernel.order
-        if d == 1:
-            continue
-        v = value(kernel, d)  # an int or a Fraction: both have the two fields
-        samples.append(KernelSample(d, v, Fraction(v.numerator, v.denominator * d),
-                                    describe_quotient(kernel, pres)))
+        if d != 1:
+            yield d, value(kernel, d), kernel
+
+
+def _kernel_window(pres, p, catalog, budget, gradient) -> KernelWindow:
+    """The ``KernelWindow`` of the rows of ``kernel_values``, each value a
+    Fraction for de_p and an int for d_p."""
+    if budget is None:
+        budget = SearchBudget()
+    den, values = kernel_values(pres, p, catalog, budget, gradient)
+    samples = [
+        KernelSample(d, num if gradient else Fraction(num, den), Fraction(num, den * d),
+                     "index 1" if kernel is None else describe_quotient(kernel, pres))
+        for d, num, kernel in values
+    ]
     return KernelWindow(tuple(samples), budget.exhausted)
 
 
@@ -381,12 +415,7 @@ def chi_p_estimate(
     The index-1 subgroup is always included, so the result is at least the
     presentation's own p-deficiency.
     """
-    require_prime(p)
-    de = p_deficiency(pres, p)
-    roots = relator_roots(pres, p)
-    top = max((root.scale for root in roots), default=1)
-    return _kernel_window(pres, catalog, budget, de, lambda kernel, d: Fraction(
-        deficiency_numerator(roots, kernel.ks, d, pres.n_gens, top), top))
+    return _kernel_window(pres, p, catalog, budget, False)
 
 
 def gradient_window(
@@ -396,10 +425,7 @@ def gradient_window(
     budget: SearchBudget = None,
 ) -> KernelWindow:
     """d_p(subgroup)/index over the whole group and the examined kernels."""
-    require_prime(p)
-    dp = d_p(abelian_invariants(pres), p)
-    roots = relator_roots(pres, p)
-    return _kernel_window(pres, catalog, budget, dp, lambda kernel, d: leaf_d_p(roots, kernel, p))
+    return _kernel_window(pres, p, catalog, budget, True)
 
 
 @_record

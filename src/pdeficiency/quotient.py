@@ -19,7 +19,7 @@ catalog's own set-up, compile none of it.
 """
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from operator import itemgetter
 
@@ -146,7 +146,13 @@ def format_perm(a: tuple) -> str:
 def describe_quotient(q, pres: FinitePresentation) -> str:
     """Each generator's image in cycle notation, e.g. ``x:(1 2), y:()``,
     for a ``FiniteQuotient`` or a ``CatalogKernel``."""
-    return ", ".join(f"{name}:{text}" for name, text in zip(pres.generators, q.image_texts))
+    return ", ".join(map(str.__add__, _name_prefixes(pres.generators), q.image_texts))
+
+
+@lru_cache(maxsize=64)
+def _name_prefixes(generators: tuple) -> tuple:
+    """``"x:"`` for each generator name x, built once per alphabet."""
+    return tuple(name + ":" for name in generators)
 
 
 def orbit_starts(perms, degree: int) -> list:

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from pdeficiency import cli, invariants, verification, words
+from pdeficiency import cli, quotient, verification, words
 from pdeficiency.cli import main
-from pdeficiency.invariants import chi_p_estimate
-from pdeficiency.presentation import parse_presentation
+from pdeficiency.invariants import chi_p_estimate, gradient_window
+from pdeficiency.presentation import p_deficiency, parse_presentation
 from pdeficiency.quotient import (
     SearchBudget, default_catalog, describe_quotient, enumerate_quotients,
     parse_catalog_manifest,
@@ -360,6 +360,68 @@ class TestSearchCommands:
                 assert g.search_tables is None
 
 
+ROW_CASES = [
+    ("< x, y | >", "6"),
+    ("< a, b, c, d | a*b*a^-1*b^-1*c*d*c^-1*d^-1 >", "8"),
+    ("< x, y | x^2, y^3, (x*y)^7 >", "24"),
+    ("< x, y | x^2*y^3 >", "12"),
+]
+
+
+def _frac(q) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("text, max_order", ROW_CASES,
+                         ids=["free-2", "genus-2", "2-3-7", "x^2*y^3"])
+def test_integer_rows_match_the_window(capsys, tmp_path, p, text, max_order):
+    """``chi`` and ``gradient`` render each kernel from integers and pick
+    the first largest and the smallest ratio by cross-multiplication; the
+    library windows hold Fractions.  Row by row they agree, the witness is
+    the first sample of the largest Fraction ratio, and the text, --json
+    and -o reports agree."""
+    pres = parse_presentation(text)
+    argv = ["-p", str(p), text, "--max-order", max_order]
+    for command, search, key in (("chi", chi_p_estimate, "deficiency"),
+                                 ("gradient", gradient_window, "d_p")):
+        window = search(pres, p, budget=SearchBudget(max_order=int(max_order)))
+        ratios = [s.ratio for s in window.samples]
+        first = window.samples[ratios.index(max(ratios))]
+        assert window.best is first  # the samples are kept, not rebuilt
+        target = tmp_path / f"{command}.json"
+        code, out, err = run(capsys, command, *argv, "--json", "-o", str(target))
+        assert (code, err) == (0, "") and out == target.read_text()
+        report = json.loads(out)
+        assert report["samples"] == [
+            {"index": s.index, key: s.value if key == "d_p" else _frac(s.value),
+             "ratio": _frac(s.ratio), "description": s.description}
+            for s in window.samples]
+        note = " (budget exhausted)" if report["exhausted"] else ""
+        if command == "chi":
+            assert window.samples[0].value == p_deficiency(pres, p)
+            assert (report["best_ratio"], report["subgroups_examined"]) == (
+                _frac(first.ratio), len(window.samples))
+            assert report["witness"] == {"index": first.index, "deficiency": _frac(first.value),
+                                         "description": first.description}
+            lines = [f"subgroups examined: {len(window.samples)}{note}",
+                     f"best ratio de/index = {report['best_ratio']} at index {first.index} "
+                     f"({first.description})", f"-chi_{p} >= {report['best_ratio']}"]
+        else:
+            assert (report["min_ratio"], report["max_ratio"]) == (
+                _frac(min(ratios)), _frac(max(ratios)))
+            lines = ["window (index, d_p, ratio):",
+                     *(f"  {s['index']}  {s['d_p']}  {s['ratio']}  ({s['description']})"
+                       for s in report["samples"]),
+                     f"window ratios in [{report['min_ratio']}, {report['max_ratio']}]{note}"]
+        assert run(capsys, command, *argv) == (
+            0, "\n".join([f"presentation: {report['presentation']}", *lines]) + "\n", "")
+        if "a*b" in text and command == "chi":
+            # every genus-2 ratio is 2: the tie goes to the first, the whole group
+            assert set(ratios) == {2} and len(ratios) > 1
+            assert window.best is window.samples[0] and report["witness"]["index"] == 1
+
+
 def run_python(*args, **options):
     """A child interpreter with this checkout's ``src`` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -575,25 +637,31 @@ sys.exit(cli.main(sys.argv[2:]))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 @pytest.mark.parametrize("allowance, presentation, options, text", [
-    # 26,345 kernels: about 8 MB, 12 MB with a bytes dedup key per kernel,
-    # and 33 MB with a tuple of tuples per kernel
-    (11, "< a,b,c,d | >", [],
+    # text chi keeps the best kernel and a count, so each grows by about
+    # 1.5 MB; keeping one sample per kernel, the 4-generator search (26,345
+    # kernels) grew by 8.7 MB, the 5-generator one (56,254) by 19.4 MB and
+    # the 6-generator one (163,934) by 55 MB
+    (8, "< a,b,c,d | >", [],
      "presentation: < a, b, c, d | >\n"
      "subgroups examined: 26346\n"
      "best ratio de/index = 3/1 at index 1 (index 1)\n"
      "-chi_2 >= 3/1\n"),
-    # 56,254 kernels: about 22 MB, 25 MB with bytes keys, 61 MB with tuples
-    (24, "< a,b,c,d,e | >", ["--max-assignments", "300000"],
+    (8, "< a,b,c,d,e | >", ["--max-assignments", "300000"],
      "presentation: < a, b, c, d, e | >\n"
      "subgroups examined: 56255 (budget exhausted)\n"
      "best ratio de/index = 4/1 at index 1 (index 1)\n"
      "-chi_2 >= 4/1\n"),
-], ids=["4-generators", "5-generators"])
+    (8, "< a,b,c,d,e,f | >", [],
+     "presentation: < a, b, c, d, e, f | >\n"
+     "subgroups examined: 163935 (budget exhausted)\n"
+     "best ratio de/index = 5/1 at index 1 (index 1)\n"
+     "-chi_2 >= 5/1\n"),
+], ids=["4-generators", "5-generators", "6-generators"])
 def test_search_memory(allowance, presentation, options, text):
     """A free-group search may grow the child's address space by at most
     ``allowance`` MB past its size once ``cli`` is imported: on the
-    default catalog the search keeps no dedup set, and ``chi`` one sample
-    per kernel."""
+    default catalog the search keeps no dedup set, and text ``chi`` no
+    sample, so its memory does not grow with the kernels."""
     proc = run_python("-c", GROWTH_SCRIPT, str(allowance), "chi", "-p", "2", presentation,
                       "--max-order", "24", *options, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
@@ -720,16 +788,19 @@ def test_chi_describes_each_kernel_once(capsys, monkeypatch):
         described.append(q)
         return describe_quotient(q, pres)
 
-    # each sample is described once, as the search builds it; the report
-    # reads the witness's description off its sample
-    monkeypatch.setattr(invariants, "describe_quotient", counting)
+    # a kernel is described only when its row is printed, and then once:
+    # the text names only the witness, and the JSON reads the witness's
+    # description off its sample
+    monkeypatch.setattr(quotient, "describe_quotient", counting)
     argv = ("chi", "-p", "2", "< x, y | x^6, y^12, (x*y)^12 >", "--max-order", "8")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "at index 3 (x:(1 2 3), y:(1 2 3))" in out
-    assert len(described) == 27
+    assert len(described) == 1
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and len(json.loads(out)["samples"]) == 28
-    assert len(described) == 27 + 27
+    assert len(described) == 1 + 27
+    code, out, _ = run(capsys, "gradient", *argv[1:])
+    assert code == 0 and len(described) == 1 + 27 + 27
 
 
 PRIME_ARGV = [
@@ -1172,6 +1243,9 @@ class TestFullOutput:
     {}, [], (), {"b": {}, "a": [[], {"c": [1, [2, {}]]}], "": None},
     [True, False, None, 0, -1, 10**40, -(10**40)], (1, "x", (2, ("y",))),
     {"z": 1.5, "y": [float("inf")]},
+    # a dict writes its int and short str values itself, the rest through _emit
+    {"long": "x" * 300, "short": "x" * 256, "caf\u00e9": "caf\u00e9 \u2003", "flag": True,
+     "none": None, "n": -7, "big": 10**40, "quoted": 'say "x"\\' * 30},
 ])
 def test_dumps_matches_json(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
