@@ -207,22 +207,30 @@ def eliminate_unit_pivots(cols, n_gens: int) -> tuple:
         col = cols.get(j)
         if col is None or len(col) != size:
             continue  # eliminated, or changed and pushed again
-        units = [g for g, e in col.items() if e == 1 or e == -1]
-        if not units:
+        g = -1
+        for h, e in col.items():
+            if e == 1 or e == -1:
+                n = len(where[h])
+                if g < 0 or n < fewest or n == fewest and h < g:
+                    g, fewest = h, n
+        if g < 0:
             continue  # pushed again if a substitution changes it
-        g = min(units, key=lambda h: (len(where[h]), h))
         del cols[j]
+        sign = col.pop(g)
         for h in col:
             where[h].discard(j)
-        sign = col.pop(g)
-        for k in where.pop(g):
+        rows = where.pop(g)
+        rows.discard(j)
+        for k in rows:
             other = cols[k]
             f = other.pop(g) * sign  # other - f * col has no g left
             for h, e in col.items():
-                x = other.get(h, 0) - f * e
-                if x:
-                    other[h] = x
+                x = other.get(h)
+                if x is None:  # fill-in
+                    other[h] = -f * e
                     where[h].add(k)
+                elif x != f * e:
+                    other[h] = x - f * e
                 else:
                     del other[h]
                     where[h].discard(k)

@@ -229,7 +229,7 @@ def cmd_abdef(args):
 def cmd_subgroup(args):
     from .invariants import p_size_bound
     from .quotient import describe_quotient, kernel_index
-    from .rewrite import basis_words, schreier, subgroup_presentation
+    from .rewrite import basis_texts, schreier, subgroup_presentation
     pres = parse_presentation(args.presentation)
     p = args.prime
     q = _quotient_from_args(args, pres)
@@ -243,8 +243,7 @@ def cmd_subgroup(args):
     payload = {
         **_head(args, pres),
         "index": index,
-        "basis": {name: word_to_text(word, pres.generators)
-                  for name, word in zip(sub.generators, basis_words(sd))},
+        "basis": dict(zip(sub.generators, basis_texts(sd, pres.generators))),
         "subgroup_presentation": sub.to_text(),
         "de_subgroup": _rat(de_sub),
         "de_presentation": _rat(de_orig),

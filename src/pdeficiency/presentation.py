@@ -13,8 +13,13 @@ Identifiers are ASCII letters and digits starting with a letter.  A chain
 containing a literal ``1`` makes every other member a relator; a chain
 without it yields the pairwise relators w_i * w_{i+1}^-1.
 
-Cost: a compact flat product such as ``x*y^-1*x^2`` is one regex match and
-one split, then a dict lookup per factor; whitespace, parentheses, ``=``
+Cost: a relator section of flat products, with no '(' or '=', such as
+the kernel presentations that ``pdef subgroup`` prints, is read in one
+pass: split at ',' and ';', each relator at '*', then a dict lookup per
+factor.  A section that this pass cannot take goes to the scanner whole,
+so every error message and position comes from the scanner.  There a
+compact flat product such as ``x*y^-1*x^2`` is one regex match and one
+split, then a dict lookup per factor; whitespace, parentheses, ``=``
 chains and the literal 1 are read token by token.
 """
 
@@ -253,25 +258,8 @@ class _Scanner:
             if flat:
                 parts = flat.group().split("*")
                 before = total
-                total += len(parts)
-                last = runs[-1][0] if runs else None
                 try:
-                    for part in parts:
-                        try:
-                            g, e = run = known[part]
-                        except KeyError:
-                            name, _, exp = part.partition("^")
-                            g, e = run = known[part] = (self.index[name], int(exp) if exp else 1)
-                        if not e:
-                            total -= 1
-                        elif g != last:
-                            runs.append(run)
-                            last = g
-                        elif e + runs[-1][1]:
-                            runs[-1] = (g, e + runs[-1][1])
-                        else:
-                            runs.pop()
-                            last = runs[-1][0] if runs else None
+                    total += len(parts) - _push_flat(runs, parts, known, self.index)
                 except (KeyError, ValueError):
                     raise _flat_error(parts, start, before, self.index) from None
                 if total > RUN_LIMIT:
@@ -330,6 +318,34 @@ class _Scanner:
         return runs, saw
 
 
+def _push_flat(runs: list, parts, known: dict, index: dict) -> int:
+    """Push the runs of the flat factors ``parts``, each ``name`` or
+    ``name^e``, onto ``runs``: each merges with or cancels the last run so
+    far.  Returns the number of factors to the power 0, which add no run.
+    ``known`` caches the run of each factor read.  A factor whose name is
+    not in ``index`` raises KeyError, and one whose exponent is no integer
+    raises ValueError."""
+    zeros = 0
+    last = runs[-1][0] if runs else None
+    for part in parts:
+        try:
+            g, e = run = known[part]
+        except KeyError:
+            name, caret, exp = part.partition("^")
+            g, e = run = known[part] = (index[name], int(exp) if caret else 1)
+        if not e:
+            zeros += 1
+        elif g != last:
+            runs.append(run)
+            last = g
+        elif e + runs[-1][1]:
+            runs[-1] = (g, e + runs[-1][1])
+        else:
+            runs.pop()
+            last = runs[-1][0] if runs else None
+    return zeros
+
+
 def _flat_error(parts, pos: int, total: int, index) -> ParseError:
     """The first error of the flat product ``parts`` at ``pos``, after
     ``total`` runs, at the offset of the part it names."""
@@ -351,24 +367,65 @@ def parse_presentation(text: str) -> FinitePresentation:
     scan.expect("<")
     scan.names()
     scan.expect("|")
-    relators = []
-    while scan.tok != ">":
-        start = scan.start
-        chain = [scan.word()]
-        while scan.tok == "=":
-            scan.advance()
-            chain.append(scan.word())
-        for r in _chain_relators(chain, len(scan.index)):
-            if not r.runs:
-                raise ParseError("trivial relator: reduces to the identity", start)
-            relators.append(r)
-        if scan.tok == "," or scan.tok == ";":
-            scan.advance()
-        elif scan.tok != ">":
-            raise scan.found("',', ';', '=' or '>'")
-    scan.advance()
-    scan.finish()
+    relators = _flat_relators(scan)
+    if relators is None:  # the scanner reads the section instead
+        relators = []
+        while scan.tok != ">":
+            start = scan.start
+            chain = [scan.word()]
+            while scan.tok == "=":
+                scan.advance()
+                chain.append(scan.word())
+            for r in _chain_relators(chain, len(scan.index)):
+                if not r.runs:
+                    raise ParseError("trivial relator: reduces to the identity", start)
+                relators.append(r)
+            if scan.tok == "," or scan.tok == ";":
+                scan.advance()
+            elif scan.tok != ">":
+                raise scan.found("',', ';', '=' or '>'")
+        scan.advance()
+        scan.finish()
     return FinitePresentation._make(tuple(scan.index), tuple(relators))
+
+
+def _flat_relators(scan: _Scanner):
+    """The relators of a section of flat products, read in one pass, or
+    None for the scanner to read the section instead.
+
+    The section between '|' and the last '>' must hold no '(' or '=', and
+    only whitespace may follow it.  It is split into relators at ',' and
+    ';' (an empty last one is a trailing separator) and each relator into
+    factors at '*'.  A factor is looked up in the cache of ``scan.runs``,
+    seeded with every ``name`` and ``name^-1``; another ``name^e`` is read
+    once.  A factor or relator that this cannot take, such as an unknown
+    name, juxtaposed factors, a literal 1, a trivial relator or one past
+    ``RUN_LIMIT`` runs, gives None, so every error and its position comes
+    from the scanner."""
+    text, index, known = scan.text, scan.index, scan.runs
+    end = text.rfind(">")
+    section = text[scan.start:end]
+    if end < scan.start or text[end + 1:].strip() or "(" in section or "=" in section:
+        return None
+    for name, g in index.items():
+        known[name] = (g, 1)
+        known[name + "^-1"] = (g, -1)
+    pieces = section.replace(";", ",").split(",")
+    if not pieces[-1].strip():
+        pieces.pop()
+    n = len(index)
+    relators = []
+    for piece in pieces:
+        parts = piece.strip().split("*")
+        runs = []
+        try:
+            total = len(parts) - _push_flat(runs, parts, known, index)
+        except (KeyError, ValueError):
+            return None
+        if not runs or total > RUN_LIMIT:
+            return None
+        relators.append(Word._make(tuple(runs), n))
+    return relators
 
 
 def _chain_relators(chain, n: int) -> list:

@@ -15,6 +15,11 @@ word moves along them run by run.  No coset enumeration and no
 permutation product is needed.  A transversal word t leads along the
 Schreier tree, so t*r*t^-1 rewritten from coset 0 is r rewritten from the
 coset of t: relators are rewritten from cosets, never conjugated.
+
+``pdef subgroup`` prints the basis as text, never as ``Word``s:
+``basis_texts`` formats each transversal word once and joins the pieces
+of two of them around one run per basis element.  ``basis_words`` builds
+the same basis as ``Word``s; it is the oracle of those texts.
 """
 
 import string
@@ -115,10 +120,65 @@ def schreier(q: FiniteQuotient) -> SchreierData:
                         tuple(cycles), rank)
 
 
+def basis_texts(sd: SchreierData, names) -> list:
+    """The texts of the basis words t_c * g * t_{c.g}^-1 over ``names``, in
+    basis order, one per non-tree edge (c, g), as ``word_to_text`` prints
+    them; ``pdef subgroup`` prints these.
+
+    Each transversal word is formatted once with and once without its last
+    run, and its inverse with and without its first run.  A basis text joins
+    the pieces of t_c and t_{c.g}^-1 with one middle run of g.  On the
+    shortlex tree g merges with t_c's last run when that is a positive
+    power of g, and with t_{c.g}^-1's first run when that is one; it never
+    cancels, since t_c ending in g^-1, or t_{c.g} in g, would put the edge
+    (c, g) on the tree."""
+    heads, fulls, tails, backs, lasts = [], [], [], [], []
+    for t in sd.transversal:
+        runs = t.runs
+        if not runs:
+            heads.append("")
+            fulls.append("")
+            tails.append("")
+            backs.append("")
+            lasts.append((-1, 0))
+            continue
+        parts = [names[g] if e == 1 else f"{names[g]}^{e}" for g, e in runs]
+        inverse = [names[g] if e == -1 else f"{names[g]}^{-e}" for g, e in reversed(runs)]
+        head = "*".join(parts[:-1]) + "*" if len(parts) > 1 else ""
+        tail = "*" + "*".join(inverse[1:]) if len(parts) > 1 else ""
+        heads.append(head)
+        fulls.append(head + parts[-1] + "*")
+        tails.append(tail)
+        backs.append("*" + inverse[0] + tail)
+        lasts.append(runs[-1])
+    texts = []
+    for g, (row, table) in enumerate(zip(sd.letter, sd.table.tables)):
+        name = names[g]
+        for c, s in enumerate(row):
+            if s < 0:
+                continue
+            d = table[c]
+            e = 1
+            h, k = lasts[c]
+            if h == g:
+                e += k
+                pre = heads[c]
+            else:
+                pre = fulls[c]
+            h, k = lasts[d]
+            if h == g:
+                e -= k
+                post = tails[d]
+            else:
+                post = backs[d]
+            texts.append(pre + (name if e == 1 else f"{name}^{e}") + post)
+    return texts
+
+
 def basis_words(sd: SchreierData) -> tuple:
     """The basis words t_c * g * t_{c.g}^-1 over the original alphabet, in
-    basis order, one per non-tree edge (c, g).  They are only printed, so
-    they are built only when asked for."""
+    basis order, one per non-tree edge (c, g).  No command builds them:
+    they are the oracle of ``basis_texts``."""
     tables = sd.table.tables
     k = sd.table.n_gens
     runs = [t.runs for t in sd.transversal]

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,8 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import regen_kernels_golden
 
 from pdeficiency.abelian import (
     AbelianInvariants,
@@ -192,6 +195,94 @@ sparse_pres_st = st.integers(1, 6).flatmap(
         [w for w in (Word(runs, n) for runs in rels) if not w.is_identity],
     ))
 )
+
+
+def reference_eliminate_unit_pivots(cols, n_gens: int) -> tuple:
+    """Unit-pivot elimination as first written, with a list of the unit
+    generators of each pivot column, ``min`` over them, and a set insertion
+    for every substituted entry: the oracle of ``eliminate_unit_pivots``,
+    whose pivot order and columns it must give exactly."""
+    cols = {j: dict(col) for j, col in enumerate(cols) if col}
+    where = {}  # generator -> the columns it occurs in
+    for j, col in cols.items():
+        for g in col:
+            where.setdefault(g, set()).add(j)
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    left = n_gens
+    while heap:
+        size, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != size:
+            continue  # eliminated, or changed and pushed again
+        units = [g for g, e in col.items() if e == 1 or e == -1]
+        if not units:
+            continue  # pushed again if a substitution changes it
+        g = min(units, key=lambda h: (len(where[h]), h))
+        del cols[j]
+        for h in col:
+            where[h].discard(j)
+        sign = col.pop(g)
+        for k in where.pop(g):
+            other = cols[k]
+            f = other.pop(g) * sign  # other - f * col has no g left
+            for h, e in col.items():
+                x = other.get(h, 0) - f * e
+                if x:
+                    other[h] = x
+                    where[h].add(k)
+                else:
+                    del other[h]
+                    where[h].discard(k)
+            if other:
+                heapq.heappush(heap, (len(other), k))
+            else:
+                del cols[k]
+        left -= 1
+    return left, list(cols.values())
+
+
+def random_sparse_columns(rng) -> tuple:
+    """Columns of 1-6 entries over up to 40 generators, drawn from a few
+    generators each so that substitutions fill in, with entries +-1 half
+    the time and otherwise up to +-12."""
+    n = rng.randint(1, 40)
+    cols = []
+    for _ in range(rng.randint(1, 60)):
+        col = {}
+        for _ in range(rng.randint(0, 6)):
+            g = rng.randrange(min(n, rng.choice((3, 8, n))))
+            col[g] = rng.choice((1, -1)) if rng.random() < 0.5 else rng.choice(
+                [e for e in range(-12, 13) if e not in (-1, 0, 1)])
+        cols.append(col)
+    return cols, n
+
+
+class TestEliminationOracle:
+    """The pivot order, the columns left and the order of their entries,
+    which is the Smith normal form's input, equal the oracle's."""
+
+    @staticmethod
+    def same(cols, n) -> None:
+        want = reference_eliminate_unit_pivots(cols, n)
+        got = eliminate_unit_pivots(cols, n)
+        assert got[0] == want[0]
+        assert [list(col.items()) for col in got[1]] == [list(col.items()) for col in want[1]]
+
+    def test_kernel_presentations(self):
+        for text in regen_kernels_golden.kernel_texts():
+            pres = parse_presentation(text)
+            self.same(exponent_columns(pres), pres.n_gens)
+
+    def test_random_sparse_columns(self):
+        rng = random.Random(36)
+        fill_in = 0
+        for _ in range(600):
+            cols, n = random_sparse_columns(rng)
+            self.same(cols, n)
+            _, rest = eliminate_unit_pivots(cols, n)
+            fill_in += any(len(col) > max(map(len, cols)) for col in rest)
+        assert fill_in > 0
 
 
 class TestSparseInvariants:

@@ -1,9 +1,12 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+import regen_kernels_golden
 
 from pdeficiency import presentation
 from pdeficiency.abelian import exponent_columns
@@ -635,6 +638,126 @@ class TestAgainstReference:
         q = FiniteQuotient([(1, 0), (1, 0)])
         sub = subgroup_presentation(parse_presentation("< x, y | x^2, y^2 >"), q)
         assert sub == FinitePresentation(sub.generators, sub.relators)
+
+
+def scanned(text: str):
+    """The outcome of ``parse_presentation`` with the flat-section path
+    switched off, so that the scanner reads every relator."""
+    flat = presentation._flat_relators
+    presentation._flat_relators = lambda scan: None
+    try:
+        return outcome(parse_presentation, text)
+    finally:
+        presentation._flat_relators = flat
+
+
+def takes_flat_path(text: str) -> bool:
+    """Whether the flat-section path reads the relators of ``text``."""
+    scan = presentation._Scanner(text)
+    scan.expect("<")
+    scan.names()
+    scan.expect("|")
+    return presentation._flat_relators(scan) is not None
+
+
+@pytest.fixture(scope="module")
+def kernel_texts():
+    return regen_kernels_golden.kernel_texts()
+
+
+def random_flat_text(rng) -> str:
+    """A flat presentation over 1-600 generators: relators of 1-8 factors,
+    each a generator to a power among 1, -1, 0, small and large ones, often
+    on the generator before it, so that factors merge and cancel; separated
+    by ',' or ';' with or without whitespace, at times with a trailing
+    separator; one text in four also has whitespace around a factor, its
+    '^' or its '*', which the scanner reads."""
+    spaced = rng.random() < 0.25
+    carets = ("^", "^", " ^ ", "^ ") if spaced else ("^",)
+    stars = ("*", " * ", "*\n") if spaced else ("*",)
+    n = rng.choice((1, 2, 3, rng.randint(4, 600)))
+    names = [rng.choice(("s", "x", "gen")) + str(i + 1) for i in range(n)]
+    exponents = (1, 1, 1, -1, -1, 0, 2, -2, 3, -7, 10**20)
+    relators = []
+    for _ in range(rng.randint(0, 12)):
+        parts, g = [], rng.randrange(n)
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.6:
+                g = rng.randrange(n)
+            e = rng.choice(exponents)
+            if e == 1 and rng.random() < 0.5:
+                parts.append(names[g])
+            else:
+                caret = rng.choice(carets)
+                parts.append(f"{names[g]}{caret}{'-0' if e == 0 and rng.random() < 0.3 else e}")
+        relators.append(rng.choice(stars).join(parts))
+    seps = [rng.choice((", ", ",", "; ", ";", " , ", ";\n")) for _ in relators]
+    section = "".join(r + sep for r, sep in zip(relators, seps))
+    if section and rng.random() < 0.8:
+        section = section[:-len(seps[-1])]
+    return f"< {', '.join(names)} |{rng.choice(('', ' ', '  '))}{section} >"
+
+
+class TestFlatSection:
+    """The flat-section path of ``parse_presentation`` builds the words of
+    the scanner and the reference parser, and hands every text it cannot
+    take to the scanner, which raises the same message at the same
+    position."""
+
+    def test_kernel_texts(self, kernel_texts):
+        for text in kernel_texts:
+            assert takes_flat_path(text)
+            got = parse_presentation(text)
+            assert got == reference_presentation(text)
+            assert scanned(text) == got
+
+    def test_random_flat_texts(self):
+        rng = random.Random(36)
+        taken = 0
+        for _ in range(400):
+            text = random_flat_text(rng)
+            got = outcome(parse_presentation, text)
+            assert got == outcome(reference_presentation, text) == scanned(text)
+            taken += takes_flat_path(text)
+        assert taken > 100
+
+    def test_merges_cancellations_and_exponents(self):
+        cases = {"< s1, s2 | s1*s1*s2^0*s1^-2*s2 ; s2^1*s2^-1*s1 >": [((1, 1),), ((0, 1),)],
+                 "< s1, s2 | s1^3*s2*s2^-1*s1^-1 >": [((0, 2),)],
+                 "< s1, s2 | s2*s1^-0*s1^1*s1^-1*s2 >": [((1, 2),)],
+                 "< s1, s2 | s1*s2^2*s2^-2*s1^-1*s2 >": [((1, 1),)],
+                 "< s1, s2 | s1*s1, s2^-1*s2^-1^ >": None}
+        for text, runs in cases.items():
+            got = outcome(parse_presentation, text)
+            assert got == outcome(reference_presentation, text) == scanned(text)
+            assert takes_flat_path(text) == (runs is not None)
+            if runs is not None:
+                assert [r.runs for r in got.relators] == runs
+
+    def test_malformed_texts(self):
+        base = "< s1, s2, s3 | s2*s3^-1, {} >"
+        variants = ["s4*s1", "s1**s2", "s1^", "s1^ -1", "s1*s2,", "s1,,s2", "s1, ;s2",
+                    "s1*s1^-1", "s1^0", "1", "s1*1", "s1 s2", "s1*", "*s1", "s1^-", "s1^2^3",
+                    "s1^x", "s12", "s1^\u0663", "s1|s2", "s1<s2",
+                    "s1^" + "7" * 5000, "s2*s1^-" + "3" * 5000]
+        for variant in variants:
+            text = base.format(variant)
+            assert outcome(parse_presentation, text) == outcome(reference_presentation, text) \
+                == scanned(text), variant
+        for text in ("< s1 | s1 > s1", "< s1 | s1 >>", "< s1 | s1", "< s1 | s1 > >", "< s1 |"):
+            assert outcome(parse_presentation, text) == outcome(reference_presentation, text) \
+                == scanned(text), text
+
+    def test_run_limit(self):
+        # 1,000,002 runs: the scanner refuses the relator at its factor
+        # that passes the bound
+        text = "< a, b | a*b, " + "*".join(["a*b"] * (RUN_LIMIT // 2 + 1)) + " >"
+        got = outcome(parse_presentation, text)
+        assert got == scanned(text) == outcome(reference_presentation, text)
+        at = 14 + 2 * RUN_LIMIT
+        assert got == (f"word would have more than {RUN_LIMIT} runs (at position {at})", at)
+        text = "< a, b | " + "*".join(["a*b"] * (RUN_LIMIT // 2)) + "*a^0 >"
+        assert len(parse_presentation(text).relators[0].runs) == RUN_LIMIT
 
 
 names_st = st.sampled_from([("x",), ("x", "y"), ("a", "b", "c")])

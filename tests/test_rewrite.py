@@ -1,13 +1,19 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import regen_kernels_golden
+
+from pdeficiency import cli
 from pdeficiency.abelian import abelian_invariants
 from pdeficiency.invariants import class_cosets, p_size_bound, relator_roots
-from pdeficiency.presentation import FinitePresentation, parse_presentation, parse_word
+from pdeficiency.presentation import (
+    FinitePresentation, parse_presentation, parse_word, word_to_text,
+)
 from pdeficiency.quotient import (
     FiniteQuotient,
     SearchBudget,
@@ -18,6 +24,7 @@ from pdeficiency.quotient import (
     perm_order,
 )
 from pdeficiency.rewrite import (
+    basis_texts,
     basis_words,
     rewrite_word,
     schreier,
@@ -172,6 +179,76 @@ class TestSchreier:
             assert sd.transversal == transversal
             assert basis_words(sd) == basis
             assert sorted(s for row in sd.letter for s in row if s >= 0) == list(range(sd.rank))
+
+
+# subgroup arguments whose quotients are cyclic or dihedral: transversals
+# there end in powers x^k, so basis words merge the middle generator with
+# the runs on both sides of it
+SEAM_ARGS = (
+    ["< x | x^6 >", "--hom-cyclic", "6", "1"],
+    ["< x, y | x^7, y^7 >", "--hom-cyclic", "7", "1,3"],
+    ["< r, s | r^5, s^2, (r*s)^2 >", "--quotient", "r:(1 2 3 4 5),s:(2 5)(3 4)"],
+    ["< r, s | r^6, s^2, (r*s)^2 >", "--quotient", "r:(1 2 3 4 5 6),s:(2 6)(3 5)"],
+)
+
+
+def subgroup_cases():
+    """``(subgroup arguments, presentation, Schreier data)`` of the golden
+    kernels and of ``SEAM_ARGS``."""
+    cases = [[text, "--quotient", spec] for _, text, spec, _ in regen_kernels_golden.CASES]
+    for args in cases + [list(a) for a in SEAM_ARGS]:
+        args = ["-p", "2", *args]
+        pres = parse_presentation(args[2])
+        q = cli._quotient_from_args(cli.build_parser().parse_args(["subgroup", *args]), pres)
+        yield args, pres, schreier(q)
+
+
+class TestBasisTexts:
+    def test_match_the_basis_words(self):
+        free2 = parse_presentation("< x, y | >")
+        sds = [(pres, sd) for _, pres, sd in subgroup_cases()]
+        sds += [(free2, schreier(q)) for q in search_quotients(free2, 8)]
+        for pres, sd in sds:
+            names = pres.generators
+            assert basis_texts(sd, names) == [word_to_text(w, names) for w in basis_words(sd)]
+
+    def test_the_middle_run_merges_and_never_cancels(self):
+        # the generator g of a non-tree edge (c, g) can only merge with a
+        # positive last run of t_c on g and with a negative one of t_{c.g}:
+        # the other signs would put the edge on the tree
+        merged = [0, 0]
+        for _, _, sd in subgroup_cases():
+            last = [t.runs[-1] if t.runs else (-1, 0) for t in sd.transversal]
+            for g, (row, table) in enumerate(zip(sd.letter, sd.table.tables)):
+                for c, s in enumerate(row):
+                    if s >= 0:
+                        (h, e), (k, f) = last[c], last[table[c]]
+                        assert not (h == g and e < 0) and not (k == g and f > 0)
+                        merged[0] += h == g
+                        merged[1] += k == g
+        assert min(merged) > 0
+
+    def test_subgroup_prints_them(self, capsys):
+        for args, pres, sd in subgroup_cases():
+            names = subgroup_presentation(pres, sd.table, sd=sd).generators
+            want = dict(zip(names, (word_to_text(w, pres.generators) for w in basis_words(sd))))
+            for extra in ([], ["--naive"]):
+                assert cli.main(["subgroup", *args, "--json", *extra]) == 0
+                assert json.loads(capsys.readouterr().out)["basis"] == want
+                assert cli.main(["subgroup", *args, *extra]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                at = lines.index("schreier basis:") + 1
+                assert lines[at:at + sd.rank] == [f"  {s} = {w}" for s, w in want.items()]
+
+
+class TestKernelsGolden:
+    def test_round_trip_matches_the_recorded_digests(self):
+        # subgroup, subgroup --naive, psize and abdef on the kernel text of
+        # 5 surjections at 2 primes, recorded by
+        # tests/regen_kernels_golden.py before the round trip last changed
+        recorded = json.loads(regen_kernels_golden.GOLDEN.read_text())
+        for want, got in zip(recorded, regen_kernels_golden.compute(), strict=True):
+            assert got == want
 
 
 class TestRewrite:
