@@ -20,7 +20,8 @@ factor.  A section that this pass cannot take goes to the scanner whole,
 so every error message and position comes from the scanner.  There a
 compact flat product such as ``x*y^-1*x^2`` is one regex match and one
 split, then a dict lookup per factor; whitespace, parentheses, ``=``
-chains and the literal 1 are read token by token.
+chains and the literal 1 are read token by token.  Brackets nest at most
+``NEST_LIMIT`` deep, as each level costs the scanner two stack frames.
 """
 
 import re
@@ -30,6 +31,11 @@ from .words import (
     RUN_LIMIT, RootDecomposition, Word, _p_weight, _seam, maximal_root, nu_p_int,
     require_prime,
 )
+
+# The deepest bracket nesting a word may have: the scanner reads a bracket
+# by recursion, so a deeper one is refused before the interpreter's stack
+# runs out.
+NEST_LIMIT = 256
 
 
 class ParseError(ValueError):
@@ -47,7 +53,8 @@ class FinitePresentation:
 
     Each relator's maximal root is computed at most once, on first use by
     ``root``: p-deficiency, kernel invariants, p'-roots, exponent sums and
-    the presentation text all read it from there.
+    the presentation text all read it from there.  ``_roots`` is filled by
+    hand, per relator, as ``to_text`` reads which roots are already known.
     """
 
     __slots__ = ("generators", "relators", "_roots")
@@ -196,9 +203,12 @@ _FLAT = re.compile(rf"{_PART}(?:\*{_PART})*")
 
 class _Scanner:
     """The text, the generator ``index``, the current token ``tok`` from
-    ``start`` to ``end``, and the run of each flat factor read, as ``runs``."""
+    ``start`` to ``end``, and the run of each flat factor read, as ``runs``,
+    a plain dict, as it lives for one parse.  ``depth`` counts the brackets
+    open, and a flat product that failed ends at ``slow_until``: the
+    factors before it are read token by token."""
 
-    __slots__ = ("text", "index", "runs", "tok", "start", "end")
+    __slots__ = ("text", "index", "runs", "tok", "start", "end", "depth", "slow_until")
 
     def __init__(self, text: str, index=None):
         plain = text.isascii() and not text.encode().translate(None, _PASS)
@@ -206,6 +216,7 @@ class _Scanner:
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
         self.text, self.index, self.runs = text, index, {}
+        self.depth = self.slow_until = 0
         self.advance(0)
 
     def advance(self, pos: int = None) -> None:
@@ -249,22 +260,30 @@ class _Scanner:
         or cancels the last run so far.  Any other factor is joined at its
         seam, and a lone one is returned as it was read.  The run bound
         counts the factors' runs before they are joined, at every factor
-        but the first."""
+        but the first.
+
+        A flat product fails on an unknown name, an exponent that int()
+        refuses or the run bound, each an error that reading its factors
+        one by one raises at the same factor.  So on a failure the scanner
+        goes back to the product's start and reads its factors one by one,
+        up to ``slow_until``: every error and its position come from
+        ``factor`` and the run bound check below."""
         text, known = self.text, self.runs
         runs, lone, total, saw, first = [], None, 0, False, True
         while True:
             start = self.start
-            flat = _FLAT.match(text, start) if self.tok[:1].isalpha() else None
+            flat = (_FLAT.match(text, start)
+                    if self.tok[:1].isalpha() and start >= self.slow_until else None)
             if flat:
                 parts = flat.group().split("*")
-                before = total
                 try:
-                    total += len(parts) - _push_flat(runs, parts, known, self.index)
-                except (KeyError, ValueError):
-                    raise _flat_error(parts, start, before, self.index) from None
-                if total > RUN_LIMIT:
-                    raise _flat_error(parts, start, before, self.index)
-                saw = True
+                    pushed = total + len(parts) - _push_flat(runs, parts, known, self.index)
+                except (KeyError, ValueError):  # an unknown name, or int() refused
+                    pushed = None
+                if pushed is None or pushed > RUN_LIMIT:
+                    self.slow_until = flat.end()
+                    continue
+                total, saw = pushed, True
                 self.advance(flat.end())
             else:
                 nxt, s = self.factor()
@@ -297,9 +316,13 @@ class _Scanner:
             runs, saw = ((self.index[tok], 1),), True
             self.advance()
         elif tok == "(":
+            if self.depth == NEST_LIMIT:
+                raise ParseError(f"brackets nested more than {NEST_LIMIT} deep", self.start)
+            self.depth += 1
             self.advance()
             runs, saw = self.word()
             self.expect(")")
+            self.depth -= 1
         elif tok == "1":
             runs, saw = (), False
             self.advance()
@@ -344,22 +367,6 @@ def _push_flat(runs: list, parts, known: dict, index: dict) -> int:
             runs.pop()
             last = runs[-1][0] if runs else None
     return zeros
-
-
-def _flat_error(parts, pos: int, total: int, index) -> ParseError:
-    """The first error of the flat product ``parts`` at ``pos``, after
-    ``total`` runs, at the offset of the part it names."""
-    for part in parts:
-        name, _, exp = part.partition("^")
-        if name not in index:
-            return ParseError(f"unknown generator {name!r}", pos)
-        try:
-            total += int(exp or 1) != 0
-        except ValueError as exc:  # more digits than int() converts
-            return ParseError(str(exc), pos + len(name) + 1)
-        if total > RUN_LIMIT:
-            return ParseError(f"word would have more than {RUN_LIMIT} runs", pos)
-        pos += len(part) + 1
 
 
 def parse_presentation(text: str) -> FinitePresentation:

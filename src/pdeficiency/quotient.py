@@ -8,7 +8,8 @@ A quotient's coset table is its regular tables, from one closure that
 keys each element by its images of a base; its elements as permutations
 are a view of the tables.  ``_cycle_layout`` lays out the cycles of each
 table that is walked, all of one length, the order of the generator's
-image.  A catalog is a tuple of ``CatalogGroup``s; a catalog group is the
+image.  Each of these is a ``functools.cached_property``, built on first
+use.  A catalog is a tuple of ``CatalogGroup``s; a catalog group is the
 quotient onto itself by its generators.  ``default_catalog`` is built once
 per process, and ``parse_catalog_manifest`` reads a catalog from text.
 
@@ -19,7 +20,7 @@ catalog's own set-up, compile none of it.
 """
 
 import math
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter
 
@@ -202,9 +203,8 @@ class FiniteQuotient:
     """Homomorphism from the free group into Sym(degree), one permutation
     image per generator.  The image group is the closure of the images, its
     regular tables; its elements, a view of them, double as the cosets of
-    the kernel under the regular action."""
-
-    __slots__ = ("degree", "images", "_elements", "_tables", "_layouts")
+    the kernel under the regular action.  The tables, the elements and the
+    layouts are ``cached_property``s, each built on first use."""
 
     def __init__(self, images):
         images = tuple(tuple(p) for p in images)
@@ -215,16 +215,19 @@ class FiniteQuotient:
             _validate_perm(p, degree)
         self.degree = degree
         self.images = images
-        self._elements = None
-        self._tables = None
-        self._layouts = None
 
     @property
     def n_gens(self) -> int:
         return len(self.images)
 
-    def _close(self) -> None:
-        """One breadth-first pass from the identity numbers the image-group
+    @cached_property
+    def tables(self) -> tuple:
+        """Per-generator action on the image-group elements by right
+        multiplication, with the breadth-first numbering: the coset table of
+        the kernel, with the identity as base coset 0, and a canonical
+        invariant of it.
+
+        One breadth-first pass from the identity numbers the image-group
         elements and fills in the regular tables in that numbering.  Each
         element is keyed by its images of a base, points that only the
         identity fixes all of: when the generator images commute, the first
@@ -253,46 +256,32 @@ class FiniteQuotient:
                     i = index[nxt] = len(order)
                     order.append(nxt)
                 row.append(i)
-        self._tables = tuple(tuple(row) for row in rows)
+        return tuple(tuple(row) for row in rows)
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
         """Image-group elements in breadth-first order from the identity, as
-        permutations: a view of the tables, built on first use along
-        ``_bfs_steps``, element i being element h then generator g."""
-        if self._elements is None:
-            elements = [perm_identity(self.degree)]
-            for h, g in _bfs_steps(self.tables):
-                elements.append(perm_mul(elements[h], self.images[g]))
-            self._elements = tuple(elements)
-        return self._elements
+        permutations: a view of the tables, built along ``_bfs_steps``,
+        element i being element h then generator g."""
+        elements = [perm_identity(self.degree)]
+        for h, g in _bfs_steps(self.tables):
+            elements.append(perm_mul(elements[h], self.images[g]))
+        return tuple(elements)
 
     @property
     def order(self) -> int:
         return len(self.tables[0])
 
     @property
-    def tables(self) -> tuple:
-        """Per-generator action on the image-group elements by right
-        multiplication, with the breadth-first numbering: the coset table of
-        the kernel, with the identity as base coset 0, and a canonical
-        invariant of it."""
-        if self._tables is None:
-            self._close()
-        return self._tables
-
-    @property
     def image_texts(self):
         """``format_perm`` of each generator's image."""
         return map(format_perm, self.images)
 
-    @property
+    @cached_property
     def layouts(self) -> tuple:
-        """``_cycle_layout`` of each generator's table, built on first use.
-        The action is regular, so L is the order of the generator's image."""
-        if self._layouts is None:
-            self._layouts = tuple(map(_cycle_layout, self.tables))
-        return self._layouts
+        """``_cycle_layout`` of each generator's table.  The action is
+        regular, so L is the order of the generator's image."""
+        return tuple(map(_cycle_layout, self.tables))
 
     def walk(self, runs, c: int = 0) -> int:
         """The coset that the word with these runs leads to from coset c.
@@ -349,7 +338,7 @@ class CatalogGroup(FiniteQuotient):
     catalog groups isomorphic to its maximal subgroups, the trivial one
     left out.  ``search_tables`` holds the group's ``search.SearchTables``
     once the first search that reaches the group has built them, and is
-    None before."""
+    None before: library API that README documents, so a plain attribute."""
 
     maximal_types = None
     search_tables = None

@@ -10,8 +10,9 @@ reaches the group and kept in its ``search_tables``: its multiplication
 table and powers, its automorphisms with two bitmasks of them per element,
 a bitmask of its maximal subgroups per element, the search's candidate
 masks, the cycle text of each element and the cycle layout of right
-multiplication by each.  The search's ``SearchBudget`` is its only order
-cap: it skips every group above ``budget.max_order``, without closing a
+multiplication by each: the tables as ``cached_property``s, the masks
+and layouts through an ``lru_cache`` per method.  The search's
+``SearchBudget`` is its only order cap: it skips every group above ``budget.max_order``, without closing a
 manifest group whose generators' orders have their lcm above it, and
 refuses one within it above ``SEARCH_ORDER_LIMIT`` before building its
 tables.  The search checks each relator r = c*u^m*c^-1 by the order k of
@@ -32,7 +33,7 @@ the group; ``CatalogKernel.quotient`` closes the images anew into a
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -52,13 +53,15 @@ from .quotient import (
 # the largest catalog group the search builds tables for: its
 # multiplication table holds at most 10^6 entries
 SEARCH_ORDER_LIMIT = 1_000
-# the most candidate masks a catalog group caches for the search
+# the most entries each ``lru_cache`` of a ``SearchTables`` method holds,
+# over every group's tables: so each cache keeps at most that many
+# ``SearchTables`` alive
 SEARCH_CACHE_LIMIT = 8_192
 
 
 def tables_of(grp: CatalogGroup) -> "SearchTables":
     """The group's ``SearchTables``, built on first use and kept in
-    ``grp.search_tables``."""
+    ``grp.search_tables``, both library API that README documents."""
     tables = grp.search_tables
     if tables is None:
         tables = grp.search_tables = SearchTables(grp)
@@ -69,7 +72,8 @@ class SearchTables:
     """What the search reads of one catalog group, over the indices of
     ``group.elements``: ``mul[a][b]`` is a then b, index 0 is the identity,
     and ``powers[a]`` lists a^0, a^1, ... up to the order of a.  The other
-    members are built on first use."""
+    members are built on first use: a ``cached_property`` each, and each
+    method's results in an ``lru_cache`` of ``SEARCH_CACHE_LIMIT``."""
 
     def __init__(self, grp: CatalogGroup):
         self.group = grp
@@ -91,12 +95,6 @@ class SearchTables:
                 x = mul[x][a]
             powers.append(tuple(pw))
         self.powers = tuple(powers)
-        # ``cycle_layout`` of each element index, None until first asked
-        self._layouts = [None] * grp.order
-        # the masks of ``orbit_minima``, keyed by an int, of ``generating``,
-        # keyed by a 1-tuple, and of ``solutions``, keyed by a 3-tuple;
-        # emptied when it holds SEARCH_CACHE_LIMIT
-        self._masks = {}
 
     @cached_property
     def cycle_texts(self) -> tuple:
@@ -105,15 +103,13 @@ class SearchTables:
         one."""
         return tuple(map(format_perm, self.group.elements))
 
+    @lru_cache(maxsize=SEARCH_CACHE_LIMIT)
     def cycle_layout(self, a: int) -> tuple:
         """``_cycle_layout`` of right multiplication by element index a on
         all element indices, built on first use for each element: L is the
         order of a, and ``cols`` and ``place`` hold ``order`` small ints
         each, as a row of ``mul`` does."""
-        layout = self._layouts[a]
-        if layout is None:
-            layout = self._layouts[a] = _cycle_layout([row[a] for row in self.mul])
-        return layout
+        return _cycle_layout([row[a] for row in self.mul])
 
     @cached_property
     def automorphisms(self) -> tuple:
@@ -207,20 +203,15 @@ class SearchTables:
             lower.append(int("".join(["1" if y < x else "0" for y in column]), 2))
         return tuple(fix), tuple(lower)
 
+    @lru_cache(maxsize=SEARCH_CACHE_LIMIT)
     def orbit_minima(self, stab: int) -> int:
         """The mask of the element indices x that no automorphism in the
         mask ``stab`` takes to a smaller index: where the automorphisms in
         ``stab`` fix the images above it, the images that the search tries
         at a depth."""
-        cache = self._masks
-        mask = cache.get(stab)
-        if mask is None:
-            if len(cache) >= SEARCH_CACHE_LIMIT:
-                cache.clear()
-            lower = self.automorphism_masks[1]
-            mask = cache[stab] = int("".join(
-                ["0" if stab & lower[x] else "1" for x in reversed(range(len(self.mul)))]), 2)
-        return mask
+        lower = self.automorphism_masks[1]
+        return int("".join(
+            ["0" if stab & lower[x] else "1" for x in reversed(range(len(self.mul)))]), 2)
 
     @cached_property
     def maximal_masks(self) -> tuple:
@@ -249,35 +240,21 @@ class SearchTables:
         return tuple(sum(1 << j for j, m in enumerate(maximal) if m >> x & 1)
                      for x in range(size))
 
+    @lru_cache(maxsize=SEARCH_CACHE_LIMIT)
     def generating(self, ins: int) -> int:
         """The mask of the element indices x in none of the maximal
         subgroups in the mask ``ins``: where ``ins`` holds those that hold
         every image above it, the images that complete a generating tuple."""
-        cache = self._masks
-        key = (ins,)
-        mask = cache.get(key)
-        if mask is None:
-            if len(cache) >= SEARCH_CACHE_LIMIT:
-                cache.clear()
-            mask = cache[key] = int("".join(
-                ["0" if ins & m else "1" for m in reversed(self.maximal_masks)]), 2)
-        return mask
+        return int("".join(["0" if ins & m else "1" for m in reversed(self.maximal_masks)]), 2)
 
+    @lru_cache(maxsize=SEARCH_CACHE_LIMIT)
     def solutions(self, a: int, e: int, m: int) -> int:
         """The mask of the element indices x for which the order of a*x^e
         divides m."""
-        cache = self._masks
-        key = a, e, m
-        mask = cache.get(key)
-        if mask is None:
-            if len(cache) >= SEARCH_CACHE_LIMIT:
-                cache.clear()
-            powers = self.powers
-            row = self.mul[a]
-            mask = cache[key] = int("".join(
-                ["0" if m % len(powers[row[pw[e % len(pw)]]]) else "1"
-                 for pw in reversed(powers)]), 2)
-        return mask
+        powers = self.powers
+        row = self.mul[a]
+        return int("".join(["0" if m % len(powers[row[pw[e % len(pw)]]]) else "1"
+                            for pw in reversed(powers)]), 2)
 
 
 class CatalogKernel:
@@ -287,7 +264,7 @@ class CatalogKernel:
     image.  ``closure`` lists the indices of the image group's elements in
     breadth-first order from the identity; the search passes it when it has
     one, and without one the images generate the group and it is built on
-    first use."""
+    first use, in a slot, as there is one such object per search leaf."""
 
     __slots__ = ("group", "tables", "images", "ks", "_closure")
 
@@ -521,7 +498,7 @@ def search_quotients(pres: FinitePresentation, catalog: tuple = None,
     for grp in catalog:
         # the order of each generator divides the group's order, so a group
         # not yet closed (a manifest's) is skipped without its closure
-        if grp._tables is None and math.lcm(*map(perm_order, grp.images)) > max_order:
+        if "tables" not in vars(grp) and math.lcm(*map(perm_order, grp.images)) > max_order:
             continue
         size = grp.order
         if size > max_order:

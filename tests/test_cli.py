@@ -624,6 +624,17 @@ def test_run_limit_is_an_error(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
+@pytest.mark.parametrize("depth", [257, 1000])
+def test_deep_nesting_is_an_error(depth):
+    """The parser reads a bracket by recursion: past NEST_LIMIT levels it
+    refuses the text at the '(' that opens the next one, with one error
+    line and no traceback, before the interpreter's stack runs out."""
+    text = "< x | " + "(" * depth + "x" + ")" * depth + " >"
+    proc = run_child("def", "-p", "2", text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: brackets nested more than 256 deep (at position 262)\n")
+
+
 GROWTH_SCRIPT = """
 import resource, sys
 from pdeficiency import cli
@@ -766,7 +777,7 @@ def test_oversized_manifest_group_is_not_closed(tmp_path):
     c2, c5000 = parse_catalog_manifest(manifest)
     pres = parse_presentation("< x | >")
     assert len(list(enumerate_quotients(pres, (c2, c5000), budget=SearchBudget(max_order=2)))) == 2
-    assert c5000._tables is None
+    assert "tables" not in vars(c5000)
     # at a cap its lcm reaches the group is closed, and refused as too large
     with pytest.raises(ValueError, match="C5000 has order 5000, above the search limit"):
         list(enumerate_quotients(pres, (c5000,), budget=SearchBudget(max_order=5000)))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import regen_kernels_golden
+import regen_words_golden
 
 from pdeficiency import presentation
 from pdeficiency.abelian import exponent_columns
 from pdeficiency.invariants import relator_roots
 from pdeficiency.presentation import (
+    NEST_LIMIT,
     FinitePresentation,
     ParseError,
     PresentationError,
@@ -524,6 +527,42 @@ class TestParseErrors:
         assert self.error(text) == (
             "word would have more than 1000000 runs (at position 32)", 32)
         assert text.index("x^0") == 32
+
+
+class TestNesting:
+    def test_the_limit_parses(self):
+        assert NEST_LIMIT == 256
+        for inner, outer in (("x", ")"), ("x*y^-1", ")^-1"), ("x", ")*y^-1")):
+            word = "(" * NEST_LIMIT + inner + outer * NEST_LIMIT
+            text = f"< x, y | {word}, y^3 >"
+            assert parse_presentation(text) == reference_presentation(text)
+            assert parse_word(word, ("x", "y")) == reference_word(word, ("x", "y"))
+
+    @pytest.mark.parametrize("depth", [NEST_LIMIT + 1, 1000])
+    def test_deeper_is_refused_at_the_next_bracket(self, depth):
+        word = "(" * depth + "x" + ")" * depth
+        message = f"brackets nested more than {NEST_LIMIT} deep"
+        for parse, text, at in ((parse_presentation, f"< x | {word} >", 6),
+                                (lambda t: parse_word(t, ("x",)), word, 0)):
+            with pytest.raises(ParseError, match=message) as exc:
+                parse(text)
+            assert exc.value.position == at + NEST_LIMIT
+            assert text[:exc.value.position + 1].count("(") == NEST_LIMIT + 1
+
+    def test_levels_count_open_brackets_only(self):
+        # siblings do not add up: 2 * NEST_LIMIT brackets, NEST_LIMIT deep
+        word = "*".join(["(" * NEST_LIMIT + "x" + ")" * NEST_LIMIT] * 2)
+        assert parse_word(word, ("x",)) == Word(((0, 2),), 1)
+
+
+class TestWordsGolden:
+    def test_outputs_match_the_recorded_digests(self):
+        # def and abdef, text and --json, at two primes, on the texts of
+        # tests/regen_words_golden.py, recorded before the parser last
+        # changed
+        recorded = json.loads(regen_words_golden.GOLDEN.read_text())
+        for want, got in zip(recorded, regen_words_golden.compute(), strict=True):
+            assert got == want
 
 
 @st.composite

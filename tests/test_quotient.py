@@ -32,7 +32,7 @@ from pdeficiency.quotient import (
     split_outside_parens,
     table_order,
 )
-from pdeficiency.search import CatalogKernel, tables_of
+from pdeficiency.search import SEARCH_CACHE_LIMIT, CatalogKernel, SearchTables, tables_of
 from pdeficiency.verification import (
     CheckFailure,
     _psl27,
@@ -372,12 +372,13 @@ class TestEnumerate:
     def test_catalog_builds_no_search_tables(self):
         # the catalog is cached per process, and earlier searches fill in
         # the shared groups' search tables: check a fresh build, whose
-        # groups hold their name and certificate and nothing of the search
+        # groups hold their images, their closure (which checks the order),
+        # their name and certificate and nothing of the search: no search
+        # tables, elements or layouts
         default_catalog.cache_clear()
         for g in default_catalog():
-            assert set(vars(g)) == {"name", "maximal_types"}
+            assert set(vars(g)) == {"degree", "images", "tables", "name", "maximal_types"}
             assert g.search_tables is None
-            assert g._layouts is None
 
     def test_orders_above_256_deduplicate_on_two_byte_keys(self):
         # a kernel of order above 256 is keyed by two bytes an entry; the
@@ -706,21 +707,49 @@ class TestTables:
         tables = tables_of(grp)
         mul, powers = tables.mul, tables.powers
         size = grp.order
+        info = SearchTables.cycle_layout.cache_info
         for a in range(size):
-            length, cols, place = tables.cycle_layout(a)
-            assert tables.cycle_layout(a) is tables._layouts[a]
-            assert tables._layouts[a + 1:] == [None] * (size - a - 1)
+            misses = info().misses
+            length, cols, place = layout = tables.cycle_layout(a)
+            assert info().misses == misses + 1  # built now, on first use
+            assert tables.cycle_layout(a) is layout
+            assert info().misses == misses + 1  # and kept
             assert length == len(powers[a])
             assert_layout(length, cols, place, [row[a] for row in mul])
         # the group is the quotient onto itself by its generators: one
         # layout per generator's table, built on first use, its cycle
         # length the order of the generator's image
-        assert grp._layouts is None
+        assert "layouts" not in vars(grp)
         assert grp.layouts is grp.layouts and len(grp.layouts) == grp.n_gens
+        assert vars(grp)["layouts"] is grp.layouts
         for (length, cols, place), img, table in zip(grp.layouts, grp.images, grp.tables):
             assert length == perm_order(img)
             assert_layout(length, cols, place, table)
             assert (length, cols, place) == tables.cycle_layout(table[0])
+
+    def test_method_caches_stay_bounded(self):
+        # each method's lru_cache is shared by every group's tables and
+        # holds SEARCH_CACHE_LIMIT results, no more, after more distinct
+        # calls than that, each the result of the uncached method
+        calls = SEARCH_CACHE_LIMIT + 808
+        (s4,) = [g for g in default_catalog() if g.name == "S4"]
+        tables = tables_of(s4)
+        for method, args in (
+            (SearchTables.solutions, [(0, 1, m) for m in range(1, calls + 1)]),
+            (SearchTables.orbit_minima, [(stab,) for stab in range(calls)]),
+            (SearchTables.generating, [(ins,) for ins in range(calls)]),
+        ):
+            for a in args:
+                assert method(tables, *a) == method.__wrapped__(tables, *a)
+            assert method.cache_info().currsize == SEARCH_CACHE_LIMIT
+        # cycle_layout takes an element index, so it is called on the
+        # tables of many copies of C12
+        (c12,) = [g for g in default_catalog() if g.name == "C12"]
+        for _ in range(calls // 12 + 1):
+            copy = SearchTables(c12)
+            for a in range(12):
+                assert copy.cycle_layout(a) == SearchTables.cycle_layout.__wrapped__(copy, a)
+        assert SearchTables.cycle_layout.cache_info().currsize == SEARCH_CACHE_LIMIT
 
 
 def assert_layout(length, cols, place, perm):
